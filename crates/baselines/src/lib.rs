@@ -25,6 +25,7 @@
 //! [`milvus_core::Capabilities`].
 
 use milvus_core::Capabilities;
+use milvus_index::batch::BatchOptions;
 use milvus_index::ivf::{IvfIndex, IvfVariant};
 use milvus_index::traits::{BuildParams, SearchParams};
 use milvus_index::{
@@ -129,6 +130,48 @@ impl FaissLikeEngine {
             distributed: false,
         }
     }
+}
+
+/// The Faiss-style flat batch scan Figure 11 compares the cache-aware engine
+/// (`milvus_index::batch`) against: each thread takes one whole query at a
+/// time and streams the *entire* data set through the CPU caches per query
+/// (`m/t` full passes per thread), with one k-heap per query (§3.2.1
+/// "Original implementation in Facebook Faiss"). Poor cache reuse; poor
+/// parallelism for small `m`.
+pub fn faiss_style_search(
+    data: &VectorSet,
+    ids: &[i64],
+    queries: &VectorSet,
+    opts: &BatchOptions,
+) -> Vec<Vec<Neighbor>> {
+    assert_eq!(data.len(), ids.len(), "ids must match data rows");
+    assert_eq!(data.dim(), queries.dim(), "query dimension mismatch");
+    let m = queries.len();
+    if m == 0 || data.is_empty() {
+        return vec![Vec::new(); m];
+    }
+    let per_thread = m.div_ceil(opts.threads.max(1).min(m));
+    let kern = distance::pair_kernel(opts.metric);
+    let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); m];
+
+    // Static assignment of contiguous query chunks to threads, as OpenMP's
+    // default scheduling would do.
+    std::thread::scope(|scope| {
+        for (chunk_idx, out) in results.chunks_mut(per_thread).enumerate() {
+            let start = chunk_idx * per_thread;
+            scope.spawn(move || {
+                for (off, slot) in out.iter_mut().enumerate() {
+                    let q = queries.get(start + off);
+                    let mut heap = TopK::new(opts.k.max(1));
+                    for (&id, v) in ids.iter().zip(data.iter()) {
+                        heap.push(id, kern(q, v));
+                    }
+                    *slot = heap.into_sorted();
+                }
+            });
+        }
+    });
+    results
 }
 
 /// The SPTAG-style tree engine.
@@ -448,6 +491,34 @@ mod tests {
 
     fn params() -> BuildParams {
         BuildParams { nlist: 16, kmeans_iters: 5, ..Default::default() }
+    }
+
+    #[test]
+    fn faiss_style_scan_matches_serial_flat_scan() {
+        let (vs, ids, _) = data(300);
+        let queries = vs.gather(&(0..23).collect::<Vec<_>>());
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            let opts = BatchOptions { k: 7, metric, threads: 4, l3_cache_bytes: 4096 };
+            let got = faiss_style_search(&vs, &ids, &queries, &opts);
+            assert_eq!(got.len(), 23);
+            for (q, res) in queries.iter().zip(&got) {
+                let mut heap = TopK::new(7);
+                for (&id, v) in ids.iter().zip(vs.iter()) {
+                    heap.push(id, distance::distance(metric, q, v));
+                }
+                assert_eq!(*res, heap.into_sorted(), "faiss-style scan diverged under {metric}");
+            }
+        }
+    }
+
+    #[test]
+    fn faiss_style_more_threads_than_queries() {
+        let (vs, ids, _) = data(20);
+        let queries = vs.gather(&[3, 4]);
+        let opts = BatchOptions { k: 4, threads: 8, ..Default::default() };
+        let res = faiss_style_search(&vs, &ids, &queries, &opts);
+        assert_eq!(res.len(), 2);
+        assert!(res.iter().all(|r| r.len() == 4));
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! thread-per-query engine (DESIGN.md ablations #1/#2, Figure 11's kernel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use milvus_baselines::faiss_style_search;
 use milvus_datagen as datagen;
 use milvus_exec::Executor;
-use milvus_index::batch::{
-    cache_aware_search, cache_aware_search_exec, faiss_style_search, BatchOptions,
-};
+use milvus_index::batch::{cache_aware_search_exec, BatchOptions};
 use milvus_index::Metric;
 use std::hint::black_box;
 
@@ -29,9 +28,6 @@ fn bench_engines(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new("faiss_style", n), &n, |b, _| {
             b.iter(|| black_box(faiss_style_search(&data, &ids, &queries, &opts)))
-        });
-        group.bench_with_input(BenchmarkId::new("cache_aware", n), &n, |b, _| {
-            b.iter(|| black_box(cache_aware_search(&data, &ids, &queries, &opts)))
         });
         group.bench_with_input(BenchmarkId::new("cache_aware_exec", n), &n, |b, _| {
             b.iter(|| black_box(cache_aware_search_exec(&pool, &data, &ids, &queries, &opts)))

@@ -86,10 +86,9 @@ fn storm(col: &Arc<Collection>, queries: &VectorSet, c: usize, per_thread: usize
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "--test");
-    // The 8000×128 shape matches BENCH_batch_engines.json, where the ×4
-    // register-tiled engine serves a 64-query batch ~2.4× cheaper per query
-    // than one-at-a-time scans; smaller shapes are compute-light enough
-    // that per-query overheads mask the tiling win.
+    // At an 8000×128 shape the ×4 register-tiled engine serves a 64-query
+    // batch ~2.4× cheaper per query than one-at-a-time scans; smaller shapes
+    // are compute-light enough that per-query overheads mask the tiling win.
     let (n, dim, per_thread, reps) =
         if smoke { (8000, 128, 6, 2) } else { (20000, 128, 16, 3) };
     let concurrencies = [1usize, 8, 64];

@@ -4,8 +4,10 @@
 //! CPUs). The cache-blocking benefit is a single-thread memory-locality
 //! effect, so it reproduces on any core count.
 
+use milvus_baselines::faiss_style_search;
 use milvus_datagen as datagen;
-use milvus_index::batch::{cache_aware_search, faiss_style_search, query_block_size, BatchOptions};
+use milvus_exec::Executor;
+use milvus_index::batch::{cache_aware_search_exec, query_block_size, BatchOptions};
 use milvus_index::Metric;
 use serde_json::json;
 
@@ -24,6 +26,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
     let k = 50;
     let dim = 128;
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let pool = Executor::new("fig11", threads);
     let caches: &[(&str, usize)] = &[("12MB", 12 << 20), ("35.75MB", 35_750_000)];
 
     let queries = datagen::sift_like(m, 111);
@@ -47,7 +50,7 @@ pub fn run(scale: Scale) -> serde_json::Value {
             let orig_s = t.secs();
 
             let t = Timer::start();
-            let aware = cache_aware_search(&data, &ids, &queries, &opts);
+            let aware = cache_aware_search_exec(&pool, &data, &ids, &queries, &opts);
             let aware_s = t.secs();
 
             assert_eq!(original, aware, "engines disagree");

@@ -5,17 +5,17 @@
 //! and answers the paper's three primitive query types: vector query,
 //! attribute filtering, and multi-vector query.
 
+use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use milvus_exec::coalesce::Submitted;
 use milvus_exec::Executor;
-use milvus_index::batch::{cache_aware_search_exec_hetk, BatchOptions};
+use milvus_index::distance::distance;
 use milvus_index::registry::IndexRegistry;
-use milvus_obs as obs;
 use milvus_index::traits::SearchParams;
-use milvus_index::{Metric, Neighbor, VectorSet};
-use milvus_query::filtering::RangePredicate;
+use milvus_index::{IndexError, Metric, Neighbor, TopK, VectorSet};
+use milvus_obs as obs;
 use milvus_query::multivector::MultiVectorEngine;
 use milvus_storage::object_store::ObjectStore;
 use milvus_storage::segment::{merge_segment_results, Segment};
@@ -186,15 +186,6 @@ impl Collection {
         }
     }
 
-    fn metric_of(&self, field: &str) -> Result<Metric> {
-        self.schema
-            .vector_fields
-            .iter()
-            .find(|f| f.name == field)
-            .map(|f| f.metric)
-            .ok_or_else(|| MilvusError::NoSuchField(field.to_string()))
-    }
-
     fn to_hits(&self, metric: Metric, neighbors: Vec<Neighbor>) -> Vec<SearchHit> {
         neighbors
             .into_iter()
@@ -209,185 +200,36 @@ impl Collection {
     /// the collection's in-flight budget (sized from flight-recorder
     /// signals) is exhausted the query is shed with
     /// [`MilvusError::Overloaded`] instead of queueing behind a backlog it
-    /// would only deepen. Admitted queries on an idle scheduler pass
-    /// straight to the serial path; queries arriving while another is
+    /// would only deepen. An admitted query on an idle scheduler runs the
+    /// pipeline itself as a batch of one; queries arriving while another is
     /// running are coalesced — held up to the configured window, then run
-    /// as one batched segment sweep whose results are bit-identical to the
-    /// serial path (the batch engines share each segment's data rows across
-    /// a ×4 query tile instead of re-streaming them per query).
+    /// through the same pipeline as one batch whose per-query results are
+    /// bit-identical (a batched segment scan shares the segment's data rows
+    /// across the batch instead of re-streaming them per query).
     pub fn search(&self, field: &str, query: &[f32], params: &SearchParams) -> Result<Vec<SearchHit>> {
-        let _slot = self.scheduler.admit()?;
-        if !self.scheduler.coalescing() || !self.dim_matches(field, query.len()) {
-            // Mismatched dims (and unknown fields) take the serial path so
-            // the caller sees the exact legacy error.
-            return self.search_serial(field, query, params);
-        }
-        let started = Instant::now();
-        let req = SearchRequest::Vector {
-            field: field.to_string(),
-            query: query.to_vec(),
-            params: params.clone(),
-        };
-        match self.scheduler.submit(req, |batch| self.run_coalesced(batch)) {
-            Submitted::Pass(guard) => {
-                // Idle scheduler: run serially while the guard holds the
-                // rendezvous open, so concurrent arrivals coalesce behind us.
-                self.scheduler.note_passthrough();
-                let out = self.search_serial(field, query, params);
-                drop(guard);
-                out
-            }
-            Submitted::Coalesced { result, batch, led, waited } => {
-                if led {
-                    self.scheduler.note_batch(batch);
-                }
-                self.account_coalesced("search", started, waited, Some(params), &result);
-                result
-            }
-        }
+        self.run("search", SearchRequest::vector(field, query, params))
     }
 
-    /// The serial (non-coalesced) path: one traced fan-out of per-segment
-    /// scans. Admits a trace through the sampler; queries slower than the
-    /// configured threshold land in the slow-query log.
-    ///
-    /// Each fanned-out segment task prepares the query once per index
-    /// (cosine normalization, hoisted kernels, fused SQ8 state or the PQ ADC
-    /// table — `IvfIndex::prepare`) and reuses it across every probed
-    /// bucket; with no tombstones and no filter, the segment takes the
-    /// unfiltered scan path with zero per-row predicate dispatch.
-    fn search_serial(
-        &self,
-        field: &str,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> Result<Vec<SearchHit>> {
-        let mut trace = obs::Trace::start("search", &self.trace_label);
-        let result = self.search_traced(field, query, params, &mut trace);
-        trace.finish();
-        result
-    }
-
-    /// [`Self::search`]'s serial path recording into a caller-supplied trace
-    /// (the sampler is bypassed; pass [`obs::Trace::disabled`] for none).
-    pub fn search_traced(
-        &self,
-        field: &str,
-        query: &[f32],
-        params: &SearchParams,
-        trace: &mut obs::Trace,
-    ) -> Result<Vec<SearchHit>> {
-        let _span = obs::span(obs::QUERY_LATENCY, &self.name);
-        obs::counter(obs::QUERY_TOTAL, &self.name).inc();
-        obs::counter(obs::QUERY_NPROBE_EFFECTIVE, &self.name).add(params.nprobe as u64);
-        obs::counter(obs::QUERY_EF_EFFECTIVE, &self.name).add(params.ef as u64);
-        let result = self.search_core(field, query, params, trace);
-        if result.is_err() {
-            obs::counter(obs::QUERY_ERRORS, &self.name).inc();
-        }
-        result
-    }
-
-    /// The uncounted search core: all the work, none of the query metrics —
-    /// so the coalesced path (which accounts per *caller*, not per
-    /// execution) can reuse it without double counting.
-    fn search_core(
-        &self,
-        field: &str,
-        query: &[f32],
-        params: &SearchParams,
-        trace: &mut obs::Trace,
-    ) -> Result<Vec<SearchHit>> {
-        {
-            let t = trace.begin();
-            let metric = self.metric_of(field)?;
-            trace.record(obs::SpanKind::Parse, t);
-
-            let t = trace.begin();
-            let snap = self.engine.snapshot();
-            let nsegs = snap.segments.len();
-            trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = nsegs as u64);
-
-            // Fan segment scans out across the global pool. `&mut Trace`
-            // stays on this thread: the timed fan-out captures per-task
-            // executor milestones (only when the trace is live) and spans
-            // are recorded after the join, in segment order — queue wait
-            // separate from scan run time, so the profiler can tell
-            // saturation from slow scans.
-            let scans = traced_fan_out(nsegs, trace.enabled(), |si| {
-                let seg = &snap.segments[si];
-                let out = seg.search_field_stats(&self.schema, field, query, params, None);
-                (seg.id, out)
-            });
-            let mut lists = Vec::with_capacity(nsegs);
-            for ((seg_id, out), timing) in scans {
-                let (list, stats) = out?;
-                if let Some(t) = timing {
-                    trace.record_window(obs::SpanKind::QueueWait, t.enqueued, t.started, |sp| {
-                        sp.segment_id = seg_id as i64;
-                    });
-                    trace.record_window(obs::SpanKind::SegmentScan, t.started, t.finished, |sp| {
-                        sp.segment_id = seg_id as i64;
-                        sp.rows_scanned = stats.rows_scanned;
-                    });
-                }
-                lists.push(list);
-            }
-
-            let t = trace.begin();
-            let merged = merge_segment_results(&lists, params.k);
-            trace.record(obs::SpanKind::HeapMerge, t);
-            Ok(self.to_hits(metric, merged))
-        }
-    }
-
-    /// Batch vector query: one result list per query, the queries themselves
-    /// fanned out across the global executor (each query's segment scans
-    /// nest inside — the pool's help-while-waiting scopes make that safe).
-    /// Concurrent per-query calls rendezvous in the scheduler like any other
-    /// search; [`Self::search_many`] goes straight to the batch engines.
+    /// Batch vector query: one result list per query. The queries are
+    /// already a batch, so they skip the coalescing window: one admission
+    /// slot, one run of the pipeline over the whole set.
     pub fn search_batch(
         &self,
         field: &str,
         queries: &VectorSet,
         params: &SearchParams,
     ) -> Result<Vec<Vec<SearchHit>>> {
-        Executor::global()
-            .scoped_map(queries.len(), |i| self.search(field, queries.get(i), params))
-            .into_iter()
-            .collect()
-    }
-
-    /// Explicit batch entry (the REST `search_batch` endpoint): the queries
-    /// are already a batch, so skip the coalescing window entirely and go
-    /// straight into the grouped batch execution. One admission slot covers
-    /// the whole call.
-    pub fn search_many(
-        &self,
-        field: &str,
-        queries: &VectorSet,
-        params: &SearchParams,
-    ) -> Result<Vec<Vec<SearchHit>>> {
         let _slot = self.scheduler.admit()?;
         let started = Instant::now();
-        let m = queries.len();
-        let reqs: Vec<SearchRequest> = (0..m)
-            .map(|i| SearchRequest::Vector {
-                field: field.to_string(),
-                query: queries.get(i).to_vec(),
-                params: params.clone(),
-            })
-            .collect();
-        let out: Result<Vec<Vec<SearchHit>>> = self.run_coalesced(reqs).into_iter().collect();
-        obs::histogram(obs::QUERY_LATENCY, &self.name)
-            .observe_us(started.elapsed().as_micros() as u64);
-        obs::counter(obs::QUERY_TOTAL, &self.name).add(m as u64);
-        obs::counter(obs::QUERY_NPROBE_EFFECTIVE, &self.name).add((params.nprobe * m) as u64);
-        obs::counter(obs::QUERY_EF_EFFECTIVE, &self.name).add((params.ef * m) as u64);
-        if out.is_err() {
-            obs::counter(obs::QUERY_ERRORS, &self.name).inc();
+        let reqs: Vec<SearchRequest> =
+            queries.iter().map(|q| SearchRequest::vector(field, q, params)).collect();
+        let mut trace = obs::Trace::start("search_batch", &self.trace_label);
+        let results = self.execute(&reqs, &mut trace);
+        trace.finish();
+        for result in &results {
+            self.account(started, params, result);
         }
-        out
+        results.into_iter().collect()
     }
 
     /// Attribute filtering (§2.1, §4.1): top-k under `attr ∈ [lo, hi]`.
@@ -406,410 +248,259 @@ impl Collection {
         hi: f64,
         params: &SearchParams,
     ) -> Result<Vec<SearchHit>> {
-        let _slot = self.scheduler.admit()?;
-        if !self.scheduler.coalescing() || !self.dim_matches(field, query.len()) {
-            return self.filtered_search_serial(field, query, attr, lo, hi, params);
-        }
+        self.run(
+            "filtered_search",
+            SearchRequest::Filtered {
+                field: field.to_string(),
+                query: query.to_vec(),
+                attr: attr.to_string(),
+                lo,
+                hi,
+                params: params.clone(),
+            },
+        )
+    }
+
+    /// Run one search under a forced trace and render its per-stage
+    /// breakdown as an `EXPLAIN ANALYZE`-style report. The trace bypasses
+    /// the sampler and also feeds the query profiler.
+    pub fn explain_analyze(
+        &self,
+        field: &str,
+        query: &[f32],
+        params: &SearchParams,
+    ) -> Result<String> {
         let started = Instant::now();
-        let req = SearchRequest::Filtered {
-            field: field.to_string(),
-            query: query.to_vec(),
-            attr: attr.to_string(),
-            lo,
-            hi,
-            params: params.clone(),
+        let req = SearchRequest::vector(field, query, params);
+        let mut trace = obs::Trace::forced("search", &self.trace_label);
+        let result = self.execute_one(&req, &mut trace);
+        let finished = trace.finish_always();
+        self.account(started, params, &result);
+        result?;
+        Ok(finished.map(|t| obs::explain_report(&t)).unwrap_or_default())
+    }
+
+    /// One admitted request through the scheduler: a pass-through caller
+    /// runs the pipeline on its own request (a batch of one, under a sampled
+    /// trace; queries slower than the configured threshold land in the
+    /// slow-query log); a coalesced batch's leader runs it once for
+    /// everybody, and each caller's trace carries its wait as a
+    /// `coalesce_wait` span.
+    fn run(&self, op: &'static str, req: SearchRequest) -> Result<Vec<SearchHit>> {
+        let _slot = self.scheduler.admit()?;
+        let started = Instant::now();
+        let params = req.params().clone();
+        let alone = |req: &SearchRequest| {
+            let mut trace = obs::Trace::start(op, &self.trace_label);
+            let result = self.execute_one(req, &mut trace);
+            trace.finish();
+            result
         };
-        match self.scheduler.submit(req, |batch| self.run_coalesced(batch)) {
-            Submitted::Pass(guard) => {
-                self.scheduler.note_passthrough();
-                let out = self.filtered_search_serial(field, query, attr, lo, hi, params);
-                drop(guard);
-                out
-            }
-            Submitted::Coalesced { result, batch, led, waited } => {
-                if led {
-                    self.scheduler.note_batch(batch);
+        let result = if !self.scheduler.coalescing() {
+            alone(&req)
+        } else {
+            let lead =
+                |batch: Vec<SearchRequest>| self.execute(&batch, &mut obs::Trace::disabled());
+            match self.scheduler.submit(req, lead) {
+                // The guard holds the rendezvous open while we run, so
+                // concurrent arrivals coalesce behind us.
+                Submitted::Pass(guard) => {
+                    self.scheduler.note_passthrough();
+                    alone(guard.query())
                 }
-                // The serial filtered path counts total/latency/errors but
-                // not nprobe/ef — mirror that.
-                self.account_coalesced("filtered_search", started, waited, None, &result);
-                result
-            }
-        }
-    }
-
-    /// The serial (non-coalesced) filtered path, trace-sampled.
-    #[allow(clippy::too_many_arguments)]
-    fn filtered_search_serial(
-        &self,
-        field: &str,
-        query: &[f32],
-        attr: &str,
-        lo: f64,
-        hi: f64,
-        params: &SearchParams,
-    ) -> Result<Vec<SearchHit>> {
-        let mut trace = obs::Trace::start("filtered_search", &self.trace_label);
-        let result = self.filtered_search_traced(field, query, attr, lo, hi, params, &mut trace);
-        trace.finish();
-        result
-    }
-
-    /// [`Self::filtered_search`]'s serial path recording into a
-    /// caller-supplied trace.
-    #[allow(clippy::too_many_arguments)]
-    pub fn filtered_search_traced(
-        &self,
-        field: &str,
-        query: &[f32],
-        attr: &str,
-        lo: f64,
-        hi: f64,
-        params: &SearchParams,
-        trace: &mut obs::Trace,
-    ) -> Result<Vec<SearchHit>> {
-        let _span = obs::span(obs::QUERY_LATENCY, &self.name);
-        obs::counter(obs::QUERY_TOTAL, &self.name).inc();
-        let result = self.filtered_search_core(field, query, attr, lo, hi, params, trace);
-        if result.is_err() {
-            obs::counter(obs::QUERY_ERRORS, &self.name).inc();
-        }
-        result
-    }
-
-    /// The uncounted filtered-search core (see [`Self::search_core`]).
-    #[allow(clippy::too_many_arguments)]
-    fn filtered_search_core(
-        &self,
-        field: &str,
-        query: &[f32],
-        attr: &str,
-        lo: f64,
-        hi: f64,
-        params: &SearchParams,
-        trace: &mut obs::Trace,
-    ) -> Result<Vec<SearchHit>> {
-        {
-            let t = trace.begin();
-            let metric = self.metric_of(field)?;
-            let ai = self
-                .schema
-                .attribute_index(attr)
-                .ok_or_else(|| MilvusError::NoSuchAttribute(attr.to_string()))?;
-            trace.record(obs::SpanKind::Parse, t);
-            let pred = RangePredicate::new(lo, hi);
-
-            let t = trace.begin();
-            let snap = self.engine.snapshot();
-            let nsegs = snap.segments.len();
-            trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = nsegs as u64);
-
-            // Per-segment filter + scan, fanned out on the global pool; span
-            // windows come back with each task and are recorded post-join in
-            // segment order (same pattern as `search_traced`). The filter/
-            // scan sub-windows are measured inside the task; the executor
-            // queue wait comes from the timed fan-out so it never inflates
-            // either stage.
-            let trace_on = trace.enabled();
-            let scans = traced_fan_out(nsegs, trace_on, |si| {
-                let seg = &snap.segments[si];
-                let f_start = trace_on.then(Instant::now);
-                let column = &seg.data().attributes[ai];
-                let passing = column.count_range(pred.lo, pred.hi);
-                if passing == 0 {
-                    return (seg.id, 0, f_start.zip(trace_on.then(Instant::now)), None);
-                }
-                let rows: std::collections::HashSet<i64> =
-                    column.range_rows(pred.lo, pred.hi).into_iter().collect();
-                let f_window = f_start.zip(trace_on.then(Instant::now));
-                // Cost rule: highly selective predicate → exact scan of passers
-                // (A); otherwise filtered index search (B).
-                let s_start = trace_on.then(Instant::now);
-                let mut scanned = passing as u64;
-                let list = if passing <= params.k * 8 || seg.index(field).is_none() {
-                    let mut heap = milvus_index::TopK::new(params.k.max(1));
-                    for &id in &rows {
-                        if seg.is_deleted(id) {
-                            continue;
-                        }
-                        let row = seg
-                            .data()
-                            .row_ids
-                            .binary_search(&id)
-                            .expect("column ids exist in segment");
-                        let v = seg.data().vectors[self
-                            .schema
-                            .vector_field_index(field)
-                            .expect("checked by metric_of")]
-                        .get(row);
-                        heap.push(id, milvus_index::distance::distance(metric, query, v));
+                Submitted::Coalesced { result, batch, led, waited } => {
+                    if led {
+                        self.scheduler.note_batch(batch);
                     }
-                    Ok(heap.into_sorted())
-                } else {
-                    seg.search_field_stats(
-                        &self.schema,
-                        field,
-                        query,
-                        params,
-                        Some(&|id| rows.contains(&id)),
-                    )
-                    .map(|(list, stats)| {
-                        scanned = stats.rows_scanned;
-                        list
-                    })
-                };
-                let s_window = s_start.zip(trace_on.then(Instant::now));
-                (seg.id, passing, f_window, Some((list, scanned, s_window)))
-            });
-            let mut lists = Vec::with_capacity(nsegs);
-            for ((seg_id, passing, f_window, scan), timing) in scans {
-                if let Some(t) = timing {
-                    trace.record_window(obs::SpanKind::QueueWait, t.enqueued, t.started, |sp| {
-                        sp.segment_id = seg_id as i64;
-                    });
+                    let mut trace = obs::Trace::start(op, &self.trace_label);
+                    let wait_end = started + waited;
+                    trace.record_window(obs::SpanKind::CoalesceWait, started, wait_end, |_| {});
+                    trace.finish();
+                    result
                 }
-                if let Some((start, end)) = f_window {
-                    trace.record_window(obs::SpanKind::Filter, start, end, |sp| {
-                        sp.segment_id = seg_id as i64;
-                        if passing > 0 {
-                            sp.rows_scanned = passing as u64;
-                        }
-                    });
-                }
-                let Some((list, scanned, s_window)) = scan else { continue };
-                let list = list?;
-                if let Some((start, end)) = s_window {
-                    trace.record_window(obs::SpanKind::SegmentScan, start, end, |sp| {
-                        sp.segment_id = seg_id as i64;
-                        sp.rows_scanned = scanned;
-                    });
-                }
-                lists.push(list);
             }
-
-            let t = trace.begin();
-            let merged = merge_segment_results(&lists, params.k);
-            trace.record(obs::SpanKind::HeapMerge, t);
-            Ok(self.to_hits(metric, merged))
-        }
+        };
+        self.account(started, &params, &result);
+        result
     }
 
-    /// Whether `field` exists and its vectors have exactly `len` dims.
-    fn dim_matches(&self, field: &str, len: usize) -> bool {
-        self.schema.vector_fields.iter().find(|f| f.name == field).map(|f| f.dim) == Some(len)
-    }
-
-    /// Per-caller accounting for a coalesced execution: the serial path
-    /// counts these inside `search_traced`/`filtered_search_traced`; here
-    /// the leader ran the shared core uncounted, so each caller records its
-    /// own totals, its own end-to-end latency (including the coalesce wait)
-    /// and a sampled trace carrying the wait as a `coalesce_wait` span.
-    fn account_coalesced(
-        &self,
-        op: &'static str,
-        started: Instant,
-        waited: Duration,
-        params: Option<&SearchParams>,
-        result: &Result<Vec<SearchHit>>,
-    ) {
+    /// Per-caller query accounting, whatever the request kind and however it
+    /// was executed: a coalesced batch runs once on its leader, but every
+    /// caller records its own totals and its own end-to-end latency
+    /// (including any coalesce wait).
+    fn account(&self, started: Instant, params: &SearchParams, result: &Result<Vec<SearchHit>>) {
         obs::histogram(obs::QUERY_LATENCY, &self.name)
             .observe_us(started.elapsed().as_micros() as u64);
         obs::counter(obs::QUERY_TOTAL, &self.name).inc();
-        if let Some(p) = params {
-            obs::counter(obs::QUERY_NPROBE_EFFECTIVE, &self.name).add(p.nprobe as u64);
-            obs::counter(obs::QUERY_EF_EFFECTIVE, &self.name).add(p.ef as u64);
-        }
+        obs::counter(obs::QUERY_NPROBE_EFFECTIVE, &self.name).add(params.nprobe as u64);
+        obs::counter(obs::QUERY_EF_EFFECTIVE, &self.name).add(params.ef as u64);
         if result.is_err() {
             obs::counter(obs::QUERY_ERRORS, &self.name).inc();
         }
-        let mut trace = obs::Trace::start(op, &self.trace_label);
-        trace.record_window(obs::SpanKind::CoalesceWait, started, started + waited, |_| {});
-        trace.finish();
     }
 
-    /// Execute one coalesced batch (the leader's closure): partition into
-    /// parameter-compatible groups, run each multi-query vector group as a
-    /// batched segment sweep, everything else through the serial cores.
-    /// Failures come back as values — one `Result` per query, in submit
-    /// order — because a panic here would strand the followers.
-    fn run_coalesced(&self, reqs: Vec<SearchRequest>) -> Vec<Result<Vec<SearchHit>>> {
-        let mut out: Vec<Option<Result<Vec<SearchHit>>>> = reqs.iter().map(|_| None).collect();
-        for group in group_batch(&reqs) {
-            let batchable = group.len() > 1
-                && matches!(reqs[group[0]], SearchRequest::Vector { .. });
-            if batchable {
-                self.run_vector_group(&reqs, &group, &mut out);
-            } else {
-                for &qi in &group {
-                    out[qi] = Some(self.run_one_serial(&reqs[qi]));
-                }
+    /// Resolve a request's field (and attribute) names against the schema.
+    fn resolve(&self, req: &SearchRequest) -> Result<Resolved> {
+        let field = req.field();
+        let fi = self
+            .schema
+            .vector_field_index(field)
+            .ok_or_else(|| MilvusError::NoSuchField(field.to_string()))?;
+        let filter = match req {
+            SearchRequest::Vector { .. } => None,
+            SearchRequest::Filtered { attr, lo, hi, .. } => {
+                let ai = self
+                    .schema
+                    .attribute_index(attr)
+                    .ok_or_else(|| MilvusError::NoSuchAttribute(attr.clone()))?;
+                Some((ai, *lo, *hi))
             }
-        }
-        out.into_iter().map(|o| o.expect("every coalesced query answered")).collect()
+        };
+        Ok(Resolved { fi, metric: self.schema.vector_fields[fi].metric, filter })
     }
 
-    /// One request through its uncounted serial core (coalesced-path
-    /// fallback for singleton groups, filtered queries, and error replay).
-    fn run_one_serial(&self, req: &SearchRequest) -> Result<Vec<SearchHit>> {
-        match req {
-            SearchRequest::Vector { field, query, params } => {
-                self.search_core(field, query, params, &mut obs::Trace::disabled())
-            }
-            SearchRequest::Filtered { field, query, attr, lo, hi, params } => self
-                .filtered_search_core(
-                    field,
-                    query,
-                    attr,
-                    *lo,
-                    *hi,
-                    params,
-                    &mut obs::Trace::disabled(),
-                ),
-        }
+    /// [`Self::execute`] for a batch of one.
+    fn execute_one(&self, req: &SearchRequest, trace: &mut obs::Trace) -> Result<Vec<SearchHit>> {
+        self.execute(std::slice::from_ref(req), trace).pop().expect("one result per request")
     }
 
-    /// Run a group of parameter-compatible vector queries as one batched
-    /// sweep: segment-major, each segment's rows/buckets streamed once for
-    /// the whole group. `k` may differ within the group — exhaustive-scan
-    /// engines run once at `max(k)` and each query's sorted list is
-    /// truncated to its own `k` (exact: the top-j of a sorted top-k is the
-    /// top-j). Results are bit-identical to the serial path.
-    fn run_vector_group(
+    /// The query pipeline, for every entry point and every batch size:
+    /// plan (resolve names, partition into parameter-compatible groups) →
+    /// pin a snapshot → one executor task per segment scanning every group →
+    /// merge per query. Failures come back as values — one `Result` per
+    /// request, in input order — because a panic in a coalesced batch would
+    /// strand the leader's followers.
+    ///
+    /// `&mut Trace` stays on this thread: the timed fan-out captures per-task
+    /// executor milestones and the tasks their own filter/scan windows (only
+    /// when the trace is live — the untraced hot path stays clock-free), and
+    /// spans are recorded after the join, in segment order — queue wait
+    /// separate from scan time, so the profiler can tell saturation from
+    /// slow scans.
+    fn execute(
         &self,
         reqs: &[SearchRequest],
-        idxs: &[usize],
-        out: &mut [Option<Result<Vec<SearchHit>>>],
-    ) {
-        let SearchRequest::Vector { field, params, .. } = &reqs[idxs[0]] else {
-            unreachable!("vector groups hold vector requests")
-        };
-        let Ok(metric) = self.metric_of(field) else {
-            for &qi in idxs {
-                out[qi] = Some(Err(MilvusError::NoSuchField(field.clone())));
-            }
-            return;
-        };
-        let fi = self.schema.vector_field_index(field).expect("checked by metric_of");
-        let dim = self.schema.vector_fields[fi].dim;
-        let queries: Vec<&[f32]> = idxs
-            .iter()
-            .map(|&qi| {
-                let SearchRequest::Vector { query, .. } = &reqs[qi] else { unreachable!() };
-                query.as_slice()
+        trace: &mut obs::Trace,
+    ) -> Vec<Result<Vec<SearchHit>>> {
+        let t = trace.begin();
+        let resolved: Vec<Result<Resolved>> = reqs.iter().map(|r| self.resolve(r)).collect();
+        let groups: Vec<Group<'_>> = group_batch(reqs)
+            .into_iter()
+            .filter_map(|idxs| {
+                let plan = *resolved[idxs[0]].as_ref().ok()?;
+                let queries = idxs.iter().map(|&qi| reqs[qi].query()).collect();
+                let ks = idxs.iter().map(|&qi| reqs[qi].params().k).collect();
+                Some(Group { req: &reqs[idxs[0]], idxs, queries, ks, plan })
             })
             .collect();
-        if queries.iter().any(|q| q.len() != dim) {
-            // Mismatched dims replay serially for the exact legacy error.
-            for &qi in idxs {
-                out[qi] = Some(self.run_one_serial(&reqs[qi]));
-            }
-            return;
-        }
-        let ks: Vec<usize> = idxs.iter().map(|&qi| reqs[qi].params().k.max(1)).collect();
-        let kmax = *ks.iter().max().expect("group is non-empty");
-        let mut qs = VectorSet::new(dim);
-        for q in &queries {
-            qs.push(q);
-        }
-        let batch_params = SearchParams { k: kmax, ..params.clone() };
+        trace.record(obs::SpanKind::Parse, t);
 
+        let t = trace.begin();
         let snap = self.engine.snapshot();
-        let mut per_seg: Vec<Vec<Vec<Neighbor>>> = Vec::with_capacity(snap.segments.len());
-        for seg in &snap.segments {
-            match self.scan_segment_group(seg, field, fi, metric, &qs, &ks, &batch_params) {
-                Ok(lists) => per_seg.push(lists),
-                Err(_) => {
-                    // Errors aren't Clone; replay serially so every caller
-                    // gets its own exact error (or result).
-                    for &qi in idxs {
-                        out[qi] = Some(self.run_one_serial(&reqs[qi]));
-                    }
-                    return;
+        let nsegs = snap.segments.len();
+        trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = nsegs as u64);
+
+        let trace_on = trace.enabled();
+        let mut scans = traced_fan_out(nsegs, trace_on, |si| {
+            let seg = &snap.segments[si];
+            groups.iter().map(|g| self.scan_group(seg, g, trace_on)).collect::<Vec<_>>()
+        });
+        for (seg, (scans, timing)) in snap.segments.iter().zip(&scans) {
+            let seg_id = seg.id as i64;
+            if let Some(t) = timing {
+                trace.record_window(obs::SpanKind::QueueWait, t.enqueued, t.started, |sp| {
+                    sp.segment_id = seg_id;
+                });
+            }
+            for scan in scans {
+                if let Some((start, end)) = scan.filter_window {
+                    trace.record_window(obs::SpanKind::Filter, start, end, |sp| {
+                        sp.segment_id = seg_id;
+                        sp.rows_scanned = scan.passing as u64;
+                    });
+                }
+                if let Some((start, end)) = scan.scan_window {
+                    trace.record_window(obs::SpanKind::SegmentScan, start, end, |sp| {
+                        sp.segment_id = seg_id;
+                        sp.rows_scanned = scan.rows_scanned;
+                    });
                 }
             }
         }
-        for (j, &qi) in idxs.iter().enumerate() {
-            let lists: Vec<Vec<Neighbor>> =
-                per_seg.iter_mut().map(|seg_lists| std::mem::take(&mut seg_lists[j])).collect();
-            let merged = merge_segment_results(&lists, ks[j]);
-            out[qi] = Some(Ok(self.to_hits(metric, merged)));
+
+        let t = trace.begin();
+        let mut out: Vec<Result<Vec<SearchHit>>> =
+            resolved.into_iter().map(|r| r.map(|_| Vec::new())).collect();
+        for (gi, group) in groups.iter().enumerate() {
+            for (j, &qi) in group.idxs.iter().enumerate() {
+                // Per query: its list from every segment, in segment order
+                // (so the first failing segment's error wins), merged.
+                let lists: milvus_storage::Result<Vec<Vec<Neighbor>>> = scans
+                    .iter_mut()
+                    .map(|(scans, _)| std::mem::replace(&mut scans[gi].lists[j], Ok(Vec::new())))
+                    .collect();
+                out[qi] = lists
+                    .map(|lists| merge_segment_results(&lists, group.ks[j]))
+                    .map(|merged| self.to_hits(group.plan.metric, merged))
+                    .map_err(MilvusError::from);
+            }
         }
+        trace.record(obs::SpanKind::HeapMerge, t);
+        out
     }
 
-    /// One segment's contribution to a batched vector group, mirroring the
-    /// serial dispatch in `Segment::search_field_stats` case by case so the
-    /// per-query results stay bit-identical:
-    ///
-    /// * index + no tombstones — `VectorIndex::search_batch` (IVF overrides
-    ///   with the bucket-major sweep; the default is the serial loop). A
-    ///   heterogeneous-`k` group is safe at `max(k)` only for IVF's
-    ///   exhaustive bucket scans, so graph/tree indexes fall back to
-    ///   per-query calls at each query's own `k`.
-    /// * no index + no tombstones + SIMD metric — the zero-copy cache-aware
-    ///   batch engine over the segment's own columns.
-    /// * anything else (tombstones, binary metrics) — the serial per-query
-    ///   scan.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_segment_group(
-        &self,
-        seg: &Segment,
-        field: &str,
-        fi: usize,
-        metric: Metric,
-        qs: &VectorSet,
-        ks: &[usize],
-        batch_params: &SearchParams,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        let m = qs.len();
-        let delete_free = seg.deleted().is_empty();
-        let per_query = |params: &SearchParams| -> Result<Vec<Vec<Neighbor>>> {
-            (0..m)
-                .map(|j| {
-                    let p = SearchParams { k: ks[j], ..params.clone() };
-                    let (list, _) =
-                        seg.search_field_stats(&self.schema, field, qs.get(j), &p, None)?;
-                    Ok(list)
-                })
-                .collect()
-        };
-        if let Some(index) = seg.index(field) {
-            if !delete_free {
-                return per_query(batch_params);
+    /// One segment's answers for one group. Vector groups go straight to
+    /// [`Segment::search_batch`]. Filtered groups evaluate the predicate once
+    /// for the whole group, then pick per segment between the exact scan of
+    /// the passers (strategy A, when the predicate is highly selective or the
+    /// segment has no index) and the filtered index search (strategy B).
+    fn scan_group(&self, seg: &Segment, group: &Group<'_>, trace_on: bool) -> GroupScan {
+        let clock = || trace_on.then(Instant::now);
+        let (field, params) = (group.req.field(), group.req.params());
+        let mut out = GroupScan::default();
+
+        let mut passers: Option<HashSet<i64>> = None;
+        if let Some((ai, lo, hi)) = group.plan.filter {
+            let f_start = clock();
+            let column = &seg.data().attributes[ai];
+            out.passing = column.count_range(lo, hi);
+            if out.passing > 0 {
+                passers = Some(column.range_rows(lo, hi).into_iter().collect());
             }
-            let uniform_k = ks.iter().all(|&k| k == ks[0]);
-            if uniform_k || index.as_ivf().is_some() {
-                // The serial path's scan-fault hook lives inside
-                // `search_field_stats`; batched paths bypass it, so fire it
-                // here once per segment.
-                milvus_storage::segment::apply_scan_fault(seg.id);
-                let p = SearchParams { k: if uniform_k { ks[0] } else { batch_params.k },
-                    ..batch_params.clone() };
-                let mut lists = index.search_batch(qs, &p)?;
-                for (list, &k) in lists.iter_mut().zip(ks) {
-                    list.truncate(k);
-                }
-                return Ok(lists);
+            out.filter_window = f_start.zip(clock());
+            if out.passing == 0 {
+                // Nothing passes: this segment contributes an empty list.
+                out.lists = group.idxs.iter().map(|_| Ok(Vec::new())).collect();
+                return out;
             }
-            return per_query(batch_params);
         }
-        if delete_free && matches!(metric, Metric::L2 | Metric::InnerProduct | Metric::Cosine) {
-            milvus_storage::segment::apply_scan_fault(seg.id);
-            let opts = BatchOptions {
-                metric,
-                threads: Executor::global().threads(),
-                ..Default::default()
-            };
-            let data = seg.data();
-            return Ok(cache_aware_search_exec_hetk(
-                Executor::global(),
-                &data.vectors[fi],
-                &data.row_ids,
-                qs,
-                ks,
-                &opts,
-            ));
+
+        let s_start = clock();
+        match &passers {
+            Some(rows) if out.passing <= params.k * 8 || seg.index(field).is_none() => {
+                out.rows_scanned = out.passing as u64;
+                out.lists = group
+                    .queries
+                    .iter()
+                    .map(|q| scan_passers(seg, &group.plan, q, rows, params.k))
+                    .collect();
+            }
+            _ => {
+                let allow = passers.as_ref().map(|rows| move |id: i64| rows.contains(&id));
+                let (lists, stats) = seg.search_batch(
+                    &self.schema,
+                    field,
+                    &group.queries,
+                    &group.ks,
+                    params,
+                    allow.as_ref().map(|f| f as &dyn Fn(i64) -> bool),
+                );
+                out.rows_scanned = stats.rows_scanned;
+                out.lists = lists;
+            }
         }
-        per_query(batch_params)
+        out.scan_window = s_start.zip(clock());
+        out
     }
 
     /// Materialize one entity.
@@ -831,7 +522,9 @@ impl Collection {
     /// ("users are allowed to manually build indexes for segments of any
     /// size", §2.3). Synchronous.
     pub fn build_index(&self, field: &str, index_type: &str) -> Result<usize> {
-        self.metric_of(field)?;
+        if self.schema.vector_field_index(field).is_none() {
+            return Err(MilvusError::NoSuchField(field.to_string()));
+        }
         let snap = self.engine.snapshot();
         let mut built = 0;
         for seg in &snap.segments {
@@ -949,22 +642,6 @@ impl Collection {
             with_fusion,
         )?)
     }
-
-    /// Run one search under a forced trace and render its per-stage
-    /// breakdown as an `EXPLAIN ANALYZE`-style report. The trace bypasses
-    /// the sampler and also feeds the query profiler.
-    pub fn explain_analyze(
-        &self,
-        field: &str,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> Result<String> {
-        let mut trace = obs::Trace::forced("search", &self.trace_label);
-        let result = self.search_traced(field, query, params, &mut trace);
-        let finished = trace.finish_always();
-        result?;
-        Ok(finished.map(|t| obs::explain_report(&t)).unwrap_or_default())
-    }
 }
 
 /// Fan `f` out on the global executor, returning per-task timings only when
@@ -983,6 +660,70 @@ fn traced_fan_out<R: Send>(
     } else {
         Executor::global().scoped_map(n, f).into_iter().map(|r| (r, None)).collect()
     }
+}
+
+/// What a request's names resolve to in the schema.
+#[derive(Clone, Copy)]
+struct Resolved {
+    /// Index of the vector field's column.
+    fi: usize,
+    /// The field's metric.
+    metric: Metric,
+    /// Filtered requests: the attribute's column and the range `[lo, hi]`.
+    filter: Option<(usize, f64, f64)>,
+}
+
+/// One parameter-compatible group of a batch (see [`group_batch`]): requests
+/// that agree on everything a segment scan depends on except the query
+/// vector and, for vector requests, `k`.
+struct Group<'a> {
+    /// The group's first request: its field and parameters are the group's.
+    req: &'a SearchRequest,
+    /// Positions of the group's requests in the batch, in submit order.
+    idxs: Vec<usize>,
+    /// Their query vectors.
+    queries: Vec<&'a [f32]>,
+    /// Their `k`s.
+    ks: Vec<usize>,
+    plan: Resolved,
+}
+
+/// One segment's contribution to one group, plus what the trace wants to
+/// know about it (windows are `None` when the query is untraced).
+#[derive(Default)]
+struct GroupScan {
+    /// One sorted list (or error) per group member.
+    lists: Vec<milvus_storage::Result<Vec<Neighbor>>>,
+    /// Rows passing the group's predicate in this segment.
+    passing: usize,
+    /// Candidate rows the scan considered.
+    rows_scanned: u64,
+    filter_window: Option<(Instant, Instant)>,
+    scan_window: Option<(Instant, Instant)>,
+}
+
+/// Filter strategy A: exact distances to exactly the rows that pass the
+/// predicate, looked up by id.
+fn scan_passers(
+    seg: &Segment,
+    plan: &Resolved,
+    query: &[f32],
+    rows: &HashSet<i64>,
+    k: usize,
+) -> milvus_storage::Result<Vec<Neighbor>> {
+    let col = &seg.data().vectors[plan.fi];
+    if query.len() != col.dim() {
+        return Err(IndexError::DimensionMismatch { expected: col.dim(), got: query.len() }.into());
+    }
+    let mut heap = TopK::new(k.max(1));
+    for &id in rows {
+        if seg.is_deleted(id) {
+            continue;
+        }
+        let row = seg.data().row_ids.binary_search(&id).expect("column ids exist in segment");
+        heap.push(id, distance(plan.metric, query, col.get(row)));
+    }
+    Ok(heap.into_sorted())
 }
 
 #[cfg(test)]

@@ -72,8 +72,8 @@ impl CollectionConfig {
 /// Lives here (not in `milvus-exec`) because the knobs are per-collection.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Master switch for cross-query coalescing. Off, every search takes
-    /// the serial path directly (admission control still applies).
+    /// Master switch for cross-query coalescing. Off, every search runs as
+    /// a batch of one (admission control still applies).
     pub coalescing: bool,
     /// Maximum time the oldest pending query is held before its batch runs.
     pub window: Duration,

@@ -15,7 +15,7 @@
 //! | `POST /collections/{name}/entities/delete` | `{ids}` | delete |
 //! | `POST /collections/{name}/flush` | — | flush barrier (§5.1) |
 //! | `POST /collections/{name}/search` | `{vector, k, nprobe?, ef?, filter?}` | vector / filtered query (429 when the admission controller sheds) |
-//! | `POST /collections/{name}/search_batch` | `{vectors, k, nprobe?, ef?}` | explicit batch query: skips the coalescing window, straight into the batch engines |
+//! | `POST /collections/{name}/search_batch` | `{vectors, k, nprobe?, ef?}` | explicit batch query (`Collection::search_batch`): one admission, one pipeline run over the whole set |
 //! | `POST /collections/{name}/explain` | `{vector, k, nprobe?, ef?}` | search under a forced trace; returns an `EXPLAIN ANALYZE` report |
 //! | `POST /collections/{name}/index` | `{field?, index_type}` | build index |
 //! | `GET /metrics` | — | Prometheus text exposition of all metric series |
@@ -611,7 +611,7 @@ fn route(milvus: &Milvus, method: &str, path: &str, body: &[u8]) -> (&'static st
                 }
                 qs.push(v);
             }
-            match col.search_many(&field, &qs, &sp) {
+            match col.search_batch(&field, &qs, &sp) {
                 Ok(lists) => (
                     "200 OK",
                     json!({

@@ -10,7 +10,7 @@
 //!    `max_batch` pending — whichever first) and executed as one batch, so
 //!    each segment's rows stream once per ×4 query tile instead of once
 //!    per query. A submitter that finds the scheduler idle passes straight
-//!    through to the serial path — sparse traffic pays zero added latency.
+//!    through as a batch of one — sparse traffic pays zero added latency.
 //!    The rendezvous itself is [`milvus_exec::coalesce::Coalescer`]; this
 //!    module adds the search-shaped request type, parameter-compatibility
 //!    grouping, and metrics.
@@ -68,6 +68,29 @@ pub enum SearchRequest {
 }
 
 impl SearchRequest {
+    /// An owned plain vector query.
+    pub fn vector(field: &str, query: &[f32], params: &SearchParams) -> Self {
+        SearchRequest::Vector {
+            field: field.to_string(),
+            query: query.to_vec(),
+            params: params.clone(),
+        }
+    }
+
+    /// The vector field searched.
+    pub fn field(&self) -> &str {
+        match self {
+            SearchRequest::Vector { field, .. } | SearchRequest::Filtered { field, .. } => field,
+        }
+    }
+
+    /// The query vector.
+    pub fn query(&self) -> &[f32] {
+        match self {
+            SearchRequest::Vector { query, .. } | SearchRequest::Filtered { query, .. } => query,
+        }
+    }
+
     /// The request's search parameters.
     pub fn params(&self) -> &SearchParams {
         match self {
@@ -76,13 +99,13 @@ impl SearchRequest {
     }
 }
 
-/// Parameter-compatibility key: requests in one group may be executed as a
-/// single batch-engine invocation. `k` is deliberately *excluded* for
-/// vector requests — the group runs at `max(k)` and each query's sorted
-/// list is truncated to its own `k`, which is exact for exhaustive-scan
-/// semantics (flat engines, IVF bucket sweeps). Everything that changes
-/// the candidate set (`nprobe`, `ef`, `search_nodes`, the field, filter
-/// bounds) partitions groups.
+/// Parameter-compatibility key: requests in one group go to each segment as
+/// one `Segment::search_batch` call. `k` is deliberately *excluded* for
+/// vector requests — the call takes one `k` per query, and the segment runs
+/// a mixed-`k` group at `max(k)` only where truncating each sorted list to
+/// its own `k` is exact (flat scans, IVF bucket sweeps). Everything that
+/// changes the candidate set (`nprobe`, `ef`, `search_nodes`, the field,
+/// filter bounds) partitions groups.
 #[derive(PartialEq, Eq, Hash)]
 enum GroupKey<'a> {
     Vector { field: &'a str, nprobe: usize, ef: usize, search_nodes: usize },
@@ -283,7 +306,7 @@ impl QueryScheduler {
         self.coalescer.submit(req, run)
     }
 
-    /// Record a passthrough (idle scheduler, serial path).
+    /// Record a passthrough (idle scheduler, batch of one).
     pub fn note_passthrough(&self) {
         self.passthrough_total.inc();
     }

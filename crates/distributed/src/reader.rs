@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use milvus_exec::coalesce::{Coalescer, Submitted};
 use milvus_index::traits::SearchParams;
-use milvus_index::{Neighbor, VectorSet};
+use milvus_index::Neighbor;
 use milvus_obs as obs;
 use milvus_storage::bufferpool::BufferPool;
 use milvus_storage::codec;
@@ -51,9 +51,9 @@ pub struct ReaderNode {
     busy_ns: AtomicU64,
     /// The reader-local query scheduler: concurrent [`ReaderNode::search`]
     /// calls (the fan-in of `Cluster::search` under client concurrency)
-    /// rendezvous here and run as one segment-major batch; a lone caller
-    /// passes straight through to the serial path, which keeps serially
-    /// driven transcripts (the partition-chaos tests) byte-identical.
+    /// rendezvous here and run as one sweep of the segments; a lone caller
+    /// passes straight through, which keeps serially driven transcripts
+    /// (the partition-chaos tests) byte-identical.
     coalescer: Coalescer<ReaderQuery, StorageResult<Vec<Neighbor>>>,
 }
 
@@ -209,10 +209,10 @@ impl ReaderNode {
 
     /// Search this reader's shards; results from all its segments merged.
     ///
-    /// Routed through the reader-local scheduler: a lone call passes
-    /// straight to the serial traced path; calls arriving concurrently are
-    /// coalesced into one segment-major batch whose per-query results are
-    /// bit-identical to the serial path.
+    /// Routed through the reader-local scheduler: a lone call sweeps the
+    /// segments itself under a sampled trace; calls arriving concurrently
+    /// are coalesced into one sweep whose per-query results are
+    /// bit-identical to lone calls.
     pub fn search(
         &self,
         field: &str,
@@ -221,14 +221,21 @@ impl ReaderNode {
     ) -> StorageResult<Vec<Neighbor>> {
         let started = Instant::now();
         let req = (field.to_string(), query.to_vec(), params.clone());
-        match self.coalescer.submit(req, |batch| self.run_batch(batch)) {
+        let lead = |batch: Vec<ReaderQuery>| {
+            let reqs: Vec<(&str, &[f32], &SearchParams)> =
+                batch.iter().map(|(f, q, p)| (f.as_str(), q.as_slice(), p)).collect();
+            self.sweep(&self.segments.read(), &reqs, &mut obs::Trace::disabled())
+        };
+        match self.coalescer.submit(req, lead) {
             Submitted::Pass(guard) => {
-                let out = self.search_serial(field, query, params);
+                let mut trace = obs::Trace::start("reader_search", &self.trace_label);
+                let result = self.search_traced(field, query, params, &mut trace);
+                trace.finish();
                 drop(guard);
-                out
+                result
             }
             Submitted::Coalesced { result, .. } => {
-                // Per-caller accounting; the leader ran the shared batch
+                // Per-caller accounting; the leader ran the shared sweep
                 // uncounted.
                 obs::counter(obs::QUERY_TOTAL, "reader").inc();
                 obs::histogram(obs::QUERY_LATENCY, "reader")
@@ -238,132 +245,9 @@ impl ReaderNode {
         }
     }
 
-    /// The serial (non-coalesced) path: one traced sweep of all segments.
-    fn search_serial(
-        &self,
-        field: &str,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> StorageResult<Vec<Neighbor>> {
-        let mut trace = obs::Trace::start("reader_search", &self.trace_label);
-        let result = self.search_traced(field, query, params, &mut trace);
-        trace.finish();
-        result
-    }
-
-    /// Execute one coalesced batch: group queries by identical parameters,
-    /// sweep the segments once per group (delete-free indexed segments take
-    /// `VectorIndex::search_batch` — IVF's bucket-major amortized sweep),
-    /// and merge per query. Failures are returned as values; any group
-    /// error is replayed per query so each caller gets its own exact error.
-    fn run_batch(&self, reqs: Vec<ReaderQuery>) -> Vec<StorageResult<Vec<Neighbor>>> {
-        let start = Instant::now();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        {
-            let mut index: std::collections::HashMap<(&str, &SearchParams), usize> =
-                std::collections::HashMap::new();
-            for (i, (field, _, params)) in reqs.iter().enumerate() {
-                match index.entry((field.as_str(), params)) {
-                    std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(i),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(groups.len());
-                        groups.push(vec![i]);
-                    }
-                }
-            }
-        }
-        let mut out: Vec<Option<StorageResult<Vec<Neighbor>>>> =
-            reqs.iter().map(|_| None).collect();
-        for group in groups {
-            let (field, _, params) = &reqs[group[0]];
-            let queries: Vec<&[f32]> =
-                group.iter().map(|&qi| reqs[qi].1.as_slice()).collect();
-            match self.run_group(field, params, &queries) {
-                Ok(merged) => {
-                    for (&qi, res) in group.iter().zip(merged) {
-                        out[qi] = Some(Ok(res));
-                    }
-                }
-                Err(_) => {
-                    for &qi in &group {
-                        let (field, query, params) = &reqs[qi];
-                        out[qi] = Some(self.search_uncounted(field, query, params));
-                    }
-                }
-            }
-        }
-        // The batch ran once; its wall time is the node's busy time.
-        self.busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        out.into_iter().map(|o| o.expect("every coalesced query answered")).collect()
-    }
-
-    /// One parameter-identical group over all loaded segments, merged per
-    /// query. Mirrors `Segment::search_field_stats` dispatch case by case.
-    fn run_group(
-        &self,
-        field: &str,
-        params: &SearchParams,
-        queries: &[&[f32]],
-    ) -> StorageResult<Vec<Vec<Neighbor>>> {
-        let dim = self.schema.vector_fields.iter().find(|f| f.name == field).map(|f| f.dim);
-        let batchable = dim.is_some_and(|d| queries.iter().all(|q| q.len() == d));
-        let mut per_query: Vec<Vec<Vec<Neighbor>>> =
-            queries.iter().map(|_| Vec::new()).collect();
-        let segments = self.segments.read();
-        for segs in segments.values() {
-            for seg in segs {
-                if let Some(index) = seg.index(field).filter(|_| {
-                    batchable && seg.deleted().is_empty()
-                }) {
-                    // The serial path's scan-fault hook lives inside
-                    // `search_field_stats`; the batched sweep bypasses it.
-                    milvus_storage::segment::apply_scan_fault(seg.id);
-                    let mut qs = VectorSet::new(dim.expect("batchable implies dim"));
-                    for q in queries {
-                        qs.push(q);
-                    }
-                    let lists = index.search_batch(&qs, params)?;
-                    for (j, list) in lists.into_iter().enumerate() {
-                        per_query[j].push(list);
-                    }
-                    continue;
-                }
-                for (j, q) in queries.iter().enumerate() {
-                    let (list, _) =
-                        seg.search_field_stats(&self.schema, field, q, params, None)?;
-                    per_query[j].push(list);
-                }
-            }
-        }
-        Ok(per_query
-            .into_iter()
-            .map(|lists| milvus_storage::segment::merge_segment_results(&lists, params.k))
-            .collect())
-    }
-
-    /// The serial computation without metrics or tracing (coalesced-path
-    /// error replay).
-    fn search_uncounted(
-        &self,
-        field: &str,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> StorageResult<Vec<Neighbor>> {
-        let segments = self.segments.read();
-        let mut lists = Vec::new();
-        for segs in segments.values() {
-            for seg in segs {
-                let (list, _) =
-                    seg.search_field_stats(&self.schema, field, query, params, None)?;
-                lists.push(list);
-            }
-        }
-        Ok(milvus_storage::segment::merge_segment_results(&lists, params.k))
-    }
-
-    /// [`Self::search`] recording into a caller-supplied trace. Segment-scan
-    /// spans carry the shard id and the bufferpool outcome of the segment's
-    /// most recent fetch.
+    /// [`Self::search`] for a lone caller, recording into a caller-supplied
+    /// trace. Segment-scan spans carry the shard id and the bufferpool
+    /// outcome of the segment's most recent fetch.
     pub fn search_traced(
         &self,
         field: &str,
@@ -371,35 +255,13 @@ impl ReaderNode {
         params: &SearchParams,
         trace: &mut obs::Trace,
     ) -> StorageResult<Vec<Neighbor>> {
-        let start = Instant::now();
         let _span = obs::span(obs::QUERY_LATENCY, "reader");
         obs::counter(obs::QUERY_TOTAL, "reader").inc();
         let t = trace.begin();
         let segments = self.segments.read();
         let nshards = segments.len();
         trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = nshards as u64);
-        let mut lists = Vec::new();
-        for (&shard, segs) in segments.iter() {
-            for seg in segs {
-                let t = trace.begin();
-                let (list, stats) =
-                    seg.search_field_stats(&self.schema, field, query, params, None)?;
-                let cache = self.pool.last_outcome(seg.id);
-                trace.record_with(obs::SpanKind::SegmentScan, t, |sp| {
-                    sp.segment_id = seg.id as i64;
-                    sp.shard = shard as i64;
-                    sp.rows_scanned = stats.rows_scanned;
-                    sp.cache = cache;
-                });
-                lists.push(list);
-            }
-        }
-        let t = trace.begin();
-        let merged = milvus_storage::segment::merge_segment_results(&lists, params.k);
-        trace.record(obs::SpanKind::HeapMerge, t);
-        self.busy_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(merged)
+        self.sweep(&segments, &[(field, query, params)], trace).pop().expect("one result per query")
     }
 
     /// Search an explicit set of shards, regardless of this reader's current
@@ -416,24 +278,77 @@ impl ReaderNode {
         params: &SearchParams,
         shards: &[usize],
     ) -> StorageResult<Vec<Neighbor>> {
-        let start = Instant::now();
-        let mut lists = Vec::new();
+        let mut covered = BTreeMap::new();
         for &shard in shards {
             let held = self.segments.read().get(&shard).cloned();
             let segs = match held {
                 Some(segs) => segs,
                 None => self.load_shard(shard)?,
             };
-            for seg in &segs {
-                let (list, _) =
-                    seg.search_field_stats(&self.schema, field, query, params, None)?;
-                lists.push(list);
+            covered.insert(shard, segs);
+        }
+        self.sweep(&covered, &[(field, query, params)], &mut obs::Trace::disabled())
+            .pop()
+            .expect("one result per query")
+    }
+
+    /// The one segment sweep every entry point shares: partition `reqs` into
+    /// groups of identical `(field, params)`, hand each group to
+    /// [`Segment::search_batch`] segment by segment (which decides what may
+    /// batch), and merge per query — one result per request, in input order.
+    /// The sweep's wall time is the node's busy time.
+    fn sweep(
+        &self,
+        shards: &BTreeMap<usize, Vec<Arc<Segment>>>,
+        reqs: &[(&str, &[f32], &SearchParams)],
+        trace: &mut obs::Trace,
+    ) -> Vec<StorageResult<Vec<Neighbor>>> {
+        let start = Instant::now();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, &(field, _, params)) in reqs.iter().enumerate() {
+            let same = |g: &&mut Vec<usize>| (reqs[g[0]].0, reqs[g[0]].2) == (field, params);
+            match groups.iter_mut().find(same) {
+                Some(group) => group.push(i),
+                None => groups.push(vec![i]),
             }
         }
-        let merged = milvus_storage::segment::merge_segment_results(&lists, params.k);
-        self.busy_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(merged)
+        let batches: Vec<(Vec<&[f32]>, Vec<usize>)> = groups
+            .iter()
+            .map(|g| (g.iter().map(|&qi| reqs[qi].1).collect(), vec![reqs[g[0]].2.k; g.len()]))
+            .collect();
+        let mut lists: Vec<Vec<StorageResult<Vec<Neighbor>>>> =
+            reqs.iter().map(|_| Vec::new()).collect();
+        for (&shard, segs) in shards {
+            for seg in segs {
+                for (group, (queries, ks)) in groups.iter().zip(&batches) {
+                    let (field, _, params) = reqs[group[0]];
+                    let t = trace.begin();
+                    let (found, stats) =
+                        seg.search_batch(&self.schema, field, queries, ks, params, None);
+                    trace.record_with(obs::SpanKind::SegmentScan, t, |sp| {
+                        sp.segment_id = seg.id as i64;
+                        sp.shard = shard as i64;
+                        sp.rows_scanned = stats.rows_scanned;
+                        sp.cache = self.pool.last_outcome(seg.id);
+                    });
+                    for (&qi, list) in group.iter().zip(found) {
+                        lists[qi].push(list);
+                    }
+                }
+            }
+        }
+        let t = trace.begin();
+        let out = lists
+            .into_iter()
+            .zip(reqs)
+            .map(|(lists, (_, _, params))| {
+                let lists = lists.into_iter().collect::<StorageResult<Vec<_>>>()?;
+                Ok(milvus_storage::segment::merge_segment_results(&lists, params.k))
+            })
+            .collect();
+        trace.record(obs::SpanKind::HeapMerge, t);
+        self.busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
     }
 }
 

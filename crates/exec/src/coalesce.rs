@@ -8,8 +8,8 @@
 //!
 //! * **Zero-added-latency passthrough.** A submitter that finds the
 //!   coalescer idle (no batch running, nothing queued) claims a token and
-//!   runs the serial path itself — no timer, no queue round-trip, no added
-//!   latency floor for sparse traffic.
+//!   runs its own query itself, as a batch of one — no timer, no queue
+//!   round-trip, no added latency floor for sparse traffic.
 //! * **Bounded window under contention.** Submitters that arrive while the
 //!   token is held (or while others are queued) enqueue. The oldest pending
 //!   query anchors the window: when it has waited `window`, or `max_batch`
@@ -78,8 +78,8 @@ struct State<Q, R> {
 
 /// What [`Coalescer::submit`] decided for this caller.
 pub enum Submitted<'a, Q, R> {
-    /// The coalescer was idle: run the serial path yourself, then drop the
-    /// guard to release the execution token.
+    /// The coalescer was idle: run [`PassGuard::query`] yourself — a batch of
+    /// one — then drop the guard to release the execution token.
     Pass(PassGuard<'a, Q, R>),
     /// The query ran inside a coalesced batch.
     Coalesced {
@@ -95,10 +95,19 @@ pub enum Submitted<'a, Q, R> {
     },
 }
 
-/// RAII execution token for the passthrough path; dropping it (even during
-/// unwind) releases the coalescer and wakes any queued submitters.
+/// RAII execution token for the passthrough path, holding the submitted
+/// query; dropping it (even during unwind) releases the coalescer and wakes
+/// any queued submitters.
 pub struct PassGuard<'a, Q, R> {
     co: &'a Coalescer<Q, R>,
+    query: Q,
+}
+
+impl<Q, R> PassGuard<'_, Q, R> {
+    /// The query this caller submitted, handed back for it to run itself.
+    pub fn query(&self) -> &Q {
+        &self.query
+    }
 }
 
 impl<Q, R> Drop for PassGuard<'_, Q, R> {
@@ -159,7 +168,7 @@ impl<Q, R> Coalescer<Q, R> {
         if !st.busy && st.queue.is_empty() {
             st.busy = true;
             drop(st);
-            return Submitted::Pass(PassGuard { co: self });
+            return Submitted::Pass(PassGuard { co: self, query });
         }
         let id = st.next_id;
         st.next_id += 1;

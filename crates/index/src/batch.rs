@@ -1,35 +1,31 @@
 //! Batch query execution: the cache-aware, fine-grained-parallel design of
-//! §3.2.1 (Figure 3) and the original Faiss-style engine it replaces.
+//! §3.2.1 (Figure 3).
 //!
-//! The fundamental operation: given `m` queries and `n` data vectors, find
-//! each query's top-k. Two engines are provided:
+//! The fundamental operation: given `m` queries and `n` data rows, find each
+//! query's top-k. Worker tasks are assigned *data ranges* (fine-grained
+//! parallelism) and queries are processed in blocks of `s` chosen by Eq. (1)
+//! so that a block plus its heaps fits in L3. Each loaded row is compared
+//! against all `s` resident queries, and every (range, query) pair gets its
+//! own heap (`H[r][j]` in Figure 3) to avoid synchronization; per-query heaps
+//! are merged at the end. Each task touches the data `m/(s·t)` times — `s`×
+//! fewer than the thread-per-query design it replaces (kept as
+//! `milvus_baselines::faiss_style_search` for Figure 11).
 //!
-//! * [`faiss_style_search`] — the paper's description of Faiss: each thread
-//!   takes one whole query at a time and streams the *entire* data set
-//!   through the CPU caches per query (`m/t` full passes per thread), with
-//!   one k-heap per query. Poor cache reuse; poor parallelism for small `m`.
-//!
-//! * [`cache_aware_search`] — Milvus's design: threads are assigned *data
-//!   ranges* (fine-grained parallelism), queries are processed in blocks of
-//!   `s` chosen by Eq. (1) so that a block plus its heaps fits in L3. Each
-//!   loaded data vector is compared against all `s` resident queries, and
-//!   every (thread, query) pair gets its own heap (`H[r][j]` in Figure 3) to
-//!   avoid synchronization; per-query heaps are merged at the end. Each
-//!   thread touches the data `m/(s·t)` times — `s`× fewer than Faiss.
-//!
-//! Both engines also exist in executor-backed form
-//! ([`faiss_style_search_exec`], [`cache_aware_search_exec`]): the same
-//! algorithms scheduled on a persistent [`milvus_exec::Executor`] instead of
-//! spawning OS threads per call, with the cache-aware variant additionally
-//! using the register-tiled ×4 kernels (one data-vector load feeds four
-//! query accumulators). All four engines resolve the metric's kernel
-//! function pointer once per call — the hot loop never re-matches the
-//! `Metric` enum or re-reads the SIMD level.
+//! There is one engine, [`cache_aware_scan`]: scheduled on a persistent
+//! [`milvus_exec::Executor`], scoring rows in register-tiled ×4 groups, with
+//! one `k` per query and a trace argument. What a row *is* — an `f32` vector
+//! or an SQ8 code — is the [`Rows`] argument; the metric's kernel (or the
+//! per-query fused SQ8 state) is resolved once per call, so the hot loop
+//! never re-matches the `Metric` enum or re-reads the SIMD level.
+
+use std::ops::Range;
 
 use milvus_exec::Executor;
 use milvus_obs as obs;
 
+use crate::distance::quant::PreparedSq8;
 use crate::distance::{self, PairKernel, Tile4Kernel};
+use crate::ivf::sq8::ScalarQuantizer;
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
@@ -51,10 +47,10 @@ fn block_kernel(metric: Metric) -> BlockKernel {
     }
 }
 
-/// Score data rows `[lo, hi)` against the query block starting at
-/// `block_start`, pushing into one heap per resident query. Heap `j` always
-/// sees per-pair results in row order, so the outcome is bit-identical
-/// whether the kernel is tiled or not.
+/// Score data rows `range` against the resident `queries` block, pushing
+/// into one heap per resident query. Heap `j` always sees per-pair results in
+/// row order, so the outcome is bit-identical whether the kernel is tiled or
+/// not.
 ///
 /// The tiled path registers-tiles over *data rows*: four rows are scored
 /// against each resident query per kernel call, so every streamed query
@@ -63,13 +59,13 @@ fn block_kernel(metric: Metric) -> BlockKernel {
 /// larger than one data vector). L2² and IP are symmetric bit-for-bit
 /// (`(a-b)² == (b-a)²`, `a·b == b·a` in IEEE), so calling the ×4 kernel
 /// with rows in the "queries" slot yields exactly the per-pair results.
-fn scan_range_into_heaps(
+fn scan_vectors_into_heaps(
     kern: &BlockKernel,
     data: &VectorSet,
     ids: &[i64],
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     queries: &VectorSet,
-    block_start: usize,
+    block: Range<usize>,
     heaps: &mut [TopK],
 ) {
     let (lo, hi) = (range.start, range.end);
@@ -80,7 +76,7 @@ fn scan_range_into_heaps(
                 let vs = [data.get(row), data.get(row + 1), data.get(row + 2), data.get(row + 3)];
                 let vids = [ids[row], ids[row + 1], ids[row + 2], ids[row + 3]];
                 for (j, heap) in heaps.iter_mut().enumerate() {
-                    let d = tile(vs, queries.get(block_start + j));
+                    let d = tile(vs, queries.get(block.start + j));
                     for (lane, dist) in d.into_iter().enumerate() {
                         heap.push(vids[lane], dist);
                     }
@@ -90,7 +86,7 @@ fn scan_range_into_heaps(
             for (r, &id) in (row..hi).zip(&ids[row..hi]) {
                 let v = data.get(r);
                 for (j, heap) in heaps.iter_mut().enumerate() {
-                    heap.push(id, pair(queries.get(block_start + j), v));
+                    heap.push(id, pair(queries.get(block.start + j), v));
                 }
             }
         }
@@ -100,21 +96,55 @@ fn scan_range_into_heaps(
                 // The loaded vector is reused for the entire resident query
                 // block — the cache win.
                 for (j, heap) in heaps.iter_mut().enumerate() {
-                    heap.push(id, pair(queries.get(block_start + j), v));
+                    heap.push(id, pair(queries.get(block.start + j), v));
                 }
             }
         }
     }
 }
 
-/// Tuning knobs for the batch engines.
+/// [`scan_vectors_into_heaps`] over SQ8 codes: stream the raw `dim`-byte
+/// codes of `range` in ×4-row register tiles against the block's fused
+/// per-query state, so each 4-row group's bytes are loaded once per resident
+/// query with zero per-row allocation and no decoded vector ever
+/// materialized.
+fn scan_codes_into_heaps(
+    prepared: &[PreparedSq8<'_>],
+    codes: &[u8],
+    dim: usize,
+    ids: &[i64],
+    range: Range<usize>,
+    heaps: &mut [TopK],
+) {
+    let code = |r: usize| &codes[r * dim..(r + 1) * dim];
+    let mut row = range.start;
+    while row + 4 <= range.end {
+        let rows = [code(row), code(row + 1), code(row + 2), code(row + 3)];
+        let vids = [ids[row], ids[row + 1], ids[row + 2], ids[row + 3]];
+        for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
+            let d = p.distance_x4(rows);
+            for (lane, dist) in d.into_iter().enumerate() {
+                heap.push(vids[lane], dist);
+            }
+        }
+        row += 4;
+    }
+    for (r, &id) in (row..range.end).zip(&ids[row..range.end]) {
+        for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
+            heap.push(id, p.distance(code(r)));
+        }
+    }
+}
+
+/// Tuning knobs for the batch engine.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Results per query.
+    /// Results per query (the 5-argument [`cache_aware_search_exec`] only;
+    /// [`cache_aware_scan`] takes one `k` per query instead).
     pub k: usize,
     /// Similarity function.
     pub metric: Metric,
-    /// Worker threads (`t`). The data is split into `t` contiguous ranges.
+    /// Worker tasks (`t`). The data is split into `t` contiguous ranges.
     pub threads: usize,
     /// Assumed L3 cache size in bytes, the numerator of Eq. (1).
     pub l3_cache_bytes: usize,
@@ -141,191 +171,25 @@ pub fn query_block_size(l3_bytes: usize, dim: usize, threads: usize, k: usize) -
     (l3_bytes / per_query.max(1)).max(1)
 }
 
-/// The Faiss-style baseline: one thread per query, each query streams the
-/// whole data set (§3.2.1 "Original implementation in Facebook Faiss").
-pub fn faiss_style_search(
-    data: &VectorSet,
-    ids: &[i64],
-    queries: &VectorSet,
-    opts: &BatchOptions,
-) -> Vec<Vec<Neighbor>> {
-    faiss_style_search_traced(data, ids, queries, opts, &mut obs::Trace::disabled())
+/// The row matrix a batch is scored against: what the engine's scorer reads.
+#[derive(Clone, Copy)]
+pub enum Rows<'a> {
+    /// `n × dim` float vectors, scored with the metric's (×4 tiled) kernel.
+    F32(&'a VectorSet),
+    /// A flat `n × dim` u8 SQ8 code matrix, scored through per-query fused
+    /// state ([`PreparedSq8`]). Supports L2 and inner product (the metrics
+    /// the SQ8 folding exists for); cosine callers normalize and pass IP, as
+    /// the IVF layer does.
+    Sq8 {
+        /// Row-major codes, `dim` bytes per row.
+        codes: &'a [u8],
+        /// The quantizer the codes were encoded with.
+        sq: &'a ScalarQuantizer,
+    },
 }
 
-/// [`faiss_style_search`] recording one [`obs::SpanKind::BatchScan`] span for
-/// the whole pass into a caller-supplied trace.
-pub fn faiss_style_search_traced(
-    data: &VectorSet,
-    ids: &[i64],
-    queries: &VectorSet,
-    opts: &BatchOptions,
-    trace: &mut obs::Trace,
-) -> Vec<Vec<Neighbor>> {
-    assert_eq!(data.len(), ids.len(), "ids must match data rows");
-    assert_eq!(data.dim(), queries.dim(), "query dimension mismatch");
-    let m = queries.len();
-    if m == 0 || data.is_empty() {
-        return vec![Vec::new(); m];
-    }
-    let t_scan = trace.begin();
-    obs::counter(obs::BATCH_QUERIES, "faiss_style").add(m as u64);
-    let _span = obs::span(obs::BATCH_LATENCY, "faiss_style");
-    let threads = opts.threads.max(1).min(m);
-    let kern = distance::pair_kernel(opts.metric);
-    let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); m];
-
-    // Static round-robin assignment of queries to threads, as OpenMP's
-    // default scheduling would do.
-    std::thread::scope(|scope| {
-        let chunks: Vec<(usize, &mut [Vec<Neighbor>])> =
-            results.chunks_mut(m.div_ceil(threads)).enumerate().collect();
-        for (chunk_idx, out) in chunks {
-            let start = chunk_idx * m.div_ceil(threads);
-            scope.spawn(move || {
-                for (off, slot) in out.iter_mut().enumerate() {
-                    let q = queries.get(start + off);
-                    let mut heap = TopK::new(opts.k.max(1));
-                    for (&id, v) in ids.iter().zip(data.iter()) {
-                        heap.push(id, kern(q, v));
-                    }
-                    *slot = heap.into_sorted();
-                }
-            });
-        }
-    });
-    let rows = (m as u64) * (data.len() as u64);
-    trace.record_with(obs::SpanKind::BatchScan, t_scan, |sp| sp.rows_scanned = rows);
-    results
-}
-
-/// The Milvus cache-aware engine (§3.2.1, Figure 3).
-pub fn cache_aware_search(
-    data: &VectorSet,
-    ids: &[i64],
-    queries: &VectorSet,
-    opts: &BatchOptions,
-) -> Vec<Vec<Neighbor>> {
-    cache_aware_search_traced(data, ids, queries, opts, &mut obs::Trace::disabled())
-}
-
-/// [`cache_aware_search`] recording one [`obs::SpanKind::BatchScan`] span per
-/// query block and one [`obs::SpanKind::HeapMerge`] span per block merge into
-/// a caller-supplied trace. The hot loop itself is untouched: a disabled
-/// trace records nothing and never reads the clock.
-pub fn cache_aware_search_traced(
-    data: &VectorSet,
-    ids: &[i64],
-    queries: &VectorSet,
-    opts: &BatchOptions,
-    trace: &mut obs::Trace,
-) -> Vec<Vec<Neighbor>> {
-    assert_eq!(data.len(), ids.len(), "ids must match data rows");
-    assert_eq!(data.dim(), queries.dim(), "query dimension mismatch");
-    let m = queries.len();
-    let n = data.len();
-    if m == 0 || n == 0 {
-        return vec![Vec::new(); m];
-    }
-    obs::counter(obs::BATCH_QUERIES, "cache_aware").add(m as u64);
-    let _span = obs::span(obs::BATCH_LATENCY, "cache_aware");
-    let k = opts.k.max(1);
-    let t = opts.threads.max(1).min(n);
-    let s = query_block_size(opts.l3_cache_bytes, data.dim(), t, k).min(m);
-    let kern = BlockKernel::Single(distance::pair_kernel(opts.metric));
-
-    // Thread r owns data rows [bounds[r], bounds[r+1]).
-    let chunk = n.div_ceil(t);
-    let bounds: Vec<usize> = (0..=t).map(|i| (i * chunk).min(n)).collect();
-
-    let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(m);
-    for block_start in (0..m).step_by(s) {
-        let block_end = (block_start + s).min(m);
-        let block_len = block_end - block_start;
-        let t_block = trace.begin();
-
-        // One heap per (thread, query-in-block): H[r][j] in Figure 3.
-        let per_thread: Vec<Vec<TopK>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..t)
-                .map(|r| {
-                    let (lo, hi) = (bounds[r], bounds[r + 1]);
-                    let kern = &kern;
-                    scope.spawn(move || {
-                        let mut heaps: Vec<TopK> =
-                            (0..block_len).map(|_| TopK::new(k)).collect();
-                        // The loaded vector is reused for the entire
-                        // resident query block — the cache win.
-                        scan_range_into_heaps(
-                            kern, data, ids, lo..hi, queries, block_start, &mut heaps,
-                        );
-                        heaps
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
-        });
-        trace.record_with(obs::SpanKind::BatchScan, t_block, |sp| {
-            sp.rows_scanned = (block_len as u64) * (n as u64);
-        });
-
-        merge_block(per_thread, block_len, k, &mut results, trace);
-    }
-    results
-}
-
-/// Merge the `t` per-thread heaps of each query in a block, consuming them
-/// (no heap clones) and appending one sorted result list per query.
-fn merge_block(
-    per_thread: Vec<Vec<TopK>>,
-    block_len: usize,
-    k: usize,
-    results: &mut Vec<Vec<Neighbor>>,
-    trace: &mut obs::Trace,
-) {
-    let t_merge = trace.begin();
-    let mut merged: Vec<TopK> = (0..block_len).map(|_| TopK::new(k)).collect();
-    for thread_heaps in per_thread {
-        for (acc, heap) in merged.iter_mut().zip(thread_heaps) {
-            acc.merge(heap);
-        }
-    }
-    results.extend(merged.into_iter().map(TopK::into_sorted));
-    trace.record(obs::SpanKind::HeapMerge, t_merge);
-}
-
-/// [`faiss_style_search`] scheduled on a persistent executor: one pool task
-/// per query instead of one OS thread per query chunk. Results are
-/// bit-identical to the spawning engine.
-pub fn faiss_style_search_exec(
-    exec: &Executor,
-    data: &VectorSet,
-    ids: &[i64],
-    queries: &VectorSet,
-    opts: &BatchOptions,
-) -> Vec<Vec<Neighbor>> {
-    assert_eq!(data.len(), ids.len(), "ids must match data rows");
-    assert_eq!(data.dim(), queries.dim(), "query dimension mismatch");
-    let m = queries.len();
-    if m == 0 || data.is_empty() {
-        return vec![Vec::new(); m];
-    }
-    obs::counter(obs::BATCH_QUERIES, "faiss_style_exec").add(m as u64);
-    let _span = obs::span(obs::BATCH_LATENCY, "faiss_style_exec");
-    let kern = distance::pair_kernel(opts.metric);
-    let k = opts.k.max(1);
-    exec.scoped_map(m, |qi| {
-        let q = queries.get(qi);
-        let mut heap = TopK::new(k);
-        for (&id, v) in ids.iter().zip(data.iter()) {
-            heap.push(id, kern(q, v));
-        }
-        heap.into_sorted()
-    })
-}
-
-/// The cache-aware engine scheduled on a persistent executor, using the
-/// register-tiled ×4 kernels where the metric has one. Per-pair results are
-/// bit-identical to [`cache_aware_search`] (tiling replicates the untiled
-/// accumulation order), so the two engines return identical lists.
+/// The cache-aware engine (§3.2.1, Figure 3) at one uniform `opts.k`, no
+/// trace: [`cache_aware_scan`] over float rows.
 pub fn cache_aware_search_exec(
     exec: &Executor,
     data: &VectorSet,
@@ -333,55 +197,106 @@ pub fn cache_aware_search_exec(
     queries: &VectorSet,
     opts: &BatchOptions,
 ) -> Vec<Vec<Neighbor>> {
-    cache_aware_search_exec_traced(exec, data, ids, queries, opts, &mut obs::Trace::disabled())
+    let ks = vec![opts.k; queries.len()];
+    cache_aware_scan(exec, Rows::F32(data), ids, queries, &ks, opts, &mut obs::Trace::disabled())
 }
 
-/// [`cache_aware_search_exec`] with the same tracing contract as
-/// [`cache_aware_search_traced`]: one `BatchScan` span per query block and
-/// one `HeapMerge` span per block merge. Spans cover the scoped fan-out and
-/// are recorded on the calling thread after the join.
-pub fn cache_aware_search_exec_traced(
+/// The cache-aware batch engine: top-`ks[j]` of `rows` for every query `j`,
+/// one sorted list per query in input order.
+///
+/// The whole batch runs once at `max(ks)` and each query's sorted list is
+/// truncated to its own `k` (`opts.k` is ignored). Exact, because the scan is
+/// exhaustive: the sorted top-`j` is a prefix of the sorted top-`k` for
+/// `j <= k` (same total order on `(distance, id)`, same candidate set), so
+/// every truncated list is bit-identical to a run at that query's own `k`.
+///
+/// Block sizing follows Eq. (1); SQ8's prepared state is one `dim`-float
+/// vector per query, the same footprint the formula already charges. A live
+/// `trace` gets one [`obs::SpanKind::BatchScan`] span per query block, one
+/// `QueueWait` span for the block's worst-queued range task, and one
+/// `HeapMerge` span per block merge, recorded on the calling thread after
+/// the join; a disabled trace records nothing and never reads the clock.
+pub fn cache_aware_scan(
     exec: &Executor,
-    data: &VectorSet,
+    rows: Rows<'_>,
     ids: &[i64],
     queries: &VectorSet,
+    ks: &[usize],
     opts: &BatchOptions,
     trace: &mut obs::Trace,
 ) -> Vec<Vec<Neighbor>> {
-    assert_eq!(data.len(), ids.len(), "ids must match data rows");
-    assert_eq!(data.dim(), queries.dim(), "query dimension mismatch");
-    let m = queries.len();
-    let n = data.len();
+    assert_eq!(queries.len(), ks.len(), "one k per query");
+    let dim = queries.dim();
+    match rows {
+        Rows::F32(data) => {
+            assert_eq!(data.len(), ids.len(), "ids must match data rows");
+            assert_eq!(data.dim(), dim, "query dimension mismatch");
+            let kern = block_kernel(opts.metric);
+            let scan = |block: Range<usize>, range: Range<usize>, heaps: &mut [TopK]| {
+                scan_vectors_into_heaps(&kern, data, ids, range, queries, block, heaps)
+            };
+            blocked_scan(exec, "cache_aware_exec", ids.len(), dim, ks, opts, trace, scan)
+        }
+        Rows::Sq8 { codes, sq } => {
+            assert_eq!(codes.len(), ids.len() * sq.dim(), "codes must be n×dim bytes");
+            assert_eq!(sq.dim(), dim, "query dimension mismatch");
+            // Every query is folded once into its fused state; a block's
+            // slice of it is what stays cache-resident.
+            let prepared: Vec<PreparedSq8<'_>> =
+                queries.iter().map(|q| sq.prepare(q, opts.metric)).collect();
+            let scan = |block: Range<usize>, range: Range<usize>, heaps: &mut [TopK]| {
+                scan_codes_into_heaps(&prepared[block], codes, dim, ids, range, heaps)
+            };
+            blocked_scan(exec, "sq8_cache_aware_exec", ids.len(), dim, ks, opts, trace, scan)
+        }
+    }
+}
+
+/// The engine's blocking/fan-out/merge skeleton, generic over the row
+/// scorer: `scan(block, range, heaps)` scores data rows `range` against the
+/// resident query block `block`, pushing into `heaps[j]` for query
+/// `block.start + j`.
+#[allow(clippy::too_many_arguments)]
+fn blocked_scan(
+    exec: &Executor,
+    label: &'static str,
+    n: usize,
+    dim: usize,
+    ks: &[usize],
+    opts: &BatchOptions,
+    trace: &mut obs::Trace,
+    scan: impl Fn(Range<usize>, Range<usize>, &mut [TopK]) + Sync,
+) -> Vec<Vec<Neighbor>> {
+    let m = ks.len();
     if m == 0 || n == 0 {
         return vec![Vec::new(); m];
     }
-    obs::counter(obs::BATCH_QUERIES, "cache_aware_exec").add(m as u64);
-    let _span = obs::span(obs::BATCH_LATENCY, "cache_aware_exec");
-    let k = opts.k.max(1);
+    obs::counter(obs::BATCH_QUERIES, label).add(m as u64);
+    let _span = obs::span(obs::BATCH_LATENCY, label);
+    let k = ks.iter().copied().max().unwrap_or(1).max(1);
     let t = opts.threads.max(1).min(n);
-    let s = query_block_size(opts.l3_cache_bytes, data.dim(), t, k).min(m);
-    let kern = block_kernel(opts.metric);
+    let s = query_block_size(opts.l3_cache_bytes, dim, t, k).min(m);
 
+    // Task r owns data rows [bounds[r], bounds[r+1]).
     let chunk = n.div_ceil(t);
     let bounds: Vec<usize> = (0..=t).map(|i| (i * chunk).min(n)).collect();
 
     let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(m);
     for block_start in (0..m).step_by(s) {
-        let block_end = (block_start + s).min(m);
-        let block_len = block_end - block_start;
+        let block = block_start..(block_start + s).min(m);
         let t_block = trace.begin();
 
+        // One heap per (range task, query-in-block): H[r][j] in Figure 3.
         let range_scan = |r: usize| {
-            let (lo, hi) = (bounds[r], bounds[r + 1]);
-            let mut heaps: Vec<TopK> = (0..block_len).map(|_| TopK::new(k)).collect();
-            scan_range_into_heaps(&kern, data, ids, lo..hi, queries, block_start, &mut heaps);
+            let mut heaps: Vec<TopK> = block.clone().map(|_| TopK::new(k)).collect();
+            scan(block.clone(), bounds[r]..bounds[r + 1], &mut heaps);
             heaps
         };
         // When traced, the timed fan-out exposes how long the block's range
         // tasks sat queued; the worst wait becomes one QueueWait span so the
         // profiler separates executor saturation from scan time without
         // recording `t` spans per block. The untraced path stays clock-free.
-        let per_thread: Vec<Vec<TopK>> = if trace.enabled() {
+        let per_task: Vec<Vec<TopK>> = if trace.enabled() {
             let timed = exec.scoped_map_timed(t, range_scan);
             let wait = timed.iter().map(|(_, timing)| *timing).max_by_key(|w| w.queue_wait());
             if let Some(wait) = wait {
@@ -392,141 +307,24 @@ pub fn cache_aware_search_exec_traced(
             exec.scoped_map(t, range_scan)
         };
         trace.record_with(obs::SpanKind::BatchScan, t_block, |sp| {
-            sp.rows_scanned = (block_len as u64) * (n as u64);
+            sp.rows_scanned = (block.len() as u64) * (n as u64);
         });
 
-        merge_block(per_thread, block_len, k, &mut results, trace);
-    }
-    results
-}
-
-/// The cache-aware engine over **SQ8 codes**: batch queries against a flat
-/// `n × dim` u8 code matrix, never materializing decoded vectors.
-///
-/// Every query in a resident block is folded once into fused per-query state
-/// ([`crate::distance::quant::PreparedSq8`]); executor range tasks then
-/// stream the raw codes in ×4-row register tiles, so each 4-row group's
-/// bytes are loaded once per resident query with zero per-row allocation.
-/// Block sizing follows Eq. (1) — prepared state is one `dim`-float vector
-/// per query, the same footprint the formula already charges.
-///
-/// Supports L2 and inner product (the metrics the SQ8 folding exists for);
-/// cosine callers normalize and pass IP, as the IVF layer does.
-pub fn sq8_cache_aware_search_exec(
-    exec: &Executor,
-    codes: &[u8],
-    sq: &crate::ivf::sq8::ScalarQuantizer,
-    ids: &[i64],
-    queries: &VectorSet,
-    opts: &BatchOptions,
-) -> Vec<Vec<Neighbor>> {
-    let dim = sq.dim();
-    assert_eq!(codes.len(), ids.len() * dim, "codes must be n×dim bytes");
-    assert_eq!(queries.dim(), dim, "query dimension mismatch");
-    let m = queries.len();
-    let n = ids.len();
-    if m == 0 || n == 0 {
-        return vec![Vec::new(); m];
-    }
-    obs::counter(obs::BATCH_QUERIES, "sq8_cache_aware_exec").add(m as u64);
-    let _span = obs::span(obs::BATCH_LATENCY, "sq8_cache_aware_exec");
-    let k = opts.k.max(1);
-    let t = opts.threads.max(1).min(n);
-    let s = query_block_size(opts.l3_cache_bytes, dim, t, k).min(m);
-
-    let chunk = n.div_ceil(t);
-    let bounds: Vec<usize> = (0..=t).map(|i| (i * chunk).min(n)).collect();
-
-    let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(m);
-    for block_start in (0..m).step_by(s) {
-        let block_end = (block_start + s).min(m);
-        // Preparation happens once per query (blocks partition the batch).
-        let prepared: Vec<crate::distance::quant::PreparedSq8<'_>> = (block_start..block_end)
-            .map(|qi| sq.prepare(queries.get(qi), opts.metric))
-            .collect();
-        let block_len = prepared.len();
-
-        let per_thread: Vec<Vec<TopK>> = exec.scoped_map(t, |r| {
-            let (lo, hi) = (bounds[r], bounds[r + 1]);
-            let mut heaps: Vec<TopK> = (0..block_len).map(|_| TopK::new(k)).collect();
-            let mut row = lo;
-            while row + 4 <= hi {
-                let off = row * dim;
-                let rows = [
-                    &codes[off..off + dim],
-                    &codes[off + dim..off + 2 * dim],
-                    &codes[off + 2 * dim..off + 3 * dim],
-                    &codes[off + 3 * dim..off + 4 * dim],
-                ];
-                let vids = [ids[row], ids[row + 1], ids[row + 2], ids[row + 3]];
-                for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
-                    let d = p.distance_x4(rows);
-                    for (lane, dist) in d.into_iter().enumerate() {
-                        heap.push(vids[lane], dist);
-                    }
-                }
-                row += 4;
+        // Merge the `t` per-task heaps of each query, consuming them (no
+        // heap clones), and cut each sorted list to its query's own `k`.
+        let t_merge = trace.begin();
+        let mut merged: Vec<TopK> = block.clone().map(|_| TopK::new(k)).collect();
+        for task_heaps in per_task {
+            for (acc, heap) in merged.iter_mut().zip(task_heaps) {
+                acc.merge(heap);
             }
-            for r in row..hi {
-                let code = &codes[r * dim..(r + 1) * dim];
-                for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
-                    heap.push(ids[r], p.distance(code));
-                }
-            }
-            heaps
-        });
-
-        merge_block(per_thread, block_len, k, &mut results, &mut obs::Trace::disabled());
-    }
-    results
-}
-
-/// Heterogeneous-k entry over [`cache_aware_search_exec`] for coalesced
-/// scheduler batches whose queries agree on everything but `k`: run the
-/// whole batch once at `max(ks)`, then truncate each query's sorted list to
-/// its own `k`.
-///
-/// Exact for this engine because the scan is exhaustive: the sorted top-`j`
-/// is a prefix of the sorted top-`k` for `j <= k` (same total order on
-/// `(distance, id)`, same candidate set), so every truncated list is
-/// bit-identical to a per-query run at that query's own `k`. `opts.k` is
-/// ignored in favor of `ks`.
-pub fn cache_aware_search_exec_hetk(
-    exec: &Executor,
-    data: &VectorSet,
-    ids: &[i64],
-    queries: &VectorSet,
-    ks: &[usize],
-    opts: &BatchOptions,
-) -> Vec<Vec<Neighbor>> {
-    assert_eq!(queries.len(), ks.len(), "one k per query");
-    let kmax = ks.iter().copied().max().unwrap_or(1).max(1);
-    let opts = BatchOptions { k: kmax, ..opts.clone() };
-    let mut results = cache_aware_search_exec(exec, data, ids, queries, &opts);
-    for (r, &k) in results.iter_mut().zip(ks) {
-        r.truncate(k.max(1));
-    }
-    results
-}
-
-/// Heterogeneous-k entry over [`sq8_cache_aware_search_exec`]; same
-/// run-at-`max(ks)`-then-truncate contract and exactness argument as
-/// [`cache_aware_search_exec_hetk`].
-pub fn sq8_cache_aware_search_exec_hetk(
-    exec: &Executor,
-    codes: &[u8],
-    sq: &crate::ivf::sq8::ScalarQuantizer,
-    ids: &[i64],
-    queries: &VectorSet,
-    ks: &[usize],
-    opts: &BatchOptions,
-) -> Vec<Vec<Neighbor>> {
-    assert_eq!(queries.len(), ks.len(), "one k per query");
-    let kmax = ks.iter().copied().max().unwrap_or(1).max(1);
-    let opts = BatchOptions { k: kmax, ..opts.clone() };
-    let mut results = sq8_cache_aware_search_exec(exec, codes, sq, ids, queries, &opts);
-    for (r, &k) in results.iter_mut().zip(ks) {
-        r.truncate(k.max(1));
+        }
+        results.extend(merged.into_iter().zip(&ks[block]).map(|(heap, &k)| {
+            let mut list = heap.into_sorted();
+            list.truncate(k.max(1));
+            list
+        }));
+        trace.record(obs::SpanKind::HeapMerge, t_merge);
     }
     results
 }
@@ -547,6 +345,15 @@ mod tests {
         vs
     }
 
+    fn sq8_codes(data: &VectorSet) -> (ScalarQuantizer, Vec<u8>) {
+        let sq = ScalarQuantizer::train(data);
+        let mut codes = Vec::with_capacity(data.len() * data.dim());
+        for row in data.iter() {
+            sq.encode_into(row, &mut codes);
+        }
+        (sq, codes)
+    }
+
     #[test]
     fn eq1_block_size() {
         // 32 MB L3, d=128, t=16, k=50: s = 32MiB / (512 + 16*50*12) = ~3355.
@@ -557,28 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_agree_with_each_other() {
-        let data = random_set(300, 16, 1);
-        let ids: Vec<i64> = (0..300).collect();
-        let queries = random_set(23, 16, 2);
-        for metric in [Metric::L2, Metric::InnerProduct] {
-            let opts = BatchOptions { k: 7, metric, threads: 4, l3_cache_bytes: 4096 };
-            let a = faiss_style_search(&data, &ids, &queries, &opts);
-            let b = cache_aware_search(&data, &ids, &queries, &opts);
-            assert_eq!(a.len(), b.len());
-            for (qa, qb) in a.iter().zip(&b) {
-                assert_eq!(qa, qb, "engines disagree under {metric}");
-            }
-        }
-    }
-
-    #[test]
     fn agrees_with_single_query_flat_scan() {
+        let pool = Executor::new("t_batch_flat", 3);
         let data = random_set(100, 8, 3);
         let ids: Vec<i64> = (0..100).collect();
         let queries = random_set(5, 8, 4);
         let opts = BatchOptions { k: 5, metric: Metric::L2, threads: 3, ..Default::default() };
-        let res = cache_aware_search(&data, &ids, &queries, &opts);
+        let res = cache_aware_search_exec(&pool, &data, &ids, &queries, &opts);
         for (qi, q) in queries.iter().enumerate() {
             let mut heap = TopK::new(5);
             for (row, v) in data.iter().enumerate() {
@@ -589,45 +381,33 @@ mod tests {
     }
 
     #[test]
-    fn empty_inputs() {
-        let data = random_set(10, 4, 5);
-        let ids: Vec<i64> = (0..10).collect();
-        let empty_q = VectorSet::new(4);
-        let opts = BatchOptions::default();
-        assert!(cache_aware_search(&data, &ids, &empty_q, &opts).is_empty());
-        let empty_d = VectorSet::new(4);
-        let q = random_set(3, 4, 6);
-        let res = cache_aware_search(&empty_d, &[], &q, &opts);
-        assert_eq!(res.len(), 3);
-        assert!(res.iter().all(Vec::is_empty));
-    }
-
-    #[test]
     fn block_smaller_than_batch_still_covers_all_queries() {
+        let pool = Executor::new("t_batch_blocks", 2);
         let data = random_set(50, 32, 7);
         let ids: Vec<i64> = (0..50).collect();
         let queries = random_set(40, 32, 8);
         // Force s = 1 via a tiny cache: every query is its own block.
         let opts =
             BatchOptions { k: 3, metric: Metric::L2, threads: 2, l3_cache_bytes: 1 };
-        let res = cache_aware_search(&data, &ids, &queries, &opts);
+        let res = cache_aware_search_exec(&pool, &data, &ids, &queries, &opts);
         assert_eq!(res.len(), 40);
         assert!(res.iter().all(|r| r.len() == 3));
     }
 
     #[test]
     fn more_threads_than_rows() {
+        let pool = Executor::new("t_batch_rows", 2);
         let data = random_set(3, 4, 9);
         let ids: Vec<i64> = (0..3).collect();
         let queries = random_set(2, 4, 10);
         let opts = BatchOptions { k: 2, threads: 16, ..Default::default() };
-        let res = cache_aware_search(&data, &ids, &queries, &opts);
+        let res = cache_aware_search_exec(&pool, &data, &ids, &queries, &opts);
         assert_eq!(res.len(), 2);
         assert_eq!(res[0].len(), 2);
     }
 
     #[test]
-    fn exec_engines_are_bit_identical_to_spawning_engines() {
+    fn tiled_engine_is_bit_identical_to_the_untiled_serial_scan() {
         let pool = Executor::new("t_batch", 3);
         let data = random_set(257, 24, 21);
         let ids: Vec<i64> = (0..257).map(|i| i * 3 + 1).collect();
@@ -635,17 +415,20 @@ mod tests {
         let queries = random_set(23, 24, 22);
         for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
             let opts = BatchOptions { k: 9, metric, threads: 4, l3_cache_bytes: 8192 };
-            let spawned = cache_aware_search(&data, &ids, &queries, &opts);
             let pooled = cache_aware_search_exec(&pool, &data, &ids, &queries, &opts);
-            assert_eq!(spawned, pooled, "cache-aware engines disagree under {metric}");
-            let spawned = faiss_style_search(&data, &ids, &queries, &opts);
-            let pooled = faiss_style_search_exec(&pool, &data, &ids, &queries, &opts);
-            assert_eq!(spawned, pooled, "faiss-style engines disagree under {metric}");
+            let kern = distance::pair_kernel(metric);
+            for (qi, q) in queries.iter().enumerate() {
+                let mut heap = TopK::new(9);
+                for (&id, v) in ids.iter().zip(data.iter()) {
+                    heap.push(id, kern(q, v));
+                }
+                assert_eq!(pooled[qi], heap.into_sorted(), "engine diverged under {metric} q={qi}");
+            }
         }
     }
 
     #[test]
-    fn exec_engine_empty_inputs() {
+    fn empty_inputs() {
         let pool = Executor::new("t_batch_empty", 2);
         let data = random_set(10, 4, 23);
         let ids: Vec<i64> = (0..10).collect();
@@ -660,22 +443,20 @@ mod tests {
     }
 
     #[test]
-    fn sq8_batch_engine_matches_serial_fused_reference() {
-        use crate::ivf::sq8::ScalarQuantizer;
+    fn sq8_rows_match_serial_fused_reference() {
         let pool = Executor::new("t_sq8_batch", 3);
         let data = random_set(257, 24, 31);
-        let sq = ScalarQuantizer::train(&data);
-        let mut codes = Vec::with_capacity(257 * 24);
-        for row in data.iter() {
-            sq.encode_into(row, &mut codes);
-        }
+        let (sq, codes) = sq8_codes(&data);
         let ids: Vec<i64> = (0..257).map(|i| i * 2 + 5).collect();
         let queries = random_set(23, 24, 32);
         for metric in [Metric::L2, Metric::InnerProduct] {
             // Tiny cache forces multiple query blocks; 3 threads force range
             // splits and heap merges.
             let opts = BatchOptions { k: 9, metric, threads: 3, l3_cache_bytes: 4096 };
-            let got = sq8_cache_aware_search_exec(&pool, &codes, &sq, &ids, &queries, &opts);
+            let rows = Rows::Sq8 { codes: &codes, sq: &sq };
+            let got = cache_aware_scan(
+                &pool, rows, &ids, &queries, &[9; 23], &opts, &mut obs::Trace::disabled(),
+            );
             assert_eq!(got.len(), 23);
             for (qi, res) in got.iter().enumerate() {
                 let p = sq.prepare(queries.get(qi), metric);
@@ -689,65 +470,44 @@ mod tests {
     }
 
     #[test]
-    fn sq8_batch_engine_empty_inputs() {
-        use crate::ivf::sq8::ScalarQuantizer;
+    fn sq8_rows_empty_inputs() {
         let pool = Executor::new("t_sq8_empty", 2);
         let data = random_set(10, 4, 33);
-        let sq = ScalarQuantizer::train(&data);
-        let mut codes = Vec::new();
-        for row in data.iter() {
-            sq.encode_into(row, &mut codes);
-        }
+        let (sq, codes) = sq8_codes(&data);
         let ids: Vec<i64> = (0..10).collect();
         let opts = BatchOptions::default();
-        assert!(sq8_cache_aware_search_exec(&pool, &codes, &sq, &ids, &VectorSet::new(4), &opts)
-            .is_empty());
+        let off = &mut obs::Trace::disabled();
+        let rows = Rows::Sq8 { codes: &codes, sq: &sq };
+        let no_queries = VectorSet::new(4);
+        assert!(cache_aware_scan(&pool, rows, &ids, &no_queries, &[], &opts, off).is_empty());
         let q = random_set(3, 4, 34);
-        let res = sq8_cache_aware_search_exec(&pool, &[], &sq, &[], &q, &opts);
+        let rows = Rows::Sq8 { codes: &[], sq: &sq };
+        let res = cache_aware_scan(&pool, rows, &[], &q, &[50; 3], &opts, off);
         assert_eq!(res.len(), 3);
         assert!(res.iter().all(Vec::is_empty));
     }
 
     #[test]
-    fn hetk_wrappers_match_per_query_runs_at_each_own_k() {
-        use crate::ivf::sq8::ScalarQuantizer;
+    fn per_query_ks_match_per_query_runs_at_each_own_k() {
         let pool = Executor::new("t_hetk", 3);
         let data = random_set(157, 24, 41);
         let ids: Vec<i64> = (0..157).map(|i| i * 7 + 2).collect();
         let queries = random_set(6, 24, 42);
         let ks = [1usize, 3, 9, 2, 9, 5];
-        let sq = ScalarQuantizer::train(&data);
-        let mut codes = Vec::new();
-        for row in data.iter() {
-            sq.encode_into(row, &mut codes);
-        }
+        let (sq, codes) = sq8_codes(&data);
+        let off = &mut obs::Trace::disabled();
         for metric in [Metric::L2, Metric::InnerProduct] {
             let opts = BatchOptions { k: 999, metric, threads: 3, l3_cache_bytes: 4096 };
-            let got = cache_aware_search_exec_hetk(&pool, &data, &ids, &queries, &ks, &opts);
-            for (qi, &k) in ks.iter().enumerate() {
-                let one = queries.gather(&[qi]);
-                let opts1 = BatchOptions { k, ..opts.clone() };
-                let solo = cache_aware_search_exec(&pool, &data, &ids, &one, &opts1);
-                assert_eq!(got[qi], solo[0], "flat hetk diverged {metric} q={qi} k={k}");
-            }
-            let got = sq8_cache_aware_search_exec_hetk(&pool, &codes, &sq, &ids, &queries, &ks, &opts);
-            for (qi, &k) in ks.iter().enumerate() {
-                let one = queries.gather(&[qi]);
-                let opts1 = BatchOptions { k, ..opts.clone() };
-                let solo = sq8_cache_aware_search_exec(&pool, &codes, &sq, &ids, &one, &opts1);
-                assert_eq!(got[qi], solo[0], "sq8 hetk diverged {metric} q={qi} k={k}");
+            for (name, rows) in
+                [("flat", Rows::F32(&data)), ("sq8", Rows::Sq8 { codes: &codes, sq: &sq })]
+            {
+                let got = cache_aware_scan(&pool, rows, &ids, &queries, &ks, &opts, off);
+                for (qi, &k) in ks.iter().enumerate() {
+                    let one = queries.gather(&[qi]);
+                    let solo = cache_aware_scan(&pool, rows, &ids, &one, &[k], &opts, off);
+                    assert_eq!(got[qi], solo[0], "{name} het-k diverged {metric} q={qi} k={k}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn faiss_style_more_threads_than_queries() {
-        let data = random_set(20, 4, 11);
-        let ids: Vec<i64> = (0..20).collect();
-        let queries = random_set(2, 4, 12);
-        let opts = BatchOptions { k: 4, threads: 8, ..Default::default() };
-        let res = faiss_style_search(&data, &ids, &queries, &opts);
-        assert_eq!(res.len(), 2);
-        assert!(res.iter().all(|r| r.len() == 4));
     }
 }

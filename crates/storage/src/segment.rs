@@ -11,8 +11,11 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use milvus_exec::Executor;
+use milvus_index::batch::{cache_aware_scan, BatchOptions, Rows};
 use milvus_index::traits::{BuildParams, SearchParams};
-use milvus_index::{registry::IndexRegistry, Neighbor, TopK, VectorIndex, VectorSet};
+use milvus_index::{registry::IndexRegistry, Metric, Neighbor, TopK, VectorIndex, VectorSet};
+use milvus_obs as obs;
 use parking_lot::RwLock;
 
 use crate::attribute::AttributeColumn;
@@ -62,12 +65,11 @@ pub fn clear_scan_delays() {
     SCAN_FAULTS_ARMED.store(false, std::sync::atomic::Ordering::SeqCst);
 }
 
-/// Honor any armed scan fault for `segment_id`. `search_field_stats` calls
-/// this itself; external scan paths that bypass it (the scheduler's
-/// coalesced zero-copy segment scans) must call it once per segment so
-/// injected delays keep governing every scan route.
+/// Honor any armed scan fault for `segment_id`: once per single-query scan
+/// ([`Segment::search_field_stats`]), once per batched one
+/// ([`Segment::search_batch`]).
 #[inline]
-pub fn apply_scan_fault(segment_id: u64) {
+fn apply_scan_fault(segment_id: u64) {
     if SCAN_FAULTS_ARMED.load(std::sync::atomic::Ordering::Relaxed) {
         let delay = scan_delays().lock().get(&segment_id).copied();
         if let Some(d) = delay {
@@ -319,6 +321,90 @@ impl Segment {
             }
         }
         Ok((heap.into_sorted(), stats))
+    }
+
+    /// Search one vector field for a batch of queries that share `params`
+    /// except for `k` (`ks[j]` is query `j`'s). Returns one result per query
+    /// in input order, each bit-identical to
+    /// [`Self::search_field_stats`] at that query's own `k`.
+    ///
+    /// This is the only place that knows which scans may batch:
+    ///
+    /// * delete-free, indexed — [`VectorIndex::search_batch`] (IVF overrides
+    ///   it with the bucket-major sweep; the default is the per-query loop)
+    ///   at `max(ks)`, each sorted list truncated to its own `k`. Truncation
+    ///   is exact only for IVF's exhaustive bucket scans, so a mixed-`k`
+    ///   batch on a graph/tree index runs per query instead.
+    /// * delete-free, unindexed, SIMD metric — the cache-aware batch engine
+    ///   over the segment's own column, zero-copy.
+    /// * everything else (one query, an `allow` filter, tombstones, binary
+    ///   metrics, a query of the wrong dimension) — `search_field_stats` per
+    ///   query, so every query gets exactly its own result or error.
+    pub fn search_batch(
+        &self,
+        schema: &Schema,
+        field: &str,
+        queries: &[&[f32]],
+        ks: &[usize],
+        params: &SearchParams,
+        allow: Option<&dyn Fn(i64) -> bool>,
+    ) -> (Vec<Result<Vec<Neighbor>>>, ScanStats) {
+        let index = self.index(field);
+        let stats =
+            ScanStats { rows_scanned: self.live_rows() as u64, used_index: index.is_some() };
+        let per_query = || {
+            queries
+                .iter()
+                .zip(ks)
+                .map(|(q, &k)| {
+                    let own = SearchParams { k, ..params.clone() };
+                    self.search_field(schema, field, q, &own, allow)
+                })
+                .collect()
+        };
+        let Some(fi) = schema.vector_field_index(field) else { return (per_query(), stats) };
+        let col = &self.data.vectors[fi];
+        let metric = schema.vector_fields[fi].metric;
+        let uniform_k = ks.iter().all(|&k| k == ks[0]);
+        let batchable = queries.len() > 1
+            && allow.is_none()
+            && self.deleted.is_empty()
+            && queries.iter().all(|q| q.len() == col.dim())
+            && match &index {
+                Some(index) => uniform_k || index.as_ivf().is_some(),
+                None => matches!(metric, Metric::L2 | Metric::InnerProduct | Metric::Cosine),
+            };
+        if !batchable {
+            return (per_query(), stats);
+        }
+
+        apply_scan_fault(self.id);
+        let mut qs = VectorSet::with_capacity(col.dim(), queries.len());
+        for q in queries {
+            qs.push(q);
+        }
+        let lists = match index {
+            Some(index) => {
+                let kmax = ks.iter().copied().max().unwrap_or(1);
+                let at_kmax = SearchParams { k: kmax, ..params.clone() };
+                let Ok(mut lists) = index.search_batch(&qs, &at_kmax) else {
+                    // Errors are not `Clone`: rerun per query so each caller
+                    // gets its own.
+                    return (per_query(), stats);
+                };
+                for (list, &k) in lists.iter_mut().zip(ks) {
+                    list.truncate(k.max(1));
+                }
+                lists
+            }
+            None => {
+                let exec = Executor::global();
+                let opts = BatchOptions { metric, threads: exec.threads(), ..Default::default() };
+                let off = &mut obs::Trace::disabled();
+                cache_aware_scan(exec, Rows::F32(col), &self.data.row_ids, &qs, ks, &opts, off)
+            }
+        };
+        (lists.into_iter().map(Ok).collect(), stats)
     }
 
     /// Physically merge `segments` into one, dropping tombstoned rows

@@ -3,10 +3,12 @@
 //! "When Milvus receives heavy write requests, it first materializes the
 //! operations (similar to database logs) to disk and then acknowledges to
 //! users." The WAL is a newline-delimited JSON file of [`LogRecord`]s;
-//! [`Wal::replay`] reconstructs the un-flushed tail after a crash, and
-//! `truncate_upto` drops records covered by a flush checkpoint. In the
-//! distributed design (§5.3) the same records are what the writer ships to
-//! shared storage instead of data pages, à la Aurora.
+//! [`Wal::replay`] reconstructs the un-flushed tail after a crash. A record
+//! is committed by its trailing newline — the last byte of an append, written
+//! before the acknowledgement — so a final line without one is an append the
+//! crash tore: it marks the end of the log, and [`Wal::open`] cuts it off.
+//! In the distributed design (§5.3) the same records are what the writer
+//! ships to shared storage instead of data pages, à la Aurora.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -62,9 +64,16 @@ impl Wal {
     /// the highest existing record.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let existing = if path.exists() { Self::read_all(&path)? } else { Vec::new() };
+        let (existing, committed) =
+            if path.exists() { Self::read_all(&path)? } else { (Vec::new(), 0) };
         let next_lsn = existing.last().map_or(1, |r| r.lsn() + 1);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        if file.metadata()?.len() > committed {
+            // Drop the torn tail, or the next append would glue onto it and
+            // corrupt an interior line.
+            file.set_len(committed)?;
+            file.sync_all()?;
+        }
         Ok(Self { path, writer: BufWriter::new(file), next_lsn, label: "default".to_string() })
     }
 
@@ -122,17 +131,24 @@ impl Wal {
         Ok(())
     }
 
-    fn read_all(path: &Path) -> Result<Vec<LogRecord>> {
-        let mut out = Vec::new();
-        let reader = BufReader::new(File::open(path)?);
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+    /// Every committed record, plus the byte length of the committed prefix.
+    /// Reading stops at a final line with no trailing newline (a torn
+    /// append, see the module docs); a newline-terminated line that does not
+    /// parse is corruption and fails the read.
+    fn read_all(path: &Path) -> Result<(Vec<LogRecord>, u64)> {
+        let mut reader = BufReader::new(File::open(path)?);
+        let (mut out, mut committed, mut line) = (Vec::new(), 0u64, Vec::new());
+        loop {
+            line.clear();
+            let n = reader.read_until(b'\n', &mut line)?;
+            if line.last() != Some(&b'\n') {
+                return Ok((out, committed));
             }
-            out.push(serde_json::from_str(&line)?);
+            if !line.iter().all(u8::is_ascii_whitespace) {
+                out.push(serde_json::from_slice(&line)?);
+            }
+            committed += n as u64;
         }
-        Ok(out)
     }
 
     /// Records not yet covered by the latest flush checkpoint — the state to
@@ -142,7 +158,7 @@ impl Wal {
         if !path.exists() {
             return Ok(Vec::new());
         }
-        let all = Self::read_all(path)?;
+        let (all, _) = Self::read_all(path)?;
         let checkpoint = all
             .iter()
             .filter_map(|r| match r {
@@ -215,6 +231,66 @@ mod tests {
         }
         let wal = Wal::open(&path).unwrap();
         assert_eq!(wal.next_lsn(), 2);
+    }
+
+    /// A crash can tear the final append anywhere: cut the file at every
+    /// byte offset of the last record (from "nothing of it written" to "all
+    /// but its newline") and recovery must see exactly the records before
+    /// it, then keep working.
+    #[test]
+    fn torn_final_record_is_dropped_at_every_cut_and_the_log_stays_appendable() {
+        let dir = tmpdir("torn");
+        let whole = dir.join("whole.log");
+        {
+            let mut wal = Wal::open(&whole).unwrap();
+            wal.append_insert(batch(3)).unwrap();
+            wal.append_delete(vec![1]).unwrap();
+            wal.append_insert(batch(2)).unwrap();
+        }
+        let bytes = std::fs::read(&whole).unwrap();
+        let last_start = bytes[..bytes.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        let shape = |recs: &[LogRecord]| -> Vec<String> {
+            recs.iter().map(|r| format!("{r:?}")).collect()
+        };
+        let preceding = shape(&Wal::replay(&whole).unwrap()[..2]);
+
+        for cut in last_start..bytes.len() {
+            let path = dir.join(format!("cut-{cut}.log"));
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert_eq!(shape(&Wal::replay(&path).unwrap()), preceding, "replay, cut at {cut}");
+
+            let mut wal = Wal::open(&path).unwrap();
+            assert_eq!(wal.next_lsn(), 3, "cut at {cut}");
+            assert_eq!(std::fs::read(&path).unwrap(), &bytes[..last_start], "cut at {cut}");
+            wal.append_delete(vec![7]).unwrap();
+            drop(wal);
+
+            let reopened = Wal::open(&path).unwrap();
+            assert_eq!(reopened.next_lsn(), 4, "cut at {cut}");
+            let tail = Wal::replay(&path).unwrap();
+            assert_eq!(shape(&tail[..2]), preceding, "after append, cut at {cut}");
+            assert!(matches!(&tail[2], LogRecord::Delete { lsn: 3, ids } if ids == &[7]));
+            assert_eq!(tail.len(), 3);
+        }
+    }
+
+    /// Only the *tail* may be torn: garbage on a newline-terminated line is
+    /// corruption, and both replay and open must refuse it loudly.
+    #[test]
+    fn unparsable_interior_line_is_a_loud_error() {
+        let dir = tmpdir("interior");
+        let path = dir.join("wal.log");
+        {
+            let mut wal = Wal::open(&path).unwrap();
+            wal.append_delete(vec![1]).unwrap();
+            wal.append_delete(vec![2]).unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[3] = b'#';
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(Wal::replay(&path).is_err());
+        assert!(Wal::open(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "a refused log is left untouched");
     }
 
     #[test]

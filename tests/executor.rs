@@ -1,15 +1,15 @@
 //! Integration tests for the work-stealing executor on the query path:
-//! parallel segment fan-out actually overlaps per-segment waits, the pooled
-//! paths return results bit-identical to a serial reference, and the
-//! executor's metric families are exported.
+//! parallel segment fan-out actually overlaps per-segment waits, every entry
+//! point of the query pipeline returns results bit-identical to a serial
+//! per-segment reference, and the executor's metric families are exported.
 //!
 //! Scan-delay injection is process-global (keyed by segment id), so every
 //! test that arms it serializes on [`guard`] and disarms via a drop guard.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use milvus_core::{CollectionConfig, Milvus};
+use milvus_core::{CollectionConfig, Milvus, SearchHit};
 use milvus_index::traits::SearchParams;
 use milvus_index::{Metric, VectorSet};
 use milvus_obs as obs;
@@ -97,43 +97,133 @@ fn parallel_segment_fanout_overlaps_scan_delays() {
     );
 }
 
-/// The pooled fan-out must return exactly what the serial per-segment loop
-/// returned: same hits, same scores, same order.
+/// The one oracle for the query pipeline. Over {no index, IVF_FLAT, IVF_SQ8,
+/// IVF_PQ, HNSW} × {no tombstones, tombstones} × {unfiltered, range-filtered}
+/// × {a lone `search`, `search_batch` of 1 and of 5, a barrier-released storm
+/// of concurrent searches with mixed `k`}, every answer must equal the
+/// serial reference built from nothing but `Segment::search_field_stats` per
+/// segment (the predicate as `allow` when filtered) + `merge_segment_results`
+/// — same ids, same distance bits.
 #[test]
-fn parallel_search_is_bit_identical_to_serial_reference() {
+fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
+    const DIM: usize = 16;
+    const ROWS: i64 = 400;
+    // tag = id % 10 and the range keeps 60 % of each segment: far more than
+    // 8·k rows, so indexed segments take the filtered index search, whose
+    // answer `search_field_stats` with the predicate reproduces exactly
+    // (unindexed segments scan the passers exactly, as the reference does).
+    let (lo, hi) = (2.0, 7.0);
+    let passes = |id: i64| (lo..=hi).contains(&((id % 10) as f64));
+    let ks = [3usize, 9, 5, 9, 3, 7];
+
     let _g = guard();
+    let _cleanup = DelayGuard;
     let m = Milvus::new();
-    let col = segmented_collection(&m, "exec_identical", 5, 123);
-    let schema = Schema::single("v", 8, Metric::L2);
-    let params = SearchParams::top_k(17);
+    let schema = Schema::single("v", DIM, Metric::L2).with_attribute("tag");
+    let queries: Vec<Vec<f32>> = (0..ks.len() as i64)
+        .map(|qi| (0..DIM as i64).map(|d| ((qi * 7 + d) as f32 * 0.17).sin()).collect())
+        .collect();
 
-    for qi in 0..10i64 {
-        let query: Vec<f32> = (0..8).map(|d| ((qi * 7 + d) as f32 * 0.17).sin()).collect();
-        // Serial reference: scan segments in snapshot order, merge once.
-        let snap = col.snapshot();
-        let lists: Vec<_> = snap
-            .segments
-            .iter()
-            .map(|seg| {
-                seg.search_field_stats(&schema, "v", &query, &params, None).unwrap().0
-            })
-            .collect();
-        let expected = merge_segment_results(&lists, params.k);
-
-        let got = col.search("v", &query, &params).unwrap();
-        assert_eq!(got.len(), expected.len());
-        for (hit, exp) in got.iter().zip(&expected) {
-            assert_eq!(hit.id, exp.id, "id order diverged for query {qi}");
-            assert_eq!(
-                hit.distance.to_bits(),
-                exp.dist.to_bits(),
-                "distance diverged for query {qi}"
+    for index in [None, Some("IVF_FLAT"), Some("IVF_SQ8"), Some("IVF_PQ"), Some("HNSW")] {
+        for tombstones in [false, true] {
+            let case = format!(
+                "{}{}",
+                index.unwrap_or("unindexed"),
+                if tombstones { "+tombstones" } else { "" }
             );
+            let mut cfg = CollectionConfig::for_tests();
+            cfg.scheduler.window = Duration::from_millis(200);
+            cfg.scheduler.max_batch = 4;
+            let name = format!("exec_oracle_{case}");
+            let col = m.create_collection(&name, schema.clone(), cfg).unwrap();
+            for s in 0..3 {
+                let mut b = batch(s * ROWS..(s + 1) * ROWS, DIM);
+                b.attributes = vec![b.ids.iter().map(|id| (id % 10) as f64).collect()];
+                col.insert(b).unwrap();
+                col.flush().unwrap();
+            }
+            if let Some(ty) = index {
+                assert_eq!(col.build_index("v", ty).unwrap(), 3, "{case}");
+            }
+            if tombstones {
+                col.delete((0..3 * ROWS).filter(|id| id % 7 == 0).collect()).unwrap();
+                col.flush().unwrap();
+            }
+            let snap = col.snapshot();
+            assert_eq!(snap.segments.len(), 3, "{case}");
+            assert!(snap.segments.iter().all(|s| s.deleted().is_empty() != tombstones), "{case}");
+
+            let params = |k: usize| SearchParams { k, nprobe: 6, ..Default::default() };
+            let check = |what: &str, got: &[SearchHit], q: &[f32], k: usize, filtered: bool| {
+                let allow = filtered.then_some(&passes as &dyn Fn(i64) -> bool);
+                let lists: Vec<_> = snap
+                    .segments
+                    .iter()
+                    .map(|seg| seg.search_field_stats(&schema, "v", q, &params(k), allow).unwrap().0)
+                    .collect();
+                let expected = merge_segment_results(&lists, k);
+                let bits = |id: i64, d: f32| (id, d.to_bits());
+                assert_eq!(
+                    got.iter().map(|h| bits(h.id, h.distance)).collect::<Vec<_>>(),
+                    expected.iter().map(|n| bits(n.id, n.dist)).collect::<Vec<_>>(),
+                    "{case}: {what} diverged from the serial reference (k={k}, filtered={filtered})"
+                );
+            };
+            let search = |q: &[f32], k: usize, filtered: bool| {
+                if filtered {
+                    col.filtered_search("v", q, "tag", lo, hi, &params(k))
+                } else {
+                    col.search("v", q, &params(k))
+                }
+                .unwrap()
+            };
+
+            for filtered in [false, true] {
+                for (q, &k) in queries.iter().zip(&ks) {
+                    check("lone search", &search(q, k, filtered), q, k, filtered);
+                }
+                // A storm: the first segment's scans are slowed so whoever
+                // passes through holds the rendezvous open and the rest pile
+                // up behind it, mixed `k` and all.
+                let coalesced = || obs::counter(obs::SCHED_COALESCED_QUERIES, &name).get();
+                let before = coalesced();
+                milvus_storage::inject_scan_delay(snap.segments[0].id, Duration::from_millis(20));
+                let barrier = Barrier::new(queries.len());
+                let storm: Vec<Vec<SearchHit>> = std::thread::scope(|s| {
+                    let handles: Vec<_> = queries
+                        .iter()
+                        .zip(&ks)
+                        .map(|(q, &k)| {
+                            let (barrier, search) = (&barrier, &search);
+                            s.spawn(move || {
+                                barrier.wait();
+                                search(q, k, filtered)
+                            })
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                milvus_storage::clear_scan_delays();
+                assert!(coalesced() > before, "{case}: the storm never coalesced");
+                for ((got, q), &k) in storm.iter().zip(&queries).zip(&ks) {
+                    check("concurrent search", got, q, k, filtered);
+                }
+            }
+            // `search_batch` has no filtered form.
+            for m in [1usize, 5] {
+                let mut qs = VectorSet::new(DIM);
+                queries[..m].iter().for_each(|q| qs.push(q));
+                let got = col.search_batch("v", &qs, &params(9)).unwrap();
+                assert_eq!(got.len(), m, "{case}");
+                for (hits, q) in got.iter().zip(&queries) {
+                    check("search_batch", hits, q, 9, false);
+                }
+            }
         }
     }
 }
 
-/// `search_batch` fans queries out across the pool; each query must still
+/// `search_batch` runs its queries as one batch; each query must still
 /// return exactly what a lone `search` returns.
 #[test]
 fn search_batch_matches_individual_searches() {

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use milvus_datagen as datagen;
 use milvus_gpu::{bigk, ExecMode, GpuDevice, GpuSpec, MultiGpuScheduler, Sq8hIndex};
-use milvus_index::batch::{cache_aware_search, faiss_style_search, BatchOptions};
+use milvus_baselines::faiss_style_search;
+use milvus_index::batch::{cache_aware_search_exec, BatchOptions};
 use milvus_index::ivf::{IvfIndex, IvfVariant};
 use milvus_index::traits::{BuildParams, SearchParams};
 use milvus_index::{Metric, VectorIndex};
@@ -88,7 +89,8 @@ fn batch_engines_agree_with_flat_index() {
 
     let opts = BatchOptions { k: 10, metric: Metric::L2, threads: 3, l3_cache_bytes: 1 << 20 };
     let a = faiss_style_search(&data, &ids, &queries, &opts);
-    let b = cache_aware_search(&data, &ids, &queries, &opts);
+    let pool = milvus_exec::Executor::new("t_hetero_batch", 3);
+    let b = cache_aware_search_exec(&pool, &data, &ids, &queries, &opts);
     for qi in 0..queries.len() {
         let expect = flat.search(queries.get(qi), &SearchParams::top_k(10)).unwrap();
         assert_eq!(a[qi], expect, "faiss-style q{qi}");

@@ -127,6 +127,49 @@ fn error_paths_are_counted_not_hidden() {
     );
 }
 
+/// One accounting rule for every request kind: a plain search, a filtered
+/// search, each query of a `search_batch` and an `explain_analyze` all count
+/// one query, one latency observation and their own `nprobe`/`ef` — filtered
+/// searches used to skip the last two.
+#[test]
+fn every_request_kind_is_accounted_once_per_caller() {
+    let name = "obs_request_kinds";
+    let m = Milvus::new();
+    let schema = Schema::single("v", 4, Metric::L2).with_attribute("price");
+    let col = m.create_collection(name, schema, CollectionConfig::for_tests()).unwrap();
+    let mut b = batch(0..100, 4);
+    b.attributes = vec![b.ids.iter().map(|&id| id as f64).collect()];
+    col.insert(b).unwrap();
+    col.flush().unwrap();
+
+    let sp = SearchParams { k: 3, nprobe: 5, ef: 40, ..Default::default() };
+    let q = [7.0, 0.0, 0.0, 0.0];
+    let before = m.metrics_snapshot();
+    let delta = |metric: &str| {
+        m.metrics_snapshot().counter(metric, name) - before.counter(metric, name)
+    };
+
+    col.search("v", &q, &sp).unwrap();
+    assert_eq!((delta(obs::QUERY_TOTAL), delta(obs::QUERY_NPROBE_EFFECTIVE)), (1, 5));
+    col.filtered_search("v", &q, "price", 10.0, 60.0, &sp).unwrap();
+    col.filtered_search("v", &q, "price", 0.0, 5.0, &sp).unwrap();
+    assert_eq!(delta(obs::QUERY_TOTAL), 3);
+    assert_eq!(delta(obs::QUERY_NPROBE_EFFECTIVE), 15, "filtered searches must count nprobe");
+    assert_eq!(delta(obs::QUERY_EF_EFFECTIVE), 120, "filtered searches must count ef");
+
+    let mut qs = VectorSet::new(4);
+    (0..4).for_each(|i| qs.push(&[i as f32, 0.0, 0.0, 0.0]));
+    col.search_batch("v", &qs, &sp).unwrap();
+    col.explain_analyze("v", &q, &sp).unwrap();
+    assert_eq!(delta(obs::QUERY_TOTAL), 8);
+    assert_eq!(delta(obs::QUERY_NPROBE_EFFECTIVE), 40);
+    assert_eq!(delta(obs::QUERY_EF_EFFECTIVE), 320);
+    assert_eq!(delta(obs::QUERY_ERRORS), 0);
+    let observed = m.metrics_snapshot().histogram(obs::QUERY_LATENCY, name).count
+        - before.histogram(obs::QUERY_LATENCY, name).count;
+    assert_eq!(observed, 8, "one latency observation per counted query");
+}
+
 #[test]
 fn prometheus_exposition_is_well_formed() {
     let name = "obs_prom";

@@ -162,7 +162,7 @@ fn fused_sq8_search_recall_sanity() {
 /// code matrices (cross-crate twin of the unit test, on datagen data).
 #[test]
 fn sq8_batch_engine_consistent_with_prepared_scans() {
-    use milvus_index::batch::{sq8_cache_aware_search_exec, BatchOptions};
+    use milvus_index::batch::{cache_aware_scan, BatchOptions, Rows};
     let dim = 24;
     let n = 500;
     let data = milvus_datagen::clustered(n, dim, 6, -1.0, 1.0, 0.2, 51);
@@ -175,7 +175,10 @@ fn sq8_batch_engine_consistent_with_prepared_scans() {
     let queries = milvus_datagen::queries_from(&data, 9, 0.05, 52);
     let pool = milvus_exec::Executor::new("t_qscan", 2);
     let opts = BatchOptions { k: 7, metric: Metric::L2, threads: 2, l3_cache_bytes: 1 << 14 };
-    let got = sq8_cache_aware_search_exec(&pool, &codes, &sq, &ids, &queries, &opts);
+    let rows = Rows::Sq8 { codes: &codes, sq: &sq };
+    let off = &mut milvus_obs::Trace::disabled();
+    let ks = vec![opts.k; queries.len()];
+    let got = cache_aware_scan(&pool, rows, &ids, &queries, &ks, &opts, off);
     for (qi, res) in got.iter().enumerate() {
         let p = sq.prepare(queries.get(qi), Metric::L2);
         let mut heap = TopK::new(7);

@@ -291,7 +291,7 @@ fn shed_queries_fail_typed_while_admitted_queries_stay_correct() {
 }
 
 #[test]
-fn search_many_matches_per_query_serial_results() {
+fn search_batch_matches_per_query_serial_results() {
     let _g = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let m = Milvus::new();
     let (on, off) = twins(&m, "sched_many", 350, None);
@@ -300,11 +300,11 @@ fn search_many_matches_per_query_serial_results() {
         qs.push(&gen_vector(5000 + i));
     }
     let sp = SearchParams::top_k(6);
-    let lists = on.search_many("v", &qs, &sp).unwrap();
+    let lists = on.search_batch("v", &qs, &sp).unwrap();
     assert_eq!(lists.len(), 10);
     for (i, list) in lists.iter().enumerate() {
         let exp = off.search("v", qs.get(i), &sp).unwrap();
-        assert_eq!(list, &exp, "search_many query {i} diverged from serial");
+        assert_eq!(list, &exp, "search_batch query {i} diverged from serial");
     }
 }
 

@@ -167,9 +167,11 @@ fn tracing_at_zero_sampling_is_free_in_the_batch_engine_hot_loop() {
     let label: Arc<str> = Arc::from("batch_overhead");
     let mut trace = obs::Trace::start("batch", &label);
     assert!(!trace.enabled(), "sampler must reject every admission at 0.0");
+    let pool = milvus_exec::Executor::new("t_trace_batch", 2);
+    let (rows, ks) = (milvus_index::batch::Rows::F32(&data), vec![opts.k; queries.len()]);
     let traced =
-        milvus_index::batch::cache_aware_search_traced(&data, &ids, &queries, &opts, &mut trace);
-    let plain = milvus_index::batch::cache_aware_search(&data, &ids, &queries, &opts);
+        milvus_index::batch::cache_aware_scan(&pool, rows, &ids, &queries, &ks, &opts, &mut trace);
+    let plain = milvus_index::batch::cache_aware_search_exec(&pool, &data, &ids, &queries, &opts);
 
     assert_eq!(traced, plain, "disabled tracing must not change results");
     assert_eq!(trace.span_count(), 0);
