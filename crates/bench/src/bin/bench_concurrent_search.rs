@@ -1,11 +1,12 @@
 //! Concurrent-search shoot-out: the coalescing query scheduler vs the
-//! serial per-query path, at client concurrency c ∈ {1, 8, 64}.
+//! serial per-query path, at client concurrency c ∈ {1, 2, 8, 64}.
 //!
 //! Twin collections hold identical flat (unindexed) data so every query is
 //! a full segment scan — the shape where cross-query coalescing pays: the
 //! ×4-tiled batch engine streams each data row once per query tile instead
-//! of once per query. At c=1 the scheduler must cost nothing (passthrough);
-//! at c=64 it must win throughput.
+//! of once per query. At c=1 and c=2 the scheduler must cost nothing (a run
+//! slot is free, every query passes through — two clients are no reason to
+//! wait for each other); at c=64 it must win throughput.
 //!
 //! Emits `BENCH_concurrent_search.json` in the current directory:
 //!
@@ -16,8 +17,8 @@
 //! ```
 //!
 //! `--smoke` (or `--test`) shrinks the workload to a CI-friendly second and
-//! asserts the acceptance floor: coalesced QPS ≥ 1.2× serial at the highest
-//! concurrency (exit 1 otherwise).
+//! asserts the acceptance floors: coalesced QPS ≥ 1.2× serial at the highest
+//! concurrency and ≥ 0.9× serial at c=2 (exit 1 otherwise).
 
 use std::hint::black_box;
 use std::sync::{Arc, Barrier};
@@ -91,7 +92,7 @@ fn main() {
     // are compute-light enough that per-query overheads mask the tiling win.
     let (n, dim, per_thread, reps) =
         if smoke { (8000, 128, 6, 2) } else { (20000, 128, 16, 3) };
-    let concurrencies = [1usize, 8, 64];
+    let concurrencies = [1usize, 2, 8, 64];
 
     eprintln!("building twin collections: n={n} dim={dim} ...");
     let data = datagen::clustered(n, dim, 32, 0.0, 100.0, 8.0, 42);
@@ -175,11 +176,14 @@ fn main() {
     eprintln!("wrote BENCH_concurrent_search.json");
 
     let c_max = *concurrencies.last().unwrap();
-    let speedup = results
-        .iter()
-        .find(|r| r.concurrency == c_max && r.mode == "coalesced")
-        .map_or(f64::NAN, |r| r.qps)
-        / serial_qps(c_max);
+    let speedup_at = |c: usize| {
+        results
+            .iter()
+            .find(|r| r.concurrency == c && r.mode == "coalesced")
+            .map_or(f64::NAN, |r| r.qps)
+            / serial_qps(c)
+    };
+    let (speedup, two_clients) = (speedup_at(c_max), speedup_at(2));
     let single_tax = results
         .iter()
         .find(|r| r.concurrency == 1 && r.mode == "coalesced")
@@ -188,10 +192,14 @@ fn main() {
             .iter()
             .find(|r| r.concurrency == 1 && r.mode == "serial")
             .map_or(f64::NAN, |r| r.mean_latency_us);
-    eprintln!("coalescing speedup at c={c_max}: {speedup:.2}x");
+    eprintln!("coalescing speedup at c={c_max}: {speedup:.2}x, at c=2: {two_clients:.2}x");
     eprintln!("single-client latency ratio (coalesced/serial): {single_tax:.3}");
     if smoke && (speedup.is_nan() || speedup < 1.2) {
         eprintln!("FAIL: coalesced QPS at c={c_max} must be >= 1.2x serial, got {speedup:.2}x");
+        std::process::exit(1);
+    }
+    if smoke && (two_clients.is_nan() || two_clients < 0.9) {
+        eprintln!("FAIL: coalesced QPS at c=2 must be >= 0.9x serial, got {two_clients:.2}x");
         std::process::exit(1);
     }
 }

@@ -78,6 +78,13 @@ pub struct Collection {
     ingest: AsyncIngest,
     inflight_builds: Arc<(Mutex<usize>, Condvar)>,
     scheduler: QueryScheduler,
+    /// Per-query metric handles, resolved once: [`Self::account`] runs on
+    /// every query and must not pay five registry look-ups for it.
+    query_latency: Arc<obs::Histogram>,
+    query_total: Arc<obs::Counter>,
+    query_nprobe: Arc<obs::Counter>,
+    query_ef: Arc<obs::Counter>,
+    query_errors: Arc<obs::Counter>,
 }
 
 impl Collection {
@@ -107,6 +114,11 @@ impl Collection {
         let ingest = AsyncIngest::start(Arc::clone(&engine), config.flush_interval);
         let scheduler = QueryScheduler::new(&name, config.scheduler.clone());
         Ok(Self {
+            query_latency: obs::histogram(obs::QUERY_LATENCY, &name),
+            query_total: obs::counter(obs::QUERY_TOTAL, &name),
+            query_nprobe: obs::counter(obs::QUERY_NPROBE_EFFECTIVE, &name),
+            query_ef: obs::counter(obs::QUERY_EF_EFFECTIVE, &name),
+            query_errors: obs::counter(obs::QUERY_ERRORS, &name),
             trace_label: Arc::from(name.as_str()),
             name,
             scheduler,
@@ -200,19 +212,19 @@ impl Collection {
     /// the collection's in-flight budget (sized from flight-recorder
     /// signals) is exhausted the query is shed with
     /// [`MilvusError::Overloaded`] instead of queueing behind a backlog it
-    /// would only deepen. An admitted query on an idle scheduler runs the
-    /// pipeline itself as a batch of one; queries arriving while another is
-    /// running are coalesced — held up to the configured window, then run
-    /// through the same pipeline as one batch whose per-query results are
-    /// bit-identical (a batched segment scan shares the segment's data rows
-    /// across the batch instead of re-streaming them per query).
+    /// would only deepen. An admitted query that finds a run slot free (there
+    /// is one per core) runs the pipeline itself as a batch of one; queries
+    /// arriving while every slot is taken queue, and the first slot to free
+    /// runs them through the same pipeline as one batch whose per-query
+    /// results are bit-identical (a batched segment scan shares the segment's
+    /// data rows across the batch instead of re-streaming them per query).
     pub fn search(&self, field: &str, query: &[f32], params: &SearchParams) -> Result<Vec<SearchHit>> {
         self.run("search", SearchRequest::vector(field, query, params))
     }
 
     /// Batch vector query: one result list per query. The queries are
-    /// already a batch, so they skip the coalescing window: one admission
-    /// slot, one run of the pipeline over the whole set.
+    /// already a batch, so they skip the coalescer: one admission slot, one
+    /// run of the pipeline over the whole set.
     pub fn search_batch(
         &self,
         field: &str,
@@ -302,8 +314,7 @@ impl Collection {
             let lead =
                 |batch: Vec<SearchRequest>| self.execute(&batch, &mut obs::Trace::disabled());
             match self.scheduler.submit(req, lead) {
-                // The guard holds the rendezvous open while we run, so
-                // concurrent arrivals coalesce behind us.
+                // The guard holds our run slot while we run.
                 Submitted::Pass(guard) => {
                     self.scheduler.note_passthrough();
                     alone(guard.query())
@@ -329,13 +340,12 @@ impl Collection {
     /// caller records its own totals and its own end-to-end latency
     /// (including any coalesce wait).
     fn account(&self, started: Instant, params: &SearchParams, result: &Result<Vec<SearchHit>>) {
-        obs::histogram(obs::QUERY_LATENCY, &self.name)
-            .observe_us(started.elapsed().as_micros() as u64);
-        obs::counter(obs::QUERY_TOTAL, &self.name).inc();
-        obs::counter(obs::QUERY_NPROBE_EFFECTIVE, &self.name).add(params.nprobe as u64);
-        obs::counter(obs::QUERY_EF_EFFECTIVE, &self.name).add(params.ef as u64);
+        self.query_latency.observe_us(started.elapsed().as_micros() as u64);
+        self.query_total.inc();
+        self.query_nprobe.add(params.nprobe as u64);
+        self.query_ef.add(params.ef as u64);
         if result.is_err() {
-            obs::counter(obs::QUERY_ERRORS, &self.name).inc();
+            self.query_errors.inc();
         }
     }
 
@@ -366,10 +376,12 @@ impl Collection {
 
     /// The query pipeline, for every entry point and every batch size:
     /// plan (resolve names, partition into parameter-compatible groups) →
-    /// pin a snapshot → one executor task per segment scanning every group →
-    /// merge per query. Failures come back as values — one `Result` per
-    /// request, in input order — because a panic in a coalesced batch would
-    /// strand the leader's followers.
+    /// pin a snapshot → one executor task per segment scanning every group
+    /// (or, when every run slot is taken and the cores are busy with whole
+    /// queries, the segments in order on this thread) → merge per query.
+    /// Failures come back as values — one `Result` per request, in input
+    /// order — so one bad request cannot fail the batch it was coalesced
+    /// into.
     ///
     /// `&mut Trace` stays on this thread: the timed fan-out captures per-task
     /// executor milestones and the tasks their own filter/scan windows (only
@@ -401,7 +413,8 @@ impl Collection {
         trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = nsegs as u64);
 
         let trace_on = trace.enabled();
-        let mut scans = traced_fan_out(nsegs, trace_on, |si| {
+        let inline = self.scheduler.saturated();
+        let mut scans = traced_fan_out(nsegs, inline, trace_on, |si| {
             let seg = &snap.segments[si];
             groups.iter().map(|g| self.scan_group(seg, g, trace_on)).collect::<Vec<_>>()
         });
@@ -644,14 +657,18 @@ impl Collection {
     }
 }
 
-/// Fan `f` out on the global executor, returning per-task timings only when
-/// the query is traced — the untraced hot path stays clock-free.
+/// Fan `f` out on the global executor — or run it in order on this thread
+/// when `inline` — returning per-task timings only when a fanned-out query is
+/// traced: the untraced hot path stays clock-free.
 fn traced_fan_out<R: Send>(
     n: usize,
+    inline: bool,
     trace_on: bool,
     f: impl Fn(usize) -> R + Sync,
 ) -> Vec<(R, Option<milvus_exec::TaskTiming>)> {
-    if trace_on {
+    if inline {
+        (0..n).map(|i| (f(i), None)).collect()
+    } else if trace_on {
         Executor::global()
             .scoped_map_timed(n, f)
             .into_iter()

@@ -4,13 +4,13 @@
 //! Sits between the public search entry points ([`crate::Collection`],
 //! REST, the distributed reader) and the segment scanners. Two jobs:
 //!
-//! 1. **Coalescing** — concurrent `search`/`filtered_search` calls on the
-//!    same collection are held for a bounded window
-//!    ([`crate::config::SchedulerConfig::window`], or
-//!    `max_batch` pending — whichever first) and executed as one batch, so
-//!    each segment's rows stream once per ×4 query tile instead of once
-//!    per query. A submitter that finds the scheduler idle passes straight
-//!    through as a batch of one — sparse traffic pays zero added latency.
+//! 1. **Coalescing** — each collection has one run slot per core.
+//!    A `search`/`filtered_search` that finds a slot free runs at once as a
+//!    batch of one: sparse traffic pays zero added latency, and parallelism
+//!    across queries comes before parallelism inside one. Calls that find
+//!    every slot taken queue, and the first slot to free takes up to
+//!    `max_batch` of them as one batch, so each segment's rows stream once
+//!    per ×4 query tile instead of once per query. Nothing waits on a timer.
 //!    The rendezvous itself is [`milvus_exec::coalesce::Coalescer`]; this
 //!    module adds the search-shaped request type, parameter-compatibility
 //!    grouping, and metrics.
@@ -38,7 +38,7 @@ use crate::collection::SearchHit;
 use crate::config::SchedulerConfig;
 use crate::error::{MilvusError, Result};
 
-/// One coalescable query, owned (the window outlives the caller's borrows).
+/// One coalescable query, owned (the queue outlives the caller's borrows).
 #[derive(Debug, Clone)]
 pub enum SearchRequest {
     /// Plain vector query ([`crate::Collection::search`]).
@@ -245,10 +245,7 @@ impl QueryScheduler {
     /// Build the scheduler for collection `label`.
     pub fn new(label: &str, cfg: SchedulerConfig) -> Self {
         QueryScheduler {
-            coalescer: Coalescer::new(CoalesceConfig {
-                window: cfg.window,
-                max_batch: cfg.max_batch.max(1),
-            }),
+            coalescer: Coalescer::new(CoalesceConfig { max_batch: cfg.max_batch }),
             inflight: AtomicUsize::new(0),
             budget: Mutex::new(BudgetCache { budget: cfg.max_inflight.max(1), refreshed: None }),
             inflight_gauge: obs::gauge(obs::SCHED_INFLIGHT, label),
@@ -306,7 +303,14 @@ impl QueryScheduler {
         self.coalescer.submit(req, run)
     }
 
-    /// Record a passthrough (idle scheduler, batch of one).
+    /// Whether every run slot is taken (see [`Coalescer::saturated`]): the
+    /// cores are busy with whole queries, so a runner scans its segments
+    /// itself instead of fanning them out.
+    pub fn saturated(&self) -> bool {
+        self.coalescer.saturated()
+    }
+
+    /// Record a passthrough (free run slot, batch of one).
     pub fn note_passthrough(&self) {
         self.passthrough_total.inc();
     }

@@ -50,11 +50,16 @@ pub struct ReaderNode {
     /// to model node parallelism (Figure 10b).
     busy_ns: AtomicU64,
     /// The reader-local query scheduler: concurrent [`ReaderNode::search`]
-    /// calls (the fan-in of `Cluster::search` under client concurrency)
-    /// rendezvous here and run as one sweep of the segments; a lone caller
-    /// passes straight through, which keeps serially driven transcripts
-    /// (the partition-chaos tests) byte-identical.
+    /// calls (the fan-in of `Cluster::search` under client concurrency) each
+    /// take a run slot while one is free and sweep the segments themselves;
+    /// once every slot is taken the rest queue and run as one sweep per
+    /// freed slot. A lone caller always finds a slot, which keeps serially
+    /// driven transcripts (the partition-chaos tests) byte-identical.
     coalescer: Coalescer<ReaderQuery, StorageResult<Vec<Neighbor>>>,
+    /// `QUERY_TOTAL` / `QUERY_LATENCY` on the `"reader"` series, resolved
+    /// once instead of per search.
+    query_total: Arc<obs::Counter>,
+    query_latency: Arc<obs::Histogram>,
 }
 
 /// One coalescable reader query: `(field, query, params)`, owned.
@@ -94,6 +99,8 @@ impl ReaderNode {
             seen_epoch: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
             coalescer: Coalescer::new(milvus_exec::coalesce::CoalesceConfig::default()),
+            query_total: obs::counter(obs::QUERY_TOTAL, "reader"),
+            query_latency: obs::histogram(obs::QUERY_LATENCY, "reader"),
         })
     }
 
@@ -209,10 +216,10 @@ impl ReaderNode {
 
     /// Search this reader's shards; results from all its segments merged.
     ///
-    /// Routed through the reader-local scheduler: a lone call sweeps the
-    /// segments itself under a sampled trace; calls arriving concurrently
-    /// are coalesced into one sweep whose per-query results are
-    /// bit-identical to lone calls.
+    /// Routed through the reader-local scheduler: a call that finds a run
+    /// slot free sweeps the segments itself under a sampled trace; calls
+    /// arriving while every slot is taken are coalesced into one sweep whose
+    /// per-query results are bit-identical to lone calls.
     pub fn search(
         &self,
         field: &str,
@@ -237,9 +244,7 @@ impl ReaderNode {
             Submitted::Coalesced { result, .. } => {
                 // Per-caller accounting; the leader ran the shared sweep
                 // uncounted.
-                obs::counter(obs::QUERY_TOTAL, "reader").inc();
-                obs::histogram(obs::QUERY_LATENCY, "reader")
-                    .observe_us(started.elapsed().as_micros() as u64);
+                self.account(started);
                 result
             }
         }
@@ -255,13 +260,20 @@ impl ReaderNode {
         params: &SearchParams,
         trace: &mut obs::Trace,
     ) -> StorageResult<Vec<Neighbor>> {
-        let _span = obs::span(obs::QUERY_LATENCY, "reader");
-        obs::counter(obs::QUERY_TOTAL, "reader").inc();
+        let started = Instant::now();
         let t = trace.begin();
         let segments = self.segments.read();
         let nshards = segments.len();
         trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = nshards as u64);
-        self.sweep(&segments, &[(field, query, params)], trace).pop().expect("one result per query")
+        let result = self.sweep(&segments, &[(field, query, params)], trace).pop();
+        self.account(started);
+        result.expect("one result per query")
+    }
+
+    /// One caller's search on the `"reader"` query series.
+    fn account(&self, started: Instant) {
+        self.query_total.inc();
+        self.query_latency.observe_us(started.elapsed().as_micros() as u64);
     }
 
     /// Search an explicit set of shards, regardless of this reader's current

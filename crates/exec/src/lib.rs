@@ -216,8 +216,10 @@ impl Shared {
         self.queued.fetch_add(1, Ordering::SeqCst);
         self.queue_depth.add(1);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
+            // One task, one wake-up (a sleeper that loses the race for the
+            // task just re-checks `queued` and sleeps again).
             let _g = self.sleep_lock.lock();
-            self.wake.notify_all();
+            self.wake.notify_one();
         }
     }
 }
@@ -379,7 +381,8 @@ impl Executor {
 
     /// Fan `f(0) … f(n-1)` out across the pool and return the results in
     /// index order — deterministic regardless of execution interleaving.
-    /// `n <= 1` runs inline (no queue round-trip).
+    /// Tasks `1..n` are queued; the caller runs task 0 itself instead of
+    /// sleeping through the join, so `n <= 1` never touches the queue.
     pub fn scoped_map<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -397,68 +400,52 @@ impl Executor {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            return vec![f(0)];
-        }
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        {
-            let base = SendPtr(slots.as_mut_ptr());
-            let f = &f;
-            self.scope(|s| {
-                for i in 0..n {
-                    s.spawn_prio(prio, move || {
-                        let value = f(i);
-                        // Safety: each task writes exactly one distinct slot,
-                        // and the scope joins before `slots` is touched again.
-                        unsafe { *base.slot(i) = Some(value) };
-                    });
-                }
-            });
-        }
-        slots.into_iter().map(|r| r.expect("scoped task completed")).collect()
+        self.fan_out(n, prio, || (), |i, ()| f(i))
     }
 
     /// [`Executor::scoped_map`] plus a per-task [`TaskTiming`]: when each
     /// task was enqueued, when a worker started it, and when it finished.
     /// Queue wait (`started - enqueued`) and run time are thereby separable
     /// by observability code; the plain `scoped_map` stays clock-free for
-    /// callers that do not need timings. Inline execution (`n <= 1`) reports
+    /// callers that do not need timings. Task 0, run by the caller, reports
     /// a zero queue wait (`enqueued == started`).
     pub fn scoped_map_timed<R, F>(&self, n: usize, f: F) -> Vec<(R, TaskTiming)>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if n == 0 {
-            return Vec::new();
+        self.fan_out(n, Priority::Normal, Instant::now, |i, enqueued| {
+            let started = if i == 0 { enqueued } else { Instant::now() };
+            let value = f(i);
+            (value, TaskTiming { enqueued, started, finished: Instant::now() })
+        })
+    }
+
+    /// The fan-out behind the `scoped_map` family. `stamp` is taken on the
+    /// calling thread as each task is queued and handed to that task.
+    fn fan_out<T, R, S, F>(&self, n: usize, prio: Priority, stamp: S, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        S: Fn() -> T,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        if n <= 1 {
+            return (0..n).map(|i| f(i, stamp())).collect();
         }
-        if n == 1 {
-            let enqueued = Instant::now();
-            let value = f(0);
-            let finished = Instant::now();
-            return vec![(value, TaskTiming { enqueued, started: enqueued, finished })];
-        }
-        let mut slots: Vec<Option<(R, TaskTiming)>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
         {
             let base = SendPtr(slots.as_mut_ptr());
-            let f = &f;
+            // SAFETY: each index is run once and writes its own distinct
+            // slot, and the scope joins before `slots` is touched again.
+            let run = |i: usize, t: T| unsafe { *base.slot(i) = Some(f(i, t)) };
+            let run = &run;
             self.scope(|s| {
-                for i in 0..n {
-                    let enqueued = Instant::now();
-                    s.spawn(move || {
-                        let started = Instant::now();
-                        let value = f(i);
-                        let finished = Instant::now();
-                        // Safety: each task writes exactly one distinct slot,
-                        // and the scope joins before `slots` is touched again.
-                        unsafe {
-                            *base.slot(i) = Some((value, TaskTiming { enqueued, started, finished }))
-                        };
-                    });
+                for i in 1..n {
+                    let t = stamp();
+                    s.spawn_prio(prio, move || run(i, t));
                 }
+                run(0, stamp());
             });
         }
         slots.into_iter().map(|r| r.expect("scoped task completed")).collect()
@@ -591,6 +578,24 @@ mod tests {
             let expect: Vec<usize> = (0..16).map(|i| i * 2 + round).collect();
             assert_eq!(out, expect);
         }
+    }
+
+    #[test]
+    fn caller_runs_task_zero_and_only_the_rest_are_queued() {
+        let pool = Executor::new("t_caller", 2);
+        let tasks = obs::counter(obs::EXEC_TASKS, "t_caller");
+        let me = std::thread::current().id();
+        let before = tasks.get();
+        let ran_on = pool.scoped_map(4, |_| std::thread::current().id());
+        assert_eq!(ran_on[0], me, "task 0 must run on the calling thread");
+        assert_eq!(tasks.get() - before, 3, "a fan-out of 4 queues 3 pool tasks");
+        let timed = pool.scoped_map_timed(4, |i| i);
+        assert_eq!(timed[0].1.queue_wait(), Duration::ZERO, "task 0 never queues");
+        // Nothing to fan out: no pool task at all.
+        let before = tasks.get();
+        assert_eq!(pool.scoped_map(1, |i| i), vec![0]);
+        assert_eq!(pool.scoped_map(0, |i| i), Vec::<usize>::new());
+        assert_eq!(tasks.get(), before);
     }
 
     #[test]

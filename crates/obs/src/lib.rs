@@ -577,8 +577,8 @@ pub const SCHED_COALESCED_QUERIES: &str = "milvus_sched_coalesced_queries_total"
 /// Query-scheduler: queries currently admitted and executing (per
 /// collection).
 pub const SCHED_INFLIGHT: &str = "milvus_sched_inflight";
-/// Query-scheduler: queries that bypassed the coalescing window because no
-/// other query was pending (per collection).
+/// Query-scheduler: queries that found a run slot free and ran at once as a
+/// batch of one, without queueing (per collection).
 pub const SCHED_PASSTHROUGH: &str = "milvus_sched_passthrough_total";
 /// Query-scheduler: queries shed by admission control with a typed
 /// overload error (per collection).
@@ -691,7 +691,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
     FamilyDesc { name: SCHED_COALESCED_BATCHES, kind: MetricKind::Counter, help: "Coalesced batches executed by the query scheduler." },
     FamilyDesc { name: SCHED_COALESCED_QUERIES, kind: MetricKind::Counter, help: "Queries served through a coalesced scheduler batch." },
     FamilyDesc { name: SCHED_INFLIGHT, kind: MetricKind::Gauge, help: "Queries currently admitted by the scheduler and executing." },
-    FamilyDesc { name: SCHED_PASSTHROUGH, kind: MetricKind::Counter, help: "Queries that bypassed the coalescing window (no other query pending)." },
+    FamilyDesc { name: SCHED_PASSTHROUGH, kind: MetricKind::Counter, help: "Queries that found a run slot free and ran at once, without queueing." },
     FamilyDesc { name: SCHED_SHED, kind: MetricKind::Counter, help: "Queries shed by scheduler admission control with a typed overload error." },
     FamilyDesc { name: SEARCH_COVERAGE_RATIO, kind: MetricKind::Gauge, help: "Shard coverage of the most recent distributed search in parts per million (1000000 = full coverage)." },
     FamilyDesc { name: SEARCH_DEGRADED, kind: MetricKind::Counter, help: "Distributed searches that completed with at least one uncovered shard." },

@@ -73,9 +73,10 @@ pub enum SpanKind {
     NetRetry,
     /// Re-fanning one orphaned shard to surviving readers.
     Failover,
-    /// Time a query spent held in the scheduler's coalescing window before
-    /// its batch executed — separate from executor [`SpanKind::QueueWait`]
-    /// so the profiler can tell deliberate batching from pool saturation.
+    /// Time a query spent queued in the scheduler, every run slot taken,
+    /// before its batch executed — separate from executor
+    /// [`SpanKind::QueueWait`] so the profiler can tell waiting for a core
+    /// from pool saturation.
     CoalesceWait,
 }
 

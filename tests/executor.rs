@@ -91,9 +91,9 @@ fn parallel_segment_fanout_overlaps_scan_delays() {
     );
     let tasks_after = obs::counter(obs::EXEC_TASKS, "global").get();
     assert!(
-        tasks_after >= tasks_before + 4,
-        "segment fan-out must schedule one pool task per segment \
-         ({tasks_before} -> {tasks_after})"
+        tasks_after >= tasks_before + 3,
+        "segment fan-out must schedule one pool task per segment beyond the \
+         caller's own ({tasks_before} -> {tasks_after})"
     );
 }
 
@@ -132,7 +132,6 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                 if tombstones { "+tombstones" } else { "" }
             );
             let mut cfg = CollectionConfig::for_tests();
-            cfg.scheduler.window = Duration::from_millis(200);
             cfg.scheduler.max_batch = 4;
             let name = format!("exec_oracle_{case}");
             let col = m.create_collection(&name, schema.clone(), cfg).unwrap();
@@ -182,13 +181,18 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                 for (q, &k) in queries.iter().zip(&ks) {
                     check("lone search", &search(q, k, filtered), q, k, filtered);
                 }
-                // A storm: the first segment's scans are slowed so whoever
-                // passes through holds the rendezvous open and the rest pile
-                // up behind it, mixed `k` and all.
+                // A storm behind taken run slots: one unfiltered search per
+                // core is parked in the slowed first segment first (strategy
+                // A never enters `Segment::search*`, so filtered searches
+                // cannot hold a slot open themselves); the barrier-held storm
+                // is let go only then, queues, and is coalesced as the slots
+                // free, mixed `k` and all.
+                let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+                let inflight = obs::gauge(obs::SCHED_INFLIGHT, &name);
                 let coalesced = || obs::counter(obs::SCHED_COALESCED_QUERIES, &name).get();
                 let before = coalesced();
                 milvus_storage::inject_scan_delay(snap.segments[0].id, Duration::from_millis(20));
-                let barrier = Barrier::new(queries.len());
+                let barrier = Barrier::new(queries.len() + 1);
                 let storm: Vec<Vec<SearchHit>> = std::thread::scope(|s| {
                     let handles: Vec<_> = queries
                         .iter()
@@ -201,6 +205,15 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                             })
                         })
                         .collect();
+                    let holders: Vec<_> =
+                        (0..cores).map(|_| s.spawn(|| search(&queries[0], ks[0], false))).collect();
+                    while (inflight.get() as usize) < cores {
+                        std::thread::yield_now();
+                    }
+                    barrier.wait();
+                    for holder in holders {
+                        check("slot holder", &holder.join().unwrap(), &queries[0], ks[0], false);
+                    }
                     handles.into_iter().map(|h| h.join().unwrap()).collect()
                 });
                 milvus_storage::clear_scan_delays();

@@ -9,7 +9,7 @@
 //! registry is process-global, so the tests serialize on [`GLOBAL_STATE`].
 
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use milvus_core::scheduler::{group_batch, SearchRequest};
 use milvus_core::{Collection, CollectionConfig, Milvus, MilvusError, SearchHit};
@@ -45,7 +45,6 @@ fn twins(
 ) -> (Arc<Collection>, Arc<Collection>) {
     let schema = Schema::single("v", DIM, Metric::L2).with_attribute("price");
     let mut on_cfg = CollectionConfig::for_tests();
-    on_cfg.scheduler.window = Duration::from_millis(200);
     on_cfg.scheduler.max_batch = 4;
     let mut off_cfg = CollectionConfig::for_tests();
     off_cfg.scheduler.coalescing = false;
@@ -72,32 +71,49 @@ fn counter(name: &'static str, label: &str) -> u64 {
     milvus_obs::registry().snapshot().counter(name, label)
 }
 
-/// Fire `queries` concurrently at `on` (barrier-released so they pile into
-/// the coalescer) with the first segment's scans slowed so the passthrough
-/// holder keeps the rendezvous open, and return the per-query results in
-/// submit order.
+/// Run `query(0) … query(n-1)` concurrently against `on` while every run
+/// slot (one per core) is taken: one plain search per core is parked in the
+/// slowed first segment first, and only then is the barrier-held storm let
+/// go — so on any box all `n` queue behind the slot holders and are
+/// coalesced as the slots free. Results come back in index order.
+fn run_queued<T: Send>(on: &Arc<Collection>, n: usize, query: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let seg_id = on.snapshot().segments[0].id;
+    inject_scan_delay(seg_id, Duration::from_millis(40));
+    let inflight = milvus_obs::gauge(milvus_obs::SCHED_INFLIGHT, on.name());
+    let barrier = Barrier::new(n + 1);
+    let results = std::thread::scope(|s| {
+        let storm: Vec<_> = (0..n)
+            .map(|i| {
+                let (barrier, query) = (&barrier, &query);
+                s.spawn(move || {
+                    barrier.wait();
+                    query(i)
+                })
+            })
+            .collect();
+        let holders: Vec<_> = (0..cores)
+            .map(|_| s.spawn(|| on.search("v", &gen_vector(77), &SearchParams::top_k(1))))
+            .collect();
+        while (inflight.get() as usize) < cores {
+            std::thread::yield_now();
+        }
+        barrier.wait();
+        for holder in holders {
+            holder.join().unwrap().unwrap();
+        }
+        storm.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    clear_scan_delays();
+    results
+}
+
+/// [`run_queued`] for plain vector searches.
 fn run_concurrent(
     on: &Arc<Collection>,
     queries: &[(Vec<f32>, SearchParams)],
 ) -> Vec<Result<Vec<SearchHit>, MilvusError>> {
-    let seg_id = on.snapshot().segments[0].id;
-    inject_scan_delay(seg_id, Duration::from_millis(40));
-    let barrier = Barrier::new(queries.len());
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|(q, p)| {
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    on.search("v", q, p)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-    });
-    clear_scan_delays();
-    results
+    run_queued(on, queries.len(), |i| on.search("v", &queries[i].0, &queries[i].1))
 }
 
 #[test]
@@ -119,7 +135,7 @@ fn coalesced_flat_scan_is_bit_identical_to_serial_with_mixed_k() {
         assert_eq!(res.as_ref().unwrap(), exp, "coalesced flat scan diverged from serial");
     }
     let coalesced = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_flat_on") - before;
-    assert!(coalesced >= 8, "expected most of 12 piled-up queries to coalesce, got {coalesced}");
+    assert!(coalesced >= 8, "expected most of 12 queued queries to coalesce, got {coalesced}");
     assert!(counter(milvus_obs::SCHED_COALESCED_BATCHES, "sched_flat_on") > 0);
 }
 
@@ -159,23 +175,12 @@ fn coalesced_filtered_search_is_bit_identical_to_serial() {
         .map(|q| off.filtered_search("v", q, "price", 50.0, 250.0, &sp).unwrap())
         .collect();
 
-    let seg_id = on.snapshot().segments[0].id;
-    inject_scan_delay(seg_id, Duration::from_millis(40));
-    let barrier = Barrier::new(queries.len());
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| {
-                let (barrier, on, sp) = (&barrier, &on, &sp);
-                s.spawn(move || {
-                    barrier.wait();
-                    on.filtered_search("v", q, "price", 50.0, 250.0, sp)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
+    let before = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_filt_on");
+    let results = run_queued(&on, queries.len(), |i| {
+        on.filtered_search("v", &queries[i], "price", 50.0, 250.0, &sp)
     });
-    clear_scan_delays();
+    let coalesced = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_filt_on") - before;
+    assert!(coalesced >= 4, "expected most of 6 queued filtered queries to coalesce, got {coalesced}");
     for (res, exp) in results.iter().zip(&expected) {
         assert_eq!(res.as_ref().unwrap(), exp, "coalesced filtered search diverged");
     }
@@ -208,34 +213,52 @@ fn mixed_params_split_into_groups_and_all_match_serial() {
     }
 }
 
+/// Two closed-loop clients, 200 searches each: every query is accounted as
+/// exactly one pass-through or one member of one coalesced batch, and with a
+/// run slot per client (two or more cores) nobody ever queues — two clients
+/// are not a reason to wait for each other.
 #[test]
-fn single_query_passes_through_without_window_latency() {
+fn two_closed_loop_clients_never_wait_for_each_other() {
     let _g = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let m = Milvus::new();
     let schema = Schema::single("v", DIM, Metric::L2);
-    let mut cfg = CollectionConfig::for_tests();
-    // A pathological 5 s window: if a lone query were held for the window,
-    // this test would take seconds. Passthrough must make it instant.
-    cfg.scheduler.window = Duration::from_secs(5);
-    let col = m.create_collection("sched_pass", schema, cfg).unwrap();
-    let ids: Vec<i64> = (0..200).collect();
-    let mut vs = VectorSet::new(DIM);
-    for &id in &ids {
-        vs.push(&gen_vector(id as u64));
+    let col = m.create_collection("sched_pass", schema, CollectionConfig::for_tests()).unwrap();
+    let reference = {
+        let mut cfg = CollectionConfig::for_tests();
+        cfg.scheduler.coalescing = false;
+        m.create_collection("sched_pass_ref", Schema::single("v", DIM, Metric::L2), cfg).unwrap()
+    };
+    for c in [&col, &reference] {
+        let ids: Vec<i64> = (0..200).collect();
+        let mut vs = VectorSet::new(DIM);
+        for &id in &ids {
+            vs.push(&gen_vector(id as u64));
+        }
+        c.insert(InsertBatch::single(ids, vs)).unwrap();
+        c.flush().unwrap();
     }
-    col.insert(InsertBatch::single(ids, vs)).unwrap();
-    col.flush().unwrap();
 
-    let before = counter(milvus_obs::SCHED_PASSTHROUGH, "sched_pass");
-    let start = Instant::now();
-    let hits = col.search("v", &gen_vector(9999), &SearchParams::top_k(5)).unwrap();
-    let elapsed = start.elapsed();
-    assert_eq!(hits.len(), 5);
-    assert!(
-        elapsed < Duration::from_secs(2),
-        "lone query must not pay the coalescing window: took {elapsed:?}"
-    );
-    assert_eq!(counter(milvus_obs::SCHED_PASSTHROUGH, "sched_pass") - before, 1);
+    let sp = SearchParams::top_k(5);
+    let passed_before = counter(milvus_obs::SCHED_PASSTHROUGH, "sched_pass");
+    let coalesced_before = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_pass");
+    std::thread::scope(|s| {
+        for client in 0..2u64 {
+            let (col, reference, sp) = (&col, &reference, &sp);
+            s.spawn(move || {
+                for i in 0..200 {
+                    let q = gen_vector(9000 + client * 1000 + i);
+                    let hits = col.search("v", &q, sp).unwrap();
+                    assert_eq!(hits, reference.search("v", &q, sp).unwrap());
+                }
+            });
+        }
+    });
+    let passed = counter(milvus_obs::SCHED_PASSTHROUGH, "sched_pass") - passed_before;
+    let coalesced = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_pass") - coalesced_before;
+    assert_eq!(passed + coalesced, 400, "every query is accounted exactly once");
+    if std::thread::available_parallelism().map_or(1, |p| p.get()) >= 2 {
+        assert_eq!(passed, 400, "a client queued although a run slot was free");
+    }
 }
 
 #[test]
