@@ -24,8 +24,9 @@ use parking_lot::Mutex;
 use crate::error::{MilvusError, Result};
 
 enum Op {
-    Insert(InsertBatch),
-    Delete(Vec<i64>),
+    /// A logged operation and its LSN. The queue holds them in LSN order.
+    Insert(InsertBatch, u64),
+    Delete(Vec<i64>, u64),
     /// Flush barrier: worker flushes the engine then signals completion.
     Barrier(Sender<()>),
     Shutdown,
@@ -40,7 +41,10 @@ pub struct AsyncIngest {
     /// them to the caller; they surface here and on the next flush()).
     errors: Arc<Mutex<Vec<MilvusError>>>,
     /// Ids whose deletes are logged but not yet applied by the worker —
-    /// re-inserting them is legal (update = delete + insert, §2.3).
+    /// re-inserting them is legal (update = delete + insert, §2.3). The
+    /// foreground holds this lock from the WAL append to the enqueue, so the
+    /// worker applies operations in LSN order: the engine checkpoints the
+    /// highest applied LSN, which must cover nothing still in the queue.
     unapplied_deletes: Arc<Mutex<HashSet<i64>>>,
 }
 
@@ -63,16 +67,17 @@ impl AsyncIngest {
     /// Foreground insert: WAL append (durability before ack), then enqueue
     /// the memtable apply.
     pub fn insert(&self, batch: InsertBatch) -> Result<()> {
-        self.engine
-            .log_insert_with_overlay(&batch, &self.unapplied_deletes.lock())?;
-        self.tx.send(Op::Insert(batch)).map_err(|_| MilvusError::IngestStopped)
+        let unapplied_deletes = self.unapplied_deletes.lock();
+        let lsn = self.engine.log_insert_with_overlay(&batch, &unapplied_deletes)?;
+        self.tx.send(Op::Insert(batch, lsn)).map_err(|_| MilvusError::IngestStopped)
     }
 
     /// Foreground delete: WAL append, then enqueue.
     pub fn delete(&self, ids: Vec<i64>) -> Result<()> {
-        self.engine.log_delete(ids.as_slice())?;
-        self.unapplied_deletes.lock().extend(ids.iter().copied());
-        self.tx.send(Op::Delete(ids)).map_err(|_| MilvusError::IngestStopped)
+        let mut unapplied_deletes = self.unapplied_deletes.lock();
+        let lsn = self.engine.log_delete(ids.as_slice())?;
+        unapplied_deletes.extend(ids.iter().copied());
+        self.tx.send(Op::Delete(ids, lsn)).map_err(|_| MilvusError::IngestStopped)
     }
 
     /// The §5.1 `flush()` barrier: blocks until every pending operation is
@@ -111,7 +116,7 @@ fn run_worker(
 ) {
     loop {
         match rx.recv_timeout(flush_interval) {
-            Ok(Op::Insert(batch)) => match engine.apply_insert(&batch) {
+            Ok(Op::Insert(batch, lsn)) => match engine.apply_insert(&batch, lsn) {
                 Ok(true) => {
                     if let Err(e) = engine.flush() {
                         errors.lock().push(e.into());
@@ -120,8 +125,8 @@ fn run_worker(
                 Ok(false) => {}
                 Err(e) => errors.lock().push(e.into()),
             },
-            Ok(Op::Delete(ids)) => {
-                engine.apply_delete(&ids);
+            Ok(Op::Delete(ids, lsn)) => {
+                engine.apply_delete(&ids, lsn);
                 let mut pending = unapplied_deletes.lock();
                 for id in &ids {
                     pending.remove(id);

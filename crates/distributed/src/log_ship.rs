@@ -2,8 +2,10 @@
 //! only sends logs (rather than the actual data) to the storage layer,
 //! similar to Aurora").
 //!
-//! The writer appends every operation as a JSON object under `wal/` in the
-//! shared store before acknowledging; flushes append a checkpoint. A standby
+//! The writer appends every operation as one object under `wal/` in the
+//! shared store before acknowledging — the same checksummed binary frame the
+//! local log holds ([`milvus_storage::wal`]: one record codec) — and flushes
+//! append a checkpoint. A standby
 //! writer recovers by loading the flushed segments and replaying the shipped
 //! tail — no local disk involved, which is what makes the writer itself
 //! stateless.
@@ -17,7 +19,7 @@
 //! durable in the log or in segments*.
 //!
 //! **Term fencing.** Every record key carries the shipping writer's *term*
-//! (takeover generation): `wal/{term:08}-{seq:016}.json`. A promoted standby
+//! (takeover generation): `wal/{term:08}-{seq:016}.rec`. A promoted standby
 //! opens the log at `max existing term + 1`, so late deliveries from the
 //! dead writer's in-flight duplicates can never collide with or overwrite
 //! the new writer's records, and records of an older term that surface
@@ -45,17 +47,13 @@ use milvus_storage::{InsertBatch, Result as StorageResult};
 use crate::transport::{rpc, Direct, NodeId, RetryPolicy, Transport};
 
 fn log_key(term: u64, seq: u64) -> String {
-    format!("wal/{term:08}-{seq:016}.json")
+    format!("wal/{term:08}-{seq:016}.rec")
 }
 
-/// `(term, seq)` of a shipped-log key. Legacy keys (`wal/{seq}.json`, no
-/// term component) parse as term 0.
+/// `(term, seq)` of a shipped-log key.
 fn parse_log_key(key: &str) -> Option<(u64, u64)> {
-    let stem = key.strip_prefix("wal/")?.strip_suffix(".json")?;
-    match stem.split_once('-') {
-        Some((term, seq)) => Some((term.parse().ok()?, seq.parse().ok()?)),
-        None => Some((0, stem.parse().ok()?)),
-    }
+    let (term, seq) = key.strip_prefix("wal/")?.strip_suffix(".rec")?.split_once('-')?;
+    Some((term.parse().ok()?, seq.parse().ok()?))
 }
 
 /// One parsed shipped-log entry.
@@ -175,10 +173,15 @@ impl SharedLog {
         self.term
     }
 
-    fn append(&self, make: impl FnOnce(u64) -> LogRecord) -> StorageResult<u64> {
+    /// Ship the frame `encode` writes for sequence number `seq`.
+    fn append(
+        &self,
+        encode: impl FnOnce(&mut Vec<u8>, u64) -> StorageResult<()>,
+    ) -> StorageResult<u64> {
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        let rec = make(seq);
-        let blob = Bytes::from(serde_json::to_vec(&rec)?);
+        let mut frame = Vec::new();
+        encode(&mut frame, seq)?;
+        let blob = Bytes::from(frame);
         let key = log_key(self.term, seq);
         if self.transport.is_direct() {
             self.store.put(&key, blob)?;
@@ -202,20 +205,20 @@ impl SharedLog {
 
     /// Ship an insert; returns its sequence number. `op_id` is the client's
     /// operation id — replay and client retries dedupe against it.
-    pub fn ship_insert(&self, batch: InsertBatch, op_id: Option<u64>) -> StorageResult<u64> {
-        self.append(|lsn| LogRecord::Insert { lsn, op_id, batch })
+    pub fn ship_insert(&self, batch: &InsertBatch, op_id: Option<u64>) -> StorageResult<u64> {
+        self.append(|out, lsn| LogRecord::encode_insert(out, lsn, op_id, batch))
     }
 
     /// Ship a delete.
-    pub fn ship_delete(&self, ids: Vec<i64>) -> StorageResult<u64> {
-        self.append(|lsn| LogRecord::Delete { lsn, ids })
+    pub fn ship_delete(&self, ids: &[i64]) -> StorageResult<u64> {
+        self.append(|out, lsn| LogRecord::encode_delete(out, lsn, ids))
     }
 
     /// Ship a flush checkpoint: every record `<= upto_seq` of this term (and
     /// every record of earlier terms) is now durable in segments; replay
     /// starts after it.
     pub fn ship_checkpoint(&self, upto_seq: u64) -> StorageResult<u64> {
-        self.append(|_| LogRecord::FlushCheckpoint { lsn: upto_seq })
+        self.append(|out, _| LogRecord::encode_checkpoint(out, upto_seq))
     }
 
     /// All shipped entries, sorted by `(term, seq)`, read directly from the
@@ -251,7 +254,7 @@ impl SharedLog {
             let blob = rpc(&**transport, from, NodeId::Storage, "log_get", retry, true, || {
                 store.get(&key)
             })?;
-            entries.push(LogEntry { term, seq, record: serde_json::from_slice(&blob)? });
+            entries.push(LogEntry { term, seq, record: LogRecord::decode(&blob)? });
         }
         Ok(entries)
     }
@@ -347,8 +350,8 @@ mod tests {
     fn ship_and_replay() {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
         let log = SharedLog::open(Arc::clone(&store)).unwrap();
-        log.ship_insert(batch(vec![1, 2]), Some(7)).unwrap();
-        log.ship_delete(vec![1]).unwrap();
+        log.ship_insert(&batch(vec![1, 2]), Some(7)).unwrap();
+        log.ship_delete(&[1]).unwrap();
         let tail = SharedLog::replay_tail(&store).unwrap();
         assert_eq!(tail.len(), 2);
         let LogRecord::Insert { op_id, .. } = &tail[0] else { panic!() };
@@ -360,9 +363,9 @@ mod tests {
     fn checkpoint_limits_replay() {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
         let log = SharedLog::open(Arc::clone(&store)).unwrap();
-        let s1 = log.ship_insert(batch(vec![1]), None).unwrap();
+        let s1 = log.ship_insert(&batch(vec![1]), None).unwrap();
         log.ship_checkpoint(s1).unwrap();
-        log.ship_insert(batch(vec![2]), None).unwrap();
+        log.ship_insert(&batch(vec![2]), None).unwrap();
         let tail = SharedLog::replay_tail(&store).unwrap();
         assert_eq!(tail.len(), 1);
         let LogRecord::Insert { batch: b, .. } = &tail[0] else { panic!() };
@@ -374,10 +377,10 @@ mod tests {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
         {
             let log = SharedLog::open(Arc::clone(&store)).unwrap();
-            log.ship_insert(batch(vec![1]), None).unwrap();
+            log.ship_insert(&batch(vec![1]), None).unwrap();
         }
         let log = SharedLog::open(Arc::clone(&store)).unwrap();
-        let seq = log.ship_insert(batch(vec![2]), None).unwrap();
+        let seq = log.ship_insert(&batch(vec![2]), None).unwrap();
         assert!(seq >= 2);
     }
 
@@ -385,10 +388,10 @@ mod tests {
     fn truncation_drops_checkpointed_records() {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
         let log = SharedLog::open(Arc::clone(&store)).unwrap();
-        let s1 = log.ship_insert(batch(vec![1]), None).unwrap();
-        let s2 = log.ship_delete(vec![1]).unwrap();
+        let s1 = log.ship_insert(&batch(vec![1]), None).unwrap();
+        let s2 = log.ship_delete(&[1]).unwrap();
         log.ship_checkpoint(s2).unwrap();
-        log.ship_insert(batch(vec![2]), None).unwrap();
+        log.ship_insert(&batch(vec![2]), None).unwrap();
         let removed = log.truncate().unwrap();
         assert_eq!(removed, 2, "records {s1} and {s2} should be truncated");
         // Replay still yields only the post-checkpoint tail.
@@ -397,9 +400,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_untermed_keys_parse_as_term_zero() {
-        assert_eq!(parse_log_key("wal/0000000000000042.json"), Some((0, 42)));
-        assert_eq!(parse_log_key("wal/00000003-0000000000000042.json"), Some((3, 42)));
+    fn keys_carry_term_and_sequence() {
+        assert_eq!(log_key(3, 42), "wal/00000003-0000000000000042.rec");
+        assert_eq!(parse_log_key(&log_key(3, 42)), Some((3, 42)));
+        assert_eq!(parse_log_key("wal/0000000000000042.rec"), None);
         assert_eq!(parse_log_key("wal/garbage"), None);
     }
 
@@ -407,9 +411,9 @@ mod tests {
     fn standby_term_fences_and_wins_cut() {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
         let log0 = SharedLog::open(Arc::clone(&store)).unwrap();
-        let s = log0.ship_insert(batch(vec![1]), None).unwrap();
+        let s = log0.ship_insert(&batch(vec![1]), None).unwrap();
         log0.ship_checkpoint(s).unwrap();
-        log0.ship_insert(batch(vec![2]), None).unwrap();
+        log0.ship_insert(&batch(vec![2]), None).unwrap();
         let direct: Arc<dyn Transport> = Arc::new(Direct);
         let log1 = SharedLog::open_standby(
             Arc::clone(&store),
@@ -425,7 +429,7 @@ mod tests {
         let tail = SharedLog::replay_tail(&store).unwrap();
         assert!(tail.is_empty(), "term-1 checkpoint must cover all of term 0: {tail:?}");
         // And a record the standby ships after the checkpoint is replayed.
-        log1.ship_insert(batch(vec![3]), None).unwrap();
+        log1.ship_insert(&batch(vec![3]), None).unwrap();
         let tail = SharedLog::replay_tail(&store).unwrap();
         assert_eq!(tail.len(), 1);
     }
@@ -438,11 +442,11 @@ mod tests {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
         let log0 = SharedLog::open(Arc::clone(&store)).unwrap();
         for ids in [vec![1], vec![2], vec![3]] {
-            log0.ship_insert(batch(ids), None).unwrap();
+            log0.ship_insert(&batch(ids), None).unwrap();
         }
         log0.ship_checkpoint(2).unwrap(); // stale: covers only seq <= 2
         log0.ship_checkpoint(3).unwrap(); // newer payload
-        log0.ship_insert(batch(vec![4]), None).unwrap();
+        log0.ship_insert(&batch(vec![4]), None).unwrap();
         let before: Vec<String> =
             SharedLog::replay_tail(&store).unwrap().iter().map(|r| format!("{r:?}")).collect();
         log0.truncate().unwrap();

@@ -137,7 +137,10 @@ impl WriterNode {
                     if let Some(op) = op_id {
                         writer.applied_ops.lock().insert(op);
                     }
-                    writer.apply_insert_tolerant(batch)?;
+                    // Idempotent: rows already live in a recovered segment
+                    // (flushed, but the checkpoint covering them was lost)
+                    // are skipped.
+                    writer.for_each_shard(&batch, |engine, sub| engine.replay_insert(&sub, 0))?;
                 }
                 LogRecord::Delete { ids, .. } => writer.apply_delete(&ids)?,
                 LogRecord::FlushCheckpoint { .. } => {}
@@ -203,73 +206,39 @@ impl WriterNode {
         obs::counter(obs::INGEST_BATCHES, "writer").inc();
         obs::counter(obs::INGEST_ROWS, "writer").add(batch.ids.len() as u64);
         if let Some(log) = &self.shared_log {
-            log.ship_insert(batch.clone(), op_id)?;
+            log.ship_insert(&batch, op_id)?;
         }
-        self.apply_insert(batch)?;
+        self.for_each_shard(&batch, |engine, sub| engine.insert(sub))?;
         if let Some(op) = op_id {
             self.applied_ops.lock().insert(op);
         }
         Ok(())
     }
 
-    fn apply_insert(&self, batch: InsertBatch) -> StorageResult<()> {
-        let shards = self.coordinator.shards();
-        let mut rows_per_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    /// Partition `batch` by owning shard and hand every non-empty piece to
+    /// `apply` with that shard's engine.
+    fn for_each_shard(
+        &self,
+        batch: &InsertBatch,
+        mut apply: impl FnMut(&LsmEngine, InsertBatch) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        let mut rows_per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.coordinator.shards()];
         for (row, &id) in batch.ids.iter().enumerate() {
             rows_per_shard[self.coordinator.shard_of(id)].push(row);
         }
-        for (shard, rows) in rows_per_shard.into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
+        for (engine, rows) in self.engines.iter().zip(rows_per_shard) {
+            if !rows.is_empty() {
+                apply(engine, batch.gather(&rows))?;
             }
-            let sub = InsertBatch {
-                ids: rows.iter().map(|&r| batch.ids[r]).collect(),
-                vectors: batch.vectors.iter().map(|col| col.gather(&rows)).collect(),
-                attributes: batch
-                    .attributes
-                    .iter()
-                    .map(|col| rows.iter().map(|&r| col[r]).collect())
-                    .collect(),
-            };
-            self.engines[shard].insert(sub)?;
         }
         Ok(())
-    }
-
-    /// Apply a replayed insert, skipping rows already live in the engines.
-    /// A record can be replayed although its rows were flushed when the
-    /// checkpoint covering it was shipped but lost by the network.
-    fn apply_insert_tolerant(&self, batch: InsertBatch) -> StorageResult<()> {
-        let keep: Vec<usize> = batch
-            .ids
-            .iter()
-            .enumerate()
-            .filter(|&(_, &id)| !self.engines[self.coordinator.shard_of(id)].contains_live(id))
-            .map(|(row, _)| row)
-            .collect();
-        if keep.is_empty() {
-            return Ok(());
-        }
-        if keep.len() == batch.ids.len() {
-            return self.apply_insert(batch);
-        }
-        let sub = InsertBatch {
-            ids: keep.iter().map(|&r| batch.ids[r]).collect(),
-            vectors: batch.vectors.iter().map(|col| col.gather(&keep)).collect(),
-            attributes: batch
-                .attributes
-                .iter()
-                .map(|col| keep.iter().map(|&r| col[r]).collect())
-                .collect(),
-        };
-        self.apply_insert(sub)
     }
 
     /// Route deletes to the owning shards.
     pub fn delete(&self, ids: &[i64]) -> StorageResult<()> {
         obs::counter(obs::DELETE_ROWS, "writer").add(ids.len() as u64);
         if let Some(log) = &self.shared_log {
-            log.ship_delete(ids.to_vec())?;
+            log.ship_delete(ids)?;
         }
         self.apply_delete(ids)
     }

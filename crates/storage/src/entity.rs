@@ -123,6 +123,20 @@ impl InsertBatch {
         self.ids.is_empty()
     }
 
+    /// Copy the entities at `rows` into a new batch (shard partitioning,
+    /// replay of a partly applied record).
+    pub fn gather(&self, rows: &[usize]) -> InsertBatch {
+        InsertBatch {
+            ids: rows.iter().map(|&r| self.ids[r]).collect(),
+            vectors: self.vectors.iter().map(|col| col.gather(rows)).collect(),
+            attributes: self
+                .attributes
+                .iter()
+                .map(|col| rows.iter().map(|&r| col[r]).collect())
+                .collect(),
+        }
+    }
+
     /// Approximate payload size in bytes (drives the flush threshold).
     pub fn memory_bytes(&self) -> usize {
         self.ids.len() * 8

@@ -17,9 +17,6 @@ pub enum StorageError {
     /// A persisted blob failed to decode.
     Corrupt(String),
 
-    /// WAL serialization failure.
-    WalEncode(serde_json::Error),
-
     /// Error bubbled up from the index layer.
     Index(milvus_index::IndexError),
 
@@ -48,7 +45,6 @@ impl fmt::Display for StorageError {
             StorageError::Io(e) => write!(f, "io error: {e}"),
             StorageError::ObjectNotFound(key) => write!(f, "object not found: {key}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
-            StorageError::WalEncode(e) => write!(f, "wal encode error: {e}"),
             StorageError::Index(e) => write!(f, "index error: {e}"),
             StorageError::DuplicateId(id) => write!(f, "duplicate entity id: {id}"),
             StorageError::Unavailable(msg) => write!(f, "unavailable: {msg}"),
@@ -60,7 +56,6 @@ impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StorageError::Io(e) => Some(e),
-            StorageError::WalEncode(e) => Some(e),
             StorageError::Index(e) => Some(e),
             _ => None,
         }
@@ -70,12 +65,6 @@ impl std::error::Error for StorageError {
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {
         StorageError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for StorageError {
-    fn from(e: serde_json::Error) -> Self {
-        StorageError::WalEncode(e)
     }
 }
 

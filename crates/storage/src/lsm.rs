@@ -66,8 +66,6 @@ pub struct LsmEngine {
     wal: Option<Mutex<Wal>>,
     store: Arc<dyn ObjectStore>,
     next_segment_id: AtomicU64,
-    /// Highest LSN included in flushed segments (WAL checkpointing).
-    flushed_lsn: AtomicU64,
 }
 
 impl LsmEngine {
@@ -92,7 +90,6 @@ impl LsmEngine {
             wal,
             store,
             next_segment_id: AtomicU64::new(1),
-            flushed_lsn: AtomicU64::new(0),
         })
     }
 
@@ -146,16 +143,33 @@ impl LsmEngine {
         // Replay the un-checkpointed WAL tail into the memtable.
         for rec in Wal::replay(wal_path)? {
             match rec {
-                LogRecord::Insert { batch, .. } => {
-                    engine.memtable.lock().insert(&batch)?;
-                }
-                LogRecord::Delete { ids, .. } => {
-                    engine.memtable.lock().delete(&ids);
-                }
+                LogRecord::Insert { lsn, batch, .. } => engine.replay_insert(&batch, lsn)?,
+                LogRecord::Delete { lsn, ids } => engine.apply_delete(&ids, lsn),
                 LogRecord::FlushCheckpoint { .. } => {}
             }
         }
         Ok(engine)
+    }
+
+    /// The one replay-apply, used by [`LsmEngine::recover`] and by a standby
+    /// writer replaying the shipped log: buffer a logged insert, skipping
+    /// the rows that are already live. That makes replay idempotent — a
+    /// crash after a segment `put` but before its checkpoint (or a
+    /// checkpoint the network lost) replays records whose rows a loaded
+    /// segment already holds.
+    pub fn replay_insert(&self, batch: &InsertBatch, lsn: u64) -> Result<()> {
+        batch.validate(&self.schema)?;
+        let snap = self.snapshots.current();
+        let mut mt = self.memtable.lock();
+        let fresh: Vec<usize> =
+            (0..batch.len()).filter(|&row| !is_live(&mt, &snap, batch.ids[row])).collect();
+        if fresh.len() == batch.len() {
+            mt.append(batch);
+        } else if !fresh.is_empty() {
+            mt.append(&batch.gather(&fresh));
+        }
+        mt.mark_applied(lsn);
+        Ok(())
     }
 
     /// The collection schema.
@@ -231,12 +245,12 @@ impl LsmEngine {
     /// pending memtable delete). Used by log-replay paths to skip records
     /// whose effects are already materialized.
     pub fn contains_live(&self, id: i64) -> bool {
-        let mt = self.memtable.lock();
-        if mt.contains(id) {
-            return true;
-        }
-        let snap = self.snapshots.current();
-        snap.locate(id).is_some() && !mt.pending_deletes().contains(&id)
+        is_live(&self.memtable.lock(), &self.snapshots.current(), id)
+    }
+
+    /// Append to the WAL (when configured) through `append`; 0 without one.
+    fn log(&self, append: impl FnOnce(&mut Wal) -> Result<u64>) -> Result<u64> {
+        self.wal.as_ref().map_or(Ok(0), |wal| append(&mut wal.lock()))
     }
 
     /// Insert a batch: WAL append (when configured) → memtable → maybe flush.
@@ -245,18 +259,15 @@ impl LsmEngine {
         let snap = self.snapshots.current();
         let should_flush = {
             let mut mt = self.memtable.lock();
-            // Reject ids already live in flushed segments (primary-key
-            // property) — unless an unflushed delete already tombstones them
-            // (update = delete + insert, §2.3).
-            for &id in &batch.ids {
-                if snap.locate(id).is_some() && !mt.pending_deletes().contains(&id) {
-                    return Err(crate::error::StorageError::DuplicateId(id));
-                }
+            // Reject ids already live (primary-key property) before the
+            // batch is logged — a flushed id that an unflushed delete
+            // tombstones is not live (update = delete + insert, §2.3).
+            if let Some(&id) = batch.ids.iter().find(|&&id| is_live(&mt, &snap, id)) {
+                return Err(crate::error::StorageError::DuplicateId(id));
             }
-            if let Some(wal) = &self.wal {
-                wal.lock().append_insert(batch.clone())?;
-            }
-            mt.insert(&batch)?;
+            let lsn = self.log(|wal| wal.append_insert(&batch))?;
+            mt.append(&batch);
+            mt.mark_applied(lsn);
             mt.memory_bytes() >= self.config.flush_threshold_bytes
         };
         if should_flush {
@@ -266,9 +277,16 @@ impl LsmEngine {
     }
 
     /// §5.1 split path, step 1: materialize an insert to the WAL **only**
-    /// (the foreground ack point). Validates the batch and the primary-key
-    /// property so the caller learns about bad input synchronously.
-    pub fn log_insert(&self, batch: &InsertBatch) -> Result<()> {
+    /// (the foreground ack point) and return its LSN (0 without a WAL).
+    /// Validates the batch and the primary-key property so the caller learns
+    /// about bad input synchronously.
+    ///
+    /// The split path's contract: every logged operation is handed to
+    /// `apply_insert` / `apply_delete` with its LSN, **in LSN order**, and
+    /// not interleaved with [`LsmEngine::insert`] / [`LsmEngine::delete`] —
+    /// a flush checkpoints the highest applied LSN, which covers everything
+    /// below it.
+    pub fn log_insert(&self, batch: &InsertBatch) -> Result<u64> {
         self.log_insert_with_overlay(batch, &HashSet::new())
     }
 
@@ -279,65 +297,63 @@ impl LsmEngine {
         &self,
         batch: &InsertBatch,
         unapplied_deletes: &HashSet<i64>,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         batch.validate(&self.schema)?;
         let snap = self.snapshots.current();
         {
             let mt = self.memtable.lock();
             for &id in &batch.ids {
-                if mt.contains(id) && !unapplied_deletes.contains(&id) {
-                    return Err(crate::error::StorageError::DuplicateId(id));
-                }
-                if snap.locate(id).is_some()
-                    && !mt.pending_deletes().contains(&id)
-                    && !unapplied_deletes.contains(&id)
-                {
+                if is_live(&mt, &snap, id) && !unapplied_deletes.contains(&id) {
                     return Err(crate::error::StorageError::DuplicateId(id));
                 }
             }
         }
-        if let Some(wal) = &self.wal {
-            wal.lock().append_insert(batch.clone())?;
-        }
-        Ok(())
+        self.log(|wal| wal.append_insert(batch))
     }
 
-    /// §5.1 split path, step 2: apply a previously-logged insert to the
-    /// memtable (the background thread's work). No WAL append.
-    pub fn apply_insert(&self, batch: &InsertBatch) -> Result<bool> {
+    /// §5.1 split path, step 2: apply the insert logged as `lsn` to the
+    /// memtable (the background thread's work). No WAL append. Returns
+    /// whether the memtable has reached the flush threshold.
+    pub fn apply_insert(&self, batch: &InsertBatch, lsn: u64) -> Result<bool> {
         let mut mt = self.memtable.lock();
         mt.insert(batch)?;
+        mt.mark_applied(lsn);
         Ok(mt.memory_bytes() >= self.config.flush_threshold_bytes)
     }
 
-    /// §5.1 split path: materialize a delete to the WAL only.
-    pub fn log_delete(&self, ids: &[i64]) -> Result<()> {
-        if let Some(wal) = &self.wal {
-            wal.lock().append_delete(ids.to_vec())?;
-        }
-        Ok(())
+    /// §5.1 split path: materialize a delete to the WAL only; returns its
+    /// LSN (0 without a WAL).
+    pub fn log_delete(&self, ids: &[i64]) -> Result<u64> {
+        self.log(|wal| wal.append_delete(ids))
     }
 
-    /// §5.1 split path: apply a previously-logged delete to the memtable.
-    pub fn apply_delete(&self, ids: &[i64]) {
+    /// §5.1 split path: apply the delete logged as `lsn` to the memtable.
+    pub fn apply_delete(&self, ids: &[i64], lsn: u64) {
         obs::counter(obs::DELETE_ROWS, &self.config.metrics_label).add(ids.len() as u64);
-        self.memtable.lock().delete(ids);
+        let mut mt = self.memtable.lock();
+        mt.delete(ids);
+        mt.mark_applied(lsn);
     }
 
     /// Delete entities by id (out-of-place, §2.3).
     pub fn delete(&self, ids: &[i64]) -> Result<()> {
-        if let Some(wal) = &self.wal {
-            wal.lock().append_delete(ids.to_vec())?;
-        }
+        // Logged and applied under one memtable lock, so that a concurrent
+        // flush drains either both or neither.
+        let mut mt = self.memtable.lock();
+        let lsn = self.log(|wal| wal.append_delete(ids))?;
         obs::counter(obs::DELETE_ROWS, &self.config.metrics_label).add(ids.len() as u64);
-        self.memtable.lock().delete(ids);
+        mt.delete(ids);
+        mt.mark_applied(lsn);
         Ok(())
     }
 
     /// Force the memtable to disk as a new segment, apply pending deletes as
-    /// tombstone versions, publish a new snapshot and checkpoint the WAL.
+    /// tombstone versions, publish a new snapshot, then checkpoint and
+    /// truncate the WAL at the highest LSN the drained memtable had applied —
+    /// never at a record that is logged (and acknowledged) but still waiting
+    /// to be applied.
     pub fn flush(&self) -> Result<Arc<Snapshot>> {
-        let (batch, deletes) = self.memtable.lock().drain();
+        let (batch, deletes, applied_lsn) = self.memtable.lock().drain();
         let did_work = !batch.is_empty() || !deletes.is_empty();
         let span = did_work
             .then(|| obs::span(obs::MEMTABLE_FLUSH_LATENCY, &self.config.metrics_label));
@@ -381,9 +397,8 @@ impl LsmEngine {
 
         if let Some(wal) = &self.wal {
             let mut wal = wal.lock();
-            let lsn = wal.next_lsn().saturating_sub(1);
-            wal.append_checkpoint(lsn)?;
-            self.flushed_lsn.store(lsn, Ordering::SeqCst);
+            wal.append_checkpoint(applied_lsn)?;
+            wal.truncate(applied_lsn)?;
         }
 
         if self.config.auto_merge {
@@ -457,6 +472,12 @@ impl LsmEngine {
     pub fn collect_garbage(&self) -> (usize, usize) {
         self.snapshots.collect_garbage()
     }
+}
+
+/// Whether `id` is buffered in `mt`, or in a segment of `snap` and not
+/// tombstoned there or by a delete pending in `mt`.
+fn is_live(mt: &MemTable, snap: &Snapshot, id: i64) -> bool {
+    mt.contains(id) || (snap.locate(id).is_some() && !mt.pending_deletes().contains(&id))
 }
 
 fn parse_segment_key(key: &str) -> Option<(u64, u64)> {
@@ -602,20 +623,13 @@ mod tests {
 
     #[test]
     fn wal_recovery_restores_unflushed_rows() {
-        let dir = std::env::temp_dir().join(format!("milvus-lsm-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wal_dir("tail");
         let wal_path = dir.join("wal.log");
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
 
         {
-            let e = LsmEngine::new(
-                schema(),
-                LsmConfig { flush_threshold_bytes: 1 << 20, auto_merge: false, ..Default::default() },
-                Arc::clone(&store),
-                Some(&wal_path),
-            )
-            .unwrap();
+            let e = LsmEngine::new(schema(), durable_config(), Arc::clone(&store), Some(&wal_path))
+                .unwrap();
             e.insert(batch(0..5)).unwrap();
             e.flush().unwrap();
             e.insert(batch(5..8)).unwrap();
@@ -623,19 +637,128 @@ mod tests {
             // Crash here: rows 5..8 and delete(0) only in the WAL.
         }
 
-        let recovered = LsmEngine::recover(
-            schema(),
-            LsmConfig { flush_threshold_bytes: 1 << 20, auto_merge: false, ..Default::default() },
-            store,
-            &wal_path,
-        )
-        .unwrap();
+        let recovered =
+            LsmEngine::recover(schema(), durable_config(), store, &wal_path).unwrap();
         assert_eq!(recovered.snapshot().live_rows(), 5); // flushed part
         assert_eq!(recovered.pending_rows(), 3); // replayed tail
         recovered.flush().unwrap();
         let snap = recovered.snapshot();
         assert_eq!(snap.live_rows(), 7); // 5 - delete(0) + 3
         assert!(snap.locate(0).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn wal_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("milvus-lsm-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn durable_config() -> LsmConfig {
+        LsmConfig { flush_threshold_bytes: 1 << 20, auto_merge: false, ..Default::default() }
+    }
+
+    /// The checkpoint must not cover a record that is logged and
+    /// acknowledged but not yet applied (queued behind the flush in the
+    /// asynchronous path): such a record stays in the log and comes back.
+    #[test]
+    fn checkpoint_never_covers_a_logged_but_unapplied_record() {
+        let dir = wal_dir("unapplied");
+        let wal_path = dir.join("wal.log");
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        {
+            let e = LsmEngine::new(schema(), durable_config(), Arc::clone(&store), Some(&wal_path))
+                .unwrap();
+            let b1 = batch(0..5);
+            let l1 = e.log_insert(&b1).unwrap();
+            e.apply_insert(&b1, l1).unwrap();
+            let l2 = e.log_insert(&batch(5..8)).unwrap();
+            assert_eq!((l1, l2), (1, 2));
+            e.flush().unwrap();
+            // Crash: the second insert was acknowledged, never applied.
+        }
+        let recovered =
+            LsmEngine::recover(schema(), durable_config(), store, &wal_path).unwrap();
+        assert_eq!(recovered.snapshot().live_rows(), 5);
+        assert_eq!(recovered.pending_rows(), 3, "the unapplied insert is replayed");
+        recovered.flush().unwrap();
+        assert_eq!(recovered.snapshot().live_rows(), 8);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash after the segment `put` but before the checkpoint replays
+    /// inserts whose rows a loaded segment already holds: replay skips them.
+    #[test]
+    fn replay_skips_rows_that_are_already_in_a_segment() {
+        let dir = wal_dir("idempotent");
+        let wal_path = dir.join("wal.log");
+        let before_flush = dir.join("before-flush.log");
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        {
+            let e = LsmEngine::new(schema(), durable_config(), Arc::clone(&store), Some(&wal_path))
+                .unwrap();
+            e.insert(batch(0..5)).unwrap();
+            e.delete(&[1]).unwrap();
+            std::fs::copy(&wal_path, &before_flush).unwrap();
+            e.flush().unwrap();
+        }
+        // The segment is in the store; the log is as it was before the flush.
+        std::fs::copy(&before_flush, &wal_path).unwrap();
+        let recovered =
+            LsmEngine::recover(schema(), durable_config(), store, &wal_path).unwrap();
+        assert_eq!(recovered.pending_rows(), 0, "rows 0..5 are live in the segment already");
+        recovered.flush().unwrap();
+        let snap = recovered.snapshot();
+        assert_eq!(snap.live_rows(), 4);
+        assert!(snap.locate(1).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// With nothing pending, a flush leaves a log of a header and at most
+    /// one checkpoint frame — whatever was inserted before.
+    #[test]
+    fn flush_truncates_the_log() {
+        let dir = wal_dir("truncates");
+        let wal_path = dir.join("wal.log");
+        let e = LsmEngine::new(
+            schema(),
+            durable_config(),
+            Arc::new(MemoryStore::new()),
+            Some(&wal_path),
+        )
+        .unwrap();
+        let log_len = || std::fs::metadata(&wal_path).unwrap().len();
+        for round in 0..3 {
+            e.insert(batch(round * 100..round * 100 + 100)).unwrap();
+            e.delete(&[round * 100]).unwrap();
+            assert!(log_len() > 100 * 8, "the records are in the log before the flush");
+            e.flush().unwrap();
+            assert!(log_len() <= 16 + 17, "round {round}: {} bytes left", log_len());
+        }
+        assert_eq!(e.snapshot().live_rows(), 297);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A batch the engine refuses is not logged: recovery must not bring
+    /// back part of an insert whose caller was told it failed.
+    #[test]
+    fn refused_insert_is_not_logged() {
+        let dir = wal_dir("refused");
+        let wal_path = dir.join("wal.log");
+        let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+        {
+            let e = LsmEngine::new(schema(), durable_config(), Arc::clone(&store), Some(&wal_path))
+                .unwrap();
+            e.insert(batch(0..3)).unwrap();
+            assert!(matches!(
+                e.insert(batch(2..6)),
+                Err(crate::error::StorageError::DuplicateId(2))
+            ));
+        }
+        let recovered =
+            LsmEngine::recover(schema(), durable_config(), store, &wal_path).unwrap();
+        assert_eq!(recovered.pending_rows(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -649,28 +772,16 @@ mod tests {
     #[test]
     fn persisted_segments_survive_reopen_without_wal_tail() {
         let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
-        let dir = std::env::temp_dir().join(format!("milvus-lsm2-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wal_dir("reopen");
         let wal_path = dir.join("wal.log");
         {
-            let e = LsmEngine::new(
-                schema(),
-                LsmConfig { auto_merge: false, ..Default::default() },
-                Arc::clone(&store),
-                Some(&wal_path),
-            )
-            .unwrap();
+            let e = LsmEngine::new(schema(), durable_config(), Arc::clone(&store), Some(&wal_path))
+                .unwrap();
             e.insert(batch(0..20)).unwrap();
             e.flush().unwrap();
         }
-        let recovered = LsmEngine::recover(
-            schema(),
-            LsmConfig { auto_merge: false, ..Default::default() },
-            store,
-            &wal_path,
-        )
-        .unwrap();
+        let recovered =
+            LsmEngine::recover(schema(), durable_config(), store, &wal_path).unwrap();
         assert_eq!(recovered.snapshot().live_rows(), 20);
         assert_eq!(recovered.pending_rows(), 0);
         std::fs::remove_dir_all(&dir).unwrap();

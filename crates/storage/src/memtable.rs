@@ -24,6 +24,9 @@ pub struct MemTable {
     /// Deletes that refer to rows *not* in this memtable (flushed segments).
     pending_deletes: HashSet<i64>,
     bytes: usize,
+    /// Highest log sequence number whose operation this memtable has taken
+    /// in (0: none, or no log). Survives [`MemTable::drain`].
+    applied_lsn: u64,
 }
 
 impl MemTable {
@@ -31,7 +34,22 @@ impl MemTable {
     pub fn new(schema: Schema) -> Self {
         let vectors = schema.vector_fields.iter().map(|f| VectorSet::new(f.dim)).collect();
         let attributes = schema.attribute_fields.iter().map(|_| Vec::new()).collect();
-        Self { schema, ids: Vec::new(), vectors, attributes, pending_deletes: HashSet::new(), bytes: 0 }
+        Self {
+            schema,
+            ids: Vec::new(),
+            vectors,
+            attributes,
+            pending_deletes: HashSet::new(),
+            bytes: 0,
+            applied_lsn: 0,
+        }
+    }
+
+    /// Note that the logged operation `lsn` is applied. Operations are
+    /// applied in log order, so everything `<= lsn` is in this memtable or
+    /// in a segment drained from it.
+    pub fn mark_applied(&mut self, lsn: u64) {
+        self.applied_lsn = self.applied_lsn.max(lsn);
     }
 
     /// Buffered entity count.
@@ -62,14 +80,20 @@ impl MemTable {
     /// Buffer an insert batch.
     pub fn insert(&mut self, batch: &InsertBatch) -> Result<()> {
         batch.validate(&self.schema)?;
-        for &id in &batch.ids {
-            if self.contains(id) {
-                return Err(StorageError::DuplicateId(id));
-            }
-            // Note: a pending delete of the same id is kept — it refers to
-            // the *flushed* copy, which must still be tombstoned. The new row
-            // lands in a newer segment (update = delete + insert, §2.3).
+        if let Some(&id) = batch.ids.iter().find(|&&id| self.contains(id)) {
+            return Err(StorageError::DuplicateId(id));
         }
+        self.append(batch);
+        Ok(())
+    }
+
+    /// Buffer a batch that the caller has validated against the schema and
+    /// found free of buffered ids ([`MemTable::contains`] is a scan, and
+    /// the engine has to make both checks before it logs the batch).
+    pub(crate) fn append(&mut self, batch: &InsertBatch) {
+        // A pending delete of an inserted id is kept — it refers to the
+        // *flushed* copy, which must still be tombstoned. The new row lands
+        // in a newer segment (update = delete + insert, §2.3).
         self.ids.extend_from_slice(&batch.ids);
         for (col, add) in self.vectors.iter_mut().zip(&batch.vectors) {
             col.extend_from(add);
@@ -78,7 +102,6 @@ impl MemTable {
             col.extend_from_slice(add);
         }
         self.bytes += batch.memory_bytes();
-        Ok(())
     }
 
     /// Apply deletes: pending inserts with these ids are dropped; ids not
@@ -108,8 +131,10 @@ impl MemTable {
     }
 
     /// Drain the buffer into an [`InsertBatch`] (for segment flush) plus the
-    /// accumulated segment-bound deletes, resetting the memtable.
-    pub fn drain(&mut self) -> (InsertBatch, Vec<i64>) {
+    /// accumulated segment-bound deletes, resetting the memtable. The third
+    /// value is the highest applied LSN: what a flush of the drained rows
+    /// may checkpoint.
+    pub fn drain(&mut self) -> (InsertBatch, Vec<i64>, u64) {
         let batch = InsertBatch {
             ids: std::mem::take(&mut self.ids),
             vectors: self
@@ -122,7 +147,7 @@ impl MemTable {
         let mut deletes: Vec<i64> = self.pending_deletes.drain().collect();
         deletes.sort_unstable();
         self.bytes = 0;
-        (batch, deletes)
+        (batch, deletes, self.applied_lsn)
     }
 
     /// Search the buffered rows brute-force (reads that opt into seeing
@@ -217,9 +242,13 @@ mod tests {
         let mut mt = MemTable::new(schema());
         mt.insert(&batch(vec![1, 2])).unwrap();
         mt.delete(&[99]);
-        let (b, d) = mt.drain();
+        mt.mark_applied(7);
+        mt.mark_applied(3);
+        let (b, d, applied) = mt.drain();
         assert_eq!(b.ids, vec![1, 2]);
         assert_eq!(d, vec![99]);
+        assert_eq!(applied, 7);
+        assert_eq!(mt.drain().2, 7, "the applied LSN outlives a drain");
         assert!(mt.is_empty());
         assert_eq!(mt.memory_bytes(), 0);
         assert!(mt.pending_deletes().is_empty());

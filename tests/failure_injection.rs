@@ -221,21 +221,124 @@ fn recover_surfaces_read_failures() {
 }
 
 #[test]
-fn corrupt_wal_line_is_an_error_not_a_panic() {
+fn corrupt_wal_frame_is_an_error_not_a_panic() {
+    use milvus_storage::wal::Wal;
+
     let dir = std::env::temp_dir().join(format!("milvus-walcorrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let wal_path = dir.join("wal.log");
     {
-        let mut wal = milvus_storage::wal::Wal::open(&wal_path).unwrap();
-        wal.append_insert(batch(0..2)).unwrap();
+        let mut wal = Wal::open(&wal_path).unwrap();
+        wal.append_insert(&batch(0..2)).unwrap();
+        wal.append_delete(&[1]).unwrap();
     }
-    // Append garbage (torn write).
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new().append(true).open(&wal_path).unwrap();
-    writeln!(f, "{{this is not json").unwrap();
-    drop(f);
-    assert!(milvus_storage::wal::Wal::replay(&wal_path).is_err());
+    let good = std::fs::read(&wal_path).unwrap();
+
+    // Garbage glued on after the last frame reads as a frame that runs past
+    // end-of-file — a torn append: recovery stops cleanly before it.
+    let mut torn = good.clone();
+    torn.extend_from_slice(b"{this is not a frame");
+    std::fs::write(&wal_path, &torn).unwrap();
+    assert_eq!(Wal::replay(&wal_path).unwrap().len(), 2);
+
+    // A damaged byte inside a whole frame is corruption: refused, by the
+    // log and by engine recovery, and the file is left as it was.
+    let mut bad = good.clone();
+    let mid = bad.len() / 2;
+    bad[mid] ^= 0xFF;
+    std::fs::write(&wal_path, &bad).unwrap();
+    assert!(matches!(Wal::replay(&wal_path), Err(StorageError::Corrupt(_))));
+    let recovered = LsmEngine::recover(
+        schema(),
+        LsmConfig::default(),
+        Arc::new(MemoryStore::new()),
+        &wal_path,
+    );
+    assert!(matches!(recovered, Err(StorageError::Corrupt(_))));
+    assert_eq!(std::fs::read(&wal_path).unwrap(), bad);
+
+    // So is a log in the old newline-delimited JSON format.
+    std::fs::write(&wal_path, b"{\"Delete\":{\"lsn\":1,\"ids\":[1]}}\n").unwrap();
+    assert!(matches!(Wal::replay(&wal_path), Err(StorageError::Corrupt(_))));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A store whose `put` waits at a gate, to hold a flush between draining the
+/// memtable and checkpointing the log.
+struct GatedStore {
+    inner: MemoryStore,
+    /// Sent to when a `put` arrives at the gate.
+    arrived: std::sync::mpsc::SyncSender<()>,
+    /// `put` proceeds once this yields.
+    open: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    gated: AtomicBool,
+}
+
+impl ObjectStore for GatedStore {
+    fn put(&self, key: &str, data: Bytes) -> StorageResult<()> {
+        if self.gated.load(Ordering::SeqCst) {
+            self.arrived.send(()).unwrap();
+            self.open.lock().unwrap().recv().unwrap();
+        }
+        self.inner.put(key, data)
+    }
+    fn get(&self, key: &str) -> StorageResult<Bytes> {
+        self.inner.get(key)
+    }
+    fn delete(&self, key: &str) -> StorageResult<()> {
+        self.inner.delete(key)
+    }
+    fn list(&self, prefix: &str) -> StorageResult<Vec<String>> {
+        self.inner.list(prefix)
+    }
+}
+
+/// An insert that is acknowledged while a flush is under way — logged, and
+/// queued behind the flush barrier — must survive a crash right after that
+/// flush: its checkpoint covers what the flush had applied, no more.
+#[test]
+fn insert_acknowledged_during_a_flush_survives_a_crash() {
+    use milvus_core::{CollectionConfig, Milvus};
+
+    let dir = std::env::temp_dir().join(format!("milvus-barrier-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = CollectionConfig {
+        wal_path: Some(dir.join("wal.log")),
+        auto_index_type: None,
+        flush_interval: std::time::Duration::from_secs(3600),
+        ..CollectionConfig::for_tests()
+    };
+    let (arrived_tx, arrived) = std::sync::mpsc::sync_channel(1);
+    let (open, open_rx) = std::sync::mpsc::sync_channel(1);
+    let store = Arc::new(GatedStore {
+        inner: MemoryStore::new(),
+        arrived: arrived_tx,
+        open: std::sync::Mutex::new(open_rx),
+        gated: AtomicBool::new(true),
+    });
+    {
+        let m = Milvus::with_store(store.clone() as Arc<dyn ObjectStore>);
+        let col = m.create_collection("barrier", schema(), config.clone()).unwrap();
+        col.insert(batch(0..10)).unwrap();
+        std::thread::scope(|s| {
+            let flusher = s.spawn(|| col.flush());
+            // The flush has drained rows 0..10 and is writing their segment.
+            arrived.recv().unwrap();
+            col.insert(batch(10..15)).unwrap();
+            store.gated.store(false, Ordering::SeqCst);
+            open.send(()).unwrap();
+            flusher.join().unwrap().unwrap();
+        });
+        assert_eq!(col.num_entities(), 10);
+        // Crash: rows 10..15 were acknowledged, and never flushed.
+    }
+    let m = Milvus::with_store(store as Arc<dyn ObjectStore>);
+    let col = m.create_collection("barrier", schema(), config).unwrap();
+    assert_eq!(col.num_entities(), 10);
+    col.flush().unwrap();
+    assert_eq!(col.num_entities(), 15, "the insert acknowledged during the flush is back");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
