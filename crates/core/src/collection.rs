@@ -5,7 +5,6 @@
 //! and answers the paper's three primitive query types: vector query,
 //! attribute filtering, and multi-vector query.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -14,7 +13,7 @@ use milvus_exec::Executor;
 use milvus_index::distance::distance;
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::SearchParams;
-use milvus_index::{IndexError, Metric, Neighbor, TopK, VectorSet};
+use milvus_index::{IndexError, Metric, Neighbor, RowMask, TopK, VectorSet};
 use milvus_obs as obs;
 use milvus_query::multivector::MultiVectorEngine;
 use milvus_storage::object_store::ObjectStore;
@@ -85,6 +84,11 @@ pub struct Collection {
     query_nprobe: Arc<obs::Counter>,
     query_ef: Arc<obs::Counter>,
     query_errors: Arc<obs::Counter>,
+    /// Filtered-search counts per (segment, query) pair — independent of how
+    /// queries were coalesced, so they repeat exactly for a fixed workload.
+    filter_rows_passing: Arc<obs::Counter>,
+    filter_strategy_a: Arc<obs::Counter>,
+    filter_strategy_b: Arc<obs::Counter>,
 }
 
 impl Collection {
@@ -119,6 +123,9 @@ impl Collection {
             query_nprobe: obs::counter(obs::QUERY_NPROBE_EFFECTIVE, &name),
             query_ef: obs::counter(obs::QUERY_EF_EFFECTIVE, &name),
             query_errors: obs::counter(obs::QUERY_ERRORS, &name),
+            filter_rows_passing: obs::counter(obs::FILTER_ROWS_PASSING, &name),
+            filter_strategy_a: obs::counter(obs::FILTER_STRATEGY_A, &name),
+            filter_strategy_b: obs::counter(obs::FILTER_STRATEGY_B, &name),
             trace_label: Arc::from(name.as_str()),
             name,
             scheduler,
@@ -464,49 +471,55 @@ impl Collection {
 
     /// One segment's answers for one group. Vector groups go straight to
     /// [`Segment::search_batch`]. Filtered groups evaluate the predicate once
-    /// for the whole group, then pick per segment between the exact scan of
-    /// the passers (strategy A, when the predicate is highly selective or the
-    /// segment has no index) and the filtered index search (strategy B).
+    /// for the whole group, into a bitmap over the segment's rows, then pick
+    /// per segment between the exact scan of the passers (strategy A, when
+    /// the predicate is highly selective or the segment has no index) and the
+    /// index search under the bitmap (strategy B).
     fn scan_group(&self, seg: &Segment, group: &Group<'_>, trace_on: bool) -> GroupScan {
         let clock = || trace_on.then(Instant::now);
         let (field, params) = (group.req.field(), group.req.params());
+        let members = group.idxs.len() as u64;
         let mut out = GroupScan::default();
 
-        let mut passers: Option<HashSet<i64>> = None;
+        let mut passers: Option<RowMask> = None;
         if let Some((ai, lo, hi)) = group.plan.filter {
             let f_start = clock();
-            let column = &seg.data().attributes[ai];
-            out.passing = column.count_range(lo, hi);
-            if out.passing > 0 {
-                passers = Some(column.range_rows(lo, hi).into_iter().collect());
-            }
+            let mask = seg.data().attributes[ai].range_mask(lo, hi);
+            out.passing = mask.count();
             out.filter_window = f_start.zip(clock());
+            self.filter_rows_passing.add(out.passing as u64 * members);
             if out.passing == 0 {
                 // Nothing passes: this segment contributes an empty list.
                 out.lists = group.idxs.iter().map(|_| Ok(Vec::new())).collect();
                 return out;
             }
+            passers = Some(mask);
         }
 
         let s_start = clock();
         match &passers {
-            Some(rows) if out.passing <= params.k * 8 || seg.index(field).is_none() => {
+            Some(mask) if out.passing <= params.k * 8 || seg.index(field).is_none() => {
+                self.filter_strategy_a.add(members);
                 out.rows_scanned = out.passing as u64;
+                let visible = seg.visible(Some(mask));
+                let visible = visible.as_deref().unwrap_or(mask);
                 out.lists = group
                     .queries
                     .iter()
-                    .map(|q| scan_passers(seg, &group.plan, q, rows, params.k))
+                    .map(|q| scan_passers(seg, &group.plan, q, visible, params.k))
                     .collect();
             }
             _ => {
-                let allow = passers.as_ref().map(|rows| move |id: i64| rows.contains(&id));
+                if passers.is_some() {
+                    self.filter_strategy_b.add(members);
+                }
                 let (lists, stats) = seg.search_batch(
                     &self.schema,
                     field,
                     &group.queries,
                     &group.ks,
                     params,
-                    allow.as_ref().map(|f| f as &dyn Fn(i64) -> bool),
+                    passers.as_ref(),
                 );
                 out.rows_scanned = stats.rows_scanned;
                 out.lists = lists;
@@ -522,12 +535,7 @@ impl Collection {
         let seg = snap.locate(id)?;
         let row = seg.data().row_ids.binary_search(&id).ok()?;
         let vectors = seg.data().vectors.iter().map(|col| col.get(row).to_vec()).collect();
-        let attributes = seg
-            .data()
-            .attributes
-            .iter()
-            .map(|col| col.value_of(id).expect("attribute present for live row"))
-            .collect();
+        let attributes = seg.data().attributes.iter().map(|col| col.value_at(row)).collect();
         Some(EntityView { id, vectors, attributes })
     }
 
@@ -633,8 +641,9 @@ impl Collection {
             self.schema.vector_fields.iter().map(|f| VectorSet::new(f.dim)).collect();
         let mut ids = Vec::new();
         for seg in &snap.segments {
+            let live = seg.visible(None);
             for (row, &id) in seg.data().row_ids.iter().enumerate() {
-                if seg.is_deleted(id) {
+                if live.as_deref().is_some_and(|live| !live.get(row)) {
                     continue;
                 }
                 ids.push(id);
@@ -719,13 +728,13 @@ struct GroupScan {
     scan_window: Option<(Instant, Instant)>,
 }
 
-/// Filter strategy A: exact distances to exactly the rows that pass the
-/// predicate, looked up by id.
+/// Filter strategy A: exact distances to exactly the `visible` rows — the
+/// live ones that pass the predicate.
 fn scan_passers(
     seg: &Segment,
     plan: &Resolved,
     query: &[f32],
-    rows: &HashSet<i64>,
+    visible: &RowMask,
     k: usize,
 ) -> milvus_storage::Result<Vec<Neighbor>> {
     let col = &seg.data().vectors[plan.fi];
@@ -733,12 +742,8 @@ fn scan_passers(
         return Err(IndexError::DimensionMismatch { expected: col.dim(), got: query.len() }.into());
     }
     let mut heap = TopK::new(k.max(1));
-    for &id in rows {
-        if seg.is_deleted(id) {
-            continue;
-        }
-        let row = seg.data().row_ids.binary_search(&id).expect("column ids exist in segment");
-        heap.push(id, distance(plan.metric, query, col.get(row)));
+    for row in visible.iter() {
+        heap.push(seg.data().row_ids[row], distance(plan.metric, query, col.get(row)));
     }
     Ok(heap.into_sorted())
 }

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use milvus_index::ivf::{IvfIndex, IvfVariant};
 use milvus_index::traits::{BuildParams, SearchParams};
-use milvus_index::{IndexError, Metric, Neighbor, TopK, VectorIndex, VectorSet};
+use milvus_index::{IndexError, Metric, Neighbor, RowMask, TopK, VectorIndex, VectorSet};
 
 use crate::device::GpuDevice;
 use crate::transfer::{CopyStrategy, TransferPlan};
@@ -281,14 +281,15 @@ impl VectorIndex for Sq8hIndex {
         Ok(results.pop().unwrap_or_default())
     }
 
-    fn search_filtered(
+    fn search_masked(
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: &dyn Fn(i64) -> bool,
+        mask: &RowMask,
     ) -> Result<Vec<Neighbor>, IndexError> {
-        // Filtered search runs the CPU scan path with the predicate; the
-        // GPU step-1 probe is unaffected by filtering.
+        mask.check_covers(self.len())?;
+        // Masked search runs the CPU scan path with the bitmap; the GPU
+        // step-1 probe is unaffected by filtering.
         let (probes, _) = self.gpu_step1(
             &VectorSet::from_flat(query.len(), query.to_vec()),
             params.nprobe,
@@ -296,7 +297,7 @@ impl VectorIndex for Sq8hIndex {
         let prepared = self.ivf.prepare(query);
         let mut heap = TopK::new(params.k.max(1));
         for &b in &probes[0] {
-            self.ivf.scan_bucket_prepared(b, &prepared, &mut heap, Some(allow));
+            self.ivf.scan_bucket_prepared(b, &prepared, &mut heap, Some(mask));
         }
         Ok(heap.into_sorted())
     }
@@ -436,7 +437,8 @@ mod tests {
         let idx = build_index(400, 64 << 20);
         let q = queries(1);
         let sp = SearchParams { k: 10, nprobe: 8, ..Default::default() };
-        let res = idx.search_filtered(q.get(0), &sp, &|id| id % 2 == 0).unwrap();
+        let evens: Vec<u32> = (0..400).filter(|r| r % 2 == 0).collect();
+        let res = idx.search_masked(q.get(0), &sp, &RowMask::from_positions(400, &evens)).unwrap();
         assert!(!res.is_empty());
         assert!(res.iter().all(|n| n.id % 2 == 0));
     }

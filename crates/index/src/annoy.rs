@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::distance;
 use crate::error::{IndexError, Result};
+use crate::mask::RowMask;
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
 use crate::traits::{BuildParams, IndexBuilder, SearchParams, VectorIndex};
@@ -87,7 +88,7 @@ impl AnnoyIndex {
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: Option<&dyn Fn(i64) -> bool>,
+        mask: Option<&RowMask>,
     ) -> Result<Vec<Neighbor>> {
         if query.len() != self.dim {
             return Err(IndexError::DimensionMismatch { expected: self.dim, got: query.len() });
@@ -127,10 +128,9 @@ impl AnnoyIndex {
         candidates.dedup();
         let mut heap = TopK::new(params.k.max(1));
         for row in candidates {
-            let id = self.ids[row as usize];
-            if allow.is_none_or(|f| f(id)) {
+            if mask.is_none_or(|m| m.get(row as usize)) {
                 let d = distance::distance(self.inner_metric, &q, self.vectors.get(row as usize));
-                heap.push(id, d);
+                heap.push(self.ids[row as usize], d);
             }
         }
         Ok(heap.into_sorted())
@@ -214,13 +214,14 @@ impl VectorIndex for AnnoyIndex {
         self.search_impl(query, params, None)
     }
 
-    fn search_filtered(
+    fn search_masked(
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: &dyn Fn(i64) -> bool,
+        mask: &RowMask,
     ) -> Result<Vec<Neighbor>> {
-        self.search_impl(query, params, Some(allow))
+        mask.check_covers(self.len())?;
+        self.search_impl(query, params, Some(mask))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -338,7 +339,9 @@ mod tests {
         let (vs, ids) = random_data(200, 6, 17);
         let annoy = AnnoyIndex::build(&vs, &ids, &BuildParams::default()).unwrap();
         let sp = SearchParams { k: 10, search_nodes: 200, ..Default::default() };
-        let res = annoy.search_filtered(vs.get(0), &sp, &|id| id % 3 == 0).unwrap();
+        let thirds: Vec<u32> = (0..200).filter(|r| r % 3 == 0).collect();
+        let res = annoy.search_masked(vs.get(0), &sp, &RowMask::from_positions(200, &thirds)).unwrap();
+        assert!(!res.is_empty());
         assert!(res.iter().all(|x| x.id % 3 == 0));
     }
 

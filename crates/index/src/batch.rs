@@ -26,6 +26,7 @@ use milvus_obs as obs;
 use crate::distance::quant::PreparedSq8;
 use crate::distance::{self, PairKernel, Tile4Kernel};
 use crate::ivf::sq8::ScalarQuantizer;
+use crate::mask::{in_tiles, RowMask};
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
@@ -47,10 +48,15 @@ fn block_kernel(metric: Metric) -> BlockKernel {
     }
 }
 
-/// Score data rows `range` against the resident `queries` block, pushing
-/// into one heap per resident query. Heap `j` always sees per-pair results in
-/// row order, so the outcome is bit-identical whether the kernel is tiled or
-/// not.
+/// The rows of `range` a scan may score: all of them, or those set in `mask`.
+fn visible(range: Range<usize>, mask: Option<&RowMask>) -> impl Iterator<Item = usize> + '_ {
+    range.filter(move |&row| mask.is_none_or(|m| m.get(row)))
+}
+
+/// Score data `rows` (ascending) against the resident `queries` block,
+/// pushing into one heap per resident query. Heap `j` always sees per-pair
+/// results in row order, so the outcome is bit-identical whether the kernel
+/// is tiled or not, and whichever rows a mask left to share a tile.
 ///
 /// The tiled path registers-tiles over *data rows*: four rows are scored
 /// against each resident query per kernel call, so every streamed query
@@ -63,48 +69,38 @@ fn scan_vectors_into_heaps(
     kern: &BlockKernel,
     data: &VectorSet,
     ids: &[i64],
-    range: Range<usize>,
+    rows: impl Iterator<Item = usize>,
     queries: &VectorSet,
     block: Range<usize>,
     heaps: &mut [TopK],
 ) {
-    let (lo, hi) = (range.start, range.end);
+    // The loaded vector is reused for the entire resident query block — the
+    // cache win.
+    let one_row = |pair: &PairKernel, row: usize, heaps: &mut [TopK]| {
+        let v = data.get(row);
+        for (j, heap) in heaps.iter_mut().enumerate() {
+            heap.push(ids[row], pair(queries.get(block.start + j), v));
+        }
+    };
     match kern {
-        BlockKernel::Tiled(tile, pair) => {
-            let mut row = lo;
-            while row + 4 <= hi {
-                let vs = [data.get(row), data.get(row + 1), data.get(row + 2), data.get(row + 3)];
-                let vids = [ids[row], ids[row + 1], ids[row + 2], ids[row + 3]];
+        BlockKernel::Tiled(tile, pair) => in_tiles(rows, |g| match *g {
+            [a, b, c, d] => {
+                let vs = [data.get(a), data.get(b), data.get(c), data.get(d)];
                 for (j, heap) in heaps.iter_mut().enumerate() {
-                    let d = tile(vs, queries.get(block.start + j));
-                    for (lane, dist) in d.into_iter().enumerate() {
-                        heap.push(vids[lane], dist);
+                    let dist = tile(vs, queries.get(block.start + j));
+                    for (&row, dist) in g.iter().zip(dist) {
+                        heap.push(ids[row], dist);
                     }
                 }
-                row += 4;
             }
-            for (r, &id) in (row..hi).zip(&ids[row..hi]) {
-                let v = data.get(r);
-                for (j, heap) in heaps.iter_mut().enumerate() {
-                    heap.push(id, pair(queries.get(block.start + j), v));
-                }
-            }
-        }
-        BlockKernel::Single(pair) => {
-            for (row, &id) in (lo..hi).zip(&ids[lo..hi]) {
-                let v = data.get(row);
-                // The loaded vector is reused for the entire resident query
-                // block — the cache win.
-                for (j, heap) in heaps.iter_mut().enumerate() {
-                    heap.push(id, pair(queries.get(block.start + j), v));
-                }
-            }
-        }
+            _ => g.iter().for_each(|&row| one_row(pair, row, heaps)),
+        }),
+        BlockKernel::Single(pair) => rows.for_each(|row| one_row(pair, row, heaps)),
     }
 }
 
 /// [`scan_vectors_into_heaps`] over SQ8 codes: stream the raw `dim`-byte
-/// codes of `range` in ×4-row register tiles against the block's fused
+/// codes of `rows` in ×4-row register tiles against the block's fused
 /// per-query state, so each 4-row group's bytes are loaded once per resident
 /// query with zero per-row allocation and no decoded vector ever
 /// materialized.
@@ -113,27 +109,27 @@ fn scan_codes_into_heaps(
     codes: &[u8],
     dim: usize,
     ids: &[i64],
-    range: Range<usize>,
+    rows: impl Iterator<Item = usize>,
     heaps: &mut [TopK],
 ) {
     let code = |r: usize| &codes[r * dim..(r + 1) * dim];
-    let mut row = range.start;
-    while row + 4 <= range.end {
-        let rows = [code(row), code(row + 1), code(row + 2), code(row + 3)];
-        let vids = [ids[row], ids[row + 1], ids[row + 2], ids[row + 3]];
-        for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
-            let d = p.distance_x4(rows);
-            for (lane, dist) in d.into_iter().enumerate() {
-                heap.push(vids[lane], dist);
+    in_tiles(rows, |g| match *g {
+        [a, b, c, d] => {
+            let tile = [code(a), code(b), code(c), code(d)];
+            for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
+                for (&row, dist) in g.iter().zip(p.distance_x4(tile)) {
+                    heap.push(ids[row], dist);
+                }
             }
         }
-        row += 4;
-    }
-    for (r, &id) in (row..range.end).zip(&ids[row..range.end]) {
-        for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
-            heap.push(id, p.distance(code(r)));
+        _ => {
+            for &row in g {
+                for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
+                    heap.push(ids[row], p.distance(code(row)));
+                }
+            }
         }
-    }
+    });
 }
 
 /// Tuning knobs for the batch engine.
@@ -198,11 +194,13 @@ pub fn cache_aware_search_exec(
     opts: &BatchOptions,
 ) -> Vec<Vec<Neighbor>> {
     let ks = vec![opts.k; queries.len()];
-    cache_aware_scan(exec, Rows::F32(data), ids, queries, &ks, opts, &mut obs::Trace::disabled())
+    let off = &mut obs::Trace::disabled();
+    cache_aware_scan(exec, Rows::F32(data), ids, queries, &ks, None, opts, off)
 }
 
-/// The cache-aware batch engine: top-`ks[j]` of `rows` for every query `j`,
-/// one sorted list per query in input order.
+/// The cache-aware batch engine: top-`ks[j]` of `rows` — of those set in
+/// `mask`, when there is one — for every query `j`, one sorted list per query
+/// in input order.
 ///
 /// The whole batch runs once at `max(ks)` and each query's sorted list is
 /// truncated to its own `k` (`opts.k` is ignored). Exact, because the scan is
@@ -216,16 +214,19 @@ pub fn cache_aware_search_exec(
 /// `QueueWait` span for the block's worst-queued range task, and one
 /// `HeapMerge` span per block merge, recorded on the calling thread after
 /// the join; a disabled trace records nothing and never reads the clock.
+#[allow(clippy::too_many_arguments)]
 pub fn cache_aware_scan(
     exec: &Executor,
     rows: Rows<'_>,
     ids: &[i64],
     queries: &VectorSet,
     ks: &[usize],
+    mask: Option<&RowMask>,
     opts: &BatchOptions,
     trace: &mut obs::Trace,
 ) -> Vec<Vec<Neighbor>> {
     assert_eq!(queries.len(), ks.len(), "one k per query");
+    assert!(mask.is_none_or(|m| m.rows() == ids.len()), "mask must cover the data rows");
     let dim = queries.dim();
     match rows {
         Rows::F32(data) => {
@@ -233,7 +234,7 @@ pub fn cache_aware_scan(
             assert_eq!(data.dim(), dim, "query dimension mismatch");
             let kern = block_kernel(opts.metric);
             let scan = |block: Range<usize>, range: Range<usize>, heaps: &mut [TopK]| {
-                scan_vectors_into_heaps(&kern, data, ids, range, queries, block, heaps)
+                scan_vectors_into_heaps(&kern, data, ids, visible(range, mask), queries, block, heaps)
             };
             blocked_scan(exec, "cache_aware_exec", ids.len(), dim, ks, opts, trace, scan)
         }
@@ -245,7 +246,7 @@ pub fn cache_aware_scan(
             let prepared: Vec<PreparedSq8<'_>> =
                 queries.iter().map(|q| sq.prepare(q, opts.metric)).collect();
             let scan = |block: Range<usize>, range: Range<usize>, heaps: &mut [TopK]| {
-                scan_codes_into_heaps(&prepared[block], codes, dim, ids, range, heaps)
+                scan_codes_into_heaps(&prepared[block], codes, dim, ids, visible(range, mask), heaps)
             };
             blocked_scan(exec, "sq8_cache_aware_exec", ids.len(), dim, ks, opts, trace, scan)
         }
@@ -454,9 +455,8 @@ mod tests {
             // splits and heap merges.
             let opts = BatchOptions { k: 9, metric, threads: 3, l3_cache_bytes: 4096 };
             let rows = Rows::Sq8 { codes: &codes, sq: &sq };
-            let got = cache_aware_scan(
-                &pool, rows, &ids, &queries, &[9; 23], &opts, &mut obs::Trace::disabled(),
-            );
+            let off = &mut obs::Trace::disabled();
+            let got = cache_aware_scan(&pool, rows, &ids, &queries, &[9; 23], None, &opts, off);
             assert_eq!(got.len(), 23);
             for (qi, res) in got.iter().enumerate() {
                 let p = sq.prepare(queries.get(qi), metric);
@@ -465,6 +465,49 @@ mod tests {
                     heap.push(id, p.distance(&codes[row * 24..(row + 1) * 24]));
                 }
                 assert_eq!(*res, heap.into_sorted(), "sq8 batch diverged {metric} q={qi}");
+            }
+        }
+    }
+
+    /// Under a mask the engine returns exactly the scalar scan of the visible
+    /// rows, whatever tiles the gaps leave (every row, every second, every
+    /// fifth, a single one; float rows and SQ8 codes).
+    #[test]
+    fn masked_rows_match_the_serial_scan_of_the_visible_rows() {
+        let pool = Executor::new("t_masked_batch", 3);
+        let data = random_set(257, 24, 51);
+        let (sq, codes) = sq8_codes(&data);
+        let ids: Vec<i64> = (0..257).map(|i| i * 3 + 1).collect();
+        let queries = random_set(7, 24, 52);
+        let off = &mut obs::Trace::disabled();
+        for keep in [1usize, 2, 5, 300] {
+            let allowed: Vec<u32> = (0..257u32).filter(|r| *r as usize % keep == 1 % keep).collect();
+            let mask = RowMask::from_positions(257, &allowed);
+            for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                let opts = BatchOptions { k: 9, metric, threads: 3, l3_cache_bytes: 4096 };
+                let got =
+                    cache_aware_scan(&pool, Rows::F32(&data), &ids, &queries, &[9; 7], Some(&mask), &opts, off);
+                let kern = distance::pair_kernel(metric);
+                for (q, got) in queries.iter().zip(&got) {
+                    let mut heap = TopK::new(9);
+                    mask.iter().for_each(|r| {
+                        heap.push(ids[r], kern(q, data.get(r)));
+                    });
+                    assert_eq!(*got, heap.into_sorted(), "f32 {metric} keep 1/{keep}");
+                }
+                if metric == Metric::Cosine {
+                    continue;
+                }
+                let rows = Rows::Sq8 { codes: &codes, sq: &sq };
+                let got = cache_aware_scan(&pool, rows, &ids, &queries, &[9; 7], Some(&mask), &opts, off);
+                for (q, got) in queries.iter().zip(&got) {
+                    let p = sq.prepare(q, metric);
+                    let mut heap = TopK::new(9);
+                    mask.iter().for_each(|r| {
+                        heap.push(ids[r], p.distance(&codes[r * 24..(r + 1) * 24]));
+                    });
+                    assert_eq!(*got, heap.into_sorted(), "sq8 {metric} keep 1/{keep}");
+                }
             }
         }
     }
@@ -479,10 +522,10 @@ mod tests {
         let off = &mut obs::Trace::disabled();
         let rows = Rows::Sq8 { codes: &codes, sq: &sq };
         let no_queries = VectorSet::new(4);
-        assert!(cache_aware_scan(&pool, rows, &ids, &no_queries, &[], &opts, off).is_empty());
+        assert!(cache_aware_scan(&pool, rows, &ids, &no_queries, &[], None, &opts, off).is_empty());
         let q = random_set(3, 4, 34);
         let rows = Rows::Sq8 { codes: &[], sq: &sq };
-        let res = cache_aware_scan(&pool, rows, &[], &q, &[50; 3], &opts, off);
+        let res = cache_aware_scan(&pool, rows, &[], &q, &[50; 3], None, &opts, off);
         assert_eq!(res.len(), 3);
         assert!(res.iter().all(Vec::is_empty));
     }
@@ -501,10 +544,10 @@ mod tests {
             for (name, rows) in
                 [("flat", Rows::F32(&data)), ("sq8", Rows::Sq8 { codes: &codes, sq: &sq })]
             {
-                let got = cache_aware_scan(&pool, rows, &ids, &queries, &ks, &opts, off);
+                let got = cache_aware_scan(&pool, rows, &ids, &queries, &ks, None, &opts, off);
                 for (qi, &k) in ks.iter().enumerate() {
                     let one = queries.gather(&[qi]);
-                    let solo = cache_aware_scan(&pool, rows, &ids, &one, &[k], &opts, off);
+                    let solo = cache_aware_scan(&pool, rows, &ids, &one, &[k], None, &opts, off);
                     assert_eq!(got[qi], solo[0], "{name} het-k diverged {metric} q={qi} k={k}");
                 }
             }

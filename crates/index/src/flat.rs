@@ -6,6 +6,7 @@
 
 use crate::distance;
 use crate::error::{IndexError, Result};
+use crate::mask::RowMask;
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
 use crate::traits::{BuildParams, IndexBuilder, SearchParams, VectorIndex};
@@ -77,19 +78,17 @@ impl VectorIndex for FlatIndex {
         Ok(heap.into_sorted())
     }
 
-    fn search_filtered(
+    fn search_masked(
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: &dyn Fn(i64) -> bool,
+        mask: &RowMask,
     ) -> Result<Vec<Neighbor>> {
         self.check_dim(query)?;
+        mask.check_covers(self.len())?;
         let mut heap = TopK::new(params.k.max(1));
-        for (row, v) in self.vectors.iter().enumerate() {
-            let id = self.ids[row];
-            if allow(id) {
-                heap.push(id, distance::distance(self.metric, query, v));
-            }
+        for row in mask.iter() {
+            heap.push(self.ids[row], distance::distance(self.metric, query, self.vectors.get(row)));
         }
         Ok(heap.into_sorted())
     }
@@ -135,12 +134,19 @@ mod tests {
     }
 
     #[test]
-    fn filtered_search_excludes() {
+    fn masked_search_equals_the_post_filtered_exhaustive_scan() {
         let idx = sample();
-        let res = idx
-            .search_filtered(&[0.9, 0.1], &SearchParams::top_k(2), &|id| id != 11)
-            .unwrap();
-        assert_ne!(res[0].id, 11);
+        let all = idx.search(&[0.9, 0.1], &SearchParams::top_k(4)).unwrap();
+        for allowed in [vec![], vec![1u32], vec![0, 2, 3], vec![0, 1, 2, 3]] {
+            let mask = RowMask::from_positions(4, &allowed);
+            let got = idx.search_masked(&[0.9, 0.1], &SearchParams::top_k(4), &mask).unwrap();
+            let expect: Vec<Neighbor> =
+                all.iter().filter(|n| allowed.contains(&((n.id - 10) as u32))).copied().collect();
+            assert_eq!(got, expect, "allowed ordinals {allowed:?}");
+        }
+        // A mask over some other row count is refused, not misread.
+        let short = RowMask::all(3);
+        assert!(idx.search_masked(&[0.9, 0.1], &SearchParams::top_k(1), &short).is_err());
     }
 
     #[test]

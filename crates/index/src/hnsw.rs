@@ -13,6 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::distance;
 use crate::error::{IndexError, Result};
+use crate::mask::RowMask;
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
 use crate::traits::{BuildParams, IndexBuilder, SearchParams, VectorIndex};
@@ -262,7 +263,7 @@ impl HnswIndex {
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: Option<&dyn Fn(i64) -> bool>,
+        mask: Option<&RowMask>,
     ) -> Result<Vec<Neighbor>> {
         if query.len() != self.dim {
             return Err(IndexError::DimensionMismatch { expected: self.dim, got: query.len() });
@@ -279,9 +280,8 @@ impl HnswIndex {
         let found = self.search_layer(&q, ep, ef, 0);
         let mut heap = TopK::new(params.k.max(1));
         for c in found {
-            let id = self.ids[c.node as usize];
-            if allow.is_none_or(|f| f(id)) {
-                heap.push(id, c.dist);
+            if mask.is_none_or(|m| m.get(c.node as usize)) {
+                heap.push(self.ids[c.node as usize], c.dist);
             }
         }
         Ok(heap.into_sorted())
@@ -305,13 +305,14 @@ impl VectorIndex for HnswIndex {
         self.search_impl(query, params, None)
     }
 
-    fn search_filtered(
+    fn search_masked(
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: &dyn Fn(i64) -> bool,
+        mask: &RowMask,
     ) -> Result<Vec<Neighbor>> {
-        self.search_impl(query, params, Some(allow))
+        mask.check_covers(self.len())?;
+        self.search_impl(query, params, Some(mask))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -410,11 +411,9 @@ mod tests {
     fn filtered_search() {
         let (vs, ids) = random_data(200, 8, 3);
         let hnsw = HnswIndex::build(&vs, &ids, &BuildParams::default()).unwrap();
-        let res = hnsw
-            .search_filtered(vs.get(0), &SearchParams { k: 10, ef: 100, ..Default::default() }, &|id| {
-                id >= 100
-            })
-            .unwrap();
+        let upper_half = RowMask::from_positions(200, &(100..200).collect::<Vec<u32>>());
+        let sp = SearchParams { k: 10, ef: 100, ..Default::default() };
+        let res = hnsw.search_masked(vs.get(0), &sp, &upper_half).unwrap();
         assert!(res.iter().all(|n| n.id >= 100));
         assert!(!res.is_empty());
     }

@@ -3,8 +3,11 @@
 //! alongside the vectors instead of rebuilding them on every load.
 //!
 //! Little-endian layout:
-//! `magic "MIVF" | variant u8 | metric name | dim u32 | len u64 |
-//!  centroids | fine-quantizer params | buckets (ids + codes)`
+//! `magic "MIV2" | variant u8 | metric name | dim u32 | len u64 |
+//!  centroids | fine-quantizer params | buckets (ids + ordinals + codes)`
+//!
+//! `"MIV2"` added each member's build ordinal (`u32`) after the bucket's ids;
+//! a `"MIVF"` blob has none and is refused at the magic, not read around.
 
 use crate::error::{IndexError, Result};
 use crate::metric::Metric;
@@ -12,7 +15,7 @@ use crate::vectors::VectorSet;
 
 use super::{IvfIndex, IvfVariant};
 
-const MAGIC: &[u8; 4] = b"MIVF";
+const MAGIC: &[u8; 4] = b"MIV2";
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -150,6 +153,9 @@ pub fn encode_ivf(index: &IvfIndex) -> Vec<u8> {
         for &id in ids {
             out.extend_from_slice(&id.to_le_bytes());
         }
+        for &row in index.bucket_rows(b) {
+            put_u32(&mut out, row);
+        }
         match index.variant() {
             IvfVariant::Flat => {
                 put_vectors(&mut out, index.bucket_vectors(b).expect("flat bucket"));
@@ -221,6 +227,15 @@ pub fn decode_ivf(buf: &[u8]) -> Result<IvfIndex> {
             let raw = r.take(8)?;
             ids.push(i64::from_le_bytes(raw.try_into().expect("8 bytes")));
         }
+        let mut rows = Vec::with_capacity(n_ids);
+        for _ in 0..n_ids {
+            rows.push(r.u32()?);
+        }
+        // A mask is indexed by these: every one must name an indexed row,
+        // ascending as a build leaves them.
+        if rows.windows(2).any(|w| w[0] >= w[1]) || rows.last().is_some_and(|&r| r as usize >= len) {
+            return Err(IndexError::invalid("index blob", "bucket ordinals out of order or range"));
+        }
         let data = match variant {
             IvfVariant::Flat => {
                 let vs = r.vectors()?;
@@ -247,7 +262,7 @@ pub fn decode_ivf(buf: &[u8]) -> Result<IvfIndex> {
                 }
             }
         };
-        buckets.push(super::Bucket { ids, data });
+        buckets.push(super::Bucket { ids, rows, data });
     }
 
     IvfIndex::from_parts(variant, metric, dim, len, centroids, buckets, sq, pq)
@@ -281,10 +296,16 @@ mod tests {
         assert_eq!(decoded.len_rows(), 400);
         // Search results must be identical.
         let sp = SearchParams { k: 10, nprobe: 16, ..Default::default() };
+        let evens = (0..400).filter(|r| r % 2 == 0).collect::<Vec<u32>>();
+        let evens = crate::RowMask::from_positions(400, &evens);
         for probe in [0usize, 17, 333] {
             let a = original.search(vs.get(probe), &sp).unwrap();
             let b = decoded.search(vs.get(probe), &sp).unwrap();
             assert_eq!(a, b, "{variant:?}/{metric} probe {probe}");
+            let a = original.search_masked(vs.get(probe), &sp, &evens).unwrap();
+            let b = decoded.search_masked(vs.get(probe), &sp, &evens).unwrap();
+            assert_eq!(a, b, "{variant:?}/{metric} probe {probe} (masked)");
+            assert!(a.iter().all(|n| n.id % 2 == 0));
         }
     }
 
@@ -320,6 +341,10 @@ mod tests {
         let idx = IvfIndex::build(IvfVariant::Flat, &vs, &ids, &params).unwrap();
         let blob = encode_ivf(&idx);
         assert!(decode_ivf(b"XXXX").is_err());
+        // The previous format (no ordinals) is a loud error, not a second reader.
+        let mut old = blob.clone();
+        old[..4].copy_from_slice(b"MIVF");
+        assert!(decode_ivf(&old).is_err());
         for cut in [0, 3, 5, 20, blob.len() / 2, blob.len() - 1] {
             assert!(decode_ivf(&blob[..cut]).is_err(), "cut {cut}");
         }

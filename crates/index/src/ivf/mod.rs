@@ -19,10 +19,10 @@ pub mod codec;
 pub mod pq;
 pub mod sq8;
 
-
 use crate::distance;
 use crate::error::{IndexError, Result};
 use crate::kmeans::{self, KMeans};
+use crate::mask::{in_tiles, RowMask};
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
 use crate::traits::{BuildParams, IndexBuilder, SearchParams, VectorIndex};
@@ -65,10 +65,13 @@ pub(crate) enum BucketData {
     Pq(Vec<u8>),
 }
 
-/// One inverted list: external ids plus encoded vectors.
+/// One inverted list: external ids, build ordinals and encoded vectors.
 #[derive(Debug, Clone)]
 pub(crate) struct Bucket {
     pub(crate) ids: Vec<i64>,
+    /// Each member's build ordinal — the position a [`RowMask`] knows it by.
+    /// Ascending, so a masked scan reads the mask front to back.
+    pub(crate) rows: Vec<u32>,
     pub(crate) data: BucketData,
 }
 
@@ -82,7 +85,7 @@ impl Bucket {
             BucketData::Flat(v) => v.memory_bytes(),
             BucketData::Sq8(c) | BucketData::Pq(c) => c.len(),
         };
-        payload + self.ids.len() * std::mem::size_of::<i64>()
+        payload + self.ids.len() * (std::mem::size_of::<i64>() + std::mem::size_of::<u32>())
     }
 }
 
@@ -123,6 +126,9 @@ impl IvfIndex {
         }
         if vectors.is_empty() {
             return Err(IndexError::InsufficientTrainingData { need: 1, got: 0 });
+        }
+        if u32::try_from(vectors.len()).is_err() {
+            return Err(IndexError::invalid("vectors", "more rows than a u32 ordinal can name"));
         }
         let dim = vectors.dim();
 
@@ -192,7 +198,7 @@ impl IvfIndex {
                         BucketData::Pq(codes)
                     }
                 };
-                Bucket { ids: bucket_ids, data }
+                Bucket { ids: bucket_ids, rows: rows.iter().map(|&r| r as u32).collect(), data }
             })
             .collect();
 
@@ -314,6 +320,11 @@ impl IvfIndex {
         &self.buckets[b].ids
     }
 
+    /// Build ordinals of bucket `b`'s members, ascending.
+    pub fn bucket_rows(&self, b: usize) -> &[u32] {
+        &self.buckets[b].rows
+    }
+
     /// Raw vectors of bucket `b` when the fine quantizer is FLAT (baseline
     /// engines scan buckets with their own kernels; `None` for SQ8/PQ).
     pub fn bucket_vectors(&self, b: usize) -> Option<&VectorSet> {
@@ -366,23 +377,17 @@ impl IvfIndex {
     /// This is the prepare-per-call convenience form; multi-bucket searches
     /// use [`IvfIndex::prepare`] + [`IvfIndex::scan_bucket_prepared`] so
     /// per-query state is built once, not once per bucket.
-    pub fn scan_bucket(
-        &self,
-        b: usize,
-        query: &[f32],
-        heap: &mut TopK,
-        allow: Option<&dyn Fn(i64) -> bool>,
-    ) {
+    pub fn scan_bucket(&self, b: usize, query: &[f32], heap: &mut TopK, mask: Option<&RowMask>) {
         let prepared = self.prepare_from_inner(query.to_vec());
-        self.scan_bucket_prepared(b, &prepared, heap, allow);
+        self.scan_bucket_prepared(b, &prepared, heap, mask);
     }
 
-    /// Scan one bucket with per-query state prepared up front.
-    ///
-    /// The loop bodies are split by filter presence: the unfiltered paths
-    /// run register-tiled ×4 row groups with **zero per-row indirect calls**
-    /// (no `allow` closure dispatch in the hot loop), while the filtered
-    /// paths check the predicate before computing anything. PQ scans
+    /// Scan one bucket with per-query state prepared up front: every member
+    /// when `mask` is `None`, else the members whose build ordinal is set in
+    /// it. Either way the rows to score are handed to one loop that runs
+    /// them as register-tiled ×4 groups with **zero per-row indirect calls**
+    /// — a masked scan gathers four visible members into a tile, so a mask
+    /// costs one bit test per member and nothing per distance. PQ scans
     /// additionally early-abandon against [`TopK::threshold`] every 8
     /// subquantizers (exactness preserved — see
     /// [`pq::DistanceTable::lookup_pruned`]).
@@ -391,129 +396,88 @@ impl IvfIndex {
         b: usize,
         prepared: &PreparedQuery<'_>,
         heap: &mut TopK,
-        allow: Option<&dyn Fn(i64) -> bool>,
+        mask: Option<&RowMask>,
     ) {
         let bucket = &self.buckets[b];
+        match mask {
+            None => self.scan_members(bucket, prepared, heap, 0..bucket.len()),
+            Some(mask) => {
+                let ordinals = bucket.rows.iter().enumerate();
+                let visible = ordinals.filter(|(_, &row)| mask.get(row as usize)).map(|(i, _)| i);
+                self.scan_members(bucket, prepared, heap, visible)
+            }
+        }
+    }
+
+    /// Score `members` (positions inside `bucket`) into `heap`.
+    fn scan_members(
+        &self,
+        bucket: &Bucket,
+        prepared: &PreparedQuery<'_>,
+        heap: &mut TopK,
+        members: impl Iterator<Item = usize>,
+    ) {
         let ids = &bucket.ids[..];
         match (&bucket.data, &prepared.state) {
             (BucketData::Flat(vs), PreparedState::Flat { pair, tile4 }) => {
                 let q = prepared.query.as_slice();
-                match allow {
-                    None => {
-                        let n = vs.len();
-                        let groups = n / 4;
-                        if let Some(tile) = tile4 {
-                            // L2/IP are bitwise symmetric in their arguments,
-                            // so the 4 data rows ride in the kernel's query
-                            // slot (same trick as the batch engines).
-                            for g in 0..groups {
-                                let base = g * 4;
-                                let rows =
-                                    [vs.get(base), vs.get(base + 1), vs.get(base + 2), vs.get(base + 3)];
-                                let d = tile(rows, q);
-                                for (j, dj) in d.iter().enumerate() {
-                                    heap.push(ids[base + j], *dj);
-                                }
-                            }
-                        } else {
-                            for g in 0..groups {
-                                let base = g * 4;
-                                for j in 0..4 {
-                                    heap.push(ids[base + j], pair(q, vs.get(base + j)));
-                                }
-                            }
-                        }
-                        for (row, &id) in ids.iter().enumerate().skip(groups * 4) {
-                            heap.push(id, pair(q, vs.get(row)));
+                in_tiles(members, |g| match (g, tile4) {
+                    // L2/IP are bitwise symmetric in their arguments, so the
+                    // 4 data rows ride in the kernel's query slot (same trick
+                    // as the batch engine).
+                    (&[a, b, c, d], Some(tile)) => {
+                        let dist = tile([vs.get(a), vs.get(b), vs.get(c), vs.get(d)], q);
+                        for (&i, dist) in g.iter().zip(dist) {
+                            heap.push(ids[i], dist);
                         }
                     }
-                    Some(f) => {
-                        for (row, v) in vs.iter().enumerate() {
-                            let id = ids[row];
-                            if f(id) {
-                                heap.push(id, pair(q, v));
-                            }
+                    _ => {
+                        for &i in g {
+                            heap.push(ids[i], pair(q, vs.get(i)));
                         }
                     }
-                }
+                });
             }
             (BucketData::Sq8(codes), PreparedState::Sq8(p)) => {
                 let dim = self.dim;
-                match allow {
-                    None => {
-                        let n = ids.len();
-                        let groups = n / 4;
-                        for g in 0..groups {
-                            let base = g * 4;
-                            let off = base * dim;
-                            let rows = [
-                                &codes[off..off + dim],
-                                &codes[off + dim..off + 2 * dim],
-                                &codes[off + 2 * dim..off + 3 * dim],
-                                &codes[off + 3 * dim..off + 4 * dim],
-                            ];
-                            let d = p.distance_x4(rows);
-                            for (j, dj) in d.iter().enumerate() {
-                                heap.push(ids[base + j], *dj);
-                            }
-                        }
-                        for row in groups * 4..n {
-                            heap.push(ids[row], p.distance(&codes[row * dim..(row + 1) * dim]));
+                let code = |i: usize| &codes[i * dim..(i + 1) * dim];
+                in_tiles(members, |g| match *g {
+                    [a, b, c, d] => {
+                        let dist = p.distance_x4([code(a), code(b), code(c), code(d)]);
+                        for (&i, dist) in g.iter().zip(dist) {
+                            heap.push(ids[i], dist);
                         }
                     }
-                    Some(f) => {
-                        for (row, code) in codes.chunks_exact(dim).enumerate() {
-                            let id = ids[row];
-                            if f(id) {
-                                heap.push(id, p.distance(code));
-                            }
+                    _ => {
+                        for &i in g {
+                            heap.push(ids[i], p.distance(code(i)));
                         }
                     }
-                }
+                });
             }
             (BucketData::Pq(codes), PreparedState::Pq(table)) => {
                 let m = table.m();
-                match allow {
-                    None => {
-                        let n = ids.len();
-                        let groups = n / 4;
-                        for g in 0..groups {
-                            let base = g * 4;
-                            let off = base * m;
-                            let rows = [
-                                &codes[off..off + m],
-                                &codes[off + m..off + 2 * m],
-                                &codes[off + 2 * m..off + 3 * m],
-                                &codes[off + 3 * m..off + 4 * m],
-                            ];
-                            // Threshold re-read per group: it only tightens
-                            // as pushes land, so pruning stays exact.
-                            let d = table.lookup4_pruned(rows, heap.threshold());
-                            for (j, dj) in d.iter().enumerate() {
-                                if let Some(dist) = dj {
-                                    heap.push(ids[base + j], *dist);
-                                }
-                            }
-                        }
-                        for row in groups * 4..n {
-                            if let Some(dist) =
-                                table.lookup_pruned(&codes[row * m..(row + 1) * m], heap.threshold())
-                            {
-                                heap.push(ids[row], dist);
+                let code = |i: usize| &codes[i * m..(i + 1) * m];
+                // Threshold re-read per tile: it only tightens as pushes
+                // land, so pruning stays exact.
+                in_tiles(members, |g| match *g {
+                    [a, b, c, d] => {
+                        let rows = [code(a), code(b), code(c), code(d)];
+                        let dist = table.lookup4_pruned(rows, heap.threshold());
+                        for (&i, dist) in g.iter().zip(dist) {
+                            if let Some(dist) = dist {
+                                heap.push(ids[i], dist);
                             }
                         }
                     }
-                    Some(f) => {
-                        for (row, code) in codes.chunks_exact(m).enumerate() {
-                            let id = ids[row];
-                            if f(id) {
-                                if let Some(dist) = table.lookup_pruned(code, heap.threshold()) {
-                                    heap.push(id, dist);
-                                }
+                    _ => {
+                        for &i in g {
+                            if let Some(dist) = table.lookup_pruned(code(i), heap.threshold()) {
+                                heap.push(ids[i], dist);
                             }
                         }
                     }
-                }
+                });
             }
             _ => unreachable!("prepared state always matches the index variant"),
         }
@@ -523,16 +487,19 @@ impl IvfIndex {
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: Option<&dyn Fn(i64) -> bool>,
+        mask: Option<&RowMask>,
     ) -> Result<Vec<Neighbor>> {
         if query.len() != self.dim {
             return Err(IndexError::DimensionMismatch { expected: self.dim, got: query.len() });
+        }
+        if let Some(mask) = mask {
+            mask.check_covers(self.len)?;
         }
         let prepared = self.prepare(query);
         let probes = self.probe_buckets(prepared.query(), params.nprobe);
         let mut heap = TopK::new(params.k.max(1));
         for b in probes {
-            self.scan_bucket_prepared(b, &prepared, &mut heap, allow);
+            self.scan_bucket_prepared(b, &prepared, &mut heap, mask);
         }
         Ok(heap.into_sorted())
     }
@@ -580,13 +547,13 @@ impl VectorIndex for IvfIndex {
         self.search_impl(query, params, None)
     }
 
-    fn search_filtered(
+    fn search_masked(
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: &dyn Fn(i64) -> bool,
+        mask: &RowMask,
     ) -> Result<Vec<Neighbor>> {
-        self.search_impl(query, params, Some(allow))
+        self.search_impl(query, params, Some(mask))
     }
 
     /// Bucket-major batched search: prepare every query once, invert the
@@ -599,12 +566,17 @@ impl VectorIndex for IvfIndex {
     /// [`TopK`] is push-order-independent (total order on
     /// `(distance, id)`), and the PQ early-abandon check is
     /// exactness-preserving — a pruned row could never have entered the
-    /// heap — so reordering bucket visits cannot change any sorted output.
+    /// heap — so reordering bucket visits cannot change any sorted output,
+    /// with or without a mask.
     fn search_batch(
         &self,
         queries: &VectorSet,
         params: &SearchParams,
+        mask: Option<&RowMask>,
     ) -> Result<Vec<Vec<Neighbor>>> {
+        if let Some(mask) = mask {
+            mask.check_covers(self.len)?;
+        }
         let m = queries.len();
         for i in 0..m {
             if queries.get(i).len() != self.dim {
@@ -625,7 +597,7 @@ impl VectorIndex for IvfIndex {
         }
         for (b, qis) in by_bucket {
             for qi in qis {
-                self.scan_bucket_prepared(b, &prepared[qi], &mut heaps[qi], None);
+                self.scan_bucket_prepared(b, &prepared[qi], &mut heaps[qi], mask);
             }
         }
         Ok(heaps.into_iter().map(TopK::into_sorted).collect())
@@ -699,7 +671,7 @@ mod tests {
                 let p = BuildParams { metric, ..params() };
                 let ivf = IvfIndex::build(variant, &vs, &ids, &p).unwrap();
                 let sp = SearchParams { k: 7, nprobe: 4, ..Default::default() };
-                let batched = ivf.search_batch(&queries, &sp).unwrap();
+                let batched = ivf.search_batch(&queries, &sp, None).unwrap();
                 for (qi, batch_list) in batched.iter().enumerate() {
                     let serial = ivf.search(queries.get(qi), &sp).unwrap();
                     assert_eq!(
@@ -713,7 +685,7 @@ mod tests {
         let mut bad = VectorSet::new(8);
         bad.push(&[0.0; 8]);
         let ivf = IvfIndex::build(IvfVariant::Flat, &vs, &ids, &params()).unwrap();
-        assert!(ivf.search_batch(&bad, &SearchParams::default()).is_err());
+        assert!(ivf.search_batch(&bad, &SearchParams::default(), None).is_err());
     }
 
     fn recall_vs_flat(variant: IvfVariant, metric: Metric, nprobe: usize) -> f32 {
@@ -775,15 +747,33 @@ mod tests {
         assert!(recall_vs_flat(IvfVariant::Flat, Metric::InnerProduct, 16) >= 0.95);
     }
 
+    /// A masked search returns only allowed ordinals, and exactly the
+    /// unmasked exhaustive answer post-filtered (every bucket probed, so the
+    /// scan is exhaustive; PQ pruning is exactness-preserving) — alone and
+    /// through the bucket-major batch.
     #[test]
-    fn filtered_search_respects_predicate() {
+    fn masked_search_equals_the_post_filtered_unmasked_search() {
         let (vs, ids) = clustered(300, 8, 5);
-        let ivf = IvfIndex::build(IvfVariant::Flat, &vs, &ids, &params()).unwrap();
-        let q = vs.get(0).to_vec();
-        let sp = SearchParams { k: 20, nprobe: 16, ..Default::default() };
-        let res = ivf.search_filtered(&q, &sp, &|id| id % 2 == 0).unwrap();
-        assert!(!res.is_empty());
-        assert!(res.iter().all(|n| n.id % 2 == 0));
+        let queries = vs.gather(&[0, 77, 150]);
+        for variant in [IvfVariant::Flat, IvfVariant::Sq8, IvfVariant::Pq] {
+            let ivf = IvfIndex::build(variant, &vs, &ids, &params()).unwrap();
+            let everything = SearchParams { k: 300, nprobe: 16, ..Default::default() };
+            let sp = SearchParams { k: 20, ..everything.clone() };
+            for keep in [1usize, 2, 3, 50] {
+                let allowed: Vec<u32> = (0..300u32).filter(|r| (*r as usize).is_multiple_of(keep)).collect();
+                let mask = RowMask::from_positions(300, &allowed);
+                let batched = ivf.search_batch(&queries, &sp, Some(&mask)).unwrap();
+                for (q, batched) in queries.iter().zip(batched) {
+                    let mut expect = ivf.search(q, &everything).unwrap();
+                    expect.retain(|n| (n.id as usize).is_multiple_of(keep));
+                    expect.truncate(20);
+                    let got = ivf.search_masked(q, &sp, &mask).unwrap();
+                    assert_eq!(got, expect, "{variant:?} keep 1/{keep}");
+                    assert_eq!(batched, expect, "{variant:?} keep 1/{keep} (batch)");
+                }
+            }
+            assert!(ivf.search_masked(vs.get(0), &sp, &RowMask::all(299)).is_err());
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod flat;
 pub mod hnsw;
 pub mod ivf;
 pub mod kmeans;
+pub mod mask;
 pub mod metric;
 pub mod nsg;
 pub mod registry;
@@ -39,6 +40,7 @@ pub mod traits;
 pub mod vectors;
 
 pub use error::{IndexError, Result};
+pub use mask::RowMask;
 pub use metric::Metric;
 pub use simd::SimdLevel;
 pub use topk::{Neighbor, TopK};

@@ -14,6 +14,7 @@ use rayon::prelude::*;
 
 use crate::distance;
 use crate::error::{IndexError, Result};
+use crate::mask::RowMask;
 use crate::hnsw::HnswIndex;
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
@@ -225,7 +226,7 @@ impl NsgIndex {
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: Option<&dyn Fn(i64) -> bool>,
+        mask: Option<&RowMask>,
     ) -> Result<Vec<Neighbor>> {
         if query.len() != self.dim {
             return Err(IndexError::DimensionMismatch { expected: self.dim, got: query.len() });
@@ -269,9 +270,8 @@ impl NsgIndex {
 
         let mut heap = TopK::new(params.k.max(1));
         for cand in best.into_sorted() {
-            let id = self.ids[cand.id as usize];
-            if allow.is_none_or(|f| f(id)) {
-                heap.push(id, cand.dist);
+            if mask.is_none_or(|m| m.get(cand.id as usize)) {
+                heap.push(self.ids[cand.id as usize], cand.dist);
             }
         }
         Ok(heap.into_sorted())
@@ -374,13 +374,14 @@ impl VectorIndex for NsgIndex {
         self.search_impl(query, params, None)
     }
 
-    fn search_filtered(
+    fn search_masked(
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: &dyn Fn(i64) -> bool,
+        mask: &RowMask,
     ) -> Result<Vec<Neighbor>> {
-        self.search_impl(query, params, Some(allow))
+        mask.check_covers(self.len())?;
+        self.search_impl(query, params, Some(mask))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -488,11 +489,10 @@ mod tests {
     fn filtered_search() {
         let (vs, ids) = random_data(150, 6, 13);
         let nsg = NsgIndex::build(&vs, &ids, &BuildParams::default()).unwrap();
-        let res = nsg
-            .search_filtered(vs.get(0), &SearchParams { k: 5, ef: 64, ..Default::default() }, &|id| {
-                id < 75
-            })
-            .unwrap();
+        let lower_half = RowMask::from_positions(150, &(0..75).collect::<Vec<u32>>());
+        let sp = SearchParams { k: 5, ef: 64, ..Default::default() };
+        let res = nsg.search_masked(vs.get(0), &sp, &lower_half).unwrap();
+        assert!(!res.is_empty());
         assert!(res.iter().all(|x| x.id < 75));
     }
 }

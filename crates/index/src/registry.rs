@@ -139,11 +139,11 @@ mod tests {
         fn search(&self, _q: &[f32], _p: &SearchParams) -> crate::Result<Vec<Neighbor>> {
             Ok(vec![Neighbor::new(42, 0.0)])
         }
-        fn search_filtered(
+        fn search_masked(
             &self,
             q: &[f32],
             p: &SearchParams,
-            _allow: &dyn Fn(i64) -> bool,
+            _mask: &crate::RowMask,
         ) -> crate::Result<Vec<Neighbor>> {
             self.search(q, p)
         }

@@ -7,6 +7,7 @@
 //! builders.
 
 use crate::error::Result;
+use crate::mask::RowMask;
 use crate::metric::Metric;
 use crate::topk::Neighbor;
 use crate::vectors::VectorSet;
@@ -135,28 +136,39 @@ pub trait VectorIndex: Send + Sync {
     /// sorted ascending by internal distance.
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<Vec<Neighbor>>;
 
-    /// Search with a row filter: `allow(id)` must return true for a result to
-    /// be produced. Used by attribute-filtering strategy B (§4.1), where the
-    /// bitmap of attribute-passing ids is consulted during the vector search.
-    fn search_filtered(
+    /// Search restricted to the rows set in `mask` — a bitmap over the index's
+    /// build ordinals (row `i` of the `VectorSet` it was built from is
+    /// ordinal `i`), so `mask.rows()` must equal [`VectorIndex::len`]. This is
+    /// how tombstones (§2.3) and attribute-filtering strategy B (§4.1), where
+    /// the bitmap of attribute-passing rows is consulted during the vector
+    /// search, reach an index.
+    fn search_masked(
         &self,
         query: &[f32],
         params: &SearchParams,
-        allow: &dyn Fn(i64) -> bool,
+        mask: &RowMask,
     ) -> Result<Vec<Neighbor>>;
 
-    /// Search many queries that share one [`SearchParams`], returning one
-    /// sorted result list per query in input order. The default is the
-    /// per-query loop — bit-identical to calling [`VectorIndex::search`] in
-    /// a loop by construction; index types with batchable scan structure
-    /// (IVF: shared bucket sweeps) override this to amortize work across
-    /// the batch without changing any result.
+    /// Search many queries that share one [`SearchParams`] (and one optional
+    /// `mask`), returning one sorted result list per query in input order.
+    /// The default is the per-query loop — bit-identical to calling
+    /// [`VectorIndex::search`] / [`VectorIndex::search_masked`] in a loop by
+    /// construction; index types with batchable scan structure (IVF: shared
+    /// bucket sweeps) override this to amortize work across the batch
+    /// without changing any result.
     fn search_batch(
         &self,
         queries: &VectorSet,
         params: &SearchParams,
+        mask: Option<&RowMask>,
     ) -> Result<Vec<Vec<Neighbor>>> {
-        (0..queries.len()).map(|i| self.search(queries.get(i), params)).collect()
+        queries
+            .iter()
+            .map(|q| match mask {
+                None => self.search(q, params),
+                Some(mask) => self.search_masked(q, params, mask),
+            })
+            .collect()
     }
 
     /// Approximate main-memory footprint in bytes (Table/SPTAG memory

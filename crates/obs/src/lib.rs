@@ -467,6 +467,15 @@ pub const QUERY_ERRORS: &str = "milvus_query_errors_total";
 pub const QUERY_NPROBE_EFFECTIVE: &str = "milvus_query_nprobe_effective_total";
 /// Effective ef used by HNSW searches (per collection, counter).
 pub const QUERY_EF_EFFECTIVE: &str = "milvus_query_ef_effective_total";
+/// Rows that passed a filtered search's predicate, summed over the (segment,
+/// query) pairs that evaluated it (per collection).
+pub const FILTER_ROWS_PASSING: &str = "milvus_filter_rows_passing_total";
+/// (segment, query) pairs answered by filter strategy A — the exact scan of
+/// the passing rows (per collection).
+pub const FILTER_STRATEGY_A: &str = "milvus_filter_strategy_a_total";
+/// (segment, query) pairs answered by filter strategy B — the index search
+/// under the predicate's bitmap (per collection).
+pub const FILTER_STRATEGY_B: &str = "milvus_filter_strategy_b_total";
 /// Rows accepted by insert (per collection).
 pub const INGEST_ROWS: &str = "milvus_ingest_rows_total";
 /// Insert batches accepted (per collection).
@@ -655,6 +664,9 @@ pub const FAMILIES: &[FamilyDesc] = &[
     FamilyDesc { name: EXEC_TASKS, kind: MetricKind::Counter, help: "Tasks executed by a work-stealing executor." },
     FamilyDesc { name: EXEC_WORKERS, kind: MetricKind::Gauge, help: "Worker threads in an executor pool." },
     FamilyDesc { name: EXEC_WORKERS_BUSY, kind: MetricKind::Gauge, help: "Executor workers currently executing a task." },
+    FamilyDesc { name: FILTER_ROWS_PASSING, kind: MetricKind::Counter, help: "Rows passing a filtered search's predicate, per (segment, query) pair." },
+    FamilyDesc { name: FILTER_STRATEGY_A, kind: MetricKind::Counter, help: "(segment, query) pairs answered by the exact scan of the passing rows (strategy A)." },
+    FamilyDesc { name: FILTER_STRATEGY_B, kind: MetricKind::Counter, help: "(segment, query) pairs answered by the index search under the predicate's bitmap (strategy B)." },
     FamilyDesc { name: FLUSH_LATENCY, kind: MetricKind::Histogram, help: "flush() barrier latency." },
     FamilyDesc { name: INDEX_BUILD_LATENCY, kind: MetricKind::Histogram, help: "Index build latency." },
     FamilyDesc { name: INDEX_BUILDS, kind: MetricKind::Counter, help: "Index builds completed." },

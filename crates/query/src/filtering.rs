@@ -17,8 +17,6 @@
 //!   range overlaps, and partitions *covered* by the query range skip the
 //!   attribute check entirely, running pure vector search.
 
-use std::collections::HashSet;
-
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::{BuildParams, SearchParams};
 use milvus_index::{distance, Metric, Neighbor, TopK, VectorIndex, VectorSet};
@@ -94,8 +92,7 @@ pub struct FilterDataset {
     vectors: VectorSet,
     /// Sorted ascending (the columnar layout of §2.4).
     ids: Vec<i64>,
-    /// Attribute values aligned with `ids` rows.
-    values: Vec<f64>,
+    /// Attribute values by row position, key-sorted for range queries.
     column: AttributeColumn,
     index: Box<dyn VectorIndex>,
     /// Over-fetch factor θ for strategy C (§7.5 uses θ = 1.1).
@@ -127,11 +124,11 @@ impl FilterDataset {
         if ids.windows(2).any(|w| w[0] >= w[1]) {
             return Err(QueryError::InvalidQuery("ids must be sorted ascending".into()));
         }
-        let column = AttributeColumn::build(attr_name, &values, &ids);
+        let column = AttributeColumn::build(attr_name, values);
         let mut build = params.clone();
         build.metric = metric;
         let index = registry.build(index_type, &vectors, &ids, &build)?;
-        Ok(Self { metric, vectors, ids, values, column, index, theta: 1.1 })
+        Ok(Self { metric, vectors, ids, column, index, theta: 1.1 })
     }
 
     /// Number of entities.
@@ -227,9 +224,9 @@ impl FilterDataset {
     ) -> Result<(Vec<Neighbor>, ExecTrace)> {
         let rows = self.column.range_rows(pred.lo, pred.hi);
         let mut heap = TopK::new(params.k.max(1));
-        for id in &rows {
-            let row = self.row_of(*id).expect("column ids come from this dataset");
-            heap.push(*id, distance::distance(self.metric, query, self.vectors.get(row)));
+        for &row in rows {
+            let v = self.vectors.get(row as usize);
+            heap.push(self.ids[row as usize], distance::distance(self.metric, query, v));
         }
         let trace = ExecTrace {
             distance_computations: rows.len(),
@@ -239,16 +236,17 @@ impl FilterDataset {
         Ok((heap.into_sorted(), trace))
     }
 
-    /// Strategy B: bitmap from the attribute, filtered ANN search.
+    /// Strategy B: bitmap from the attribute, consulted by the ANN search (the
+    /// index was built over the rows in order, so its ordinals are the
+    /// column's row positions).
     fn strategy_b(
         &self,
         query: &[f32],
         pred: RangePredicate,
         params: &SearchParams,
     ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        let bitmap: HashSet<i64> =
-            self.column.range_rows(pred.lo, pred.hi).into_iter().collect();
-        let res = self.index.search_filtered(query, params, &|id| bitmap.contains(&id))?;
+        let bitmap = self.column.range_mask(pred.lo, pred.hi);
+        let res = self.index.search_masked(query, params, &bitmap)?;
         let trace = ExecTrace {
             distance_computations: self.estimated_index_probes(params),
             resolved: Some(Strategy::B),
@@ -276,7 +274,7 @@ impl FilterDataset {
                 .iter()
                 .filter(|n| {
                     self.row_of(n.id)
-                        .is_some_and(|row| pred.matches(self.values[row]))
+                        .is_some_and(|row| pred.matches(self.column.value_at(row)))
                 })
                 .copied()
                 .take(params.k)

@@ -6,6 +6,7 @@
 //! Snowflake as indexing for the data pages" — enabling point and range
 //! queries such as `price < 100` to skip non-overlapping pages.
 
+use milvus_index::RowMask;
 
 /// Entries per page for the skip pointers.
 pub const PAGE_SIZE: usize = 256;
@@ -21,36 +22,42 @@ pub struct PageStat {
 
 serde::impl_serde_struct!(PageStat { min, max });
 
-/// A sorted `(key, row-id)` attribute column.
+/// A sorted `(key, row)` attribute column over one segment's rows.
+///
+/// Struct-of-arrays: `values` holds each row's value at its row *position*
+/// (the id is the segment's `row_ids[row]`), `order` lists the positions
+/// sorted by value then position — the paper's key-sorted array, 12 bytes a
+/// row, with both the range scan and the per-row read direct.
 #[derive(Debug, Clone)]
 pub struct AttributeColumn {
     name: String,
-    /// `(attribute value, row id)` sorted by value then id.
-    entries: Vec<(f64, i64)>,
-    /// Skip pointers, one per [`PAGE_SIZE`] entries.
+    /// `values[row]` is row position `row`'s attribute value.
+    values: Vec<f64>,
+    /// Row positions sorted by `(value, position)`.
+    order: Vec<u32>,
+    /// Skip pointers, one per [`PAGE_SIZE`] entries of `order`.
     pages: Vec<PageStat>,
 }
 
-serde::impl_serde_struct!(AttributeColumn { name, entries, pages });
+serde::impl_serde_struct!(AttributeColumn { name, values, order, pages });
 
 impl AttributeColumn {
-    /// Build from parallel `values[i]` ↔ `row_ids[i]` arrays.
+    /// Build from `values[row]`, one per row position.
     ///
     /// # Panics
-    /// Panics if the arrays differ in length.
-    pub fn build(name: impl Into<String>, values: &[f64], row_ids: &[i64]) -> Self {
-        assert_eq!(values.len(), row_ids.len(), "values/row_ids length mismatch");
-        let mut entries: Vec<(f64, i64)> =
-            values.iter().copied().zip(row_ids.iter().copied()).collect();
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let pages = entries
+    /// Panics if there are more rows than a `u32` position can name.
+    pub fn build(name: impl Into<String>, values: Vec<f64>) -> Self {
+        let rows = u32::try_from(values.len()).expect("a segment's rows fit a u32 position");
+        let mut order: Vec<u32> = (0..rows).collect();
+        order.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]).then(a.cmp(&b)));
+        let pages = order
             .chunks(PAGE_SIZE)
             .map(|page| PageStat {
-                min: page.first().map_or(f64::INFINITY, |e| e.0),
-                max: page.last().map_or(f64::NEG_INFINITY, |e| e.0),
+                min: values[page[0] as usize],
+                max: values[page[page.len() - 1] as usize],
             })
             .collect();
-        Self { name: name.into(), entries, pages }
+        Self { name: name.into(), values, order, pages }
     }
 
     /// Column name.
@@ -60,81 +67,70 @@ impl AttributeColumn {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.values.len()
     }
 
     /// True when the column has no rows.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.values.is_empty()
     }
 
     /// Column min/max, `None` when empty.
     pub fn min_max(&self) -> Option<(f64, f64)> {
-        if self.entries.is_empty() {
-            None
-        } else {
-            Some((self.entries[0].0, self.entries[self.entries.len() - 1].0))
-        }
+        Some((self.pages.first()?.min, self.pages.last()?.max))
     }
 
-    /// Row ids whose value lies in `[lo, hi]` (inclusive range, the paper's
-    /// `a >= p1 && a <= p2` form), using skip pointers + binary search.
-    pub fn range_rows(&self, lo: f64, hi: f64) -> Vec<i64> {
-        if lo > hi || self.entries.is_empty() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for (p, stat) in self.pages.iter().enumerate() {
-            // Skip pointer: page [min,max] disjoint from [lo,hi]?
-            if stat.max < lo || stat.min > hi {
-                continue;
-            }
-            let start = p * PAGE_SIZE;
-            let end = (start + PAGE_SIZE).min(self.entries.len());
-            let page = &self.entries[start..end];
-            // Binary search within the page for the first entry >= lo.
-            let first = page.partition_point(|e| e.0 < lo);
-            for e in &page[first..] {
-                if e.0 > hi {
-                    break;
-                }
-                out.push(e.1);
-            }
-        }
-        out
+    /// First entry of `order` whose key is not `below` (a predicate that
+    /// holds for a prefix of the sorted keys). The skip pointers pick the one
+    /// page the boundary falls in, so only its keys are read through `order`.
+    fn boundary(&self, below: impl Fn(f64) -> bool) -> usize {
+        let start = (self.pages.partition_point(|p| below(p.max)) * PAGE_SIZE).min(self.len());
+        let page = &self.order[start..(start + PAGE_SIZE).min(self.len())];
+        start + page.partition_point(|&row| below(self.values[row as usize]))
     }
 
-    /// Row ids with value exactly `key`.
-    pub fn point_rows(&self, key: f64) -> Vec<i64> {
+    /// Row positions whose value lies in `[lo, hi]` (inclusive range, the
+    /// paper's `a >= p1 && a <= p2` form), in key order.
+    pub fn range_rows(&self, lo: f64, hi: f64) -> &[u32] {
+        if lo > hi {
+            return &[];
+        }
+        &self.order[self.boundary(|v| v < lo)..self.boundary(|v| v <= hi)]
+    }
+
+    /// Row positions with value exactly `key`.
+    pub fn point_rows(&self, key: f64) -> &[u32] {
         self.range_rows(key, key)
+    }
+
+    /// [`Self::range_rows`] as a bitmap over the column's row positions —
+    /// what a filtered scan consults (§4.1 strategy B).
+    pub fn range_mask(&self, lo: f64, hi: f64) -> RowMask {
+        RowMask::from_positions(self.len(), self.range_rows(lo, hi))
     }
 
     /// Count of rows in `[lo, hi]` without materializing them (selectivity
     /// estimation for the cost-based filtering strategy, §4.1 D).
     pub fn count_range(&self, lo: f64, hi: f64) -> usize {
-        if lo > hi || self.entries.is_empty() {
-            return 0;
-        }
-        let first = self.entries.partition_point(|e| e.0 < lo);
-        let last = self.entries.partition_point(|e| e.0 <= hi);
-        last - first
+        self.range_rows(lo, hi).len()
     }
 
-    /// Attribute value of `row_id`, if present. Linear scan — the column is
-    /// sorted by value, not row id; point lookups by id are rare (entity
-    /// retrieval), range queries are the hot path.
-    pub fn value_of(&self, row_id: i64) -> Option<f64> {
-        self.entries.iter().find(|e| e.1 == row_id).map(|e| e.0)
+    /// Attribute value of row position `row`.
+    ///
+    /// # Panics
+    /// Panics if `row >= len()`.
+    pub fn value_at(&self, row: usize) -> f64 {
+        self.values[row]
     }
 
     /// Approximate heap size in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.entries.len() * 16 + self.pages.len() * 16
+        self.values.len() * 12 + self.pages.len() * 16
     }
 
-    /// Iterate `(value, row_id)` in key order (used by segment merge).
-    pub fn iter(&self) -> impl Iterator<Item = (f64, i64)> + '_ {
-        self.entries.iter().copied()
+    /// Iterate `(value, row position)` in key order (the codec's layout).
+    pub fn iter(&self) -> impl Iterator<Item = (f64, usize)> + '_ {
+        self.order.iter().map(|&row| (self.values[row as usize], row as usize))
     }
 }
 
@@ -143,22 +139,18 @@ mod tests {
     use super::*;
 
     fn col(n: usize) -> AttributeColumn {
-        // values 0..n as f64, row ids reversed so sorting matters.
-        let values: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let rows: Vec<i64> = (0..n as i64).rev().collect();
-        AttributeColumn::build("price", &values, &rows)
+        // Values n-1..=0 by row position, so sorting has to reorder: value v
+        // sits at row n-1-v.
+        AttributeColumn::build("price", (0..n).rev().map(|v| v as f64).collect())
     }
 
     #[test]
     fn range_query_inclusive() {
         let c = col(100);
-        let rows = c.range_rows(10.0, 12.0);
-        // value v was paired with row id 99 - v.
-        let mut expect = vec![89, 88, 87];
-        expect.sort_unstable();
-        let mut got = rows.clone();
-        got.sort_unstable();
-        assert_eq!(got, expect);
+        // Key order: values 10, 11, 12 at rows 89, 88, 87.
+        assert_eq!(c.range_rows(10.0, 12.0), &[89, 88, 87]);
+        let mask = c.range_mask(10.0, 12.0);
+        assert_eq!((mask.rows(), mask.iter().collect::<Vec<_>>()), (100, vec![87, 88, 89]));
     }
 
     #[test]
@@ -174,37 +166,51 @@ mod tests {
         assert!(c.range_rows(100.0, 200.0).is_empty());
         assert!(c.range_rows(-10.0, -1.0).is_empty());
         assert!(c.range_rows(5.0, 4.0).is_empty());
+        assert_eq!(c.range_mask(100.0, 200.0).count(), 0);
     }
 
     #[test]
     fn point_query() {
         let c = col(20);
-        assert_eq!(c.point_rows(7.0), vec![12]);
+        assert_eq!(c.point_rows(7.0), &[12]);
         assert!(c.point_rows(7.5).is_empty());
     }
 
     #[test]
-    fn duplicate_keys_all_returned() {
-        let values = vec![5.0, 5.0, 5.0, 1.0];
-        let rows = vec![1, 2, 3, 4];
-        let c = AttributeColumn::build("a", &values, &rows);
-        let mut got = c.point_rows(5.0);
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 3]);
+    fn duplicate_keys_all_returned_in_row_order() {
+        let c = AttributeColumn::build("a", vec![5.0, 1.0, 5.0, 5.0]);
+        assert_eq!(c.point_rows(5.0), &[0, 2, 3]);
+    }
+
+    /// The paged boundary search agrees with a plain filter at every bound
+    /// around the page edges (including a last page that is full).
+    #[test]
+    fn ranges_match_a_naive_filter_around_page_edges() {
+        for n in [0usize, 1, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1, PAGE_SIZE * 2] {
+            let c = col(n);
+            let edges = [0, 1, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1, n.saturating_sub(1), n, n + 5];
+            for lo in edges {
+                for hi in edges {
+                    let (lo, hi) = (lo as f64 - 0.5, hi as f64);
+                    let expect = (0..n).filter(|&v| (v as f64) >= lo && (v as f64) <= hi).count();
+                    assert_eq!(c.count_range(lo, hi), expect, "n={n} [{lo}, {hi}]");
+                    assert_eq!(c.range_mask(lo, hi).count(), expect, "n={n} [{lo}, {hi}]");
+                }
+            }
+        }
     }
 
     #[test]
-    fn count_range_matches_materialized() {
-        let c = col(1000);
-        for (lo, hi) in [(0.0, 999.0), (10.0, 10.0), (500.5, 600.5), (2000.0, 3000.0)] {
-            assert_eq!(c.count_range(lo, hi), c.range_rows(lo, hi).len());
-        }
+    fn value_at_reads_by_row_position() {
+        let c = col(10);
+        assert_eq!((c.value_at(0), c.value_at(9)), (9.0, 0.0));
+        assert_eq!(c.iter().next(), Some((0.0, 9)));
     }
 
     #[test]
     fn min_max() {
         assert_eq!(col(10).min_max(), Some((0.0, 9.0)));
-        let empty = AttributeColumn::build("e", &[], &[]);
+        let empty = AttributeColumn::build("e", Vec::new());
         assert_eq!(empty.min_max(), None);
         assert!(empty.range_rows(0.0, 1.0).is_empty());
     }

@@ -9,8 +9,6 @@
 //! Attribute columns are persisted in key order and rebuilt (with fresh skip
 //! pointers) on decode.
 
-use std::collections::HashSet;
-
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use milvus_index::VectorSet;
 
@@ -66,15 +64,14 @@ pub fn encode_segment(seg: &Segment) -> Bytes {
         buf.put_u32_le(name.len() as u32);
         buf.put_slice(name);
         buf.put_u64_le(col.len() as u64);
-        for (v, id) in col.iter() {
+        for (v, row) in col.iter() {
             buf.put_f64_le(v);
-            buf.put_i64_le(id);
+            buf.put_i64_le(data.row_ids[row]);
         }
     }
-    buf.put_u64_le(seg.deleted().len() as u64);
-    let mut dels: Vec<i64> = seg.deleted().iter().copied().collect();
-    dels.sort_unstable();
-    for id in dels {
+    let deleted = seg.deleted();
+    buf.put_u64_le(deleted.len() as u64);
+    for id in deleted {
         buf.put_i64_le(id);
     }
 
@@ -156,13 +153,22 @@ pub fn decode_segment(id: u64, version: u64, mut buf: &[u8]) -> Result<Segment> 
         if buf.remaining() < n * 16 {
             return Err(corrupt("truncated attribute entries"));
         }
-        let mut values = Vec::with_capacity(n);
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(buf.get_f64_le());
-            rows.push(buf.get_i64_le());
+        if n != n_rows {
+            return Err(corrupt("attribute column does not cover the rows"));
         }
-        attributes.push(AttributeColumn::build(name, &values, &rows));
+        // Pairs arrive in key order and name rows by id; the column holds
+        // one value per row position.
+        let mut values = vec![f64::NAN; n];
+        let mut seen = vec![false; n];
+        for _ in 0..n {
+            let (value, id) = (buf.get_f64_le(), buf.get_i64_le());
+            let row = row_ids.binary_search(&id).map_err(|_| corrupt("attribute of unknown row"))?;
+            if std::mem::replace(&mut seen[row], true) {
+                return Err(corrupt("two attribute values for one row"));
+            }
+            values[row] = value;
+        }
+        attributes.push(AttributeColumn::build(name, values));
     }
 
     if buf.remaining() < 8 {
@@ -172,13 +178,10 @@ pub fn decode_segment(id: u64, version: u64, mut buf: &[u8]) -> Result<Segment> 
     if buf.remaining() < n_del * 8 {
         return Err(corrupt("truncated tombstones"));
     }
-    let mut deleted = HashSet::with_capacity(n_del);
-    for _ in 0..n_del {
-        deleted.insert(buf.get_i64_le());
-    }
+    let deleted: Vec<i64> = (0..n_del).map(|_| buf.get_i64_le()).collect();
 
     let segment =
-        Segment::from_parts(id, version, SegmentData { row_ids, vectors, attributes }, deleted);
+        Segment::from_parts(id, version, SegmentData { row_ids, vectors, attributes }, &deleted);
 
     // Optional trailing index section (absent in blobs written before index
     // persistence existed).
@@ -206,6 +209,10 @@ pub fn decode_segment(id: u64, version: u64, mut buf: &[u8]) -> Result<Segment> 
                 return Err(corrupt("truncated index blob"));
             }
             let index = milvus_index::ivf::codec::decode_ivf(&buf[..blob_len])?;
+            // A scan hands the index a mask over row positions.
+            if index.len_rows() != n_rows {
+                return Err(corrupt("index does not cover the rows"));
+            }
             buf.advance(blob_len);
             segment.attach_index(field, std::sync::Arc::new(index));
         }
@@ -244,7 +251,7 @@ mod tests {
         assert_eq!(back.data().vectors[0].as_flat(), seg.data().vectors[0].as_flat());
         assert_eq!(back.deleted(), seg.deleted());
         assert_eq!(back.data().attributes[0].name(), "price");
-        assert_eq!(back.data().attributes[0].point_rows(105.0), vec![5]);
+        assert_eq!(back.data().attributes[0].point_rows(105.0), &[5]);
     }
 
     /// The blob format is pinned byte for byte (the bulk f32 helpers must not

@@ -19,6 +19,9 @@ use crate::error::{Result, StorageError};
 pub struct MemTable {
     schema: Schema,
     ids: Vec<i64>,
+    /// The same ids as a set, so the duplicate check of every insert and the
+    /// buffered-or-flushed split of every delete are O(batch).
+    buffered: HashSet<i64>,
     vectors: Vec<VectorSet>,
     attributes: Vec<Vec<f64>>,
     /// Deletes that refer to rows *not* in this memtable (flushed segments).
@@ -37,6 +40,7 @@ impl MemTable {
         Self {
             schema,
             ids: Vec::new(),
+            buffered: HashSet::new(),
             vectors,
             attributes,
             pending_deletes: HashSet::new(),
@@ -74,7 +78,7 @@ impl MemTable {
 
     /// Whether `id` is currently buffered as an insert.
     pub fn contains(&self, id: i64) -> bool {
-        self.ids.contains(&id)
+        self.buffered.contains(&id)
     }
 
     /// Buffer an insert batch.
@@ -88,13 +92,14 @@ impl MemTable {
     }
 
     /// Buffer a batch that the caller has validated against the schema and
-    /// found free of buffered ids ([`MemTable::contains`] is a scan, and
-    /// the engine has to make both checks before it logs the batch).
+    /// found free of buffered ids (the engine has to make both checks before
+    /// it logs the batch).
     pub(crate) fn append(&mut self, batch: &InsertBatch) {
         // A pending delete of an inserted id is kept — it refers to the
         // *flushed* copy, which must still be tombstoned. The new row lands
         // in a newer segment (update = delete + insert, §2.3).
         self.ids.extend_from_slice(&batch.ids);
+        self.buffered.extend(&batch.ids);
         for (col, add) in self.vectors.iter_mut().zip(&batch.vectors) {
             col.extend_from(add);
         }
@@ -108,8 +113,7 @@ impl MemTable {
     /// buffered here are recorded for segment tombstoning.
     pub fn delete(&mut self, ids: &[i64]) {
         let target: HashSet<i64> = ids.iter().copied().collect();
-        let buffered_before: HashSet<i64> = self.ids.iter().copied().collect();
-        let hit = self.ids.iter().any(|id| target.contains(id));
+        let hit = target.iter().any(|id| self.buffered.contains(id));
         if hit {
             let keep: Vec<usize> =
                 (0..self.ids.len()).filter(|&r| !target.contains(&self.ids[r])).collect();
@@ -124,7 +128,7 @@ impl MemTable {
         for id in target {
             // A row that was only ever buffered is dropped outright; anything
             // else may exist in a flushed segment and needs a tombstone.
-            if !buffered_before.contains(&id) {
+            if !self.buffered.remove(&id) {
                 self.pending_deletes.insert(id);
             }
         }
@@ -146,6 +150,7 @@ impl MemTable {
         };
         let mut deletes: Vec<i64> = self.pending_deletes.drain().collect();
         deletes.sort_unstable();
+        self.buffered.clear();
         self.bytes = 0;
         (batch, deletes, self.applied_lsn)
     }

@@ -8,13 +8,16 @@
 //! what makes snapshots cheap and lets GC reclaim payloads only when the last
 //! referencing snapshot drops.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use milvus_exec::Executor;
 use milvus_index::batch::{cache_aware_scan, BatchOptions, Rows};
 use milvus_index::traits::{BuildParams, SearchParams};
-use milvus_index::{registry::IndexRegistry, Metric, Neighbor, TopK, VectorIndex, VectorSet};
+use milvus_index::{
+    registry::IndexRegistry, Metric, Neighbor, RowMask, TopK, VectorIndex, VectorSet,
+};
 use milvus_obs as obs;
 use parking_lot::RwLock;
 
@@ -65,9 +68,9 @@ pub fn clear_scan_delays() {
     SCAN_FAULTS_ARMED.store(false, std::sync::atomic::Ordering::SeqCst);
 }
 
-/// Honor any armed scan fault for `segment_id`: once per single-query scan
-/// ([`Segment::search_field_stats`]), once per batched one
-/// ([`Segment::search_batch`]).
+/// Honor any armed scan fault for `segment_id`: once per
+/// [`Segment::search_field_stats`] call, once per [`Segment::search_batch`]
+/// call.
 #[inline]
 fn apply_scan_fault(segment_id: u64) {
     if SCAN_FAULTS_ARMED.load(std::sync::atomic::Ordering::Relaxed) {
@@ -105,7 +108,9 @@ pub struct Segment {
     /// Version, bumped on tombstone/index changes (§5.2).
     pub version: u64,
     data: Arc<SegmentData>,
-    deleted: Arc<HashSet<i64>>,
+    /// The rows not tombstoned, as a bitmap over row positions; `None` while
+    /// every row is live, so a segment without deletes pays no bytes for it.
+    live: Option<Arc<RowMask>>,
     /// Lazily-built per-vector-field indexes (built asynchronously, §5.1).
     indexes: RwLock<HashMap<String, Arc<dyn VectorIndex>>>,
 }
@@ -124,28 +129,23 @@ impl Segment {
             .iter()
             .zip(&schema.attribute_fields)
             .map(|(col, name)| {
-                let sorted_vals: Vec<f64> = order.iter().map(|&i| col[i]).collect();
-                AttributeColumn::build(name.clone(), &sorted_vals, &row_ids)
+                AttributeColumn::build(name.clone(), order.iter().map(|&i| col[i]).collect())
             })
             .collect();
         Ok(Self {
             id,
             version: 1,
             data: Arc::new(SegmentData { row_ids, vectors, attributes }),
-            deleted: Arc::new(HashSet::new()),
+            live: None,
             indexes: RwLock::new(HashMap::new()),
         })
     }
 
-    /// Construct directly from parts (codec decode, merges).
-    pub fn from_parts(id: u64, version: u64, data: SegmentData, deleted: HashSet<i64>) -> Self {
-        Self {
-            id,
-            version,
-            data: Arc::new(data),
-            deleted: Arc::new(deleted),
-            indexes: RwLock::new(HashMap::new()),
-        }
+    /// Construct directly from parts (codec decode, merges); `deleted` lists
+    /// the tombstoned ids.
+    pub fn from_parts(id: u64, version: u64, data: SegmentData, deleted: &[i64]) -> Self {
+        let live = tombstoned(&data.row_ids, None, deleted.iter().copied());
+        Self { id, version, data: Arc::new(data), live, indexes: RwLock::new(HashMap::new()) }
     }
 
     /// Borrow the immutable payload.
@@ -153,9 +153,11 @@ impl Segment {
         &self.data
     }
 
-    /// Tombstoned ids.
-    pub fn deleted(&self) -> &HashSet<i64> {
-        &self.deleted
+    /// Tombstoned ids, ascending.
+    pub fn deleted(&self) -> Vec<i64> {
+        let Some(live) = &self.live else { return Vec::new() };
+        let dead = (0..self.num_rows()).filter(|&row| !live.get(row));
+        dead.map(|row| self.data.row_ids[row]).collect()
     }
 
     /// Total rows including tombstoned ones.
@@ -165,7 +167,7 @@ impl Segment {
 
     /// Rows visible to queries.
     pub fn live_rows(&self) -> usize {
-        self.num_rows() - self.deleted.len()
+        self.live.as_ref().map_or(self.num_rows(), |live| live.count())
     }
 
     /// Whether `id` is stored here (regardless of tombstones).
@@ -175,23 +177,28 @@ impl Segment {
 
     /// Whether `id` is tombstoned in this version.
     pub fn is_deleted(&self, id: i64) -> bool {
-        self.deleted.contains(&id)
+        self.live.as_ref().is_some_and(|live| {
+            self.data.row_ids.binary_search(&id).is_ok_and(|row| !live.get(row))
+        })
+    }
+
+    /// The rows a scan may return: the live ones that `allow` (a bitmap over
+    /// row positions, e.g. an attribute predicate's) also sets. `None`: all.
+    pub fn visible<'a>(&'a self, allow: Option<&'a RowMask>) -> Option<Cow<'a, RowMask>> {
+        match (self.live.as_deref(), allow) {
+            (Some(live), Some(allow)) => Some(Cow::Owned(live.and(allow))),
+            (one, other) => one.or(other).map(Cow::Borrowed),
+        }
     }
 
     /// New version with additional tombstones; payload and indexes are shared
     /// (out-of-place delete, §2.3).
     pub fn with_deletes(&self, ids: impl IntoIterator<Item = i64>) -> Segment {
-        let mut deleted = (*self.deleted).clone();
-        for id in ids {
-            if self.contains_id(id) {
-                deleted.insert(id);
-            }
-        }
         Segment {
             id: self.id,
             version: self.version + 1,
             data: Arc::clone(&self.data),
-            deleted: Arc::new(deleted),
+            live: tombstoned(&self.data.row_ids, self.live.as_deref(), ids),
             indexes: RwLock::new(self.indexes.read().clone()),
         }
     }
@@ -200,10 +207,13 @@ impl Segment {
     /// caching unit, §2.4).
     pub fn memory_bytes(&self) -> usize {
         let idx: usize = self.indexes.read().values().map(|i| i.memory_bytes()).sum();
-        self.data.memory_bytes() + self.deleted.len() * 8 + idx
+        self.data.memory_bytes() + self.live.as_ref().map_or(0, |live| live.memory_bytes()) + idx
     }
 
-    /// Build (or rebuild) an index on `field` over the live rows.
+    /// Build (or rebuild) an index on `field` over **every** row, tombstoned
+    /// or not, so an index ordinal *is* a row position and the one mask a
+    /// scan carries serves both; the mask hides the dead rows until a merge
+    /// drops them (§2.3).
     ///
     /// Returns a **new version** of the segment carrying the index (§5.2: a
     /// new version is generated upon building index).
@@ -218,21 +228,15 @@ impl Segment {
         let fi = schema
             .vector_field_index(field)
             .ok_or_else(|| StorageError::SchemaViolation(format!("no vector field {field}")))?;
-        let col = &self.data.vectors[fi];
-        // Index live rows only.
-        let live: Vec<usize> = (0..self.num_rows())
-            .filter(|&r| !self.deleted.contains(&self.data.row_ids[r]))
-            .collect();
-        let vectors = col.gather(&live);
-        let ids: Vec<i64> = live.iter().map(|&r| self.data.row_ids[r]).collect();
         let mut build = params.clone();
         build.metric = schema.vector_fields[fi].metric;
-        let index: Arc<dyn VectorIndex> = Arc::from(registry.build(index_type, &vectors, &ids, &build)?);
+        let (col, ids) = (&self.data.vectors[fi], &self.data.row_ids);
+        let index: Arc<dyn VectorIndex> = Arc::from(registry.build(index_type, col, ids, &build)?);
         let next = Segment {
             id: self.id,
             version: self.version + 1,
             data: Arc::clone(&self.data),
-            deleted: Arc::clone(&self.deleted),
+            live: self.live.clone(),
             indexes: RwLock::new(self.indexes.read().clone()),
         };
         next.indexes.write().insert(field.to_string(), index);
@@ -261,15 +265,16 @@ impl Segment {
         v
     }
 
-    /// Search one vector field of this segment. Uses the field's index when
-    /// present (masking tombstones), otherwise a brute-force columnar scan.
+    /// Search one vector field of this segment among the live rows that
+    /// `allow` (a bitmap over row positions) also sets. Uses the field's index
+    /// when present, otherwise a brute-force columnar scan.
     pub fn search_field(
         &self,
         schema: &Schema,
         field: &str,
         query: &[f32],
         params: &SearchParams,
-        allow: Option<&dyn Fn(i64) -> bool>,
+        allow: Option<&RowMask>,
     ) -> Result<Vec<Neighbor>> {
         self.search_field_stats(schema, field, query, params, allow).map(|(r, _)| r)
     }
@@ -282,9 +287,23 @@ impl Segment {
         field: &str,
         query: &[f32],
         params: &SearchParams,
-        allow: Option<&dyn Fn(i64) -> bool>,
+        allow: Option<&RowMask>,
     ) -> Result<(Vec<Neighbor>, ScanStats)> {
         apply_scan_fault(self.id);
+        self.scan_one(schema, field, query, params, self.visible(allow).as_deref())
+    }
+
+    /// One query over the rows set in `visible` (`None`: every row). An index
+    /// ordinal is a row position ([`Self::build_index`]), so the same mask
+    /// serves the index and the column scan.
+    fn scan_one(
+        &self,
+        schema: &Schema,
+        field: &str,
+        query: &[f32],
+        params: &SearchParams,
+        visible: Option<&RowMask>,
+    ) -> Result<(Vec<Neighbor>, ScanStats)> {
         let fi = schema
             .vector_field_index(field)
             .ok_or_else(|| StorageError::SchemaViolation(format!("no vector field {field}")))?;
@@ -292,17 +311,10 @@ impl Segment {
         let stats = ScanStats { rows_scanned: self.live_rows() as u64, used_index: false };
 
         if let Some(index) = self.index(field) {
-            // No tombstones and no user filter: take the unfiltered search
-            // path, whose bucket scans run register-tiled with zero per-row
-            // predicate dispatch. Wrapping an always-true closure here would
-            // force every scanned row through an indirect call.
-            if self.deleted.is_empty() && allow.is_none() {
-                let res = index.search(query, params)?;
-                return Ok((res, ScanStats { used_index: true, ..stats }));
-            }
-            let deleted = Arc::clone(&self.deleted);
-            let pred = move |id: i64| !deleted.contains(&id) && allow.is_none_or(|f| f(id));
-            let res = index.search_filtered(query, params, &pred)?;
+            let res = match visible {
+                None => index.search(query, params)?,
+                Some(mask) => index.search_masked(query, params, mask)?,
+            };
             return Ok((res, ScanStats { used_index: true, ..stats }));
         }
 
@@ -315,31 +327,31 @@ impl Segment {
         }
         let mut heap = TopK::new(params.k.max(1));
         for (row, v) in col.iter().enumerate() {
-            let id = self.data.row_ids[row];
-            if !self.deleted.contains(&id) && allow.is_none_or(|f| f(id)) {
-                heap.push(id, distance::distance(metric, query, v));
+            if visible.is_none_or(|mask| mask.get(row)) {
+                heap.push(self.data.row_ids[row], distance::distance(metric, query, v));
             }
         }
         Ok((heap.into_sorted(), stats))
     }
 
     /// Search one vector field for a batch of queries that share `params`
-    /// except for `k` (`ks[j]` is query `j`'s). Returns one result per query
-    /// in input order, each bit-identical to
-    /// [`Self::search_field_stats`] at that query's own `k`.
+    /// except for `k` (`ks[j]` is query `j`'s) and share `allow`. Returns one
+    /// result per query in input order, each bit-identical to
+    /// [`Self::search_field_stats`] at that query's own `k`. The rows the
+    /// batch may return — `live ∧ allow` — are worked out once, here.
     ///
     /// This is the only place that knows which scans may batch:
     ///
-    /// * delete-free, indexed — [`VectorIndex::search_batch`] (IVF overrides
-    ///   it with the bucket-major sweep; the default is the per-query loop)
-    ///   at `max(ks)`, each sorted list truncated to its own `k`. Truncation
-    ///   is exact only for IVF's exhaustive bucket scans, so a mixed-`k`
-    ///   batch on a graph/tree index runs per query instead.
-    /// * delete-free, unindexed, SIMD metric — the cache-aware batch engine
-    ///   over the segment's own column, zero-copy.
-    /// * everything else (one query, an `allow` filter, tombstones, binary
-    ///   metrics, a query of the wrong dimension) — `search_field_stats` per
-    ///   query, so every query gets exactly its own result or error.
+    /// * indexed — [`VectorIndex::search_batch`] (IVF overrides it with the
+    ///   bucket-major sweep; the default is the per-query loop) at `max(ks)`,
+    ///   each sorted list truncated to its own `k`. Truncation is exact only
+    ///   for IVF's exhaustive bucket scans, so a mixed-`k` batch on a
+    ///   graph/tree index runs per query instead.
+    /// * unindexed, SIMD metric — the cache-aware batch engine over the
+    ///   segment's own column, zero-copy.
+    /// * everything else (one query, binary metrics, a query of the wrong
+    ///   dimension) — one scan per query, so every query gets exactly its own
+    ///   result or error.
     pub fn search_batch(
         &self,
         schema: &Schema,
@@ -347,8 +359,11 @@ impl Segment {
         queries: &[&[f32]],
         ks: &[usize],
         params: &SearchParams,
-        allow: Option<&dyn Fn(i64) -> bool>,
+        allow: Option<&RowMask>,
     ) -> (Vec<Result<Vec<Neighbor>>>, ScanStats) {
+        apply_scan_fault(self.id);
+        let visible = self.visible(allow);
+        let visible = visible.as_deref();
         let index = self.index(field);
         let stats =
             ScanStats { rows_scanned: self.live_rows() as u64, used_index: index.is_some() };
@@ -358,7 +373,7 @@ impl Segment {
                 .zip(ks)
                 .map(|(q, &k)| {
                     let own = SearchParams { k, ..params.clone() };
-                    self.search_field(schema, field, q, &own, allow)
+                    self.scan_one(schema, field, q, &own, visible).map(|(r, _)| r)
                 })
                 .collect()
         };
@@ -367,8 +382,6 @@ impl Segment {
         let metric = schema.vector_fields[fi].metric;
         let uniform_k = ks.iter().all(|&k| k == ks[0]);
         let batchable = queries.len() > 1
-            && allow.is_none()
-            && self.deleted.is_empty()
             && queries.iter().all(|q| q.len() == col.dim())
             && match &index {
                 Some(index) => uniform_k || index.as_ivf().is_some(),
@@ -378,7 +391,6 @@ impl Segment {
             return (per_query(), stats);
         }
 
-        apply_scan_fault(self.id);
         let mut qs = VectorSet::with_capacity(col.dim(), queries.len());
         for q in queries {
             qs.push(q);
@@ -387,7 +399,7 @@ impl Segment {
             Some(index) => {
                 let kmax = ks.iter().copied().max().unwrap_or(1);
                 let at_kmax = SearchParams { k: kmax, ..params.clone() };
-                let Ok(mut lists) = index.search_batch(&qs, &at_kmax) else {
+                let Ok(mut lists) = index.search_batch(&qs, &at_kmax, visible) else {
                     // Errors are not `Clone`: rerun per query so each caller
                     // gets its own.
                     return (per_query(), stats);
@@ -400,8 +412,8 @@ impl Segment {
             None => {
                 let exec = Executor::global();
                 let opts = BatchOptions { metric, threads: exec.threads(), ..Default::default() };
-                let off = &mut obs::Trace::disabled();
-                cache_aware_scan(exec, Rows::F32(col), &self.data.row_ids, &qs, ks, &opts, off)
+                let (ids, off) = (&self.data.row_ids, &mut obs::Trace::disabled());
+                cache_aware_scan(exec, Rows::F32(col), ids, &qs, ks, visible, &opts, off)
             }
         };
         (lists.into_iter().map(Ok).collect(), stats)
@@ -420,10 +432,10 @@ impl Segment {
         // transiently).
         let mut rows: Vec<(i64, usize, usize)> = Vec::new();
         for (si, seg) in segments.iter().enumerate() {
-            for (r, &id) in seg.data.row_ids.iter().enumerate() {
-                if !seg.deleted.contains(&id) {
-                    rows.push((id, si, r));
-                }
+            let mut keep = |r: usize| rows.push((seg.data.row_ids[r], si, r));
+            match &seg.live {
+                None => (0..seg.num_rows()).for_each(&mut keep),
+                Some(live) => live.iter().for_each(&mut keep),
             }
         }
         rows.sort_by_key(|&(id, si, _)| (id, std::cmp::Reverse(si)));
@@ -441,16 +453,11 @@ impl Segment {
         }
         let mut attributes = Vec::with_capacity(segments[0].data.attributes.len());
         for (a, name) in schema.attribute_fields.iter().enumerate() {
-            // Rebuild from per-row values: look up each row's value via the
-            // source column (id → value map per segment).
-            let maps: Vec<HashMap<i64, f64>> = segments
-                .iter()
-                .map(|s| s.data.attributes[a].iter().map(|(v, id)| (id, v)).collect())
-                .collect();
-            let vals: Vec<f64> = rows.iter().map(|&(id, si, _)| maps[si][&id]).collect();
-            attributes.push(AttributeColumn::build(name.clone(), &vals, &row_ids));
+            let vals =
+                rows.iter().map(|&(_, si, r)| segments[si].data.attributes[a].value_at(r)).collect();
+            attributes.push(AttributeColumn::build(name.clone(), vals));
         }
-        Segment::from_parts(new_id, 1, SegmentData { row_ids, vectors, attributes }, HashSet::new())
+        Segment::from_parts(new_id, 1, SegmentData { row_ids, vectors, attributes }, &[])
     }
 }
 
@@ -460,10 +467,26 @@ impl std::fmt::Debug for Segment {
             .field("id", &self.id)
             .field("version", &self.version)
             .field("rows", &self.num_rows())
-            .field("deleted", &self.deleted.len())
+            .field("deleted", &(self.num_rows() - self.live_rows()))
             .field("indexes", &self.indexes.read().keys().collect::<Vec<_>>())
             .finish()
     }
+}
+
+/// `live` (`None`: every row) with the rows holding `ids` cleared; ids stored
+/// nowhere in `row_ids` (sorted ascending) are ignored.
+fn tombstoned(
+    row_ids: &[i64],
+    live: Option<&RowMask>,
+    ids: impl IntoIterator<Item = i64>,
+) -> Option<Arc<RowMask>> {
+    let mut live = live.cloned();
+    for id in ids {
+        if let Ok(row) = row_ids.binary_search(&id) {
+            live.get_or_insert_with(|| RowMask::all(row_ids.len())).set(row, false);
+        }
+    }
+    live.map(Arc::new)
 }
 
 /// Merge per-segment sorted results into a global top-k (the segment is the
@@ -538,8 +561,9 @@ mod tests {
         assert_eq!(merged.data().row_ids, vec![1, 3, 4, 5]);
         assert_eq!(merged.deleted().len(), 0);
         // Attribute column survives with per-row values intact.
-        let rows = merged.data().attributes[0].point_rows(0.0);
-        assert!(rows.contains(&1) && rows.contains(&4));
+        // `batch` gives each segment's rows the values 0, 1, 2…: id 1 and
+        // id 4 carried 0.0 and now sit at rows 0 and 2.
+        assert_eq!(merged.data().attributes[0].point_rows(0.0), &[0, 2]);
     }
 
     #[test]
@@ -559,11 +583,14 @@ mod tests {
 
     #[test]
     fn search_with_allow_filter() {
-        let seg = Segment::from_batch(1, &schema(), &batch((0..50).collect())).unwrap();
+        let seg =
+            Segment::from_batch(1, &schema(), &batch((0..50).collect())).unwrap().with_deletes([3]);
+        let first_ten = RowMask::from_positions(50, &(0..10).collect::<Vec<u32>>());
         let res = seg
-            .search_field(&schema(), "v", &[25.0, 0.0], &SearchParams::top_k(5), Some(&|id| id < 10))
+            .search_field(&schema(), "v", &[25.0, 0.0], &SearchParams::top_k(50), Some(&first_ten))
             .unwrap();
-        assert!(res.iter().all(|n| n.id < 10));
+        // Visible = allowed ∧ live, nearest (largest id) first.
+        assert_eq!(res.iter().map(|n| n.id).collect::<Vec<_>>(), [9, 8, 7, 6, 5, 4, 2, 1, 0]);
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! Integration tests for the work-stealing executor on the query path:
 //! parallel segment fan-out actually overlaps per-segment waits, every entry
-//! point of the query pipeline returns results bit-identical to a serial
-//! per-segment reference, and the executor's metric families are exported.
+//! point of the query pipeline returns results bit-identical to a per-segment
+//! oracle that runs none of it, and the executor's metric families are
+//! exported.
 //!
 //! Scan-delay injection is process-global (keyed by segment id), so every
 //! test that arms it serializes on [`guard`] and disarms via a drop guard.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use milvus_core::{CollectionConfig, Milvus, SearchHit};
 use milvus_index::traits::SearchParams;
-use milvus_index::{Metric, VectorSet};
+use milvus_index::{distance, Metric, RowMask, TopK, VectorSet};
 use milvus_obs as obs;
-use milvus_storage::segment::merge_segment_results;
+use milvus_storage::segment::{merge_segment_results, Segment};
 use milvus_storage::{InsertBatch, Schema};
 
 fn guard() -> MutexGuard<'static, ()> {
@@ -97,89 +99,146 @@ fn parallel_segment_fanout_overlaps_scan_delays() {
     );
 }
 
-/// The one oracle for the query pipeline. Over {no index, IVF_FLAT, IVF_SQ8,
-/// IVF_PQ, HNSW} × {no tombstones, tombstones} × {unfiltered, range-filtered}
-/// × {a lone `search`, `search_batch` of 1 and of 5, a barrier-released storm
-/// of concurrent searches with mixed `k`}, every answer must equal the
-/// serial reference built from nothing but `Segment::search_field_stats` per
-/// segment (the predicate as `allow` when filtered) + `merge_segment_results`
-/// — same ids, same distance bits.
+/// The one oracle for the query pipeline, and it does not run the code under
+/// test: what a segment must answer is derived here without any `RowMask` —
+///
+/// * where the planner scans exactly (no index, or a predicate passing at
+///   most `8·k` rows — the A-vs-B rule this test pins), a scalar loop over
+///   the rows that are live and pass;
+/// * on an IVF index, the *unfiltered* `index.search` at `k = rows`,
+///   post-filtered by predicate and tombstones and cut to `k` — exact,
+///   because probed buckets are scanned exhaustively and PQ pruning is
+///   exactness-preserving;
+/// * on HNSW (a beam search has no such closed form) the same-path check:
+///   `Segment::search_field_stats` under the predicate's mask.
+///
+/// Over {no index, IVF_FLAT, IVF_SQ8, IVF_PQ, HNSW} × {no tombstones,
+/// tombstones, tombstones already there when the index was built} ×
+/// {unfiltered, predicates passing nothing / one row / 1 % / 50 % / 100 %} ×
+/// {a lone search, a barrier-released storm coalesced behind taken run slots
+/// with mixed `k`, `Segment::search_batch` of 32 with mixed `k`,
+/// `Collection::search_batch` of 1 and of 32}, every answer must equal the
+/// per-segment oracle lists merged by `merge_segment_results` — same ids,
+/// same distance bits.
 #[test]
 fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
     const DIM: usize = 16;
     const ROWS: i64 = 400;
-    // tag = id % 10 and the range keeps 60 % of each segment: far more than
-    // 8·k rows, so indexed segments take the filtered index search, whose
-    // answer `search_field_stats` with the predicate reproduces exactly
-    // (unindexed segments scan the passers exactly, as the reference does).
-    let (lo, hi) = (2.0, 7.0);
-    let passes = |id: i64| (lo..=hi).contains(&((id % 10) as f64));
+    const LONER: i64 = 778;
+    // One row carries a value of its own; the rest cycle through 0..100.
+    let attr = |id: i64| if id == LONER { -1.0 } else { (id % 100) as f64 };
+    let ranges: [(&str, Option<(f64, f64)>); 6] = [
+        ("unfiltered", None),
+        ("0 rows", Some((200.0, 300.0))),
+        ("1 row", Some((-1.0, -1.0))),
+        ("1 %", Some((7.0, 7.0))),
+        ("50 %", Some((0.0, 49.0))),
+        ("100 %", Some((-1.0, 99.0))),
+    ];
     let ks = [3usize, 9, 5, 9, 3, 7];
+    let batch_ks: Vec<usize> = [3usize, 9, 5, 1, 12, 7, 9, 2].into_iter().cycle().take(32).collect();
 
     let _g = guard();
     let _cleanup = DelayGuard;
     let m = Milvus::new();
     let schema = Schema::single("v", DIM, Metric::L2).with_attribute("tag");
-    let queries: Vec<Vec<f32>> = (0..ks.len() as i64)
+    let queries: Vec<Vec<f32>> = (0..batch_ks.len() as i64)
         .map(|qi| (0..DIM as i64).map(|d| ((qi * 7 + d) as f32 * 0.17).sin()).collect())
         .collect();
+    let params = |k: usize| SearchParams { k, nprobe: 6, ..Default::default() };
+
+    // What `seg` must answer for (`q`, `k`) under `range`. `planned`: the
+    // caller is the collection, which scans a selective predicate exactly.
+    let expected = |seg: &Segment, q: &[f32], k: usize, range: Option<(f64, f64)>, planned: bool| {
+        let passes = |id: i64| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&attr(id)));
+        let dead: HashSet<i64> = seg.deleted().into_iter().collect();
+        let visible = |id: i64| passes(id) && !dead.contains(&id);
+        let data = seg.data();
+        let passing: Vec<u32> =
+            (0..data.row_ids.len() as u32).filter(|&r| passes(data.row_ids[r as usize])).collect();
+        let index = seg.index("v");
+        let selective = planned && range.is_some() && passing.len() <= 8 * k;
+        match index {
+            Some(index) if !selective && index.name() == "HNSW" => {
+                let mask = RowMask::from_positions(data.row_ids.len(), &passing);
+                let allow = range.map(|_| &mask);
+                seg.search_field_stats(&schema, "v", q, &params(k), allow).unwrap().0
+            }
+            Some(index) if !selective => {
+                let mut all = index.search(q, &params(data.row_ids.len())).unwrap();
+                all.retain(|n| visible(n.id));
+                all.truncate(k);
+                all
+            }
+            _ => {
+                let mut heap = TopK::new(k);
+                for (&id, v) in data.row_ids.iter().zip(data.vectors[0].iter()) {
+                    if visible(id) {
+                        heap.push(id, distance::distance(Metric::L2, q, v));
+                    }
+                }
+                heap.into_sorted()
+            }
+        }
+    };
 
     for index in [None, Some("IVF_FLAT"), Some("IVF_SQ8"), Some("IVF_PQ"), Some("HNSW")] {
-        for tombstones in [false, true] {
-            let case = format!(
-                "{}{}",
-                index.unwrap_or("unindexed"),
-                if tombstones { "+tombstones" } else { "" }
-            );
+        for tombstones in ["", "+tombstones", "+tombstones at build"] {
+            if index.is_none() && tombstones == "+tombstones at build" {
+                continue;
+            }
+            let case = format!("{}{tombstones}", index.unwrap_or("unindexed"));
             let mut cfg = CollectionConfig::for_tests();
             cfg.scheduler.max_batch = 4;
             let name = format!("exec_oracle_{case}");
             let col = m.create_collection(&name, schema.clone(), cfg).unwrap();
             for s in 0..3 {
                 let mut b = batch(s * ROWS..(s + 1) * ROWS, DIM);
-                b.attributes = vec![b.ids.iter().map(|id| (id % 10) as f64).collect()];
+                b.attributes = vec![b.ids.iter().map(|&id| attr(id)).collect()];
                 col.insert(b).unwrap();
                 col.flush().unwrap();
+            }
+            let delete = || {
+                col.delete((0..3 * ROWS).filter(|id| id % 7 == 0).collect()).unwrap();
+                col.flush().unwrap();
+            };
+            if tombstones == "+tombstones at build" {
+                delete();
             }
             if let Some(ty) = index {
                 assert_eq!(col.build_index("v", ty).unwrap(), 3, "{case}");
             }
-            if tombstones {
-                col.delete((0..3 * ROWS).filter(|id| id % 7 == 0).collect()).unwrap();
-                col.flush().unwrap();
+            if tombstones == "+tombstones" {
+                delete();
             }
             let snap = col.snapshot();
             assert_eq!(snap.segments.len(), 3, "{case}");
-            assert!(snap.segments.iter().all(|s| s.deleted().is_empty() != tombstones), "{case}");
+            assert!(
+                snap.segments.iter().all(|s| s.deleted().is_empty() == tombstones.is_empty()),
+                "{case}"
+            );
 
-            let params = |k: usize| SearchParams { k, nprobe: 6, ..Default::default() };
-            let check = |what: &str, got: &[SearchHit], q: &[f32], k: usize, filtered: bool| {
-                let allow = filtered.then_some(&passes as &dyn Fn(i64) -> bool);
-                let lists: Vec<_> = snap
-                    .segments
-                    .iter()
-                    .map(|seg| seg.search_field_stats(&schema, "v", q, &params(k), allow).unwrap().0)
-                    .collect();
-                let expected = merge_segment_results(&lists, k);
-                let bits = |id: i64, d: f32| (id, d.to_bits());
+            let bits = |id: i64, d: f32| (id, d.to_bits());
+            let check = |what: &str, got: &[SearchHit], q: &[f32], k: usize, range| {
+                let lists: Vec<_> =
+                    snap.segments.iter().map(|seg| expected(seg, q, k, range, true)).collect();
                 assert_eq!(
                     got.iter().map(|h| bits(h.id, h.distance)).collect::<Vec<_>>(),
-                    expected.iter().map(|n| bits(n.id, n.dist)).collect::<Vec<_>>(),
-                    "{case}: {what} diverged from the serial reference (k={k}, filtered={filtered})"
+                    merge_segment_results(&lists, k).iter().map(|n| bits(n.id, n.dist)).collect::<Vec<_>>(),
+                    "{case}: {what} diverged from the oracle (k={k}, range={range:?})"
                 );
             };
-            let search = |q: &[f32], k: usize, filtered: bool| {
-                if filtered {
-                    col.filtered_search("v", q, "tag", lo, hi, &params(k))
-                } else {
-                    col.search("v", q, &params(k))
+            let search = |q: &[f32], k: usize, range: Option<(f64, f64)>| {
+                match range {
+                    Some((lo, hi)) => col.filtered_search("v", q, "tag", lo, hi, &params(k)),
+                    None => col.search("v", q, &params(k)),
                 }
                 .unwrap()
             };
 
-            for filtered in [false, true] {
+            for (label, range) in ranges {
                 for (q, &k) in queries.iter().zip(&ks) {
-                    check("lone search", &search(q, k, filtered), q, k, filtered);
+                    check(&format!("lone search, {label}"), &search(q, k, range), q, k, range);
                 }
                 // A storm behind taken run slots: one unfiltered search per
                 // core is parked in the slowed first segment first (strategy
@@ -192,7 +251,7 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                 let coalesced = || obs::counter(obs::SCHED_COALESCED_QUERIES, &name).get();
                 let before = coalesced();
                 milvus_storage::inject_scan_delay(snap.segments[0].id, Duration::from_millis(20));
-                let barrier = Barrier::new(queries.len() + 1);
+                let barrier = Barrier::new(ks.len() + 1);
                 let storm: Vec<Vec<SearchHit>> = std::thread::scope(|s| {
                     let handles: Vec<_> = queries
                         .iter()
@@ -201,35 +260,56 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                             let (barrier, search) = (&barrier, &search);
                             s.spawn(move || {
                                 barrier.wait();
-                                search(q, k, filtered)
+                                search(q, k, range)
                             })
                         })
                         .collect();
                     let holders: Vec<_> =
-                        (0..cores).map(|_| s.spawn(|| search(&queries[0], ks[0], false))).collect();
+                        (0..cores).map(|_| s.spawn(|| search(&queries[0], ks[0], None))).collect();
                     while (inflight.get() as usize) < cores {
                         std::thread::yield_now();
                     }
                     barrier.wait();
                     for holder in holders {
-                        check("slot holder", &holder.join().unwrap(), &queries[0], ks[0], false);
+                        check("slot holder", &holder.join().unwrap(), &queries[0], ks[0], None);
                     }
                     handles.into_iter().map(|h| h.join().unwrap()).collect()
                 });
                 milvus_storage::clear_scan_delays();
                 assert!(coalesced() > before, "{case}: the storm never coalesced");
                 for ((got, q), &k) in storm.iter().zip(&queries).zip(&ks) {
-                    check("concurrent search", got, q, k, filtered);
+                    check(&format!("concurrent search, {label}"), got, q, k, range);
+                }
+
+                // The per-segment dispatch itself, 32 queries with mixed `k`
+                // under the predicate's bitmap (built here, row by row).
+                let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+                for seg in &snap.segments {
+                    let ids = &seg.data().row_ids;
+                    let passing: Vec<u32> = (0..ids.len() as u32)
+                        .filter(|&r| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&attr(ids[r as usize]))))
+                        .collect();
+                    let mask = RowMask::from_positions(ids.len(), &passing);
+                    let allow = range.map(|_| &mask);
+                    let (lists, _) = seg.search_batch(&schema, "v", &qrefs, &batch_ks, &params(1), allow);
+                    for ((got, q), &k) in lists.into_iter().zip(&queries).zip(&batch_ks) {
+                        assert_eq!(
+                            got.unwrap(),
+                            expected(seg, q, k, range, false),
+                            "{case}: Segment::search_batch diverged (segment {}, k={k}, {label})",
+                            seg.id
+                        );
+                    }
                 }
             }
-            // `search_batch` has no filtered form.
-            for m in [1usize, 5] {
+            // `Collection::search_batch` has no filtered form.
+            for m in [1usize, 32] {
                 let mut qs = VectorSet::new(DIM);
                 queries[..m].iter().for_each(|q| qs.push(q));
                 let got = col.search_batch("v", &qs, &params(9)).unwrap();
                 assert_eq!(got.len(), m, "{case}");
                 for (hits, q) in got.iter().zip(&queries) {
-                    check("search_batch", hits, q, 9, false);
+                    check("search_batch", hits, q, 9, None);
                 }
             }
         }

@@ -84,6 +84,63 @@ fn full_lifecycle_leaves_a_metric_trail() {
     std::fs::remove_dir_all(&wal_dir).unwrap();
 }
 
+/// The filter counters count (segment, query) pairs, not scans, so a fixed
+/// seeded sweep moves them by exactly the same amounts however its queries
+/// were coalesced: once one query at a time, once as a four-thread storm.
+#[test]
+fn filter_strategy_counts_repeat_exactly_for_a_fixed_sweep() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let name = "obs_filter_counts";
+    let m = Milvus::new();
+    let schema = Schema::single("v", 8, Metric::L2).with_attribute("price");
+    let col = m.create_collection(name, schema, CollectionConfig::for_tests()).unwrap();
+    for s in 0..3i64 {
+        let mut b = batch(s * 300..(s + 1) * 300, 8);
+        b.attributes = vec![b.ids.iter().map(|id| (id % 100) as f64).collect()];
+        col.insert(b).unwrap();
+        col.flush().unwrap();
+    }
+    col.build_index("v", "IVF_FLAT").unwrap();
+    col.delete((0..900).filter(|id| id % 11 == 0).collect()).unwrap();
+    col.flush().unwrap();
+
+    // 1 %, 10 %, 50 %, 90 % and nothing passing, at two values of k.
+    let mut rng = StdRng::seed_from_u64(7);
+    let sweep: Vec<(Vec<f32>, f64, f64, usize)> = (0..40)
+        .map(|i| {
+            let q = (0..8).map(|_| rng.gen_range(0.0f32..900.0)).collect();
+            let (lo, hi) = [(5.0, 5.0), (0.0, 9.0), (25.0, 74.0), (5.0, 94.0), (200.0, 300.0)][i % 5];
+            (q, lo, hi, [3, 10][i % 2])
+        })
+        .collect();
+    let run = |threads: usize| {
+        let before = m.metrics_snapshot();
+        std::thread::scope(|s| {
+            for chunk in sweep.chunks(sweep.len() / threads) {
+                let col = &col;
+                s.spawn(move || {
+                    for (q, lo, hi, k) in chunk {
+                        let sp = SearchParams { k: *k, nprobe: 4, ..Default::default() };
+                        col.filtered_search("v", q, "price", *lo, *hi, &sp).unwrap();
+                    }
+                });
+            }
+        });
+        let after = m.metrics_snapshot();
+        [obs::FILTER_STRATEGY_A, obs::FILTER_STRATEGY_B, obs::FILTER_ROWS_PASSING]
+            .map(|family| after.counter(family, name) - before.counter(family, name))
+    };
+    let serial = run(1);
+    assert_eq!(run(4), serial, "[A, B, rows passing] moved differently the second time");
+    let [a, b, passing] = serial;
+    // 3 segments × 40 queries, a fifth of them passing nothing anywhere.
+    assert_eq!(a + b, 3 * 32, "every (segment, query) pair with a passer picked one strategy");
+    assert!(a > 0 && b > 0, "the sweep must reach both strategies (A={a}, B={b})");
+    assert_eq!(passing, 3 * 8 * (3 + 30 + 150 + 270), "rows passing, tombstoned or not");
+}
+
 #[test]
 fn quantiles_are_monotone_and_bounded() {
     let name = "obs_quantiles";

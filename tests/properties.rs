@@ -127,18 +127,18 @@ fn attribute_range_equals_naive() {
         let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-1000.0f64..1000.0)).collect();
         let lo = rng.gen_range(-1200.0f64..1200.0);
         let hi = lo + rng.gen_range(0.0f64..500.0);
-        let rows: Vec<i64> = (0..values.len() as i64).collect();
-        let col = AttributeColumn::build("p", &values, &rows);
-        let mut got = col.range_rows(lo, hi);
+        let col = AttributeColumn::build("p", values.clone());
+        let mut got = col.range_rows(lo, hi).to_vec();
         got.sort_unstable();
-        let expect: Vec<i64> = values
+        let expect: Vec<u32> = values
             .iter()
             .enumerate()
             .filter(|(_, &v)| v >= lo && v <= hi)
-            .map(|(i, _)| i as i64)
+            .map(|(i, _)| i as u32)
             .collect();
         let expect_len = expect.len();
         assert_eq!(got, expect);
+        assert_eq!(col.range_mask(lo, hi).iter().map(|r| r as u32).collect::<Vec<_>>(), expect);
         assert_eq!(col.count_range(lo, hi), expect_len);
     });
 }

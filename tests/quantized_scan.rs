@@ -6,7 +6,7 @@
 
 use milvus_index::distance::quant::{sq8_kernels_at, PreparedSq8};
 use milvus_index::ivf::{IvfIndex, IvfVariant};
-use milvus_index::{BuildParams, Metric, SearchParams, SimdLevel, TopK, VectorIndex};
+use milvus_index::{BuildParams, Metric, RowMask, SearchParams, SimdLevel, TopK, VectorIndex};
 
 fn build(variant: IvfVariant, metric: Metric, n: usize, dim: usize) -> IvfIndex {
     let data = milvus_datagen::clustered(n, dim, 8, -1.0, 1.0, 0.15, 42);
@@ -112,18 +112,21 @@ fn pq_early_abandon_returns_identical_results_to_unpruned() {
     }
 }
 
-/// Filtered scans agree with unfiltered scans restricted to the allowed set
-/// (the split loop bodies cannot drop or duplicate candidates).
+/// Masked scans agree with unmasked scans restricted to the allowed set (the
+/// gathered tiles cannot drop or duplicate candidates).
 #[test]
 fn filtered_scan_equals_postfiltered_unfiltered_scan() {
     for variant in [IvfVariant::Flat, IvfVariant::Sq8, IvfVariant::Pq] {
         let index = build(variant, Metric::L2, 300, 32);
         let q: Vec<f32> = (0..32).map(|d| (d as f32 * 0.21).cos()).collect();
         let prepared = index.prepare(&q);
+        // ids are the build ordinals here.
+        let thirds: Vec<u32> = (0..300).filter(|r| r % 3 == 0).collect();
+        let thirds = RowMask::from_positions(300, &thirds);
         for b in 0..index.nlist() {
             let cap = index.bucket_len(b).max(1);
             let mut filtered = TopK::new(cap);
-            index.scan_bucket_prepared(b, &prepared, &mut filtered, Some(&|id| id % 3 == 0));
+            index.scan_bucket_prepared(b, &prepared, &mut filtered, Some(&thirds));
             let mut unfiltered = TopK::new(cap);
             index.scan_bucket_prepared(b, &prepared, &mut unfiltered, None);
             let want: Vec<_> =
@@ -178,7 +181,7 @@ fn sq8_batch_engine_consistent_with_prepared_scans() {
     let rows = Rows::Sq8 { codes: &codes, sq: &sq };
     let off = &mut milvus_obs::Trace::disabled();
     let ks = vec![opts.k; queries.len()];
-    let got = cache_aware_scan(&pool, rows, &ids, &queries, &ks, &opts, off);
+    let got = cache_aware_scan(&pool, rows, &ids, &queries, &ks, None, &opts, off);
     for (qi, res) in got.iter().enumerate() {
         let p = sq.prepare(queries.get(qi), Metric::L2);
         let mut heap = TopK::new(7);
@@ -213,8 +216,10 @@ fn sq8h_modes_agree_after_prepared_scan_rewire() {
     let (hybrid, _) = index.search_batch_mode(&queries, &sp, ExecMode::Sq8h);
     assert_eq!(cpu, gpu, "CPU and GPU modes diverged");
     assert_eq!(cpu, hybrid, "CPU and hybrid modes diverged");
-    // Filtered search flows through the prepared path too.
-    let filtered = index.search_filtered(queries.get(0), &sp, &|id| id % 2 == 0).unwrap();
+    // Masked search flows through the prepared path too.
+    let evens: Vec<u32> = (0..n as u32).filter(|r| r % 2 == 0).collect();
+    let evens = RowMask::from_positions(n, &evens);
+    let filtered = index.search_masked(queries.get(0), &sp, &evens).unwrap();
     assert!(filtered.iter().all(|nb| nb.id % 2 == 0));
     assert!(!filtered.is_empty());
 }
@@ -232,7 +237,8 @@ fn prepared_sq8_direct_construction_matches_index_path() {
     let codes = index.bucket_codes(bucket).unwrap();
     let code = &codes[..dim];
     let mut heap = TopK::new(1);
-    index.scan_bucket(bucket, &q, &mut heap, Some(&|id| id == index.bucket_ids(bucket)[0]));
+    let first = RowMask::from_positions(300, &index.bucket_rows(bucket)[..1]);
+    index.scan_bucket(bucket, &q, &mut heap, Some(&first));
     let via_index = heap.into_sorted()[0].dist;
     assert_eq!(direct.distance(code).to_bits(), via_index.to_bits());
 }

@@ -170,7 +170,7 @@ fn tracing_at_zero_sampling_is_free_in_the_batch_engine_hot_loop() {
     let pool = milvus_exec::Executor::new("t_trace_batch", 2);
     let (rows, ks) = (milvus_index::batch::Rows::F32(&data), vec![opts.k; queries.len()]);
     let traced =
-        milvus_index::batch::cache_aware_scan(&pool, rows, &ids, &queries, &ks, &opts, &mut trace);
+        milvus_index::batch::cache_aware_scan(&pool, rows, &ids, &queries, &ks, None, &opts, &mut trace);
     let plain = milvus_index::batch::cache_aware_search_exec(&pool, &data, &ids, &queries, &opts);
 
     assert_eq!(traced, plain, "disabled tracing must not change results");
