@@ -60,8 +60,16 @@ pub struct CollectionStats {
     pub pending_rows: usize,
     /// Segments carrying an index on at least one vector field.
     pub indexed_segments: usize,
-    /// Approximate resident bytes of all segments.
+    /// Approximate resident bytes of all segments: the sum of the three
+    /// components below.
     pub memory_bytes: usize,
+    /// Segment payloads: ids, vector columns, attribute columns.
+    pub segment_bytes: usize,
+    /// What the indexes hold beyond the payload (a vector buffer an index
+    /// shares with its segment's column is payload).
+    pub index_bytes: usize,
+    /// Live-row bitmaps of segments with tombstones.
+    pub tombstone_bytes: usize,
 }
 
 /// A named collection of entities.
@@ -196,12 +204,16 @@ impl Collection {
             .iter()
             .filter(|s| self.schema.vector_fields.iter().any(|f| s.index(&f.name).is_some()))
             .count();
+        let bytes = snap.stored_bytes();
         CollectionStats {
             segments: snap.segments.len(),
             live_rows: snap.live_rows(),
             pending_rows: self.engine.pending_rows(),
             indexed_segments: indexed,
-            memory_bytes: snap.segments.iter().map(|s| s.memory_bytes()).sum(),
+            memory_bytes: bytes.total(),
+            segment_bytes: bytes.segment,
+            index_bytes: bytes.index,
+            tombstone_bytes: bytes.tombstones,
         }
     }
 
@@ -859,6 +871,62 @@ mod tests {
         c.insert(batch((0..100).collect())).unwrap();
         c.flush().unwrap();
         assert_eq!(c.stats().indexed_segments, 1);
+    }
+
+    /// `stats()` explains the stored bytes: three components that sum to
+    /// `memory_bytes`, the same three on the `milvus_stored_bytes` gauges,
+    /// and — being counts — the same numbers for the same seeded collection.
+    #[test]
+    fn stored_bytes_split_by_component_and_repeat_exactly() {
+        let build = |name: &str| {
+            let schema = Schema::single("v", 64, Metric::L2).with_attribute("price");
+            let c = Collection::open(
+                name.into(),
+                schema,
+                CollectionConfig::for_tests(),
+                Arc::new(MemoryStore::new()),
+                IndexRegistry::with_builtins(),
+            )
+            .unwrap();
+            for part in 0..2i64 {
+                let ids: Vec<i64> = (part * 500..(part + 1) * 500).collect();
+                let mut vs = VectorSet::new(64);
+                for &id in &ids {
+                    let v: Vec<f32> = (0..64).map(|d| ((id * 13 + d) as f32 * 0.07).sin()).collect();
+                    vs.push(&v);
+                }
+                let attributes = vec![ids.iter().map(|&id| id as f64).collect()];
+                c.insert(InsertBatch { ids, vectors: vec![vs], attributes }).unwrap();
+                c.flush().unwrap();
+            }
+            let unindexed = c.stats();
+            c.build_index("v", "IVF_FLAT").unwrap();
+            c.delete(vec![3, 700]).unwrap();
+            c.flush().unwrap();
+            (unindexed, c.stats())
+        };
+        let (unindexed, stats) = build("stored_bytes_a");
+        assert_eq!((unindexed.index_bytes, unindexed.tombstone_bytes), (0, 0));
+        assert_eq!(unindexed.memory_bytes, unindexed.segment_bytes);
+        assert_eq!(
+            stats.memory_bytes,
+            stats.segment_bytes + stats.index_bytes + stats.tombstone_bytes
+        );
+        // The payload grew by the permutation only; the index adds ids,
+        // ordinals and centroids — not a second copy of the vectors.
+        assert_eq!(stats.segment_bytes, unindexed.segment_bytes + 1000 * 4);
+        assert!(stats.index_bytes > 1000 * 12 && stats.index_bytes < stats.segment_bytes / 4);
+        assert!(stats.tombstone_bytes > 0);
+
+        let gauge = |component| {
+            let snap = obs::registry().snapshot();
+            snap.gauge_component(obs::STORED_BYTES, "stored_bytes_a", component) as usize
+        };
+        assert_eq!(gauge("segment"), stats.segment_bytes);
+        assert_eq!(gauge("index"), stats.index_bytes);
+        assert_eq!(gauge("tombstones"), stats.tombstone_bytes);
+
+        assert_eq!(build("stored_bytes_b"), (unindexed, stats));
     }
 
     #[test]

@@ -494,6 +494,9 @@ fn route(milvus: &Milvus, method: &str, path: &str, body: &[u8]) -> (&'static st
                         "pending_rows": s.pending_rows,
                         "indexed_segments": s.indexed_segments,
                         "memory_bytes": s.memory_bytes,
+                        "segment_bytes": s.segment_bytes,
+                        "index_bytes": s.index_bytes,
+                        "tombstone_bytes": s.tombstone_bytes,
                     }),
                 )
             }
@@ -737,6 +740,8 @@ mod tests {
         // Stats.
         let (_, body) = http(addr, "GET", "/collections/shop/stats", "");
         assert_eq!(body["live_rows"], 3);
+        assert_eq!(body["memory_bytes"], body["segment_bytes"]);
+        assert_eq!((&body["index_bytes"], &body["tombstone_bytes"]), (&json!(0), &json!(0)));
 
         // Search.
         let (_, body) = http(

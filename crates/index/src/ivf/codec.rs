@@ -2,20 +2,29 @@
 //! the same segment" (§2.3), so the storage layer persists built indexes
 //! alongside the vectors instead of rebuilding them on every load.
 //!
-//! Little-endian layout:
-//! `magic "MIV2" | variant u8 | metric name | dim u32 | len u64 |
-//!  centroids | fine-quantizer params | buckets (ids + ordinals + codes)`
+//! Little-endian layout, every array written whole:
+//! `magic "MIV3" | variant u8 | metric name | dim u32 | len u64 |
+//!  centroids | fine-quantizer params | offsets (nlist + 1 × u32) |
+//!  ids (len × i64) | rows (len × u32) | payload`
 //!
-//! `"MIV2"` added each member's build ordinal (`u32`) after the bucket's ids;
-//! a `"MIVF"` blob has none and is refused at the magic, not read around.
+//! The payload is the SQ8/PQ codes, or for FLAT under Cosine the normalized
+//! vectors. FLAT under L2/IP writes **none**: those vectors are the segment's
+//! column ([`IvfIndex::shared_vectors`]), which the segment codec writes once
+//! and hands back to [`decode_ivf`].
+//!
+//! `"MIV2"` blobs carried a copy of the vectors per bucket; they are refused
+//! at the magic, not read around.
+
+use std::sync::Arc;
 
 use crate::error::{IndexError, Result};
 use crate::metric::Metric;
+use crate::traits::VectorIndex;
 use crate::vectors::VectorSet;
 
-use super::{IvfIndex, IvfVariant};
+use super::{IvfIndex, IvfVariant, Payload};
 
-const MAGIC: &[u8; 4] = b"MIV2";
+const MAGIC: &[u8; 4] = b"MIV3";
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -43,6 +52,10 @@ fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
     for &x in xs {
         out.extend_from_slice(&x.to_le_bytes());
     }
+}
+
+fn put_u32s(out: &mut Vec<u8>, xs: &[u32]) {
+    xs.iter().for_each(|&x| put_u32(out, x));
 }
 
 /// Cursor-style reader with bounds checking.
@@ -83,6 +96,25 @@ impl<'a> Reader<'a> {
             .map_err(|_| IndexError::invalid("index blob", "bad utf8"))
     }
 
+    /// The bytes of `n` values `width` wide, bounds-checked before anything
+    /// is allocated for them.
+    fn array(&mut self, n: usize, width: usize) -> Result<&'a [u8]> {
+        let bytes = n
+            .checked_mul(width)
+            .ok_or_else(|| IndexError::invalid("index blob", "length overflow"))?;
+        self.take(bytes)
+    }
+
+    fn u32s(&mut self, n: usize) -> Result<Vec<u32>> {
+        let raw = self.array(n, 4)?.chunks_exact(4);
+        Ok(raw.map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect())
+    }
+
+    fn i64s(&mut self, n: usize) -> Result<Vec<i64>> {
+        let raw = self.array(n, 8)?.chunks_exact(8);
+        Ok(raw.map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes"))).collect())
+    }
+
     fn f32s(&mut self) -> Result<Vec<f32>> {
         let n = self.u64()? as usize;
         let raw = self.take(n.checked_mul(4).ok_or_else(|| {
@@ -115,73 +147,58 @@ impl<'a> Reader<'a> {
 
 /// Serialize an IVF index to bytes.
 pub fn encode_ivf(index: &IvfIndex) -> Vec<u8> {
-    let mut out = Vec::with_capacity(index.memory_bytes_estimate() + 64);
+    let external = index.shared_vectors().map_or(0, |vs| vs.memory_bytes());
+    let mut out = Vec::with_capacity(index.memory_bytes() - external + 64);
     out.extend_from_slice(MAGIC);
     out.push(match index.variant() {
         IvfVariant::Flat => 0,
         IvfVariant::Sq8 => 1,
         IvfVariant::Pq => 2,
     });
-    put_str(&mut out, index.metric_name());
+    put_str(&mut out, index.metric.name());
     put_u32(&mut out, index.dim() as u32);
     put_u64(&mut out, index.len_rows() as u64);
     put_vectors(&mut out, index.centroids());
 
-    // Fine quantizer parameters.
-    match index.variant() {
-        IvfVariant::Flat => {}
-        IvfVariant::Sq8 => {
-            let (vmin, vstep) = index.sq_params().expect("sq8 variant");
-            put_f32s(&mut out, vmin);
-            put_f32s(&mut out, vstep);
+    match &index.payload {
+        Payload::Flat(_) => {}
+        Payload::Sq8 { quantizer, .. } => {
+            put_f32s(&mut out, quantizer.vmin());
+            put_f32s(&mut out, quantizer.vstep());
         }
-        IvfVariant::Pq => {
-            let pq = index.pq_ref().expect("pq variant");
-            put_u32(&mut out, pq.m() as u32);
-            put_u32(&mut out, pq.ksub() as u32);
-            for sub in 0..pq.m() {
-                put_vectors(&mut out, pq.codebook(sub));
+        Payload::Pq { quantizer, .. } => {
+            put_u32(&mut out, quantizer.m() as u32);
+            put_u32(&mut out, quantizer.ksub() as u32);
+            for sub in 0..quantizer.m() {
+                put_vectors(&mut out, quantizer.codebook(sub));
             }
         }
     }
 
-    // Buckets.
-    put_u32(&mut out, index.nlist() as u32);
-    for b in 0..index.nlist() {
-        let ids = index.bucket_ids(b);
-        put_u64(&mut out, ids.len() as u64);
-        for &id in ids {
-            out.extend_from_slice(&id.to_le_bytes());
+    put_u32s(&mut out, &index.offsets);
+    for &id in &index.ids {
+        out.extend_from_slice(&id.to_le_bytes());
+    }
+    put_u32s(&mut out, &index.rows);
+    match &index.payload {
+        Payload::Flat(normalized) if index.shared_vectors().is_none() => {
+            put_vectors(&mut out, normalized)
         }
-        for &row in index.bucket_rows(b) {
-            put_u32(&mut out, row);
-        }
-        match index.variant() {
-            IvfVariant::Flat => {
-                put_vectors(&mut out, index.bucket_vectors(b).expect("flat bucket"));
-            }
-            IvfVariant::Sq8 | IvfVariant::Pq => {
-                let codes = index.bucket_codes(b).expect("encoded bucket");
-                put_u64(&mut out, codes.len() as u64);
-                out.extend_from_slice(codes);
-            }
-        }
+        Payload::Flat(_) => {}
+        Payload::Sq8 { codes, .. } | Payload::Pq { codes, .. } => out.extend_from_slice(codes),
     }
     out
 }
 
-/// Deserialize an IVF index from bytes produced by [`encode_ivf`].
-pub fn decode_ivf(buf: &[u8]) -> Result<IvfIndex> {
+/// Deserialize an IVF index from bytes produced by [`encode_ivf`]. `vectors`
+/// is the segment column the index was sharing when it was encoded, in slot
+/// order — required by exactly the blobs that carry no payload of their own.
+pub fn decode_ivf(buf: &[u8], vectors: Option<Arc<VectorSet>>) -> Result<IvfIndex> {
     let mut r = Reader::new(buf);
     if r.take(4)? != MAGIC {
         return Err(IndexError::invalid("index blob", "bad magic"));
     }
-    let variant = match r.u8()? {
-        0 => IvfVariant::Flat,
-        1 => IvfVariant::Sq8,
-        2 => IvfVariant::Pq,
-        v => return Err(IndexError::invalid("index blob", format!("bad variant {v}"))),
-    };
+    let variant = r.u8()?;
     let metric = Metric::parse(&r.str()?)
         .ok_or_else(|| IndexError::invalid("index blob", "bad metric"))?;
     let dim = r.u32()? as usize;
@@ -191,8 +208,8 @@ pub fn decode_ivf(buf: &[u8]) -> Result<IvfIndex> {
     let mut sq = None;
     let mut pq = None;
     match variant {
-        IvfVariant::Flat => {}
-        IvfVariant::Sq8 => {
+        0 => {}
+        1 => {
             let vmin = r.f32s()?;
             let vstep = r.f32s()?;
             if vmin.len() != dim || vstep.len() != dim {
@@ -200,7 +217,7 @@ pub fn decode_ivf(buf: &[u8]) -> Result<IvfIndex> {
             }
             sq = Some(super::sq8::ScalarQuantizer::from_params(vmin, vstep));
         }
-        IvfVariant::Pq => {
+        2 => {
             let m = r.u32()? as usize;
             let ksub = r.u32()? as usize;
             if m == 0 || !dim.is_multiple_of(m) {
@@ -216,56 +233,26 @@ pub fn decode_ivf(buf: &[u8]) -> Result<IvfIndex> {
             }
             pq = Some(super::pq::ProductQuantizer::from_codebooks(dim, m, ksub, codebooks));
         }
+        v => return Err(IndexError::invalid("index blob", format!("bad variant {v}"))),
     }
 
-    let nlist = r.u32()? as usize;
-    let mut buckets = Vec::with_capacity(nlist);
-    for _ in 0..nlist {
-        let n_ids = r.u64()? as usize;
-        let mut ids = Vec::with_capacity(n_ids);
-        for _ in 0..n_ids {
-            let raw = r.take(8)?;
-            ids.push(i64::from_le_bytes(raw.try_into().expect("8 bytes")));
+    let offsets = r.u32s(centroids.len() + 1)?;
+    let ids = r.i64s(len)?;
+    let rows = r.u32s(len)?;
+    let payload = match (sq, pq) {
+        (Some(quantizer), _) => {
+            Payload::Sq8 { quantizer, codes: r.array(len, dim)?.to_vec() }
         }
-        let mut rows = Vec::with_capacity(n_ids);
-        for _ in 0..n_ids {
-            rows.push(r.u32()?);
+        (_, Some(quantizer)) => {
+            let codes = r.array(len, quantizer.m())?.to_vec();
+            Payload::Pq { quantizer, codes }
         }
-        // A mask is indexed by these: every one must name an indexed row,
-        // ascending as a build leaves them.
-        if rows.windows(2).any(|w| w[0] >= w[1]) || rows.last().is_some_and(|&r| r as usize >= len) {
-            return Err(IndexError::invalid("index blob", "bucket ordinals out of order or range"));
-        }
-        let data = match variant {
-            IvfVariant::Flat => {
-                let vs = r.vectors()?;
-                if vs.len() != n_ids {
-                    return Err(IndexError::invalid("index blob", "bucket row mismatch"));
-                }
-                super::BucketData::Flat(vs)
-            }
-            IvfVariant::Sq8 | IvfVariant::Pq => {
-                let n = r.u64()? as usize;
-                let codes = r.take(n)?.to_vec();
-                let width = if variant == IvfVariant::Sq8 {
-                    dim
-                } else {
-                    pq.as_ref().expect("pq").m()
-                };
-                if n != n_ids * width {
-                    return Err(IndexError::invalid("index blob", "code length mismatch"));
-                }
-                if variant == IvfVariant::Sq8 {
-                    super::BucketData::Sq8(codes)
-                } else {
-                    super::BucketData::Pq(codes)
-                }
-            }
-        };
-        buckets.push(super::Bucket { ids, rows, data });
-    }
-
-    IvfIndex::from_parts(variant, metric, dim, len, centroids, buckets, sq, pq)
+        _ if metric == Metric::Cosine => Payload::Flat(Arc::new(r.vectors()?)),
+        _ => Payload::Flat(vectors.ok_or_else(|| {
+            IndexError::invalid("index blob", "its vectors are a segment column, and none was given")
+        })?),
+    };
+    IvfIndex::from_parts(metric, dim, centroids, offsets, ids, rows, payload)
 }
 
 #[cfg(test)]
@@ -291,7 +278,7 @@ mod tests {
         let params = BuildParams { metric, nlist: 16, kmeans_iters: 5, pq_m: 4, ..Default::default() };
         let original = IvfIndex::build(variant, &vs, &ids, &params).unwrap();
         let blob = encode_ivf(&original);
-        let decoded = decode_ivf(&blob).unwrap();
+        let decoded = decode_ivf(&blob, original.shared_vectors().cloned()).unwrap();
         assert_eq!(decoded.variant(), variant);
         assert_eq!(decoded.len_rows(), 400);
         // Search results must be identical.
@@ -334,23 +321,64 @@ mod tests {
         roundtrip(IvfVariant::Sq8, Metric::InnerProduct);
     }
 
+    /// A FLAT index under L2 persists structure only: the blob is a few
+    /// bytes per row, and decoding needs the vectors handed back.
+    #[test]
+    fn flat_blob_carries_no_vectors() {
+        let (vs, ids) = data(400, 8);
+        let params = BuildParams { nlist: 16, kmeans_iters: 5, ..Default::default() };
+        let index = IvfIndex::build(IvfVariant::Flat, &vs, &ids, &params).unwrap();
+        let blob = encode_ivf(&index);
+        let structure = 400 * (8 + 4) + 17 * 4 + 16 * 8 * 4;
+        assert!(blob.len() < structure + 64, "{} bytes", blob.len());
+        assert!(decode_ivf(&blob, None).is_err());
+        let wrong_rows = Arc::new(vs.gather(&[0, 1, 2]));
+        assert!(decode_ivf(&blob, Some(wrong_rows)).is_err());
+        let shared = Arc::clone(index.shared_vectors().unwrap());
+        let decoded = decode_ivf(&blob, Some(Arc::clone(&shared))).unwrap();
+        assert!(Arc::ptr_eq(decoded.shared_vectors().unwrap(), &shared));
+    }
+
     #[test]
     fn corrupt_blobs_rejected() {
         let (vs, ids) = data(100, 4);
         let params = BuildParams { nlist: 8, kmeans_iters: 3, ..Default::default() };
         let idx = IvfIndex::build(IvfVariant::Flat, &vs, &ids, &params).unwrap();
+        let shared = || idx.shared_vectors().cloned();
         let blob = encode_ivf(&idx);
-        assert!(decode_ivf(b"XXXX").is_err());
-        // The previous format (no ordinals) is a loud error, not a second reader.
+        assert!(decode_ivf(&blob, shared()).is_ok());
+        assert!(decode_ivf(b"XXXX", shared()).is_err());
+        // The previous format (vectors copied per bucket) is a loud error,
+        // not a second reader.
         let mut old = blob.clone();
-        old[..4].copy_from_slice(b"MIVF");
-        assert!(decode_ivf(&old).is_err());
+        old[..4].copy_from_slice(b"MIV2");
+        assert!(decode_ivf(&old, shared()).is_err());
         for cut in [0, 3, 5, 20, blob.len() / 2, blob.len() - 1] {
-            assert!(decode_ivf(&blob[..cut]).is_err(), "cut {cut}");
+            assert!(decode_ivf(&blob[..cut], shared()).is_err(), "cut {cut}");
         }
         // Flipped variant byte out of range.
         let mut bad = blob.clone();
         bad[4] = 9;
-        assert!(decode_ivf(&bad).is_err());
+        assert!(decode_ivf(&bad, shared()).is_err());
+
+        // The arrays sit at the end: offsets (9 × u32), ids, rows.
+        let offsets_at = blob.len() - 100 * (8 + 4) - 9 * 4;
+        let patch = |at: usize, v: u32| {
+            let mut bad = blob.clone();
+            bad[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            decode_ivf(&bad, shared())
+        };
+        // Offsets that do not start at 0, run backwards, or stop short of
+        // the row count.
+        assert!(patch(offsets_at, 1).is_err());
+        assert!(patch(offsets_at + 4, 101).is_err());
+        assert!(patch(offsets_at + 8 * 4, 99).is_err());
+        // A row ordinal beyond the indexed rows, or out of order in its
+        // bucket.
+        let rows_at = blob.len() - 100 * 4;
+        assert!(patch(rows_at, 100).is_err());
+        let bucket = (0..8).find(|&b| idx.bucket_len(b) >= 2).unwrap();
+        let second = rows_at + (idx.offsets[bucket] as usize + 1) * 4;
+        assert!(patch(second, idx.bucket_rows(bucket)[0]).is_err());
     }
 }

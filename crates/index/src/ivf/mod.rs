@@ -19,6 +19,10 @@ pub mod codec;
 pub mod pq;
 pub mod sq8;
 
+use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::Arc;
+
 use crate::distance;
 use crate::error::{IndexError, Result};
 use crate::kmeans::{self, KMeans};
@@ -55,52 +59,38 @@ impl IvfVariant {
     }
 }
 
-/// Encoded contents of one bucket.
-#[derive(Debug, Clone)]
-pub(crate) enum BucketData {
-    Flat(VectorSet),
-    /// Per-vector u8 codes, `dim` bytes each.
-    Sq8(Vec<u8>),
-    /// Per-vector PQ codes, `m` bytes each.
-    Pq(Vec<u8>),
-}
+/// Bytes a slot costs beside its payload: its id and its build ordinal.
+const SLOT_OVERHEAD: usize = std::mem::size_of::<i64>() + std::mem::size_of::<u32>();
 
-/// One inverted list: external ids, build ordinals and encoded vectors.
-#[derive(Debug, Clone)]
-pub(crate) struct Bucket {
-    pub(crate) ids: Vec<i64>,
-    /// Each member's build ordinal — the position a [`RowMask`] knows it by.
-    /// Ascending, so a masked scan reads the mask front to back.
-    pub(crate) rows: Vec<u32>,
-    pub(crate) data: BucketData,
-}
-
-impl Bucket {
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn bytes(&self) -> usize {
-        let payload = match &self.data {
-            BucketData::Flat(v) => v.memory_bytes(),
-            BucketData::Sq8(c) | BucketData::Pq(c) => c.len(),
-        };
-        payload + self.ids.len() * (std::mem::size_of::<i64>() + std::mem::size_of::<u32>())
-    }
+/// The fine-quantized vectors, one entry per slot.
+pub(crate) enum Payload {
+    /// The `f32` vectors themselves (IVF_FLAT) — normalized copies under
+    /// Cosine, the indexed vectors verbatim otherwise
+    /// ([`IvfIndex::shared_vectors`]).
+    Flat(Arc<VectorSet>),
+    /// `dim` code bytes per slot (IVF_SQ8).
+    Sq8 { quantizer: ScalarQuantizer, codes: Vec<u8> },
+    /// `m` code bytes per slot (IVF_PQ).
+    Pq { quantizer: ProductQuantizer, codes: Vec<u8> },
 }
 
 /// An IVF index with one of the three fine quantizers.
+///
+/// The inverted lists are one set of arrays in **slot order**: bucket `b`
+/// owns slots `offsets[b]..offsets[b + 1]`, and slot `s` holds the vector
+/// the index was built from at row `rows[s]`, whose id is `ids[s]`. Rows
+/// ascend inside a bucket, so a masked scan reads its [`RowMask`] front to
+/// back.
 pub struct IvfIndex {
-    variant: IvfVariant,
     metric: Metric,
     /// Metric actually used internally after cosine normalization.
     inner_metric: Metric,
     dim: usize,
     coarse: KMeans,
-    buckets: Vec<Bucket>,
-    sq: Option<ScalarQuantizer>,
-    pq: Option<ProductQuantizer>,
-    len: usize,
+    offsets: Vec<u32>,
+    ids: Vec<i64>,
+    rows: Vec<u32>,
+    payload: Payload,
 }
 
 impl IvfIndex {
@@ -130,88 +120,135 @@ impl IvfIndex {
         if u32::try_from(vectors.len()).is_err() {
             return Err(IndexError::invalid("vectors", "more rows than a u32 ordinal can name"));
         }
-        let dim = vectors.dim();
+        let (dim, n) = (vectors.dim(), vectors.len());
 
         // Cosine reduces to inner product over normalized vectors.
-        let (inner_metric, prepared);
-        let data: &VectorSet = if params.metric == Metric::Cosine {
-            let mut vs = vectors.clone();
-            for i in 0..vs.len() {
-                distance::normalize(vs.get_mut(i));
+        let mut data = Cow::Borrowed(vectors);
+        let mut inner_metric = params.metric;
+        if params.metric == Metric::Cosine {
+            let normalized = data.to_mut();
+            for i in 0..n {
+                distance::normalize(normalized.get_mut(i));
             }
             inner_metric = Metric::InnerProduct;
-            prepared = vs;
-            &prepared
-        } else {
-            inner_metric = params.metric;
-            prepared = VectorSet::new(dim);
-            let _ = &prepared;
-            vectors
-        };
+        }
+        let data: &VectorSet = &data;
 
-        let nlist = params.effective_nlist(data.len());
+        let nlist = params.effective_nlist(n);
         let coarse = kmeans::train(data, nlist, params.kmeans_iters, params.seed)?;
 
-        // Assign rows to buckets.
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); nlist];
-        for i in 0..data.len() {
-            members[coarse.assign(data.get(i))].push(i);
+        // Counting sort of the rows by bucket: count, prefix-sum, place. Rows
+        // are placed in ascending order, which keeps them ascending inside
+        // every bucket.
+        let bucket_of: Vec<u32> = data.iter().map(|v| coarse.assign(v) as u32).collect();
+        let mut offsets = vec![0u32; nlist + 1];
+        for &b in &bucket_of {
+            offsets[b as usize + 1] += 1;
+        }
+        for b in 0..nlist {
+            offsets[b + 1] += offsets[b];
+        }
+        let mut next_slot = offsets.clone();
+        let (mut slot_ids, mut rows) = (vec![0i64; n], vec![0u32; n]);
+        for (row, &b) in bucket_of.iter().enumerate() {
+            let slot = next_slot[b as usize] as usize;
+            next_slot[b as usize] += 1;
+            rows[slot] = row as u32;
+            slot_ids[slot] = ids[row];
         }
 
-        // Train fine quantizers on the full data.
-        let mut sq = None;
-        let mut pq = None;
-        match variant {
-            IvfVariant::Flat => {}
-            IvfVariant::Sq8 => sq = Some(ScalarQuantizer::train(data)),
+        // Fine quantizers train on the full data; the payload is gathered
+        // (or encoded) slot by slot.
+        let members = rows.iter().map(|&row| data.get(row as usize));
+        let payload = match variant {
+            IvfVariant::Flat => {
+                let mut gathered = VectorSet::with_capacity(dim, n);
+                members.for_each(|v| gathered.push(v));
+                Payload::Flat(Arc::new(gathered))
+            }
+            IvfVariant::Sq8 => {
+                let quantizer = ScalarQuantizer::train(data);
+                let mut codes = Vec::with_capacity(n * dim);
+                members.for_each(|v| quantizer.encode_into(v, &mut codes));
+                Payload::Sq8 { quantizer, codes }
+            }
             IvfVariant::Pq => {
-                pq = Some(ProductQuantizer::train(
+                let quantizer = ProductQuantizer::train(
                     data,
                     params.pq_m,
                     params.pq_nbits,
                     params.kmeans_iters,
                     params.seed ^ 0x9A5E,
-                )?)
+                )?;
+                let mut codes = Vec::with_capacity(n * quantizer.m());
+                members.for_each(|v| quantizer.encode_into(v, &mut codes));
+                Payload::Pq { quantizer, codes }
             }
-        }
-
-        let buckets = members
-            .into_iter()
-            .map(|rows| {
-                let bucket_ids: Vec<i64> = rows.iter().map(|&r| ids[r]).collect();
-                let data = match variant {
-                    IvfVariant::Flat => BucketData::Flat(data.gather(&rows)),
-                    IvfVariant::Sq8 => {
-                        let q = sq.as_ref().expect("sq trained");
-                        let mut codes = Vec::with_capacity(rows.len() * dim);
-                        for &r in &rows {
-                            q.encode_into(data.get(r), &mut codes);
-                        }
-                        BucketData::Sq8(codes)
-                    }
-                    IvfVariant::Pq => {
-                        let q = pq.as_ref().expect("pq trained");
-                        let mut codes = Vec::with_capacity(rows.len() * q.m());
-                        for &r in &rows {
-                            q.encode_into(data.get(r), &mut codes);
-                        }
-                        BucketData::Pq(codes)
-                    }
-                };
-                Bucket { ids: bucket_ids, rows: rows.iter().map(|&r| r as u32).collect(), data }
-            })
-            .collect();
+        };
 
         Ok(Self {
-            variant,
             metric: params.metric,
             inner_metric,
             dim,
             coarse,
-            buckets,
-            sq,
-            pq,
-            len: data.len(),
+            offsets,
+            ids: slot_ids,
+            rows,
+            payload,
+        })
+    }
+
+    /// Reassemble an index from codec parts, checking everything a scan
+    /// relies on: `offsets` run monotonically from 0 to the row count, one
+    /// per centroid and one more; every bucket's `rows` ascend and name an
+    /// indexed row; the payload holds one entry per slot.
+    pub(crate) fn from_parts(
+        metric: Metric,
+        dim: usize,
+        centroids: VectorSet,
+        offsets: Vec<u32>,
+        ids: Vec<i64>,
+        rows: Vec<u32>,
+        payload: Payload,
+    ) -> Result<Self> {
+        let bad = |what: &str| Err(IndexError::invalid("index parts", what));
+        let n = ids.len();
+        if metric.is_binary() || centroids.dim() != dim {
+            return bad("metric or dimension mismatch");
+        }
+        if offsets.len() != centroids.len() + 1
+            || offsets[0] != 0
+            || offsets.windows(2).any(|w| w[0] > w[1])
+            || offsets[centroids.len()] as usize != n
+            || rows.len() != n
+        {
+            return bad("bucket offsets do not run from 0 to the row count");
+        }
+        for bucket in offsets.windows(2) {
+            let rows = &rows[bucket[0] as usize..bucket[1] as usize];
+            if rows.windows(2).any(|w| w[0] >= w[1]) || rows.last().is_some_and(|&r| r as usize >= n)
+            {
+                return bad("bucket rows out of order or range");
+            }
+        }
+        let one_entry_per_slot = match &payload {
+            Payload::Flat(vs) => vs.dim() == dim && vs.len() == n,
+            Payload::Sq8 { codes, .. } => codes.len() == n * dim,
+            Payload::Pq { quantizer, codes } => codes.len() == n * quantizer.m(),
+        };
+        if !one_entry_per_slot {
+            return bad("payload does not hold one entry per row");
+        }
+        let inner_metric = if metric == Metric::Cosine { Metric::InnerProduct } else { metric };
+        Ok(Self {
+            metric,
+            inner_metric,
+            dim,
+            coarse: KMeans { centroids, inertia: 0.0, iterations: 0 },
+            offsets,
+            ids,
+            rows,
+            payload,
         })
     }
 
@@ -222,7 +259,11 @@ impl IvfIndex {
 
     /// The fine-quantizer variant.
     pub fn variant(&self) -> IvfVariant {
-        self.variant
+        match self.payload {
+            Payload::Flat(_) => IvfVariant::Flat,
+            Payload::Sq8 { .. } => IvfVariant::Sq8,
+            Payload::Pq { .. } => IvfVariant::Pq,
+        }
     }
 
     /// Vector dimensionality.
@@ -233,71 +274,45 @@ impl IvfIndex {
     /// Indexed row count (inherent twin of the trait method, for callers
     /// without the trait in scope).
     pub fn len_rows(&self) -> usize {
-        self.len
+        self.ids.len()
     }
 
-    /// The user-facing metric's stable name (codec).
-    pub fn metric_name(&self) -> &'static str {
-        self.metric.name()
+    /// The FLAT payload when it is the indexed vectors verbatim, in slot
+    /// order — the one copy a segment adopts as its column, addressing it
+    /// through [`Self::rows`]. `None` for SQ8/PQ codes and for Cosine, whose
+    /// payload is normalized: derived data a point read must not return.
+    pub fn shared_vectors(&self) -> Option<&Arc<VectorSet>> {
+        match &self.payload {
+            Payload::Flat(vs) if self.metric != Metric::Cosine => Some(vs),
+            _ => None,
+        }
     }
 
-    /// Rough serialized size (codec pre-allocation).
-    pub fn memory_bytes_estimate(&self) -> usize {
-        self.buckets.iter().map(Bucket::bytes).sum::<usize>()
-            + self.coarse.centroids.memory_bytes()
+    /// Build ordinal (row position) of every slot — a bijection onto
+    /// `0..len`, ascending inside each bucket.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
     }
 
     /// Scalar-quantizer parameters `(vmin, vstep)` for the SQ8 variant.
     pub fn sq_params(&self) -> Option<(&[f32], &[f32])> {
-        self.sq.as_ref().map(|q| (q.vmin(), q.vstep()))
+        match &self.payload {
+            Payload::Sq8 { quantizer, .. } => Some((quantizer.vmin(), quantizer.vstep())),
+            _ => None,
+        }
     }
 
     /// The product quantizer for the PQ variant.
     pub fn pq_ref(&self) -> Option<&ProductQuantizer> {
-        self.pq.as_ref()
-    }
-
-    /// Raw encoded codes of bucket `b` (SQ8/PQ variants).
-    pub fn bucket_codes(&self, b: usize) -> Option<&[u8]> {
-        match &self.buckets[b].data {
-            BucketData::Sq8(c) | BucketData::Pq(c) => Some(c),
-            BucketData::Flat(_) => None,
+        match &self.payload {
+            Payload::Pq { quantizer, .. } => Some(quantizer),
+            _ => None,
         }
-    }
-
-    /// Reassemble an index from codec parts.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        variant: IvfVariant,
-        metric: Metric,
-        dim: usize,
-        len: usize,
-        centroids: VectorSet,
-        buckets: Vec<Bucket>,
-        sq: Option<ScalarQuantizer>,
-        pq: Option<ProductQuantizer>,
-    ) -> Result<Self> {
-        if centroids.dim() != dim {
-            return Err(IndexError::invalid("centroids", "dimension mismatch"));
-        }
-        let inner_metric =
-            if metric == Metric::Cosine { Metric::InnerProduct } else { metric };
-        Ok(Self {
-            variant,
-            metric,
-            inner_metric,
-            dim,
-            coarse: KMeans { centroids, inertia: 0.0, iterations: 0 },
-            buckets,
-            sq,
-            pq,
-            len,
-        })
     }
 
     /// Number of buckets (`nlist` after the small-collection cap).
     pub fn nlist(&self) -> usize {
-        self.buckets.len()
+        self.offsets.len() - 1
     }
 
     /// Step 1 of query processing: indices of the `nprobe` closest buckets.
@@ -305,32 +320,50 @@ impl IvfIndex {
         self.coarse.assign_multi(query, nprobe)
     }
 
-    /// Number of vectors in bucket `b`.
-    pub fn bucket_len(&self, b: usize) -> usize {
-        self.buckets[b].len()
+    /// The slots of bucket `b`.
+    fn bucket(&self, b: usize) -> Range<usize> {
+        self.offsets[b] as usize..self.offsets[b + 1] as usize
     }
 
-    /// Encoded byte size of bucket `b` (drives the GPU PCIe transfer model).
+    /// Payload bytes per slot.
+    fn entry_bytes(&self) -> usize {
+        match &self.payload {
+            Payload::Flat(_) => self.dim * std::mem::size_of::<f32>(),
+            Payload::Sq8 { .. } => self.dim,
+            Payload::Pq { quantizer, .. } => quantizer.m(),
+        }
+    }
+
+    /// Number of vectors in bucket `b`.
+    pub fn bucket_len(&self, b: usize) -> usize {
+        self.bucket(b).len()
+    }
+
+    /// Encoded byte size of bucket `b` — payload, ids and ordinals (drives
+    /// the GPU PCIe transfer model).
     pub fn bucket_bytes(&self, b: usize) -> usize {
-        self.buckets[b].bytes()
+        self.bucket_len(b) * (self.entry_bytes() + SLOT_OVERHEAD)
     }
 
     /// External ids of bucket `b`'s members.
     pub fn bucket_ids(&self, b: usize) -> &[i64] {
-        &self.buckets[b].ids
+        &self.ids[self.bucket(b)]
     }
 
     /// Build ordinals of bucket `b`'s members, ascending.
     pub fn bucket_rows(&self, b: usize) -> &[u32] {
-        &self.buckets[b].rows
+        &self.rows[self.bucket(b)]
     }
 
-    /// Raw vectors of bucket `b` when the fine quantizer is FLAT (baseline
-    /// engines scan buckets with their own kernels; `None` for SQ8/PQ).
-    pub fn bucket_vectors(&self, b: usize) -> Option<&VectorSet> {
-        match &self.buckets[b].data {
-            BucketData::Flat(vs) => Some(vs),
-            _ => None,
+    /// Raw encoded codes of bucket `b` (SQ8/PQ variants).
+    pub fn bucket_codes(&self, b: usize) -> Option<&[u8]> {
+        let slots = self.bucket(b);
+        match &self.payload {
+            Payload::Sq8 { codes, .. } | Payload::Pq { codes, .. } => {
+                let width = self.entry_bytes();
+                Some(&codes[slots.start * width..slots.end * width])
+            }
+            Payload::Flat(_) => None,
         }
     }
 
@@ -356,17 +389,17 @@ impl IvfIndex {
     /// convention (no re-normalization — cosine normalizing twice would
     /// perturb bits).
     fn prepare_from_inner<'a>(&'a self, q: Vec<f32>) -> PreparedQuery<'a> {
-        let state = match self.variant {
-            IvfVariant::Flat => PreparedState::Flat {
+        let state = match &self.payload {
+            Payload::Flat(_) => PreparedState::Flat {
                 pair: distance::pair_kernel(self.inner_metric),
                 tile4: distance::tile4_kernel(self.inner_metric),
             },
-            IvfVariant::Sq8 => PreparedState::Sq8(
-                self.sq.as_ref().expect("sq present").prepare(&q, self.inner_metric),
-            ),
-            IvfVariant::Pq => PreparedState::Pq(
-                self.pq.as_ref().expect("pq present").distance_table(&q, self.inner_metric),
-            ),
+            Payload::Sq8 { quantizer, .. } => {
+                PreparedState::Sq8(quantizer.prepare(&q, self.inner_metric))
+            }
+            Payload::Pq { quantizer, .. } => {
+                PreparedState::Pq(quantizer.distance_table(&q, self.inner_metric))
+            }
         };
         PreparedQuery { query: q, state }
     }
@@ -398,48 +431,54 @@ impl IvfIndex {
         heap: &mut TopK,
         mask: Option<&RowMask>,
     ) {
-        let bucket = &self.buckets[b];
+        let slots = self.bucket(b);
         match mask {
-            None => self.scan_members(bucket, prepared, heap, 0..bucket.len()),
+            None => self.scan_members(slots.clone(), prepared, heap, 0..slots.len()),
             Some(mask) => {
-                let ordinals = bucket.rows.iter().enumerate();
+                let ordinals = self.rows[slots.clone()].iter().enumerate();
                 let visible = ordinals.filter(|(_, &row)| mask.get(row as usize)).map(|(i, _)| i);
-                self.scan_members(bucket, prepared, heap, visible)
+                self.scan_members(slots, prepared, heap, visible)
             }
         }
     }
 
-    /// Score `members` (positions inside `bucket`) into `heap`.
+    /// Score `members` (positions inside the bucket holding `slots`) into
+    /// `heap`. The bucket's vectors are one slice of the payload, read in
+    /// place.
     fn scan_members(
         &self,
-        bucket: &Bucket,
+        slots: Range<usize>,
         prepared: &PreparedQuery<'_>,
         heap: &mut TopK,
         members: impl Iterator<Item = usize>,
     ) {
-        let ids = &bucket.ids[..];
-        match (&bucket.data, &prepared.state) {
-            (BucketData::Flat(vs), PreparedState::Flat { pair, tile4 }) => {
+        let ids = &self.ids[slots.clone()];
+        match (&self.payload, &prepared.state) {
+            (Payload::Flat(vs), PreparedState::Flat { pair, tile4 }) => {
+                let dim = self.dim;
+                let flat = &vs.as_flat()[slots.start * dim..slots.end * dim];
+                let vec = |i: usize| &flat[i * dim..(i + 1) * dim];
                 let q = prepared.query.as_slice();
                 in_tiles(members, |g| match (g, tile4) {
                     // L2/IP are bitwise symmetric in their arguments, so the
                     // 4 data rows ride in the kernel's query slot (same trick
                     // as the batch engine).
                     (&[a, b, c, d], Some(tile)) => {
-                        let dist = tile([vs.get(a), vs.get(b), vs.get(c), vs.get(d)], q);
+                        let dist = tile([vec(a), vec(b), vec(c), vec(d)], q);
                         for (&i, dist) in g.iter().zip(dist) {
                             heap.push(ids[i], dist);
                         }
                     }
                     _ => {
                         for &i in g {
-                            heap.push(ids[i], pair(q, vs.get(i)));
+                            heap.push(ids[i], pair(q, vec(i)));
                         }
                     }
                 });
             }
-            (BucketData::Sq8(codes), PreparedState::Sq8(p)) => {
+            (Payload::Sq8 { codes, .. }, PreparedState::Sq8(p)) => {
                 let dim = self.dim;
+                let codes = &codes[slots.start * dim..slots.end * dim];
                 let code = |i: usize| &codes[i * dim..(i + 1) * dim];
                 in_tiles(members, |g| match *g {
                     [a, b, c, d] => {
@@ -455,8 +494,9 @@ impl IvfIndex {
                     }
                 });
             }
-            (BucketData::Pq(codes), PreparedState::Pq(table)) => {
+            (Payload::Pq { codes, .. }, PreparedState::Pq(table)) => {
                 let m = table.m();
+                let codes = &codes[slots.start * m..slots.end * m];
                 let code = |i: usize| &codes[i * m..(i + 1) * m];
                 // Threshold re-read per tile: it only tightens as pushes
                 // land, so pruning stays exact.
@@ -493,7 +533,7 @@ impl IvfIndex {
             return Err(IndexError::DimensionMismatch { expected: self.dim, got: query.len() });
         }
         if let Some(mask) = mask {
-            mask.check_covers(self.len)?;
+            mask.check_covers(self.len_rows())?;
         }
         let prepared = self.prepare(query);
         let probes = self.probe_buckets(prepared.query(), params.nprobe);
@@ -532,7 +572,7 @@ impl PreparedQuery<'_> {
 
 impl VectorIndex for IvfIndex {
     fn name(&self) -> &'static str {
-        self.variant.name()
+        self.variant().name()
     }
 
     fn metric(&self) -> Metric {
@@ -540,7 +580,7 @@ impl VectorIndex for IvfIndex {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.len_rows()
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<Vec<Neighbor>> {
@@ -575,7 +615,7 @@ impl VectorIndex for IvfIndex {
         mask: Option<&RowMask>,
     ) -> Result<Vec<Vec<Neighbor>>> {
         if let Some(mask) = mask {
-            mask.check_covers(self.len)?;
+            mask.check_covers(self.len_rows())?;
         }
         let m = queries.len();
         for i in 0..m {
@@ -603,11 +643,18 @@ impl VectorIndex for IvfIndex {
         Ok(heaps.into_iter().map(TopK::into_sorted).collect())
     }
 
+    /// Everything the index keeps alive — the FLAT payload included, even
+    /// when a segment's column shares it (the segment, which can tell, counts
+    /// that buffer once).
     fn memory_bytes(&self) -> usize {
-        let buckets: usize = self.buckets.iter().map(Bucket::bytes).sum();
-        let centroids = self.coarse.centroids.memory_bytes();
-        let pq = self.pq.as_ref().map_or(0, ProductQuantizer::memory_bytes);
-        buckets + centroids + pq
+        let quantizer = match &self.payload {
+            Payload::Pq { quantizer, .. } => quantizer.memory_bytes(),
+            _ => 0,
+        };
+        self.len_rows() * (self.entry_bytes() + SLOT_OVERHEAD)
+            + self.offsets.len() * std::mem::size_of::<u32>()
+            + self.coarse.centroids.memory_bytes()
+            + quantizer
     }
 
     fn as_ivf(&self) -> Option<&IvfIndex> {
@@ -805,5 +852,55 @@ mod tests {
         let total: usize = (0..ivf.nlist()).map(|b| ivf.bucket_len(b)).sum();
         assert_eq!(total, 200);
         assert!(ivf.bucket_bytes(0) >= ivf.bucket_len(0) * 8);
+    }
+
+    /// The counting sort leaves every row in exactly one slot of the bucket
+    /// its nearest centroid names, rows ascending inside a bucket, and the
+    /// payload holding each slot's own vector.
+    #[test]
+    fn slot_order_is_a_bucket_sorted_permutation_of_the_rows() {
+        let (vs, ids) = clustered(500, 8, 4);
+        let ids: Vec<i64> = ids.iter().map(|id| id * 3 + 1).collect();
+        let ivf = IvfIndex::build(IvfVariant::Flat, &vs, &ids, &params()).unwrap();
+        let mut seen = vec![false; 500];
+        for b in 0..ivf.nlist() {
+            let rows = ivf.bucket_rows(b);
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "bucket {b} not ascending");
+            for (&row, &id) in rows.iter().zip(ivf.bucket_ids(b)) {
+                assert!(!std::mem::replace(&mut seen[row as usize], true));
+                assert_eq!(id, ids[row as usize]);
+                assert_eq!(ivf.coarse.assign(vs.get(row as usize)), b);
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+        let payload = ivf.shared_vectors().unwrap();
+        for (slot, &row) in ivf.rows().iter().enumerate() {
+            assert_eq!(payload.get(slot), vs.get(row as usize));
+        }
+    }
+
+    /// `memory_bytes` is what the storage accounting is computed from: it
+    /// must cover every allocation the index holds, for every variant.
+    #[test]
+    fn memory_bytes_covers_every_allocation() {
+        let (vs, ids) = clustered(1000, 32, 9);
+        for variant in [IvfVariant::Flat, IvfVariant::Sq8, IvfVariant::Pq] {
+            let ivf = IvfIndex::build(variant, &vs, &ids, &params()).unwrap();
+            let payload = match &ivf.payload {
+                Payload::Flat(vs) => vs.allocated_bytes(),
+                Payload::Sq8 { codes, .. } => codes.capacity(),
+                Payload::Pq { quantizer, codes } => {
+                    let books = (0..quantizer.m()).map(|s| quantizer.codebook(s).allocated_bytes());
+                    codes.capacity() + books.sum::<usize>()
+                }
+            };
+            let allocated = payload
+                + ivf.ids.capacity() * 8
+                + ivf.rows.capacity() * 4
+                + ivf.offsets.capacity() * 4
+                + ivf.coarse.centroids.allocated_bytes();
+            assert!(ivf.memory_bytes() >= allocated, "{variant:?}");
+            assert!(ivf.memory_bytes() <= allocated + allocated / 100, "{variant:?}");
+        }
     }
 }

@@ -113,6 +113,12 @@ impl VectorSet {
     pub fn memory_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
+
+    /// Bytes of the backing allocation — what [`Self::memory_bytes`] must not
+    /// undercount; equal to it for a set built at its exact capacity.
+    pub fn allocated_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>()
+    }
 }
 
 impl<'a> IntoIterator for &'a VectorSet {

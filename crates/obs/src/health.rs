@@ -327,7 +327,7 @@ mod tests {
     use crate::Key;
 
     fn key(name: &str, label: &str) -> Key {
-        Key { name: name.into(), label: label.into(), segment: None }
+        Key { name: name.into(), label: label.into(), segment: None, component: None }
     }
 
     fn th() -> HealthThresholds {

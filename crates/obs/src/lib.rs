@@ -261,24 +261,30 @@ impl HistogramSnapshot {
     }
 }
 
-/// A `(metric name, label value, segment)` triple; the label is by
-/// convention the collection (or pool) name, `""` for process-wide series,
-/// and `segment` is set only for segment-granular series such as the
-/// bufferpool hit/miss/eviction counters.
+/// A `(metric name, label value, segment, component)` tuple; the label is
+/// by convention the collection (or pool) name, `""` for process-wide
+/// series, `segment` is set only for segment-granular series such as the
+/// bufferpool hit/miss/eviction counters, and `component` only for a family
+/// that splits one quantity into named parts ([`STORED_BYTES`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Key {
     pub name: String,
     pub label: String,
     pub segment: Option<u64>,
+    pub component: Option<&'static str>,
 }
 
 impl Key {
     fn new(name: &str, label: &str) -> Self {
-        Key { name: name.to_string(), label: label.to_string(), segment: None }
+        Key { name: name.to_string(), label: label.to_string(), segment: None, component: None }
     }
 
     fn with_segment(name: &str, label: &str, segment: u64) -> Self {
-        Key { name: name.to_string(), label: label.to_string(), segment: Some(segment) }
+        Key { segment: Some(segment), ..Key::new(name, label) }
+    }
+
+    fn with_component(name: &str, label: &str, component: &'static str) -> Self {
+        Key { component: Some(component), ..Key::new(name, label) }
     }
 }
 
@@ -322,6 +328,16 @@ impl Registry {
     /// Gauge handle for a segment-granular series.
     pub fn gauge_seg(&self, name: &str, label: &str, segment: u64) -> Arc<Gauge> {
         get_or_insert(&self.gauges, Key::with_segment(name, label, segment))
+    }
+
+    /// Gauge handle for one named part of a split quantity.
+    pub fn gauge_component(
+        &self,
+        name: &str,
+        label: &str,
+        component: &'static str,
+    ) -> Arc<Gauge> {
+        get_or_insert(&self.gauges, Key::with_component(name, label, component))
     }
 
     /// Histogram handle for `(name, label)`.
@@ -411,6 +427,12 @@ impl MetricsSnapshot {
         self.gauges.get(&Key::with_segment(name, label, segment)).copied().unwrap_or(0)
     }
 
+    /// Value of one named part of a split gauge, 0 if the series does not
+    /// exist.
+    pub fn gauge_component(&self, name: &str, label: &str, component: &'static str) -> i64 {
+        self.gauges.get(&Key::with_component(name, label, component)).copied().unwrap_or(0)
+    }
+
     /// Sum of a counter family across all labels.
     pub fn counter_total(&self, name: &str) -> u64 {
         self.counters.iter().filter(|(k, _)| k.name == name).map(|(_, v)| v).sum()
@@ -441,6 +463,11 @@ pub fn counter(name: &str, label: &str) -> Arc<Counter> {
 /// Convenience: `registry().gauge(...)`.
 pub fn gauge(name: &str, label: &str) -> Arc<Gauge> {
     registry().gauge(name, label)
+}
+
+/// Convenience: `registry().gauge_component(...)`.
+pub fn gauge_component(name: &str, label: &str, component: &'static str) -> Arc<Gauge> {
+    registry().gauge_component(name, label, component)
 }
 
 /// Convenience: `registry().histogram(...)`.
@@ -500,6 +527,10 @@ pub const COMPACTIONS: &str = "milvus_compactions_total";
 pub const COMPACTION_LATENCY: &str = "milvus_compaction_latency_seconds";
 /// Current live segment count (gauge).
 pub const SEGMENTS: &str = "milvus_segments";
+/// Resident bytes of the current snapshot's segments, split by `component`:
+/// `"segment"` (payload), `"index"` (what indexes hold beyond the payload),
+/// `"tombstones"`.
+pub const STORED_BYTES: &str = "milvus_stored_bytes";
 /// Index builds completed (per collection).
 pub const INDEX_BUILDS: &str = "milvus_index_builds_total";
 /// Index build latency.
@@ -709,6 +740,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
     FamilyDesc { name: SEARCH_DEGRADED, kind: MetricKind::Counter, help: "Distributed searches that completed with at least one uncovered shard." },
     FamilyDesc { name: SEGMENTS, kind: MetricKind::Gauge, help: "Live segment count of the current snapshot." },
     FamilyDesc { name: SLOW_QUERIES, kind: MetricKind::Counter, help: "Queries whose latency exceeded the slow threshold." },
+    FamilyDesc { name: STORED_BYTES, kind: MetricKind::Gauge, help: "Resident bytes of the current snapshot's segments by component (segment payload, index beyond the payload, tombstones)." },
     FamilyDesc { name: TRACE_SPANS, kind: MetricKind::Counter, help: "Spans recorded into sampled traces." },
     FamilyDesc { name: TRACES_SAMPLED, kind: MetricKind::Counter, help: "Queries elected by the trace sampler." },
     FamilyDesc { name: WAL_APPENDS, kind: MetricKind::Counter, help: "WAL records appended." },

@@ -410,7 +410,7 @@ mod tests {
         // Render a snapshot holding only the diffed histogram.
         let mut snap = MetricsSnapshot::default();
         snap.histograms.insert(
-            crate::Key { name: crate::QUERY_LATENCY.into(), label: label.into(), segment: None },
+            crate::Key { name: crate::QUERY_LATENCY.into(), label: label.into(), segment: None, component: None },
             w.clone(),
         );
         let text = render_prometheus(&snap);

@@ -21,6 +21,9 @@ fn label_suffix(key: &Key, extra: Option<(&str, String)>) -> String {
     if let Some(seg) = key.segment {
         parts.push(format!("segment=\"{seg}\""));
     }
+    if let Some(component) = key.component {
+        parts.push(format!("component=\"{component}\""));
+    }
     if let Some((k, v)) = extra {
         parts.push(format!("{k}=\"{v}\""));
     }
@@ -182,6 +185,15 @@ mod tests {
         }
         // No series lines: every non-empty line is a comment.
         assert!(text.lines().all(|l| l.is_empty() || l.starts_with('#')), "{text}");
+    }
+
+    #[test]
+    fn split_gauges_carry_a_component_label() {
+        let r = Registry::new();
+        r.gauge_component(crate::STORED_BYTES, "col", "index").set(77);
+        let text = r.render_prometheus();
+        assert!(text.contains("milvus_stored_bytes{collection=\"col\",component=\"index\"} 77"));
+        assert_eq!(r.snapshot().gauge_component(crate::STORED_BYTES, "col", "index"), 77);
     }
 
     #[test]

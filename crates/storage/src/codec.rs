@@ -2,21 +2,42 @@
 //!
 //! Little-endian layout:
 //! `magic "MSG1" | n_rows u64 | n_vec u32 | n_attr u32 | row_ids |
-//!  per-vector-column (dim u32, f32 payload) |
+//!  per-vector-column (dim u32, f32 payload [, slot_of_row u32 × n_rows]) |
 //!  per-attribute-column (name, (value,row) pairs) |
-//!  tombstones (count u64, ids)`
+//!  tombstones (count u64, ids) |
+//!  indexes (count u32, then per index: field name, column u32, blob)`
+//!
+//! Every vector column is written **once**, in its physical order. A column
+//! that shares an IVF_FLAT index's bucket-ordered buffer sets the top bit of
+//! its `dim` word and appends its permutation; the index's entry names that
+//! column and its blob carries structure only, so decoding hands one buffer
+//! to both ([`crate::column::VectorColumn`]). An entry whose blob carries
+//! its own payload (SQ8/PQ codes, Cosine's normalized vectors) names
+//! [`NO_COLUMN`]. Only IVF indexes are persisted; graph and tree indexes are
+//! rebuilt after a load.
 //!
 //! Attribute columns are persisted in key order and rebuilt (with fresh skip
 //! pointers) on decode.
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use milvus_index::ivf::codec::{decode_ivf, encode_ivf};
 use milvus_index::VectorSet;
 
 use crate::attribute::AttributeColumn;
+use crate::column::VectorColumn;
 use crate::error::{Result, StorageError};
 use crate::segment::{Segment, SegmentData};
 
 const MAGIC: &[u8; 4] = b"MSG1";
+
+/// Top bit of a vector column's `dim` word: the payload is in slot order and
+/// the permutation follows it.
+const PERMUTED: u32 = 1 << 31;
+
+/// The `column` of an index entry whose blob carries its own payload.
+const NO_COLUMN: u32 = u32::MAX;
 
 /// Append `xs` as little-endian `f32`s: one bulk copy per kilobyte-sized
 /// chunk instead of one `put` per value (on little-endian targets the inner
@@ -44,10 +65,10 @@ pub fn get_f32s(buf: &mut &[u8], n: usize) -> Vec<f32> {
     head.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
 }
 
-/// Serialize a segment (payload + tombstones; indexes are rebuilt on load).
+/// Serialize a segment: payload, tombstones and its IVF indexes.
 pub fn encode_segment(seg: &Segment) -> Bytes {
     let data = seg.data();
-    let mut buf = BytesMut::with_capacity(data.memory_bytes() + 64);
+    let mut buf = BytesMut::with_capacity(seg.memory_bytes() + 64);
     buf.put_slice(MAGIC);
     buf.put_u64_le(data.row_ids.len() as u64);
     buf.put_u32_le(data.vectors.len() as u32);
@@ -56,8 +77,12 @@ pub fn encode_segment(seg: &Segment) -> Bytes {
         buf.put_i64_le(id);
     }
     for col in &data.vectors {
-        buf.put_u32_le(col.dim() as u32);
-        put_f32s(&mut buf, col.as_flat());
+        let permutation = col.slot_of_row();
+        buf.put_u32_le(col.dim() as u32 | if permutation.is_some() { PERMUTED } else { 0 });
+        put_f32s(&mut buf, col.buffer().as_flat());
+        for &slot in permutation.unwrap_or_default() {
+            buf.put_u32_le(slot);
+        }
     }
     for col in &data.attributes {
         let name = col.name().as_bytes();
@@ -78,18 +103,22 @@ pub fn encode_segment(seg: &Segment) -> Bytes {
     // Serializable indexes ride with the segment (§2.3: "Both index and
     // data are stored in the same segment"). Only IVF indexes serialize;
     // graph/tree indexes are rebuilt after a load.
-    let persistable: Vec<(String, Vec<u8>)> = seg
-        .indexes_snapshot()
-        .into_iter()
-        .filter_map(|(field, ix)| {
-            ix.as_ivf().map(|ivf| (field, milvus_index::ivf::codec::encode_ivf(ivf)))
-        })
-        .collect();
+    let indexes = seg.indexes_snapshot();
+    let persistable: Vec<_> =
+        indexes.iter().filter_map(|(field, ix)| Some((field, ix.as_ivf()?))).collect();
     buf.put_u32_le(persistable.len() as u32);
-    for (field, blob) in persistable {
+    for (field, ivf) in persistable {
         let name = field.as_bytes();
         buf.put_u32_le(name.len() as u32);
         buf.put_slice(name);
+        // An index enters a segment through `build_index` or a decode, and
+        // both make its verbatim vectors the column's buffer.
+        let column = ivf.shared_vectors().map_or(NO_COLUMN, |buf| {
+            let sharing = data.vectors.iter().position(|col| Arc::ptr_eq(col.buffer(), buf));
+            sharing.expect("an index's verbatim vectors are its segment's column") as u32
+        });
+        buf.put_u32_le(column);
+        let blob = encode_ivf(ivf);
         buf.put_u64_le(blob.len() as u64);
         buf.put_slice(&blob);
     }
@@ -123,7 +152,8 @@ pub fn decode_segment(id: u64, version: u64, mut buf: &[u8]) -> Result<Segment> 
         if buf.remaining() < 4 {
             return Err(corrupt("truncated vector column header"));
         }
-        let dim = buf.get_u32_le() as usize;
+        let tag = buf.get_u32_le();
+        let dim = (tag & !PERMUTED) as usize;
         if dim == 0 {
             return Err(corrupt("zero-dim vector column"));
         }
@@ -131,7 +161,16 @@ pub fn decode_segment(id: u64, version: u64, mut buf: &[u8]) -> Result<Segment> 
         if buf.remaining() < need {
             return Err(corrupt("truncated vector payload"));
         }
-        vectors.push(VectorSet::from_flat(dim, get_f32s(&mut buf, n_rows * dim)));
+        let payload = VectorSet::from_flat(dim, get_f32s(&mut buf, n_rows * dim));
+        vectors.push(if tag & PERMUTED == 0 {
+            VectorColumn::from(payload)
+        } else {
+            if buf.remaining() < n_rows * 4 {
+                return Err(corrupt("truncated column permutation"));
+            }
+            let slot_of_row = (0..n_rows).map(|_| buf.get_u32_le()).collect();
+            VectorColumn::permuted(Arc::new(payload), slot_of_row)?
+        });
     }
 
     let mut attributes = Vec::with_capacity(n_attr);
@@ -201,20 +240,36 @@ pub fn decode_segment(id: u64, version: u64, mut buf: &[u8]) -> Result<Segment> 
             let field = String::from_utf8(buf[..name_len].to_vec())
                 .map_err(|_| corrupt("index field not utf8"))?;
             buf.advance(name_len);
-            if buf.remaining() < 8 {
+            if buf.remaining() < 12 {
                 return Err(corrupt("truncated index size"));
             }
+            let column = match buf.get_u32_le() {
+                NO_COLUMN => None,
+                c => Some(
+                    segment.data().vectors.get(c as usize).ok_or(corrupt("index of no column"))?,
+                ),
+            };
             let blob_len = buf.get_u64_le() as usize;
             if buf.remaining() < blob_len {
                 return Err(corrupt("truncated index blob"));
             }
-            let index = milvus_index::ivf::codec::decode_ivf(&buf[..blob_len])?;
+            let shared = column.map(|col| Arc::clone(col.buffer()));
+            let index = decode_ivf(&buf[..blob_len], shared)
+                .map_err(|e| corrupt(&format!("index blob: {e}")))?;
             // A scan hands the index a mask over row positions.
             if index.len_rows() != n_rows {
                 return Err(corrupt("index does not cover the rows"));
             }
+            // Column and index address one buffer: where the index scans row
+            // `r` must be where the column reads it.
+            if let Some(col) = column {
+                let mut slot_to_row = index.rows().iter().enumerate();
+                if !slot_to_row.all(|(slot, &row)| col.slot(row as usize) == slot) {
+                    return Err(corrupt("index and column disagree on the vector order"));
+                }
+            }
             buf.advance(blob_len);
-            segment.attach_index(field, std::sync::Arc::new(index));
+            segment.attach_index(field, Arc::new(index));
         }
     }
 
@@ -248,7 +303,7 @@ mod tests {
         let bytes = encode_segment(&seg);
         let back = decode_segment(seg.id, seg.version, &bytes).unwrap();
         assert_eq!(back.data().row_ids, seg.data().row_ids);
-        assert_eq!(back.data().vectors[0].as_flat(), seg.data().vectors[0].as_flat());
+        assert!(back.data().vectors[0].iter().eq(seg.data().vectors[0].iter()));
         assert_eq!(back.deleted(), seg.deleted());
         assert_eq!(back.data().attributes[0].name(), "price");
         assert_eq!(back.data().attributes[0].point_rows(105.0), &[5]);
@@ -290,7 +345,7 @@ mod tests {
         ];
         assert_eq!(&encode_segment(&seg)[..], golden);
         let back = decode_segment(7, seg.version, golden).unwrap();
-        assert_eq!(back.data().vectors[0].as_flat(), &[1.0, -2.5, 0.0, 3.25]);
+        assert_eq!(back.data().vectors[0].buffer().as_flat(), &[1.0, -2.5, 0.0, 3.25]);
     }
 
     /// The bulk helpers agree with the one-value accessors at every length
@@ -354,6 +409,110 @@ mod tests {
             .search_field(&schema, "v", &[42.0, 0.0, 0.0, 0.0], &sp, None)
             .unwrap();
         assert_eq!(res[0].id, 42);
+    }
+
+    fn flat_indexed(rows: usize, metric: Metric) -> (Schema, Segment, Segment) {
+        use milvus_index::registry::IndexRegistry;
+        use milvus_index::traits::BuildParams;
+
+        let schema = Schema::single("v", 4, metric).with_attribute("a");
+        let mut vs = VectorSet::new(4);
+        for i in 0..rows {
+            vs.push(&[(i as f32 * 0.37).sin(), (i as f32 * 0.11).cos(), i as f32, 1.0]);
+        }
+        let batch = InsertBatch {
+            ids: (0..rows as i64).rev().collect(),
+            vectors: vec![vs],
+            attributes: vec![(0..rows).map(|i| (i % 10) as f64).collect()],
+        };
+        let plain = Segment::from_batch(1, &schema, &batch).unwrap().with_deletes([5, 6]);
+        let params = BuildParams { nlist: 8, kmeans_iters: 4, ..Default::default() };
+        let registry = IndexRegistry::with_builtins();
+        let indexed = plain.build_index(&schema, "v", "IVF_FLAT", &registry, &params).unwrap();
+        (schema, plain, indexed)
+    }
+
+    /// An IVF_FLAT segment is written with one copy of its vectors and comes
+    /// back with one: column and index share the decoded buffer, every row
+    /// still reads its own vector, and every search answers as before.
+    #[test]
+    fn flat_indexed_segment_roundtrips_as_one_buffer() {
+        use milvus_index::traits::SearchParams;
+        use milvus_index::RowMask;
+
+        let (schema, plain, indexed) = flat_indexed(300, Metric::L2);
+        let blob = encode_segment(&indexed);
+        assert!(blob.len() < encode_segment(&plain).len() + 300 * (4 + 8 + 4) + 400);
+        let back = decode_segment(indexed.id, indexed.version, &blob).unwrap();
+        let index = back.index("v").expect("persisted index");
+        let col = &back.data().vectors[0];
+        assert!(Arc::ptr_eq(col.buffer(), index.as_ivf().unwrap().shared_vectors().unwrap()));
+        assert_eq!(Arc::strong_count(col.buffer()), 2);
+        assert!(col.iter().eq(plain.data().vectors[0].iter()));
+        assert_eq!(back.memory_bytes(), indexed.memory_bytes());
+        assert_eq!(&encode_segment(&back)[..], &blob[..], "re-encoding is stable");
+
+        let sp = SearchParams { k: 7, nprobe: 3, ..Default::default() };
+        let evens = RowMask::from_positions(300, &(0..300).step_by(2).collect::<Vec<u32>>());
+        let queries: Vec<&[f32]> = [3, 150, 299].map(|r| plain.data().vectors[0].get(r)).to_vec();
+        for allow in [None, Some(&evens)] {
+            for q in &queries {
+                assert_eq!(
+                    back.search_field(&schema, "v", q, &sp, allow).unwrap(),
+                    indexed.search_field(&schema, "v", q, &sp, allow).unwrap()
+                );
+            }
+            let (got, _) = back.search_batch(&schema, "v", &queries, &[7, 2, 5], &sp, allow);
+            let (want, _) = indexed.search_batch(&schema, "v", &queries, &[7, 2, 5], &sp, allow);
+            for (got, want) in got.into_iter().zip(want) {
+                assert_eq!(got.unwrap(), want.unwrap());
+            }
+        }
+    }
+
+    /// Cosine's index keeps its normalized payload in its own blob; the
+    /// column comes back in row order with the vectors as inserted.
+    #[test]
+    fn cosine_indexed_segment_roundtrips_with_both_buffers() {
+        let (_, plain, indexed) = flat_indexed(200, Metric::Cosine);
+        let back = decode_segment(1, 3, &encode_segment(&indexed)).unwrap();
+        let index = back.index("v").expect("persisted index");
+        assert!(index.as_ivf().unwrap().shared_vectors().is_none());
+        assert!(back.data().vectors[0].slot_of_row().is_none());
+        assert!(back.data().vectors[0].iter().eq(plain.data().vectors[0].iter()));
+        assert_eq!(back.memory_bytes(), indexed.memory_bytes());
+    }
+
+    /// Decode-time validation of everything the shared layout adds: each
+    /// damaged blob is `Corrupt`, never a panic or an out-of-bounds read.
+    #[test]
+    fn damaged_permutations_and_offsets_are_corrupt() {
+        let (_, _, indexed) = flat_indexed(100, Metric::L2);
+        let blob = encode_segment(&indexed).to_vec();
+        assert!(decode_segment(1, 1, &blob).is_ok());
+        let damaged = |at: usize, bytes: &[u8]| {
+            let mut bad = blob.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            let got = decode_segment(1, 1, &bad);
+            assert!(matches!(got, Err(StorageError::Corrupt(_))), "patch at {at}: {got:?}");
+        };
+        // The permutation follows the f32 payload of the one column.
+        let perm_at = 4 + 16 + 100 * 8 + 4 + 100 * 4 * 4;
+        let slot = |row: usize| &blob[perm_at + row * 4..perm_at + row * 4 + 4];
+        // Not a bijection: two rows in one slot; a slot past the buffer.
+        damaged(perm_at, slot(1));
+        damaged(perm_at, &100u32.to_le_bytes());
+        // A bijection, but not the one the index's `rows` describe.
+        damaged(perm_at, &[slot(1), slot(0)].concat());
+        // Offsets that run backwards, or stop short of the row count.
+        let ivf_at = blob.windows(4).position(|w| w == b"MIV3").unwrap();
+        let offsets_at = blob.len() - 100 * (8 + 4) - 9 * 4;
+        damaged(offsets_at + 4, &101u32.to_le_bytes());
+        damaged(offsets_at + 8 * 4, &99u32.to_le_bytes());
+        // The previous index format is refused at its magic.
+        damaged(ivf_at, b"MIV2");
+        // An index entry naming a column the segment does not have.
+        damaged(ivf_at - 8 - 4, &7u32.to_le_bytes());
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! * **Snapshot isolation** (§5.2): [`snapshot`] versions the segment set;
 //!   every query pins the snapshot current at its start, and obsolete
 //!   segments are garbage-collected when their last snapshot drops.
-//! * **Columnar storage** (§2.4): vectors are stored contiguously sorted by
-//!   row id ([`milvus_index::VectorSet`]); multi-vector entities store each
-//!   vector field as its own column; numeric attributes are sorted
-//!   `(key, row-id)` arrays with min/max page skip pointers
+//! * **Columnar storage** (§2.4): vectors are stored contiguously, one
+//!   [`column::VectorColumn`] per vector field, read by row position (rows
+//!   sorted by id; an IVF_FLAT-indexed column shares the index's
+//!   bucket-ordered buffer instead of keeping a second copy); numeric
+//!   attributes are sorted `(key, row-id)` arrays with min/max page skip
+//!   pointers
 //!   ([`attribute::AttributeColumn`]).
 //! * **Bufferpool** (§2.4): an LRU cache whose unit is the segment.
 //! * **Multi-storage** (§2.4): an [`object_store::ObjectStore`] abstraction
@@ -23,6 +25,7 @@ pub mod attribute;
 pub mod bufferpool;
 pub mod categorical;
 pub mod codec;
+pub mod column;
 pub mod entity;
 pub mod error;
 pub mod lsm;
@@ -33,6 +36,7 @@ pub mod segment;
 pub mod snapshot;
 pub mod wal;
 
+pub use column::VectorColumn;
 pub use entity::{InsertBatch, Schema, VectorField};
 pub use error::{Result, StorageError};
 pub use lsm::{LsmConfig, LsmEngine};

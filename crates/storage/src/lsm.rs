@@ -229,10 +229,17 @@ impl LsmEngine {
         }
     }
 
-    /// Publish the current segment count to the [`obs::SEGMENTS`] gauge.
+    /// Publish the current snapshot's segment count to the [`obs::SEGMENTS`]
+    /// gauge and its resident bytes to the [`obs::STORED_BYTES`] gauges.
     fn record_segment_gauge(&self) {
-        let count = self.snapshots.current().segments.len() as i64;
-        obs::gauge(obs::SEGMENTS, &self.config.metrics_label).set(count);
+        let (snap, label) = (self.snapshots.current(), &self.config.metrics_label);
+        obs::gauge(obs::SEGMENTS, label).set(snap.segments.len() as i64);
+        let bytes = snap.stored_bytes();
+        for (component, value) in
+            [("segment", bytes.segment), ("index", bytes.index), ("tombstones", bytes.tombstones)]
+        {
+            obs::gauge_component(obs::STORED_BYTES, label, component).set(value as i64);
+        }
     }
 
     /// Entities buffered but not yet flushed.

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use milvus_exec::Executor;
 use milvus_index::batch::{cache_aware_scan, BatchOptions, Rows};
+use milvus_index::ivf::IvfIndex;
 use milvus_index::traits::{BuildParams, SearchParams};
 use milvus_index::{
     registry::IndexRegistry, Metric, Neighbor, RowMask, TopK, VectorIndex, VectorSet,
@@ -22,6 +23,7 @@ use milvus_obs as obs;
 use parking_lot::RwLock;
 
 use crate::attribute::AttributeColumn;
+use crate::column::VectorColumn;
 use crate::entity::{InsertBatch, Schema};
 use crate::error::{Result, StorageError};
 
@@ -84,10 +86,11 @@ fn apply_scan_fault(segment_id: u64) {
 /// The immutable columnar payload of a segment.
 #[derive(Debug, Clone)]
 pub struct SegmentData {
-    /// Entity ids, sorted ascending (vectors are stored in this order, §2.4).
+    /// Entity ids, sorted ascending: row position `r` is the entity
+    /// `row_ids[r]` in every column (§2.4).
     pub row_ids: Vec<i64>,
     /// One vector column per schema vector field.
-    pub vectors: Vec<VectorSet>,
+    pub vectors: Vec<VectorColumn>,
     /// One attribute column per schema attribute field.
     pub attributes: Vec<AttributeColumn>,
 }
@@ -96,7 +99,7 @@ impl SegmentData {
     /// Payload bytes (vectors + attributes + ids).
     pub fn memory_bytes(&self) -> usize {
         self.row_ids.len() * 8
-            + self.vectors.iter().map(VectorSet::memory_bytes).sum::<usize>()
+            + self.vectors.iter().map(VectorColumn::memory_bytes).sum::<usize>()
             + self.attributes.iter().map(AttributeColumn::memory_bytes).sum::<usize>()
     }
 }
@@ -122,8 +125,8 @@ impl Segment {
         let mut order: Vec<usize> = (0..batch.ids.len()).collect();
         order.sort_by_key(|&i| batch.ids[i]);
         let row_ids: Vec<i64> = order.iter().map(|&i| batch.ids[i]).collect();
-        let vectors: Vec<VectorSet> =
-            batch.vectors.iter().map(|col| col.gather(&order)).collect();
+        let vectors: Vec<VectorColumn> =
+            batch.vectors.iter().map(|col| col.gather(&order).into()).collect();
         let attributes: Vec<AttributeColumn> = batch
             .attributes
             .iter()
@@ -203,11 +206,35 @@ impl Segment {
         }
     }
 
-    /// Payload + tombstone bytes (bufferpool accounting; the segment is the
-    /// caching unit, §2.4).
+    /// Resident bytes: payload + tombstones + indexes (bufferpool accounting;
+    /// the segment is the caching unit, §2.4).
+    ///
+    /// The accounting rule, stated here once: a buffer that a column and an
+    /// index share ([`Self::build_index`]) is counted **once**, on the
+    /// segment side — in [`SegmentData::memory_bytes`] — and
+    /// [`Self::index_bytes`] is what the indexes hold beyond it.
+    /// [`VectorIndex::memory_bytes`] itself keeps reporting everything an
+    /// index keeps alive, which is the whole truth for a standalone index.
     pub fn memory_bytes(&self) -> usize {
-        let idx: usize = self.indexes.read().values().map(|i| i.memory_bytes()).sum();
-        self.data.memory_bytes() + self.live.as_ref().map_or(0, |live| live.memory_bytes()) + idx
+        self.data.memory_bytes() + self.tombstone_bytes() + self.index_bytes()
+    }
+
+    /// Bytes of the live-row bitmap (none while no row is tombstoned).
+    pub fn tombstone_bytes(&self) -> usize {
+        self.live.as_ref().map_or(0, |live| live.memory_bytes())
+    }
+
+    /// Bytes the indexes hold beyond the payload: an index's
+    /// `memory_bytes()` less the vector buffer a column shares with it.
+    pub fn index_bytes(&self) -> usize {
+        let in_a_column = |buf: &&Arc<VectorSet>| {
+            self.data.vectors.iter().any(|col| Arc::ptr_eq(col.buffer(), buf))
+        };
+        let beyond_payload = |index: &Arc<dyn VectorIndex>| {
+            let shared = index.as_ivf().and_then(IvfIndex::shared_vectors).filter(in_a_column);
+            index.memory_bytes() - shared.map_or(0, |buf| buf.memory_bytes())
+        };
+        self.indexes.read().values().map(beyond_payload).sum()
     }
 
     /// Build (or rebuild) an index on `field` over **every** row, tombstoned
@@ -216,7 +243,12 @@ impl Segment {
     /// drops them (§2.3).
     ///
     /// Returns a **new version** of the segment carrying the index (§5.2: a
-    /// new version is generated upon building index).
+    /// new version is generated upon building index). Where the index keeps
+    /// the vectors verbatim ([`IvfIndex::shared_vectors`]: IVF_FLAT under
+    /// L2/IP) the new version's column **is** the index's bucket-ordered
+    /// buffer plus the permutation that finds a row in it; the id-ordered
+    /// copy goes when the old version does. One copy of the vectors, scanned
+    /// sequentially by the index and read by row through the column.
     pub fn build_index(
         &self,
         schema: &Schema,
@@ -230,17 +262,41 @@ impl Segment {
             .ok_or_else(|| StorageError::SchemaViolation(format!("no vector field {field}")))?;
         let mut build = params.clone();
         build.metric = schema.vector_fields[fi].metric;
-        let (col, ids) = (&self.data.vectors[fi], &self.data.row_ids);
-        let index: Arc<dyn VectorIndex> = Arc::from(registry.build(index_type, col, ids, &build)?);
-        let next = Segment {
+        let row_order = self.data.vectors[fi].to_row_order();
+        let index: Arc<dyn VectorIndex> =
+            Arc::from(registry.build(index_type, &row_order, &self.data.row_ids, &build)?);
+        // The field's new column, when it changes: the index's buffer where
+        // there is one to adopt; else back to row order if it was reordered.
+        let column = match index.as_ivf().and_then(|ivf| Some((ivf.shared_vectors()?, ivf.rows()))) {
+            Some((buf, rows)) => {
+                let mut slot_of_row = vec![0u32; rows.len()];
+                for (slot, &row) in rows.iter().enumerate() {
+                    slot_of_row[row as usize] = slot as u32;
+                }
+                Some(VectorColumn::permuted(Arc::clone(buf), slot_of_row)?)
+            }
+            None => match row_order {
+                Cow::Borrowed(_) => None,
+                Cow::Owned(rows) => Some(rows.into()),
+            },
+        };
+        let data = match column {
+            None => Arc::clone(&self.data),
+            Some(column) => {
+                let mut data = SegmentData::clone(&self.data);
+                data.vectors[fi] = column;
+                Arc::new(data)
+            }
+        };
+        let mut indexes = self.indexes.read().clone();
+        indexes.insert(field.to_string(), index);
+        Ok(Segment {
             id: self.id,
             version: self.version + 1,
-            data: Arc::clone(&self.data),
+            data,
             live: self.live.clone(),
-            indexes: RwLock::new(self.indexes.read().clone()),
-        };
-        next.indexes.write().insert(field.to_string(), index);
-        Ok(next)
+            indexes: RwLock::new(indexes),
+        })
     }
 
     /// The index on `field`, if one was built.
@@ -248,8 +304,8 @@ impl Segment {
         self.indexes.read().get(field).cloned()
     }
 
-    /// Attach a pre-built index (segment codec restore path).
-    pub fn attach_index(&self, field: impl Into<String>, index: Arc<dyn VectorIndex>) {
+    /// Attach a decoded index (segment codec restore path).
+    pub(crate) fn attach_index(&self, field: impl Into<String>, index: Arc<dyn VectorIndex>) {
         self.indexes.write().insert(field.into(), index);
     }
 
@@ -325,8 +381,10 @@ impl Segment {
                 got: query.len(),
             }));
         }
+        // A column is reordered only under its index, so this is a borrow.
+        let rows = col.to_row_order();
         let mut heap = TopK::new(params.k.max(1));
-        for (row, v) in col.iter().enumerate() {
+        for (row, v) in rows.iter().enumerate() {
             if visible.is_none_or(|mask| mask.get(row)) {
                 heap.push(self.data.row_ids[row], distance::distance(metric, query, v));
             }
@@ -413,7 +471,8 @@ impl Segment {
                 let exec = Executor::global();
                 let opts = BatchOptions { metric, threads: exec.threads(), ..Default::default() };
                 let (ids, off) = (&self.data.row_ids, &mut obs::Trace::disabled());
-                cache_aware_scan(exec, Rows::F32(col), ids, &qs, ks, visible, &opts, off)
+                let rows = col.to_row_order();
+                cache_aware_scan(exec, Rows::F32(&rows), ids, &qs, ks, visible, &opts, off)
             }
         };
         (lists.into_iter().map(Ok).collect(), stats)
@@ -449,7 +508,7 @@ impl Segment {
             for &(_, si, r) in &rows {
                 col.push(segments[si].data.vectors[f].get(r));
             }
-            vectors.push(col);
+            vectors.push(col.into());
         }
         let mut attributes = Vec::with_capacity(segments[0].data.attributes.len());
         for (a, name) in schema.attribute_fields.iter().enumerate() {
@@ -579,6 +638,118 @@ mod tests {
         let sp = SearchParams { k: 3, nprobe: 8, ..Default::default() };
         let res = v3.search_field(&sch, "v", &[7.0, 0.0], &sp, None).unwrap();
         assert!(res.iter().all(|n| n.id != 7));
+    }
+
+    fn wide_segment(rows: usize, dim: usize, metric: Metric) -> (Schema, Segment) {
+        let schema = Schema::single("v", dim, metric);
+        let mut vs = VectorSet::with_capacity(dim, rows);
+        for r in 0..rows {
+            let v: Vec<f32> = (0..dim).map(|d| ((r * 31 + d * 7) as f32 * 0.013).sin()).collect();
+            vs.push(&v);
+        }
+        // Ids arrive shuffled: row order is id order, not arrival order.
+        let ids = (0..rows as i64).map(|i| (i * 7919) % rows as i64).collect();
+        let seg = Segment::from_batch(1, &schema, &InsertBatch::single(ids, vs)).unwrap();
+        (schema, seg)
+    }
+
+    fn ivf_flat(schema: &Schema, seg: &Segment) -> Segment {
+        let reg = IndexRegistry::with_builtins();
+        let p = BuildParams { kmeans_iters: 3, ..Default::default() };
+        seg.build_index(schema, "v", "IVF_FLAT", &reg, &p).unwrap()
+    }
+
+    /// The stored-bytes metric is computed from `memory_bytes()`, so it is
+    /// pinned to allocations here: an L2 IVF_FLAT segment holds its vectors
+    /// in **one** buffer, and what it reports covers every buffer it holds.
+    #[test]
+    fn indexed_column_and_index_share_one_buffer_counted_once() {
+        let (rows, dim) = (2000, 128);
+        let (schema, plain) = wide_segment(rows, dim, Metric::L2);
+        let seg = ivf_flat(&schema, &plain);
+        let index = seg.index("v").unwrap();
+        let payload = index.as_ivf().unwrap().shared_vectors().unwrap();
+        let col = &seg.data().vectors[0];
+        assert!(Arc::ptr_eq(col.buffer(), payload));
+        assert_eq!(Arc::strong_count(payload), 2, "column + index, nothing else");
+        // The id-ordered copy lives on only in the version it belongs to.
+        assert!(!Arc::ptr_eq(plain.data().vectors[0].buffer(), payload));
+
+        let structure = index.memory_bytes() - payload.memory_bytes();
+        let allocated = seg.data().row_ids.capacity() * 8
+            + payload.allocated_bytes()
+            + std::mem::size_of_val(col.slot_of_row().unwrap())
+            + structure;
+        let user = rows * (dim * 4 + 8);
+        assert!(seg.memory_bytes() >= allocated);
+        assert!(seg.memory_bytes() * 100 <= user * 108, "{} vs {user}", seg.memory_bytes());
+        assert_eq!(seg.index_bytes(), structure);
+        assert_eq!(seg.memory_bytes(), seg.data().memory_bytes() + structure);
+        let blob = crate::codec::encode_segment(&seg).len();
+        assert!(blob * 100 <= user * 108, "{blob} vs {user}");
+
+        // Same rows, same answers as before the reorder.
+        for (row, v) in plain.data().vectors[0].iter().enumerate() {
+            assert_eq!(col.get(row), v);
+        }
+    }
+
+    /// Cosine's FLAT payload is the *normalized* vectors — derived data the
+    /// column must not adopt: two buffers, both counted.
+    #[test]
+    fn cosine_keeps_its_column_beside_the_normalized_payload() {
+        let (schema, plain) = wide_segment(300, 8, Metric::Cosine);
+        let seg = ivf_flat(&schema, &plain);
+        let index = seg.index("v").unwrap();
+        assert!(index.as_ivf().unwrap().shared_vectors().is_none());
+        let col = &seg.data().vectors[0];
+        assert!(Arc::ptr_eq(col.buffer(), plain.data().vectors[0].buffer()));
+        assert!(col.slot_of_row().is_none());
+        assert_eq!(seg.index_bytes(), index.memory_bytes());
+        assert!(index.memory_bytes() > col.memory_bytes());
+        assert_eq!(seg.memory_bytes(), seg.data().memory_bytes() + index.memory_bytes());
+    }
+
+    /// A rebuild reads the reordered column by row: another IVF_FLAT adopts
+    /// its own new buffer, an index with none to share puts the column back
+    /// in row order.
+    #[test]
+    fn rebuilding_over_a_reordered_column() {
+        let (schema, plain) = wide_segment(400, 8, Metric::L2);
+        let first = ivf_flat(&schema, &plain);
+        let reg = IndexRegistry::with_builtins();
+        let p = BuildParams { kmeans_iters: 3, seed: 9, ..Default::default() };
+        for ty in ["IVF_FLAT", "IVF_SQ8", "HNSW"] {
+            let again = first.build_index(&schema, "v", ty, &reg, &p).unwrap();
+            let col = &again.data().vectors[0];
+            assert!(col.iter().eq(plain.data().vectors[0].iter()), "{ty}");
+            assert_eq!(col.slot_of_row().is_some(), ty == "IVF_FLAT");
+            assert!(!Arc::ptr_eq(col.buffer(), first.data().vectors[0].buffer()));
+            let q = plain.data().vectors[0].get(17);
+            let sp = SearchParams { k: 1, nprobe: 64, ..Default::default() };
+            let hit = again.search_field(&schema, "v", q, &sp, None).unwrap();
+            assert_eq!(hit[0].id, plain.data().row_ids[17], "{ty}");
+        }
+    }
+
+    /// Merging reads vectors by row, so indexed inputs (bucket-ordered
+    /// columns, tombstones and all) merge to the very bytes their unindexed
+    /// twins do.
+    #[test]
+    fn merge_of_indexed_segments_equals_merge_of_their_unindexed_twins() {
+        let schema = schema();
+        let a = Segment::from_batch(1, &schema, &batch((0..300).rev().collect())).unwrap();
+        let b = Segment::from_batch(2, &schema, &batch((300..500).collect())).unwrap();
+        let dead = |s: &Segment| s.with_deletes((0..500).filter(|id| id % 3 == 0));
+        let (ia, ib) = (dead(&ivf_flat(&schema, &a)), dead(&ivf_flat(&schema, &b)));
+        assert!(ia.data().vectors[0].slot_of_row().is_some());
+        let indexed = Segment::merge(9, &schema, &[&ia, &ib]);
+        let plain = Segment::merge(9, &schema, &[&dead(&a), &dead(&b)]);
+        assert_eq!(indexed.num_rows(), 333);
+        assert_eq!(
+            crate::codec::encode_segment(&indexed),
+            crate::codec::encode_segment(&plain)
+        );
     }
 
     #[test]

@@ -28,10 +28,38 @@ pub struct Snapshot {
     pub segments: Vec<Arc<Segment>>,
 }
 
+/// Resident bytes of a snapshot's segments by component; the parts of
+/// [`Segment::memory_bytes`], which states the accounting rule.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoredBytes {
+    /// Payload: ids, vector columns, attribute columns.
+    pub segment: usize,
+    /// What the indexes hold beyond the payload.
+    pub index: usize,
+    /// Live-row bitmaps.
+    pub tombstones: usize,
+}
+
+impl StoredBytes {
+    /// All components together.
+    pub fn total(&self) -> usize {
+        self.segment + self.index + self.tombstones
+    }
+}
+
 impl Snapshot {
     /// Total live rows across segments.
     pub fn live_rows(&self) -> usize {
         self.segments.iter().map(|s| s.live_rows()).sum()
+    }
+
+    /// Resident bytes across segments, by component.
+    pub fn stored_bytes(&self) -> StoredBytes {
+        self.segments.iter().fold(StoredBytes::default(), |sum, s| StoredBytes {
+            segment: sum.segment + s.data().memory_bytes(),
+            index: sum.index + s.index_bytes(),
+            tombstones: sum.tombstones + s.tombstone_bytes(),
+        })
     }
 
     /// Find the visible segment holding `id` (not tombstoned).

@@ -141,6 +141,43 @@ fn readers_receive_persisted_indexes() {
     // Every shard's segment arrived with its persisted index attached.
     let indexed: usize = c.readers().iter().map(|r| r.indexed_segments()).sum();
     assert_eq!(indexed, 4, "expected one indexed segment per shard");
+
+    // What the readers loaded from the store answers exactly as the writer's
+    // own segments do — the ones whose index was built in place, never
+    // through the codec — ids and distance bits.
+    let writer = c.writer();
+    let built: Vec<_> =
+        (0..writer.shards()).flat_map(|s| writer.engine(s).snapshot().segments.clone()).collect();
+    let schema = Schema::single("v", 32, Metric::L2);
+    let sp = SearchParams { k: 10, nprobe: 3, ..Default::default() };
+    for probe in [0, 321, 640, 799] {
+        let q = data.get(probe);
+        let lists: Vec<_> =
+            built.iter().map(|seg| seg.search_field(&schema, "v", q, &sp, None).unwrap()).collect();
+        let want = milvus_storage::segment::merge_segment_results(&lists, sp.k);
+        let got = c.search("v", q, &sp).unwrap();
+        let bits = |n: &milvus_index::Neighbor| (n.id, n.dist.to_bits());
+        assert_eq!(
+            got.iter().map(bits).collect::<Vec<_>>(),
+            want.iter().map(bits).collect::<Vec<_>>(),
+            "probe {probe}"
+        );
+    }
+    // And the bufferpool is charged for one copy of the vectors: exactly what
+    // an indexed segment reports (the pool's per-segment figure is that of
+    // the version it loaded last), well under two copies of its rows.
+    let charged: Vec<usize> = c
+        .readers()
+        .iter()
+        .flat_map(|r| r.segment_cache_stats())
+        .map(|(_, stats)| stats.resident_bytes)
+        .collect();
+    assert!(!charged.is_empty());
+    for bytes in charged {
+        let seg = built.iter().find(|seg| seg.memory_bytes() == bytes);
+        let user_bytes = seg.expect("charged what the segment reports").num_rows() * (32 * 4 + 8);
+        assert!(bytes < user_bytes * 3 / 2, "{bytes} resident for {user_bytes} user bytes");
+    }
 }
 
 #[test]

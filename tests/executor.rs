@@ -12,9 +12,11 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use milvus_core::{CollectionConfig, Milvus, SearchHit};
+use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::SearchParams;
-use milvus_index::{distance, Metric, RowMask, TopK, VectorSet};
+use milvus_index::{distance, Metric, RowMask, TopK, VectorIndex, VectorSet};
 use milvus_obs as obs;
+use milvus_storage::codec::{decode_segment, encode_segment};
 use milvus_storage::segment::{merge_segment_results, Segment};
 use milvus_storage::{InsertBatch, Schema};
 
@@ -32,11 +34,15 @@ impl Drop for DelayGuard {
     }
 }
 
+/// The vector every test here stores under `id`.
+fn vector_of(id: i64, dim: usize) -> Vec<f32> {
+    (0..dim).map(|d| ((id * 31 + d as i64) as f32 * 0.11).sin()).collect()
+}
+
 fn batch(ids: std::ops::Range<i64>, dim: usize) -> InsertBatch {
     let mut vs = VectorSet::new(dim);
     for id in ids.clone() {
-        let v: Vec<f32> = (0..dim).map(|d| ((id * 31 + d as i64) as f32 * 0.11).sin()).collect();
-        vs.push(&v);
+        vs.push(&vector_of(id, dim));
     }
     InsertBatch::single(ids.collect(), vs)
 }
@@ -105,10 +111,12 @@ fn parallel_segment_fanout_overlaps_scan_delays() {
 /// * where the planner scans exactly (no index, or a predicate passing at
 ///   most `8·k` rows — the A-vs-B rule this test pins), a scalar loop over
 ///   the rows that are live and pass;
-/// * on an IVF index, the *unfiltered* `index.search` at `k = rows`,
-///   post-filtered by predicate and tombstones and cut to `k` — exact,
-///   because probed buckets are scanned exhaustively and PQ pruning is
-///   exactness-preserving;
+/// * on an IVF index, the *unfiltered* search at `k = rows` of a **reference
+///   index built here**, apart from the segment, over the id-ordered vectors
+///   this test generated — it shares no buffer and no permutation with the
+///   segment's column — post-filtered by predicate and tombstones and cut to
+///   `k`: exact, because probed buckets are scanned exhaustively and PQ
+///   pruning is exactness-preserving;
 /// * on HNSW (a beam search has no such closed form) the same-path check:
 ///   `Segment::search_field_stats` under the predicate's mask.
 ///
@@ -116,7 +124,8 @@ fn parallel_segment_fanout_overlaps_scan_delays() {
 /// tombstones, tombstones already there when the index was built} ×
 /// {unfiltered, predicates passing nothing / one row / 1 % / 50 % / 100 %} ×
 /// {a lone search, a barrier-released storm coalesced behind taken run slots
-/// with mixed `k`, `Segment::search_batch` of 32 with mixed `k`,
+/// with mixed `k`, `Segment::search_batch` of 32 with mixed `k` on each
+/// segment and on its twin reloaded through the segment codec,
 /// `Collection::search_batch` of 1 and of 32}, every answer must equal the
 /// per-segment oracle lists merged by `merge_segment_results` — same ids,
 /// same distance bits.
@@ -147,9 +156,15 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
         .collect();
     let params = |k: usize| SearchParams { k, nprobe: 6, ..Default::default() };
 
-    // What `seg` must answer for (`q`, `k`) under `range`. `planned`: the
+    // What `seg` must answer for (`q`, `k`) under `range`; `reference` is
+    // the index built apart from it, when its own is an IVF. `planned`: the
     // caller is the collection, which scans a selective predicate exactly.
-    let expected = |seg: &Segment, q: &[f32], k: usize, range: Option<(f64, f64)>, planned: bool| {
+    type Reference<'a> = Option<&'a dyn VectorIndex>;
+    let expected = |(seg, reference): (&Segment, Reference),
+                    q: &[f32],
+                    k: usize,
+                    range: Option<(f64, f64)>,
+                    planned: bool| {
         let passes = |id: i64| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&attr(id)));
         let dead: HashSet<i64> = seg.deleted().into_iter().collect();
         let visible = |id: i64| passes(id) && !dead.contains(&id);
@@ -164,17 +179,18 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                 let allow = range.map(|_| &mask);
                 seg.search_field_stats(&schema, "v", q, &params(k), allow).unwrap().0
             }
-            Some(index) if !selective => {
-                let mut all = index.search(q, &params(data.row_ids.len())).unwrap();
+            Some(_) if !selective => {
+                let reference = reference.expect("a reference for every IVF segment");
+                let mut all = reference.search(q, &params(data.row_ids.len())).unwrap();
                 all.retain(|n| visible(n.id));
                 all.truncate(k);
                 all
             }
             _ => {
                 let mut heap = TopK::new(k);
-                for (&id, v) in data.row_ids.iter().zip(data.vectors[0].iter()) {
+                for (row, &id) in data.row_ids.iter().enumerate() {
                     if visible(id) {
-                        heap.push(id, distance::distance(Metric::L2, q, v));
+                        heap.push(id, distance::distance(Metric::L2, q, data.vectors[0].get(row)));
                     }
                 }
                 heap.into_sorted()
@@ -190,6 +206,7 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
             let case = format!("{}{tombstones}", index.unwrap_or("unindexed"));
             let mut cfg = CollectionConfig::for_tests();
             cfg.scheduler.max_batch = 4;
+            let build_params = cfg.build_params.clone();
             let name = format!("exec_oracle_{case}");
             let col = m.create_collection(&name, schema.clone(), cfg).unwrap();
             for s in 0..3 {
@@ -218,10 +235,44 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                 "{case}"
             );
 
+            // An IVF segment's reference: the same build over the vectors in
+            // id order, regenerated here rather than read from the segment.
+            let references: Vec<Option<Box<dyn VectorIndex>>> = snap
+                .segments
+                .iter()
+                .map(|seg| {
+                    let ty = index.filter(|ty| ty.starts_with("IVF"))?;
+                    let ids = &seg.data().row_ids;
+                    let mut vs = VectorSet::new(DIM);
+                    ids.iter().for_each(|&id| vs.push(&vector_of(id, DIM)));
+                    Some(IndexRegistry::with_builtins().build(ty, &vs, ids, &build_params).unwrap())
+                })
+                .collect();
+            // Each segment beside its twin reloaded through the codec.
+            let twins: Vec<Segment> = snap
+                .segments
+                .iter()
+                .map(|seg| decode_segment(seg.id, seg.version, &encode_segment(seg)).unwrap())
+                .collect();
+            let references = references.iter().map(Option::as_deref);
+            let originals: Vec<(&Segment, Reference)> =
+                snap.segments.iter().map(Arc::as_ref).zip(references.clone()).collect();
+            let reloaded: Vec<(&Segment, Reference)> = twins.iter().zip(references).collect();
+            // Every row still reads the vector inserted under its id, by
+            // point lookup and by row position, reordered column or not.
+            for (seg, _) in originals.iter().chain(&reloaded) {
+                for (row, &id) in seg.data().row_ids.iter().enumerate() {
+                    assert_eq!(seg.data().vectors[0].get(row), vector_of(id, DIM), "{case}: id {id}");
+                }
+            }
+            for id in (0..3 * ROWS).filter(|id| tombstones.is_empty() || id % 7 != 0) {
+                assert_eq!(col.get_entity(id).unwrap().vectors, [vector_of(id, DIM)], "{case}");
+            }
+
             let bits = |id: i64, d: f32| (id, d.to_bits());
             let check = |what: &str, got: &[SearchHit], q: &[f32], k: usize, range| {
                 let lists: Vec<_> =
-                    snap.segments.iter().map(|seg| expected(seg, q, k, range, true)).collect();
+                    originals.iter().map(|&seg| expected(seg, q, k, range, true)).collect();
                 assert_eq!(
                     got.iter().map(|h| bits(h.id, h.distance)).collect::<Vec<_>>(),
                     merge_segment_results(&lists, k).iter().map(|n| bits(n.id, n.dist)).collect::<Vec<_>>(),
@@ -284,7 +335,7 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                 // The per-segment dispatch itself, 32 queries with mixed `k`
                 // under the predicate's bitmap (built here, row by row).
                 let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-                for seg in &snap.segments {
+                for &(seg, reference) in originals.iter().chain(&reloaded) {
                     let ids = &seg.data().row_ids;
                     let passing: Vec<u32> = (0..ids.len() as u32)
                         .filter(|&r| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&attr(ids[r as usize]))))
@@ -295,9 +346,10 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                     for ((got, q), &k) in lists.into_iter().zip(&queries).zip(&batch_ks) {
                         assert_eq!(
                             got.unwrap(),
-                            expected(seg, q, k, range, false),
-                            "{case}: Segment::search_batch diverged (segment {}, k={k}, {label})",
-                            seg.id
+                            expected((seg, reference), q, k, range, false),
+                            "{case}: Segment::search_batch diverged (segment {} v{}, k={k}, {label})",
+                            seg.id,
+                            seg.version
                         );
                     }
                 }

@@ -6,7 +6,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use milvus_index::traits::SearchParams;
+use milvus_index::registry::IndexRegistry;
+use milvus_index::traits::{BuildParams, SearchParams};
 use milvus_index::{distance, Metric, TopK, VectorSet};
 use milvus_storage::merge::MergePolicy;
 use milvus_storage::object_store::MemoryStore;
@@ -24,15 +25,19 @@ enum Op {
     Reinsert { pick: u16 },
     Flush,
     Merge,
+    /// Build IVF_FLAT on every flushed segment that has no index: from then
+    /// on those segments keep their vectors in bucket order.
+    BuildIndex,
 }
 
 fn random_op(rng: &mut StdRng) -> Op {
-    match rng.gen_range(0..5) {
+    match rng.gen_range(0..6) {
         0 => Op::Insert { count: rng.gen_range(1u8..20) },
         1 => Op::Delete { pick: rng.gen_range(0u16..u16::MAX) },
         2 => Op::Reinsert { pick: rng.gen_range(0u16..u16::MAX) },
         3 => Op::Flush,
-        _ => Op::Merge,
+        4 => Op::Merge,
+        _ => Op::BuildIndex,
     }
 }
 
@@ -138,6 +143,19 @@ fn apply(engine: &LsmEngine, model: &mut Model, op: &Op) -> u64 {
             engine.maybe_merge().unwrap();
             0
         }
+        Op::BuildIndex => {
+            engine.flush().unwrap();
+            let registry = IndexRegistry::with_builtins();
+            let params = BuildParams { kmeans_iters: 3, ..Default::default() };
+            for seg in &engine.snapshot().segments {
+                if seg.index("v").is_none() {
+                    let indexed =
+                        seg.build_index(engine.schema(), "v", "IVF_FLAT", &registry, &params);
+                    engine.replace_segment(Arc::new(indexed.unwrap())).unwrap();
+                }
+            }
+            0
+        }
     }
 }
 
@@ -168,9 +186,11 @@ fn check_agreement(engine: &LsmEngine, model: &Model) {
         }
     }
 
-    // Exact nearest-neighbor results agree.
+    // Exact nearest-neighbor results agree (every bucket of an indexed
+    // segment is probed, so its scan is exhaustive too).
     if !model.live().is_empty() {
         let schema = engine.schema().clone();
+        let exhaustive = SearchParams { k: 5, nprobe: usize::MAX, ..Default::default() };
         for probe_id in model.live().iter().take(3) {
             let q = model.rows[probe_id].0.clone();
             let expect = model.nearest(&q, 5);
@@ -178,7 +198,7 @@ fn check_agreement(engine: &LsmEngine, model: &Model) {
                 .segments
                 .iter()
                 .map(|s| {
-                    s.search_field(&schema, "v", &q, &SearchParams::top_k(5), None).unwrap()
+                    s.search_field(&schema, "v", &q, &exhaustive, None).unwrap()
                 })
                 .collect();
             let got: Vec<i64> =

@@ -163,7 +163,7 @@ fn segment_codec_roundtrip() {
         let seg = Segment::from_batch(9, &schema, &batch).unwrap().with_deletes(dels);
         let decoded = decode_segment(seg.id, seg.version, &encode_segment(&seg)).unwrap();
         assert_eq!(&decoded.data().row_ids, &seg.data().row_ids);
-        assert_eq!(decoded.data().vectors[0].as_flat(), seg.data().vectors[0].as_flat());
+        assert!(decoded.data().vectors[0].iter().eq(seg.data().vectors[0].iter()));
         assert_eq!(decoded.deleted(), seg.deleted());
     });
 }
