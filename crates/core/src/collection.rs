@@ -17,7 +17,7 @@ use milvus_index::{IndexError, Metric, Neighbor, RowMask, TopK, VectorSet};
 use milvus_obs as obs;
 use milvus_query::multivector::MultiVectorEngine;
 use milvus_storage::object_store::ObjectStore;
-use milvus_storage::segment::{merge_segment_results, Segment};
+use milvus_storage::segment::{merge_segment_results, Fanout, Segment};
 use milvus_storage::snapshot::Snapshot;
 use milvus_storage::{InsertBatch, LsmEngine, Schema};
 use parking_lot::{Condvar, Mutex};
@@ -398,16 +398,19 @@ impl Collection {
     /// pin a snapshot → one executor task per segment scanning every group
     /// (or, when every run slot is taken and the cores are busy with whole
     /// queries, the segments in order on this thread) → merge per query.
-    /// Failures come back as values — one `Result` per request, in input
-    /// order — so one bad request cannot fail the batch it was coalesced
-    /// into.
+    /// With `cores` = the idle run slots plus this thread's own, a segment
+    /// holding `rows_s` of the snapshot's `Σ rows` may split a lone
+    /// unindexed query over `⌈cores · rows_s / Σ rows⌉` row ranges
+    /// ([`Segment::search_batch`]). Failures come back as values — one
+    /// `Result` per request, in input order — so one bad request cannot fail
+    /// the batch it was coalesced into.
     ///
     /// `&mut Trace` stays on this thread: the timed fan-out captures per-task
-    /// executor milestones and the tasks their own filter/scan windows (only
-    /// when the trace is live — the untraced hot path stays clock-free), and
-    /// spans are recorded after the join, in segment order — queue wait
-    /// separate from scan time, so the profiler can tell saturation from
-    /// slow scans.
+    /// executor milestones and the tasks their own filter/scan/range-wait
+    /// windows (only when the trace is live — the untraced hot path stays
+    /// clock-free), and spans are recorded after the join, in segment order —
+    /// queue wait separate from scan time, so the profiler can tell
+    /// saturation from slow scans.
     fn execute(
         &self,
         reqs: &[SearchRequest],
@@ -431,11 +434,15 @@ impl Collection {
         let nsegs = snap.segments.len();
         trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = nsegs as u64);
 
-        let trace_on = trace.enabled();
-        let inline = self.scheduler.saturated();
-        let mut scans = traced_fan_out(nsegs, inline, trace_on, |si| {
+        // The cores this call may use: the idle run slots and its own. Each
+        // segment gets its share of them by rows.
+        let cores = self.scheduler.idle_slots() + 1;
+        let rows = snap.segments.iter().map(|s| s.num_rows()).sum::<usize>().max(1);
+        let timed = trace.enabled();
+        let mut scans = traced_fan_out(nsegs, cores == 1, timed, |si| {
             let seg = &snap.segments[si];
-            groups.iter().map(|g| self.scan_group(seg, g, trace_on)).collect::<Vec<_>>()
+            let fanout = Fanout { cores: (cores * seg.num_rows()).div_ceil(rows), timed };
+            groups.iter().map(|g| self.scan_group(seg, g, fanout)).collect::<Vec<_>>()
         });
         for (seg, (scans, timing)) in snap.segments.iter().zip(&scans) {
             let seg_id = seg.id as i64;
@@ -445,6 +452,11 @@ impl Collection {
                 });
             }
             for scan in scans {
+                if let Some((start, end)) = scan.queue_wait {
+                    trace.record_window(obs::SpanKind::QueueWait, start, end, |sp| {
+                        sp.segment_id = seg_id;
+                    });
+                }
                 if let Some((start, end)) = scan.filter_window {
                     trace.record_window(obs::SpanKind::Filter, start, end, |sp| {
                         sp.segment_id = seg_id;
@@ -486,9 +498,10 @@ impl Collection {
     /// for the whole group, into a bitmap over the segment's rows, then pick
     /// per segment between the exact scan of the passers (strategy A, when
     /// the predicate is highly selective or the segment has no index) and the
-    /// index search under the bitmap (strategy B).
-    fn scan_group(&self, seg: &Segment, group: &Group<'_>, trace_on: bool) -> GroupScan {
-        let clock = || trace_on.then(Instant::now);
+    /// index search under the bitmap (strategy B). Windows are timed only
+    /// when `fanout.timed`.
+    fn scan_group(&self, seg: &Segment, group: &Group<'_>, fanout: Fanout) -> GroupScan {
+        let clock = || fanout.timed.then(Instant::now);
         let (field, params) = (group.req.field(), group.req.params());
         let members = group.idxs.len() as u64;
         let mut out = GroupScan::default();
@@ -532,8 +545,10 @@ impl Collection {
                     &group.ks,
                     params,
                     passers.as_ref(),
+                    fanout,
                 );
                 out.rows_scanned = stats.rows_scanned;
+                out.queue_wait = stats.queue_wait;
                 out.lists = lists;
             }
         }
@@ -738,6 +753,8 @@ struct GroupScan {
     rows_scanned: u64,
     filter_window: Option<(Instant, Instant)>,
     scan_window: Option<(Instant, Instant)>,
+    /// The worst-queued row range, when the scan split its rows.
+    queue_wait: Option<(Instant, Instant)>,
 }
 
 /// Filter strategy A: exact distances to exactly the `visible` rows — the

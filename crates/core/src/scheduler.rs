@@ -303,11 +303,11 @@ impl QueryScheduler {
         self.coalescer.submit(req, run)
     }
 
-    /// Whether every run slot is taken (see [`Coalescer::saturated`]): the
-    /// cores are busy with whole queries, so a runner scans its segments
-    /// itself instead of fanning them out.
-    pub fn saturated(&self) -> bool {
-        self.coalescer.saturated()
+    /// Run slots nobody holds (see [`Coalescer::idle_slots`]): the cores a
+    /// runner may fan its segment scans out into. At `0` the cores are busy
+    /// with whole queries and a runner scans its segments itself.
+    pub fn idle_slots(&self) -> usize {
+        self.coalescer.idle_slots()
     }
 
     /// Record a passthrough (free run slot, batch of one).

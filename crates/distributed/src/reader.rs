@@ -19,7 +19,7 @@ use milvus_obs as obs;
 use milvus_storage::bufferpool::BufferPool;
 use milvus_storage::codec;
 use milvus_storage::object_store::ObjectStore;
-use milvus_storage::segment::Segment;
+use milvus_storage::segment::{Fanout, Segment};
 use milvus_storage::{Result as StorageResult, Schema};
 use parking_lot::RwLock;
 
@@ -335,8 +335,17 @@ impl ReaderNode {
                 for (group, (queries, ks)) in groups.iter().zip(&batches) {
                     let (field, _, params) = reqs[group[0]];
                     let t = trace.begin();
-                    let (found, stats) =
-                        seg.search_batch(&self.schema, field, queries, ks, params, None);
+                    // Serial: every reader has run slots for all the host's
+                    // cores, so one reader's idle slots are not idle cores.
+                    let (found, stats) = seg.search_batch(
+                        &self.schema,
+                        field,
+                        queries,
+                        ks,
+                        params,
+                        None,
+                        Fanout::SERIAL,
+                    );
                     trace.record_with(obs::SpanKind::SegmentScan, t, |sp| {
                         sp.segment_id = seg.id as i64;
                         sp.shard = shard as i64;

@@ -184,10 +184,10 @@ impl<Q, R> Coalescer<Q, R> {
         self.inner.lock().queue.len()
     }
 
-    /// Whether every run slot is taken — each core already has a batch to
-    /// run, so a runner gains nothing by fanning its own work out.
-    pub fn saturated(&self) -> bool {
-        self.inner.lock().running == self.slots
+    /// Run slots nobody holds: the cores a runner may fan its own work out
+    /// into. `0` means each core already has a batch to run.
+    pub fn idle_slots(&self) -> usize {
+        self.slots - self.inner.lock().running
     }
 
     /// Give up a run slot, or — when submitters are queued — hand it to the
@@ -321,11 +321,14 @@ mod tests {
             assert_eq!(*pass(&co, i).query(), i);
             assert_eq!(co.pending(), 0);
         }
-        let held: Vec<_> = (0..3u32).map(|i| pass(&co, i)).collect();
-        assert!(co.saturated());
+        assert_eq!(co.idle_slots(), 3);
+        let mut held: Vec<_> = (0..3u32).map(|i| pass(&co, i)).collect();
+        assert_eq!(co.idle_slots(), 0);
         assert_eq!(co.pending(), 0);
+        held.pop();
+        assert_eq!(co.idle_slots(), 1);
         drop(held);
-        assert!(!co.saturated());
+        assert_eq!(co.idle_slots(), 3);
     }
 
     /// With every slot taken the next submit queues, and it leads the moment
@@ -348,7 +351,7 @@ mod tests {
             assert_eq!(batch, 1);
             assert!(led, "a singleton batch is led by its only member");
             // The slot went back to the pool once the singleton finished.
-            assert!(!co.saturated());
+            assert_eq!(co.idle_slots(), 1);
             drop(pass(&co, 8));
         });
     }
@@ -457,6 +460,7 @@ mod tests {
         let co = coalescer(1, 8);
         std::thread::scope(|s| {
             let holder = pass(&co, 99);
+            assert_eq!(co.idle_slots(), 0);
             // Queue one at a time so the order — and therefore who leads —
             // is fixed: 0 leads {0, 1, 2} and panics; 1 then leads {1, 2}.
             let workers: Vec<_> = (0..3u32)
@@ -486,7 +490,7 @@ mod tests {
             assert_eq!(*outcomes[2].as_ref().unwrap(), (20, 2, false));
         });
         assert_eq!(co.pending(), 0);
-        assert!(!co.saturated(), "the panicking leader leaked its slot");
+        assert_eq!(co.idle_slots(), 1, "the panicking leader leaked its slot");
         drop(pass(&co, 5));
     }
 
@@ -547,6 +551,6 @@ mod tests {
         assert_eq!(passed + led + followed, (THREADS * SUBMITS) as usize);
         assert!(led > 0, "8 threads over 3 slots never queued: the storm exercised nothing");
         assert_eq!(co.pending(), 0);
-        assert!(!co.saturated(), "a slot leaked");
+        assert_eq!(co.idle_slots(), 3, "a slot leaked");
     }
 }

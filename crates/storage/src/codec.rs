@@ -280,6 +280,7 @@ pub fn decode_segment(id: u64, version: u64, mut buf: &[u8]) -> Result<Segment> 
 mod tests {
     use super::*;
     use crate::entity::{InsertBatch, Schema};
+    use crate::segment::Fanout;
     use milvus_index::Metric;
 
     fn sample_segment() -> (Schema, Segment) {
@@ -462,8 +463,10 @@ mod tests {
                     indexed.search_field(&schema, "v", q, &sp, allow).unwrap()
                 );
             }
-            let (got, _) = back.search_batch(&schema, "v", &queries, &[7, 2, 5], &sp, allow);
-            let (want, _) = indexed.search_batch(&schema, "v", &queries, &[7, 2, 5], &sp, allow);
+            let batch = |seg: &Segment| {
+                seg.search_batch(&schema, "v", &queries, &[7, 2, 5], &sp, allow, Fanout::SERIAL).0
+            };
+            let (got, want) = (batch(&back), batch(&indexed));
             for (got, want) in got.into_iter().zip(want) {
                 assert_eq!(got.unwrap(), want.unwrap());
             }

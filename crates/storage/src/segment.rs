@@ -11,8 +11,9 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
-use milvus_exec::Executor;
+use milvus_exec::{Executor, TaskTiming};
 use milvus_index::batch::{cache_aware_scan, BatchOptions, Rows};
 use milvus_index::ivf::IvfIndex;
 use milvus_index::traits::{BuildParams, SearchParams};
@@ -39,6 +40,26 @@ pub struct ScanStats {
     pub rows_scanned: u64,
     /// Whether an ANN index served the scan (vs. brute-force columnar scan).
     pub used_index: bool,
+    /// When a [`Fanout::timed`] scan split its rows: when its worst-queued
+    /// range was queued and when a worker started it.
+    pub queue_wait: Option<(Instant, Instant)>,
+}
+
+/// How far one query's scan of an unindexed segment may spread: over up to
+/// `cores` row ranges, the caller running the first and idle executor
+/// workers the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fanout {
+    /// The cores the scan may use, the caller's included (`1`: no split).
+    pub cores: usize,
+    /// Time the ranges' queue waits into [`ScanStats::queue_wait`] — for a
+    /// traced query; an untimed split reads no clock.
+    pub timed: bool,
+}
+
+impl Fanout {
+    /// Every scan on the calling thread.
+    pub const SERIAL: Fanout = Fanout { cores: 1, timed: false };
 }
 
 // ---------------------------------------------------------------------------
@@ -346,12 +367,17 @@ impl Segment {
         allow: Option<&RowMask>,
     ) -> Result<(Vec<Neighbor>, ScanStats)> {
         apply_scan_fault(self.id);
-        self.scan_one(schema, field, query, params, self.visible(allow).as_deref())
+        self.scan_one(schema, field, query, params, self.visible(allow).as_deref(), Fanout::SERIAL)
     }
 
     /// One query over the rows set in `visible` (`None`: every row). An index
     /// ordinal is a row position ([`Self::build_index`]), so the same mask
     /// serves the index and the column scan.
+    ///
+    /// Without an index the rows split into `min(fanout.cores, rows)` equal
+    /// ranges, each scanned into its own heap, and the heaps merge. `TopK`
+    /// keeps the `k` least under the total order on `(distance, id)`, so the
+    /// answer does not depend on how the rows were split.
     fn scan_one(
         &self,
         schema: &Schema,
@@ -359,12 +385,13 @@ impl Segment {
         query: &[f32],
         params: &SearchParams,
         visible: Option<&RowMask>,
+        fanout: Fanout,
     ) -> Result<(Vec<Neighbor>, ScanStats)> {
         let fi = schema
             .vector_field_index(field)
             .ok_or_else(|| StorageError::SchemaViolation(format!("no vector field {field}")))?;
         let metric = schema.vector_fields[fi].metric;
-        let stats = ScanStats { rows_scanned: self.live_rows() as u64, used_index: false };
+        let stats = ScanStats { rows_scanned: self.live_rows() as u64, ..Default::default() };
 
         if let Some(index) = self.index(field) {
             let res = match visible {
@@ -383,13 +410,33 @@ impl Segment {
         }
         // A column is reordered only under its index, so this is a borrow.
         let rows = col.to_row_order();
-        let mut heap = TopK::new(params.k.max(1));
-        for (row, v) in rows.iter().enumerate() {
-            if visible.is_none_or(|mask| mask.get(row)) {
-                heap.push(self.data.row_ids[row], distance::distance(metric, query, v));
+        let (flat, dim, ids) = (rows.as_flat(), col.dim(), &self.data.row_ids[..]);
+        let (n, k) = (ids.len(), params.k.max(1));
+        let width = fanout.cores.min(n).max(1);
+        let range_scan = |r: usize| {
+            let (lo, hi) = (r * n / width, (r + 1) * n / width);
+            let mut heap = TopK::new(k);
+            let vectors = flat[lo * dim..hi * dim].chunks_exact(dim);
+            for ((row, v), &id) in (lo..hi).zip(vectors).zip(&ids[lo..hi]) {
+                if visible.is_none_or(|mask| mask.get(row)) {
+                    heap.push(id, distance::distance(metric, query, v));
+                }
             }
-        }
-        Ok((heap.into_sorted(), stats))
+            heap
+        };
+        let exec = Executor::global();
+        let (heaps, queue_wait) = if fanout.timed && width > 1 {
+            let timed = exec.scoped_map_timed(width, range_scan);
+            let worst = timed.iter().map(|(_, t)| *t).max_by_key(TaskTiming::queue_wait);
+            let heaps = timed.into_iter().map(|(heap, _)| heap).collect();
+            (heaps, worst.map(|t| (t.enqueued, t.started)))
+        } else {
+            (exec.scoped_map(width, range_scan), None)
+        };
+        let mut heaps = heaps.into_iter();
+        let mut merged = heaps.next().expect("at least one range");
+        heaps.for_each(|heap| merged.merge(heap));
+        Ok((merged.into_sorted(), ScanStats { queue_wait, ..stats }))
     }
 
     /// Search one vector field for a batch of queries that share `params`
@@ -406,10 +453,11 @@ impl Segment {
     ///   for IVF's exhaustive bucket scans, so a mixed-`k` batch on a
     ///   graph/tree index runs per query instead.
     /// * unindexed, SIMD metric — the cache-aware batch engine over the
-    ///   segment's own column, zero-copy.
+    ///   segment's own column, zero-copy, on every executor worker.
     /// * everything else (one query, binary metrics, a query of the wrong
     ///   dimension) — one scan per query, so every query gets exactly its own
-    ///   result or error.
+    ///   result or error. Unindexed, each splits its rows over `fanout`.
+    #[allow(clippy::too_many_arguments)]
     pub fn search_batch(
         &self,
         schema: &Schema,
@@ -418,24 +466,32 @@ impl Segment {
         ks: &[usize],
         params: &SearchParams,
         allow: Option<&RowMask>,
+        fanout: Fanout,
     ) -> (Vec<Result<Vec<Neighbor>>>, ScanStats) {
         apply_scan_fault(self.id);
         let visible = self.visible(allow);
         let visible = visible.as_deref();
         let index = self.index(field);
-        let stats =
-            ScanStats { rows_scanned: self.live_rows() as u64, used_index: index.is_some() };
+        let stats = ScanStats {
+            rows_scanned: self.live_rows() as u64,
+            used_index: index.is_some(),
+            queue_wait: None,
+        };
         let per_query = || {
-            queries
+            let mut stats = stats;
+            let lists = queries
                 .iter()
                 .zip(ks)
                 .map(|(q, &k)| {
                     let own = SearchParams { k, ..params.clone() };
-                    self.scan_one(schema, field, q, &own, visible).map(|(r, _)| r)
+                    let (list, scan) = self.scan_one(schema, field, q, &own, visible, fanout)?;
+                    stats.queue_wait = stats.queue_wait.or(scan.queue_wait);
+                    Ok(list)
                 })
-                .collect()
+                .collect();
+            (lists, stats)
         };
-        let Some(fi) = schema.vector_field_index(field) else { return (per_query(), stats) };
+        let Some(fi) = schema.vector_field_index(field) else { return per_query() };
         let col = &self.data.vectors[fi];
         let metric = schema.vector_fields[fi].metric;
         let uniform_k = ks.iter().all(|&k| k == ks[0]);
@@ -446,7 +502,7 @@ impl Segment {
                 None => matches!(metric, Metric::L2 | Metric::InnerProduct | Metric::Cosine),
             };
         if !batchable {
-            return (per_query(), stats);
+            return per_query();
         }
 
         let mut qs = VectorSet::with_capacity(col.dim(), queries.len());
@@ -460,7 +516,7 @@ impl Segment {
                 let Ok(mut lists) = index.search_batch(&qs, &at_kmax, visible) else {
                     // Errors are not `Clone`: rerun per query so each caller
                     // gets its own.
-                    return (per_query(), stats);
+                    return per_query();
                 };
                 for (list, &k) in lists.iter_mut().zip(ks) {
                     list.truncate(k.max(1));

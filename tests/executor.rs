@@ -14,10 +14,10 @@ use std::time::{Duration, Instant};
 use milvus_core::{CollectionConfig, Milvus, SearchHit};
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::SearchParams;
-use milvus_index::{distance, Metric, RowMask, TopK, VectorIndex, VectorSet};
+use milvus_index::{distance, Metric, Neighbor, RowMask, TopK, VectorIndex, VectorSet};
 use milvus_obs as obs;
 use milvus_storage::codec::{decode_segment, encode_segment};
-use milvus_storage::segment::{merge_segment_results, Segment};
+use milvus_storage::segment::{merge_segment_results, Fanout, Segment, SegmentData};
 use milvus_storage::{InsertBatch, Schema};
 
 fn guard() -> MutexGuard<'static, ()> {
@@ -124,11 +124,12 @@ fn parallel_segment_fanout_overlaps_scan_delays() {
 /// tombstones, tombstones already there when the index was built} ×
 /// {unfiltered, predicates passing nothing / one row / 1 % / 50 % / 100 %} ×
 /// {a lone search, a barrier-released storm coalesced behind taken run slots
-/// with mixed `k`, `Segment::search_batch` of 32 with mixed `k` on each
-/// segment and on its twin reloaded through the segment codec,
-/// `Collection::search_batch` of 1 and of 32}, every answer must equal the
-/// per-segment oracle lists merged by `merge_segment_results` — same ids,
-/// same distance bits.
+/// with mixed `k`, `Segment::search_batch` of 32 with mixed `k` and of each
+/// query alone (`k` up to rows + 1) on each segment and on its twin reloaded
+/// through the segment codec — unindexed ones with their rows split over
+/// cores ∈ {1, 2, 3, 7, rows + 5} — `Collection::search_batch` of 1 and of
+/// 32}, every answer must equal the per-segment oracle lists merged by
+/// `merge_segment_results` — same ids, same distance bits.
 #[test]
 fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
     const DIM: usize = 16;
@@ -333,8 +334,13 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                 }
 
                 // The per-segment dispatch itself, 32 queries with mixed `k`
-                // under the predicate's bitmap (built here, row by row).
+                // under the predicate's bitmap (built here, row by row), and
+                // each query alone — on an unindexed segment with its rows
+                // split over 1, 2, 3, 7 and more-than-rows cores, at every
+                // `k` of the batch and one beyond the segment's rows.
                 let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+                let widths = if index.is_none() { vec![1, 2, 3, 7, ROWS as usize + 5] } else { vec![1] };
+                let lone_ks = batch_ks.iter().copied().chain([ROWS as usize + 1]);
                 for &(seg, reference) in originals.iter().chain(&reloaded) {
                     let ids = &seg.data().row_ids;
                     let passing: Vec<u32> = (0..ids.len() as u32)
@@ -342,15 +348,28 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                         .collect();
                     let mask = RowMask::from_positions(ids.len(), &passing);
                     let allow = range.map(|_| &mask);
-                    let (lists, _) = seg.search_batch(&schema, "v", &qrefs, &batch_ks, &params(1), allow);
-                    for ((got, q), &k) in lists.into_iter().zip(&queries).zip(&batch_ks) {
-                        assert_eq!(
-                            got.unwrap(),
-                            expected((seg, reference), q, k, range, false),
-                            "{case}: Segment::search_batch diverged (segment {} v{}, k={k}, {label})",
-                            seg.id,
-                            seg.version
-                        );
+                    for &cores in &widths {
+                        let fanout = Fanout { cores, timed: false };
+                        let check = |what: &str, got: milvus_storage::Result<Vec<Neighbor>>, q: &[f32], k| {
+                            assert_eq!(
+                                got.unwrap(),
+                                expected((seg, reference), q, k, range, false),
+                                "{case}: Segment::search_batch diverged ({what}, segment {} v{}, k={k}, \
+                                 cores={cores}, {label})",
+                                seg.id,
+                                seg.version
+                            );
+                        };
+                        let (lists, _) =
+                            seg.search_batch(&schema, "v", &qrefs, &batch_ks, &params(1), allow, fanout);
+                        for ((got, &q), &k) in lists.into_iter().zip(&qrefs).zip(&batch_ks) {
+                            check("batch of 32", got, q, k);
+                        }
+                        for (&q, k) in qrefs.iter().cycle().zip(lone_ks.clone()) {
+                            let (mut lone, _) =
+                                seg.search_batch(&schema, "v", &[q], &[k], &params(k), allow, fanout);
+                            check("lone", lone.remove(0), q, k);
+                        }
                     }
                 }
             }
@@ -388,6 +407,102 @@ fn search_batch_matches_individual_searches() {
         let single = col.search("v", queries.get(i), &params).unwrap();
         assert_eq!(*batch_hits, single, "batched result diverged for query {i}");
     }
+}
+
+/// What a lone scan adds to the executor is a count, not a timing: over an
+/// unindexed segment of `rows` rows split for `c` cores it queues exactly
+/// `min(c, rows) − 1` range tasks (the caller runs the first); over an
+/// indexed one, none. Each split answers bit for bit what the scalar loop
+/// does — with tombstones, with every row tombstoned, with no rows, at `k`
+/// beyond the rows — and only a timed split reads the clock.
+#[test]
+fn lone_unindexed_scan_queues_one_task_per_extra_range() {
+    const DIM: usize = 16;
+    let _g = guard();
+    let schema = Schema::single("v", DIM, Metric::L2);
+    let plain = Segment::from_batch(1, &schema, &batch(0..300, DIM)).unwrap();
+    let tombstoned = plain.with_deletes((0..300).filter(|id| id % 7 == 0));
+    let all_dead = plain.with_deletes(0..300);
+    let columns = vec![VectorSet::new(DIM).into()];
+    let empty = SegmentData { row_ids: Vec::new(), vectors: columns, attributes: Vec::new() };
+    let empty = Segment::from_parts(2, 1, empty, &[]);
+    let tasks = || obs::counter(obs::EXEC_TASKS, "global").get();
+    let q = vector_of(1_000, DIM);
+    for (what, seg) in
+        [("plain", &plain), ("tombstones", &tombstoned), ("all tombstoned", &all_dead), ("empty", &empty)]
+    {
+        let rows = seg.num_rows();
+        let dead: HashSet<i64> = seg.deleted().into_iter().collect();
+        for cores in [1, 2, 3, 7, rows + 5] {
+            let width = cores.min(rows).max(1);
+            for k in [1, 10, rows + 1] {
+                let mut oracle = TopK::new(k);
+                for (row, &id) in seg.data().row_ids.iter().enumerate() {
+                    if !dead.contains(&id) {
+                        oracle.push(id, distance::distance(Metric::L2, &q, seg.data().vectors[0].get(row)));
+                    }
+                }
+                let oracle = oracle.into_sorted();
+                for timed in [false, true] {
+                    let before = tasks();
+                    let fanout = Fanout { cores, timed };
+                    let (mut got, stats) =
+                        seg.search_batch(&schema, "v", &[&q], &[k], &SearchParams::top_k(k), None, fanout);
+                    let case = format!("{what}: cores={cores}, k={k}, timed={timed}");
+                    assert_eq!(tasks() - before, width as u64 - 1, "{case}");
+                    assert_eq!(stats.queue_wait.is_some(), timed && width > 1, "{case}");
+                    assert_eq!(got.remove(0).unwrap(), oracle, "{case}");
+                }
+            }
+        }
+    }
+    let build = CollectionConfig::for_tests().build_params;
+    let indexed = plain.build_index(&schema, "v", "IVF_FLAT", &IndexRegistry::with_builtins(), &build);
+    let before = tasks();
+    let fanout = Fanout { cores: 7, timed: true };
+    let (_, stats) = indexed.unwrap().search_batch(&schema, "v", &[&q], &[5], &SearchParams::top_k(5), None, fanout);
+    assert_eq!(tasks(), before, "an indexed segment ignores the cores it is offered");
+    assert_eq!(stats.queue_wait, None);
+}
+
+/// With every run slot held a lone unindexed search has no idle core to
+/// split into and queues no task; with the slots free its one segment
+/// splits over every core. The slot holders search with a query of the
+/// wrong dimension: they park in the segment's injected scan delay holding
+/// their slots, then fail before scanning, so they queue no task either.
+#[test]
+fn a_lone_search_splits_only_into_idle_run_slots() {
+    let _g = guard();
+    let _cleanup = DelayGuard;
+    let m = Milvus::new();
+    let col = segmented_collection(&m, "exec_idle_slots", 1, 400);
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let tasks = || obs::counter(obs::EXEC_TASKS, "global").get();
+    let passed = || obs::counter(obs::SCHED_PASSTHROUGH, "exec_idle_slots").get();
+    let (q, params) = (vector_of(1_000, 8), SearchParams::top_k(5));
+
+    let before = tasks();
+    let free = col.search("v", &q, &params).unwrap();
+    assert_eq!(tasks() - before, cores as u64 - 1, "a lone search with {cores} run slots free");
+
+    milvus_storage::inject_scan_delay(col.snapshot().segments[0].id, Duration::from_millis(200));
+    let holding = passed() + cores as u64;
+    std::thread::scope(|s| {
+        let holders: Vec<_> =
+            (0..cores).map(|_| s.spawn(|| col.search("v", &[0.0; 3], &params))).collect();
+        while passed() < holding {
+            std::thread::yield_now();
+        }
+        let mut one = VectorSet::new(8);
+        one.push(&q);
+        let before = tasks();
+        let held = col.search_batch("v", &one, &params).unwrap();
+        assert_eq!(tasks(), before, "every run slot was held, yet the search fanned out");
+        assert_eq!(held, [free]);
+        for holder in holders {
+            assert!(holder.join().unwrap().is_err(), "a wrong-dimension query must fail");
+        }
+    });
 }
 
 /// Filtered search fans out per segment too and must keep its results.

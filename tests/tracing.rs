@@ -180,6 +180,43 @@ fn tracing_at_zero_sampling_is_free_in_the_batch_engine_hot_loop() {
     assert_eq!(obs::registry().counter(obs::TRACE_SPANS, "").get(), spans_before);
 }
 
+/// A lone search over one unindexed segment splits its rows over every
+/// core; traced, the split adds one `QueueWait` span — its worst-queued
+/// range — beside the one of the segment's own task.
+#[test]
+fn a_split_scan_records_one_queue_wait_for_its_ranges() {
+    let _g = guard();
+    let _cfg = ConfigRestore::set(obs::TraceConfig {
+        sample_rate: 1.0,
+        slow_threshold_us: Some(0),
+        ..obs::TraceConfig::default()
+    });
+
+    let m = Milvus::new();
+    let col = m
+        .create_collection("trace_split", Schema::single("v", 4, Metric::L2), CollectionConfig::for_tests())
+        .unwrap();
+    col.insert(batch(0..400)).unwrap();
+    col.flush().unwrap();
+    let seg_id = col.snapshot().segments[0].id as i64;
+    col.search("v", &[42.0, 0.0, 0.0, 0.0], &SearchParams::top_k(3)).unwrap();
+
+    let trace = m
+        .slow_queries()
+        .into_iter()
+        .rev()
+        .find(|t| t.collection == "trace_split")
+        .expect("a sampled query lands in the ring at threshold 0");
+    let waits = trace
+        .spans
+        .iter()
+        .filter(|s| s.kind == obs::SpanKind::QueueWait && s.segment_id == seg_id)
+        .count();
+    // One core: no idle slot, the segment is scanned inline, nothing waits.
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    assert_eq!(waits, if cores > 1 { 2 } else { 0 }, "{:?}", trace.spans);
+}
+
 #[test]
 fn ring_buffer_is_bounded_end_to_end() {
     let _g = guard();
