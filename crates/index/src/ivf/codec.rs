@@ -339,6 +339,39 @@ mod tests {
         assert!(Arc::ptr_eq(decoded.shared_vectors().unwrap(), &shared));
     }
 
+    /// Blobs over a seeded 5 000 × 128 set hash (FNV-1a) to the values the
+    /// serial k-means build wrote: a training pass split across cores must
+    /// leave centroids, bucket order, codebooks and codes bit for bit. The
+    /// distance kernels agree bitwise at every SIMD level, so one value per
+    /// variant holds on every host.
+    #[test]
+    fn blobs_match_the_serial_build_golden_hashes() {
+        let mut rng = StdRng::seed_from_u64(0x601D);
+        let centers: Vec<Vec<f32>> =
+            (0..32).map(|_| (0..128).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
+        let mut vs = VectorSet::with_capacity(128, 5000);
+        for _ in 0..5000 {
+            let c = &centers[rng.gen_range(0..32usize)];
+            let v: Vec<f32> = c.iter().map(|&x| x + rng.gen_range(-0.5f32..0.5)).collect();
+            vs.push(&v);
+        }
+        let ids: Vec<i64> = (0..5000).collect();
+        let params =
+            BuildParams { nlist: 64, kmeans_iters: 6, pq_m: 16, pq_nbits: 6, ..Default::default() };
+        let fnv1a = |bytes: &[u8]| {
+            let step = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, step)
+        };
+        for (variant, golden) in [
+            (IvfVariant::Flat, 0x35cd_dcb2_2328_b93e),
+            (IvfVariant::Sq8, 0xf537_eba3_658e_58bf),
+            (IvfVariant::Pq, 0x127c_6585_1170_a304),
+        ] {
+            let index = IvfIndex::build(variant, &vs, &ids, &params).unwrap();
+            assert_eq!(fnv1a(&encode_ivf(&index)), golden, "{variant:?}");
+        }
+    }
+
     #[test]
     fn corrupt_blobs_rejected() {
         let (vs, ids) = data(100, 4);

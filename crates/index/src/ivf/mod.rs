@@ -137,22 +137,22 @@ impl IvfIndex {
         let nlist = params.effective_nlist(n);
         let coarse = kmeans::train(data, nlist, params.kmeans_iters, params.seed)?;
 
-        // Counting sort of the rows by bucket: count, prefix-sum, place. Rows
-        // are placed in ascending order, which keeps them ascending inside
-        // every bucket.
-        let bucket_of: Vec<u32> = data.iter().map(|v| coarse.assign(v) as u32).collect();
+        // Counting sort of the rows by bucket (nearest centroid, found on
+        // every core): count, prefix-sum, place. Rows are placed in
+        // ascending order, which keeps them ascending inside every bucket.
+        let bucket_of = kmeans::assign_rows(&coarse.centroids, data, kmeans::cores());
         let mut offsets = vec![0u32; nlist + 1];
-        for &b in &bucket_of {
-            offsets[b as usize + 1] += 1;
+        for &(b, _) in &bucket_of {
+            offsets[b + 1] += 1;
         }
         for b in 0..nlist {
             offsets[b + 1] += offsets[b];
         }
         let mut next_slot = offsets.clone();
         let (mut slot_ids, mut rows) = (vec![0i64; n], vec![0u32; n]);
-        for (row, &b) in bucket_of.iter().enumerate() {
-            let slot = next_slot[b as usize] as usize;
-            next_slot[b as usize] += 1;
+        for (row, &(b, _)) in bucket_of.iter().enumerate() {
+            let slot = next_slot[b] as usize;
+            next_slot[b] += 1;
             rows[slot] = row as u32;
             slot_ids[slot] = ids[row];
         }

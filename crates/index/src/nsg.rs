@@ -10,10 +10,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::distance;
 use crate::error::{IndexError, Result};
+use crate::kmeans::{cores, par_chunks};
 use crate::mask::RowMask;
 use crate::hnsw::HnswIndex;
 use crate::metric::Metric;
@@ -95,18 +95,18 @@ impl NsgIndex {
         // Step 3: approximate kNN lists for every node (the base graph).
         let pool_size = (2 * r).max(16);
         let sp = SearchParams { k: pool_size, ef: (2 * pool_size).max(64), ..Default::default() };
-        let knn: Vec<Vec<u32>> = (0..n)
-            .into_par_iter()
-            .map(|node| {
-                scaffold
+        let mut knn: Vec<Vec<u32>> = vec![Vec::new(); n];
+        par_chunks(&mut knn, cores(), |first, chunk| {
+            for (node, list) in (first..).zip(chunk) {
+                *list = scaffold
                     .search(data.get(node), &sp)
                     .unwrap_or_default()
                     .into_iter()
                     .filter(|c| c.id as usize != node)
                     .map(|c| c.id as u32)
-                    .collect()
-            })
-            .collect();
+                    .collect();
+            }
+        });
 
         // Step 4: per-node candidate pool = kNN ∪ nodes visited while
         // searching the node from the medoid over the kNN graph (this is
@@ -118,9 +118,9 @@ impl NsgIndex {
         // small-world ingredient; MRNG pruning keeps only the non-dominated
         // directions).
         let n_random = ((n as f64).log2().ceil() as usize).clamp(4, 32);
-        let adjacency: Vec<Vec<u32>> = (0..n)
-            .into_par_iter()
-            .map(|node| {
+        let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
+        par_chunks(&mut adjacency, cores(), |first, chunk| {
+            for (node, links) in (first..).zip(chunk) {
                 let query = data.get(node);
                 let visited =
                     knn_graph_search(&data, inner_metric, &knn, medoid_u, query, pool_size);
@@ -150,9 +150,9 @@ impl NsgIndex {
                 // (dist, id) sort makes them adjacent for dedup.
                 pool.sort_unstable();
                 pool.dedup_by_key(|c| c.id);
-                mrng_prune(&data, inner_metric, query, &pool, r)
-            })
-            .collect();
+                *links = mrng_prune(&data, inner_metric, query, &pool, r);
+            }
+        });
 
         let mut index = Self {
             metric: params.metric,

@@ -535,6 +535,9 @@ pub const STORED_BYTES: &str = "milvus_stored_bytes";
 pub const INDEX_BUILDS: &str = "milvus_index_builds_total";
 /// Index build latency.
 pub const INDEX_BUILD_LATENCY: &str = "milvus_index_build_latency_seconds";
+/// Point–centroid distances computed by index training and bucket placement:
+/// k-means++ seeding, every Lloyd assignment, IVF placement (process-wide).
+pub const INDEX_TRAIN_DISTANCES: &str = "milvus_index_train_distances_total";
 /// Object-store put calls.
 pub const OBJECT_PUTS: &str = "milvus_object_store_put_total";
 /// Object-store get calls.
@@ -701,6 +704,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
     FamilyDesc { name: FLUSH_LATENCY, kind: MetricKind::Histogram, help: "flush() barrier latency." },
     FamilyDesc { name: INDEX_BUILD_LATENCY, kind: MetricKind::Histogram, help: "Index build latency." },
     FamilyDesc { name: INDEX_BUILDS, kind: MetricKind::Counter, help: "Index builds completed." },
+    FamilyDesc { name: INDEX_TRAIN_DISTANCES, kind: MetricKind::Counter, help: "Point-centroid distances computed by index training and bucket placement." },
     FamilyDesc { name: INGEST_BATCHES, kind: MetricKind::Counter, help: "Insert batches accepted." },
     FamilyDesc { name: INGEST_LATENCY, kind: MetricKind::Histogram, help: "Insert latency." },
     FamilyDesc { name: INGEST_ROWS, kind: MetricKind::Counter, help: "Rows accepted by insert." },
