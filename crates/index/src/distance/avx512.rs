@@ -58,6 +58,73 @@ pub unsafe fn l2_sq_x4(q: [&[f32]; 4], v: &[f32]) -> [f32; 4] {
     out
 }
 
+/// `_mm512_reduce_add_ps` of four registers at once, lane `j` of the result
+/// from register `j`, adding the same pairs in the same order: lanes
+/// (i, i+8), then (i, i+4), (i, i+2), (i, i+1).
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn reduce4(a: __m512, b: __m512, c: __m512, d: __m512) -> __m128 {
+    let half = |x, y| {
+        _mm512_add_ps(
+            _mm512_shuffle_f32x4(x, y, 0b01_00_01_00),
+            _mm512_shuffle_f32x4(x, y, 0b11_10_11_10),
+        )
+    };
+    // `ab`: a's eight (i, i+8) sums in blocks 0–1, b's in blocks 2–3.
+    let (ab, cd) = (half(a, b), half(c, d));
+    // Block j: register j's four (i, i+4) sums of those.
+    let s = _mm512_add_ps(
+        _mm512_shuffle_f32x4(ab, cd, 0b10_00_10_00),
+        _mm512_shuffle_f32x4(ab, cd, 0b11_01_11_01),
+    );
+    let s = _mm512_add_ps(s, _mm512_permute_ps(s, 0b01_00_11_10));
+    let s = _mm512_add_ps(s, _mm512_movehdup_ps(s));
+    let firsts = _mm512_set_epi32(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 8, 4, 0);
+    _mm512_castps512_ps128(_mm512_permutexvar_ps(firsts, s))
+}
+
+/// Register-tiled L2² of four points against four centroids in 16
+/// accumulators, so each 512-bit load feeds four FMA chains on both sides.
+/// `out[i][j] == l2_sq(p[i], c[j])` bit for bit: the same per-lane FMA
+/// order, [`reduce4`]'s copy of `reduce_add`'s pairing, and the same scalar
+/// tail.
+///
+/// # Safety
+/// The caller must ensure the CPU supports AVX-512F.
+#[target_feature(enable = "avx512f")]
+pub unsafe fn l2_sq_4x4(p: [&[f32]; 4], c: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    let n = p[0].len();
+    let mut acc = [[_mm512_setzero_ps(); 4]; 4];
+    let chunks = n / 16;
+    for i in 0..chunks {
+        let at = i * 16;
+        let vc = [
+            _mm512_loadu_ps(c[0].as_ptr().add(at)),
+            _mm512_loadu_ps(c[1].as_ptr().add(at)),
+            _mm512_loadu_ps(c[2].as_ptr().add(at)),
+            _mm512_loadu_ps(c[3].as_ptr().add(at)),
+        ];
+        for (pi, acci) in p.iter().zip(acc.iter_mut()) {
+            let vp = _mm512_loadu_ps(pi.as_ptr().add(at));
+            for (vcj, a) in vc.iter().zip(acci.iter_mut()) {
+                let d = _mm512_sub_ps(vp, *vcj);
+                *a = _mm512_fmadd_ps(d, d, *a);
+            }
+        }
+    }
+    let mut out = [[0.0f32; 4]; 4];
+    for ((pi, a), oi) in p.iter().zip(&acc).zip(out.iter_mut()) {
+        _mm_storeu_ps(oi.as_mut_ptr(), reduce4(a[0], a[1], a[2], a[3]));
+        for (cj, o) in c.iter().zip(oi.iter_mut()) {
+            for k in chunks * 16..n {
+                let d = pi[k] - cj[k];
+                *o += d * d;
+            }
+        }
+    }
+    out
+}
+
 /// Register-tiled inner product; see [`l2_sq_x4`].
 ///
 /// # Safety

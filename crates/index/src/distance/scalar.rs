@@ -73,6 +73,14 @@ pub fn l2_sq_x4(q: [&[f32]; 4], v: &[f32]) -> [f32; 4] {
     out
 }
 
+/// L2² of four points against four centroids: `out[i][j] == l2_sq(p[i],
+/// c[j])` bit for bit, as four [`l2_sq_x4`] passes. A register-blocked 4×4
+/// form needs 64 scalar accumulators, which spill, and ran slower.
+#[inline]
+pub fn l2_sq_4x4(p: [&[f32]; 4], c: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    p.map(|pi| l2_sq_x4(c, pi))
+}
+
 /// Register-tiled inner product: one data vector against four queries per
 /// pass. Bit-identical per pair to [`inner_product`].
 #[inline]

@@ -5,10 +5,15 @@
 //! centroid to v." We use k-means++ seeding followed by Lloyd iterations.
 //! Every point–centroid pass — the D² refresh after each seeding pick, each
 //! Lloyd assignment, and IVF bucket placement (`assign_rows`) — splits its
-//! rows into one range per core on the global executor's Low lane and scores
-//! them with the hoisted ×4 L2 kernel. A point's result depends on that point
-//! alone, and every f64 sum and rng draw stays on the caller in point order,
-//! so the output is bit-identical however the rows are split.
+//! rows into one range per core on the global executor's Low lane. The D²
+//! refresh scores four points per ×4 L2 kernel call; an assignment scores
+//! four points against four centroids per 4×4 tile, so each centroid row is
+//! loaded once per four points. The centroid update splits the centroids
+//! into one range per core, each range adding its own rows in point order.
+//! A point's result depends on that point alone, each centroid's f64 sum
+//! keeps point order, and the seeding total, the inertia and every rng draw
+//! stay on the caller, so the output is bit-identical however the work is
+//! split.
 
 use std::sync::OnceLock;
 
@@ -18,7 +23,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::distance::{self, PairKernel, Tile4Kernel};
+use crate::distance::{self, PairKernel, Tile4Kernel, Tile4x4Kernel};
 use crate::error::{IndexError, Result};
 use crate::metric::Metric;
 use crate::vectors::VectorSet;
@@ -85,10 +90,7 @@ impl L2 {
         let mut head = 0;
         if let Some(tile) = self.tile {
             for four in rows.chunks_exact(4 * dim) {
-                let (a, rest) = four.split_at(dim);
-                let (b, rest) = rest.split_at(dim);
-                let (c, d) = rest.split_at(dim);
-                for (j, dist) in tile([a, b, c, d], v).into_iter().enumerate() {
+                for (j, dist) in tile(split4(four, dim), v).into_iter().enumerate() {
                     visit(head + j, dist);
                 }
                 head += 4;
@@ -98,6 +100,15 @@ impl L2 {
             visit(head + i, (self.pair)(v, row));
         }
     }
+}
+
+/// The four `dim`-long rows of a `4 · dim` slice.
+#[inline(always)]
+fn split4(four: &[f32], dim: usize) -> [&[f32]; 4] {
+    let (a, rest) = four.split_at(dim);
+    let (b, rest) = rest.split_at(dim);
+    let (c, d) = rest.split_at(dim);
+    [a, b, c, d]
 }
 
 /// The nearest centroid to `v`: the first minimum in index order.
@@ -126,6 +137,8 @@ pub(crate) fn cores() -> usize {
 
 /// Fill `out` as `ranges` contiguous chunks, one task each on the global
 /// executor's Low lane, so an index build yields to foreground searches.
+/// Every chunk but the last holds a multiple of four items, so a pass's
+/// full four-row tiles do not depend on the split.
 /// `fill(first, chunk)` is handed the row index of `chunk[0]`. The caller
 /// runs the first chunk and helps with the rest, so it never stalls behind
 /// other work.
@@ -134,7 +147,7 @@ pub(crate) fn par_chunks<T: Send>(
     ranges: usize,
     fill: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    let len = out.len().div_ceil(ranges.max(1)).max(1);
+    let len = out.len().div_ceil(ranges.max(1)).next_multiple_of(4).max(1);
     let chunks: Vec<Mutex<&mut [T]>> = out.chunks_mut(len).map(Mutex::new).collect();
     Executor::global().scoped_map_with(chunks.len(), Priority::Low, |r| {
         fill(r * len, &mut chunks[r].lock())
@@ -148,22 +161,69 @@ fn count_pass(distances: usize) {
 }
 
 /// Nearest centroid and its distance for every row of `data`, over `ranges`
-/// parallel ranges: one pass of `n · k` distances.
+/// parallel ranges: one pass of `n · k` distances. Points ride four at a
+/// time through the 4×4 tile where the SIMD level has one; a range's last
+/// `len mod 4` points take [`argmin`].
 pub(crate) fn assign_rows(
     centroids: &VectorSet,
     data: &VectorSet,
     ranges: usize,
 ) -> Vec<(usize, f32)> {
-    let (kern, dim) = (L2::resolve(), data.dim());
+    let (kern, grid, dim) = (L2::resolve(), distance::l2_tile4x4_kernel(), data.dim());
     let mut out = vec![(0, 0.0); data.len()];
     par_chunks(&mut out, ranges, |first, chunk| {
-        let rows = data.as_flat()[first * dim..].chunks_exact(dim);
-        for (slot, v) in chunk.iter_mut().zip(rows) {
+        let rows = &data.as_flat()[first * dim..(first + chunk.len()) * dim];
+        let mut head = 0;
+        if let Some(grid) = grid {
+            for (four, best) in rows.chunks_exact(4 * dim).zip(chunk.chunks_exact_mut(4)) {
+                argmin4(grid, kern.pair, centroids, split4(four, dim), best);
+                head += 4;
+            }
+        }
+        for (slot, v) in chunk[head..].iter_mut().zip(rows[head * dim..].chunks_exact(dim)) {
             *slot = argmin(kern, centroids, v);
         }
     });
     count_pass(data.len() * centroids.len());
+    if grid.is_some() {
+        let tiled = (data.len() / 4) * (centroids.len() / 4) * 16;
+        obs::counter(obs::INDEX_TRAIN_TILED_PAIRS, "").add(tiled as u64);
+    }
     out
+}
+
+/// [`argmin`] for four points at once: centroids four at a time through the
+/// 4×4 tile, the `k mod 4` tail per pair, each point's candidates in index
+/// order with strict `<`, so the first minimum still wins.
+#[inline(always)]
+fn argmin4(
+    grid: Tile4x4Kernel,
+    pair: PairKernel,
+    centroids: &VectorSet,
+    points: [&[f32]; 4],
+    best: &mut [(usize, f32)],
+) {
+    let (flat, dim) = (centroids.as_flat(), centroids.dim());
+    best.fill((0, f32::INFINITY));
+    let mut head = 0;
+    for four in flat.chunks_exact(4 * dim) {
+        for (dists, b) in grid(points, split4(four, dim)).iter().zip(best.iter_mut()) {
+            for (j, &d) in dists.iter().enumerate() {
+                if d < b.1 {
+                    *b = (head + j, d);
+                }
+            }
+        }
+        head += 4;
+    }
+    for (j, c) in flat[head * dim..].chunks_exact(dim).enumerate() {
+        for (p, b) in points.iter().zip(best.iter_mut()) {
+            let d = pair(p, c);
+            if d < b.1 {
+                *b = (head + j, d);
+            }
+        }
+    }
 }
 
 /// Train `k` centroids over `data` with k-means++ seeding and at most
@@ -199,25 +259,31 @@ fn train_in(
         let assigned = assign_rows(&centroids, data, ranges);
         let new_inertia: f64 = assigned.iter().map(|s| s.1 as f64).sum();
 
-        // Update step.
+        // Update step: each core owns a contiguous range of centroids and
+        // walks every point in point order, adding only its own centroids'
+        // rows, so each f64 sum keeps point order at any split. Empty
+        // clusters are re-seeded afterwards, serially in centroid order.
         let mut sums = vec![0.0f64; k * dim];
-        let mut counts = vec![0usize; k];
-        for (row, &(c, _)) in data.iter().zip(&assigned) {
-            counts[c] += 1;
-            for (d, &x) in row.iter().enumerate() {
-                sums[c * dim + d] += x as f64;
+        let mut cells: Vec<(usize, &mut [f64])> = sums.chunks_mut(dim).map(|s| (0, s)).collect();
+        par_chunks(&mut cells, ranges, |first, cells| {
+            for (row, &(c, _)) in data.as_flat().chunks_exact(dim).zip(&assigned) {
+                if let Some((count, sum)) = c.checked_sub(first).and_then(|j| cells.get_mut(j)) {
+                    *count += 1;
+                    for (s, &x) in sum.iter_mut().zip(row) {
+                        *s += x as f64;
+                    }
+                }
             }
-        }
+        });
         let mut next = VectorSet::with_capacity(dim, k);
-        for c in 0..k {
-            if counts[c] == 0 {
+        for (count, sum) in &cells {
+            if *count == 0 {
                 // Re-seed an empty cluster with a random training point so the
                 // codebook keeps exactly k usable codewords.
                 next.push(data.get(rng.gen_range(0..n)));
             } else {
-                let inv = 1.0 / counts[c] as f64;
-                let row: Vec<f32> =
-                    (0..dim).map(|d| (sums[c * dim + d] * inv) as f32).collect();
+                let inv = 1.0 / *count as f64;
+                let row: Vec<f32> = sum.iter().map(|&s| (s * inv) as f32).collect();
                 next.push(&row);
             }
         }
@@ -517,6 +583,30 @@ mod tests {
             for ranges in [1, 2, 3, 7] {
                 let got = train_in(&data, k, 10, 77, ranges).unwrap();
                 assert_same(&got, &want, &format!("duplicates k {k} ranges {ranges}"));
+            }
+        }
+    }
+
+    /// Rows of ±1e9 among rows of 1e-3 cancel inside an f64 centroid sum,
+    /// so its value depends on the order the rows are added in: the update
+    /// split by centroid range must keep point order, as the serial loop does.
+    #[test]
+    fn order_sensitive_sums_train_bit_identically_at_every_split() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut data = VectorSet::new(2);
+        for i in 0..200 {
+            let x = match i % 20 {
+                0 => 1e9,
+                10 => -1e9,
+                _ => rng.gen_range(-1.0f32..1.0) * 1e-3,
+            };
+            data.push(&[x, rng.gen_range(-1.0f32..1.0)]);
+        }
+        for k in [1, 2, 3] {
+            let want = serial_train(&data, k, 10, 9);
+            for ranges in [1, 2, 3, 7] {
+                let got = train_in(&data, k, 10, 9, ranges).unwrap();
+                assert_same(&got, &want, &format!("magnitudes k {k} ranges {ranges}"));
             }
         }
     }

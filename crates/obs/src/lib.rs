@@ -538,6 +538,9 @@ pub const INDEX_BUILD_LATENCY: &str = "milvus_index_build_latency_seconds";
 /// Point–centroid distances computed by index training and bucket placement:
 /// k-means++ seeding, every Lloyd assignment, IVF placement (process-wide).
 pub const INDEX_TRAIN_DISTANCES: &str = "milvus_index_train_distances_total";
+/// (point, centroid) pairs a Lloyd assignment or IVF placement pass scored
+/// in full 4×4 tiles (process-wide); the rest go through per-point scans.
+pub const INDEX_TRAIN_TILED_PAIRS: &str = "milvus_index_train_tiled_pairs_total";
 /// (query, row) pairs an IVF_FLAT batch scored in full four-query tiles
 /// (process-wide); the rest of a batch's pairs go through per-query scans.
 pub const INDEX_IVF_TILED_PAIRS: &str = "milvus_index_ivf_tiled_pairs_total";
@@ -709,6 +712,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
     FamilyDesc { name: INDEX_BUILDS, kind: MetricKind::Counter, help: "Index builds completed." },
     FamilyDesc { name: INDEX_IVF_TILED_PAIRS, kind: MetricKind::Counter, help: "(query, row) pairs an IVF_FLAT batch scored in full four-query tiles." },
     FamilyDesc { name: INDEX_TRAIN_DISTANCES, kind: MetricKind::Counter, help: "Point-centroid distances computed by index training and bucket placement." },
+    FamilyDesc { name: INDEX_TRAIN_TILED_PAIRS, kind: MetricKind::Counter, help: "(point, centroid) pairs index training and bucket placement scored in full 4x4 tiles." },
     FamilyDesc { name: INGEST_BATCHES, kind: MetricKind::Counter, help: "Insert batches accepted." },
     FamilyDesc { name: INGEST_LATENCY, kind: MetricKind::Histogram, help: "Insert latency." },
     FamilyDesc { name: INGEST_ROWS, kind: MetricKind::Counter, help: "Rows accepted by insert." },

@@ -23,7 +23,6 @@
 
 pub mod attribute;
 pub mod bufferpool;
-pub mod categorical;
 pub mod codec;
 pub mod column;
 pub mod entity;
