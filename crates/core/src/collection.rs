@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use milvus_exec::coalesce::Submitted;
 use milvus_exec::Executor;
-use milvus_index::distance::distance;
+use milvus_index::batch::{score_visible, Scorer};
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::SearchParams;
 use milvus_index::{IndexError, Metric, Neighbor, RowMask, TopK, VectorSet};
@@ -770,10 +770,10 @@ fn scan_passers(
     if query.len() != col.dim() {
         return Err(IndexError::DimensionMismatch { expected: col.dim(), got: query.len() }.into());
     }
-    let mut heap = TopK::new(k.max(1));
-    for row in visible.iter() {
-        heap.push(seg.data().row_ids[row], distance(plan.metric, query, col.get(row)));
-    }
+    let (mut heap, ids) = (TopK::new(k.max(1)), &seg.data().row_ids);
+    let visible = visible.iter().map(|row| (col.slot(row), ids[row]));
+    let (kern, rows) = (Scorer::new(plan.metric), col.buffer().as_flat());
+    score_visible(kern, rows, visible, &[query], std::slice::from_mut(&mut heap));
     Ok(heap.into_sorted())
 }
 

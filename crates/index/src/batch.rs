@@ -12,39 +12,215 @@
 //! `milvus_baselines::faiss_style_search` for Figure 11).
 //!
 //! There is one engine, [`cache_aware_scan`]: scheduled on a persistent
-//! [`milvus_exec::Executor`], scoring rows in register-tiled ×4 groups, with
-//! one `k` per query and a trace argument. What a row *is* — an `f32` vector
-//! or an SQ8 code — is the [`Rows`] argument; the metric's kernel (or the
-//! per-query fused SQ8 state) is resolved once per call, so the hot loop
-//! never re-matches the `Metric` enum or re-reads the SIMD level.
+//! [`milvus_exec::Executor`], with one `k` per query and a trace argument.
+//! What a row *is* — an `f32` vector or an SQ8 code — is the [`Rows`]
+//! argument; the metric's kernels (or the per-query fused SQ8 state) are
+//! resolved once per call, so the hot loop never re-matches the `Metric`
+//! enum or re-reads the SIMD level.
+//!
+//! Float rows go through [`score_block`], the scoring primitive of every
+//! exact scan: 4 rows × 4 queries per kernel call, each 4-row group meeting
+//! every resident query before the next group loads.
 
+use std::borrow::BorrowMut;
 use std::ops::Range;
 
 use milvus_exec::Executor;
 use milvus_obs as obs;
 
 use crate::distance::quant::PreparedSq8;
-use crate::distance::{self, PairKernel, Tile4Kernel};
+use crate::distance::{self, PairKernel, Tile4Kernel, Tile4x4Kernel};
 use crate::ivf::sq8::ScalarQuantizer;
 use crate::mask::{in_tiles, RowMask};
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
 
-/// Kernel dispatch hoisted out of the scan loops: resolved once per search
-/// call from the metric + active SIMD level.
-enum BlockKernel {
-    /// Register-tiled path: score 4 queries per data-vector pass, with a
-    /// per-pair kernel for the ragged tail of a query block.
-    Tiled(Tile4Kernel, PairKernel),
-    /// Metrics without a tiled form (cosine, SSE-only levels).
-    Single(PairKernel),
+/// A float metric's kernels at the active SIMD level, resolved once per
+/// scan: the 4×4 and ×4 tiles where they exist, the pair kernel always.
+#[derive(Clone, Copy)]
+pub struct Scorer {
+    pub(crate) pair: PairKernel,
+    tiles: Option<(Tile4x4Kernel, Tile4Kernel)>,
 }
 
-fn block_kernel(metric: Metric) -> BlockKernel {
-    match distance::tile4_kernel(metric) {
-        Some(tile) => BlockKernel::Tiled(tile, distance::pair_kernel(metric)),
-        None => BlockKernel::Single(distance::pair_kernel(metric)),
+impl Scorer {
+    /// The kernels of `metric`. Panics for binary metrics.
+    pub fn new(metric: Metric) -> Self {
+        let tiles = distance::tile4x4_kernel(metric).zip(distance::tile4_kernel(metric));
+        Self { pair: distance::pair_kernel(metric), tiles }
+    }
+
+    /// The 4×4 tile, if there is one (not at SSE, not for cosine).
+    pub(crate) fn grid(self) -> Option<Tile4x4Kernel> {
+        self.tiles.map(|(grid, _)| grid)
+    }
+
+    /// `visit(i, distance of v and row i)` for every row of the
+    /// `dim`-strided `rows`, in row order: rows four at a time in the ×4
+    /// tile's query slot (L2 and IP are bitwise symmetric in their
+    /// arguments, so each value is exactly the per-pair one), the rest per
+    /// pair.
+    #[inline(always)]
+    pub(crate) fn each(self, rows: &[f32], dim: usize, v: &[f32], mut visit: impl FnMut(usize, f32))
+    {
+        let mut head = 0;
+        if let Some((_, tile)) = self.tiles {
+            for four in rows.chunks_exact(4 * dim) {
+                for (j, dist) in tile(split4(four, dim), v).into_iter().enumerate() {
+                    visit(head + j, dist);
+                }
+                head += 4;
+            }
+        }
+        for (i, row) in rows[head * dim..].chunks_exact(dim).enumerate() {
+            visit(head + i, (self.pair)(v, row));
+        }
+    }
+
+    /// Score four rows against every query. Full query quads take the 4×4
+    /// tile, leftover queries the ×4 tile with the rows in its query slot.
+    #[inline(always)]
+    fn four<H: BorrowMut<TopK>>(
+        self,
+        rows: [&[f32]; 4],
+        ids: [i64; 4],
+        queries: &[&[f32]],
+        heaps: &mut [H],
+    ) {
+        let Some((grid, tile)) = self.tiles else {
+            for (row, id) in rows.into_iter().zip(ids) {
+                self.one(row, id, queries, heaps);
+            }
+            return;
+        };
+        let (quads, rest) = queries.as_chunks::<4>();
+        let (heap_quads, rest_heaps) = heaps.as_chunks_mut::<4>();
+        for (&quad, hq) in quads.iter().zip(heap_quads) {
+            let dist = grid(rows, quad);
+            for (j, heap) in hq.iter_mut().enumerate() {
+                let heap = heap.borrow_mut();
+                for (&id, d) in ids.iter().zip(&dist) {
+                    heap.push(id, d[j]);
+                }
+            }
+        }
+        for (&q, heap) in rest.iter().zip(rest_heaps) {
+            let heap = heap.borrow_mut();
+            for (id, d) in ids.into_iter().zip(tile(rows, q)) {
+                heap.push(id, d);
+            }
+        }
+    }
+
+    /// Score one row against every query: full query quads through the ×4
+    /// tile, the rest per pair.
+    #[inline(always)]
+    fn one<H: BorrowMut<TopK>>(self, row: &[f32], id: i64, queries: &[&[f32]], heaps: &mut [H]) {
+        let mut head = 0;
+        if let Some((_, tile)) = self.tiles {
+            let (quads, _) = queries.as_chunks::<4>();
+            let (heap_quads, _) = heaps.as_chunks_mut::<4>();
+            for (&quad, hq) in quads.iter().zip(heap_quads) {
+                for (heap, d) in hq.iter_mut().zip(tile(quad, row)) {
+                    heap.borrow_mut().push(id, d);
+                }
+            }
+            head = quads.len() * 4;
+        }
+        for (q, heap) in queries[head..].iter().zip(&mut heaps[head..]) {
+            heap.borrow_mut().push(id, (self.pair)(q, row));
+        }
+    }
+}
+
+/// The four `dim`-long rows of a `4 · dim` slice.
+#[inline(always)]
+pub(crate) fn split4(four: &[f32], dim: usize) -> [&[f32]; 4] {
+    let (a, rest) = four.split_at(dim);
+    let (b, rest) = rest.split_at(dim);
+    let (c, d) = rest.split_at(dim);
+    [a, b, c, d]
+}
+
+/// The scoring primitive: push every row of the `dim`-strided `rows`
+/// (`ids[i]` for row `i`) into `heaps[j]` at its distance to `queries[j]`,
+/// in one plain walk over `chunks_exact(4 · dim)`; the last `len mod 4` rows
+/// meet the query quads in the ×4 tile and the leftover queries per pair.
+/// Tiles return the pair kernel's bits and [`TopK`] keeps the same set in
+/// any push order, so the heaps end as a per-pair loop leaves them. The
+/// heaps may be owned or borrowed (IVF's are scattered). Returns the rows
+/// scored; all but the last `rows mod 4` went four at a time.
+pub fn score_block<H: BorrowMut<TopK>>(
+    kern: Scorer,
+    rows: &[f32],
+    ids: &[i64],
+    queries: &[&[f32]],
+    heaps: &mut [H],
+) -> u64 {
+    debug_assert_eq!(queries.len(), heaps.len());
+    let Some(dim) = queries.first().map(|q| q.len()) else { return 0 };
+    debug_assert_eq!(rows.len(), ids.len() * dim);
+    let (fours, tail) = ids.as_chunks::<4>();
+    for (four, &id4) in rows.chunks_exact(4 * dim).zip(fours) {
+        kern.four(split4(four, dim), id4, queries, heaps);
+    }
+    let head = fours.len() * 4;
+    for (row, &id) in rows[head * dim..].chunks_exact(dim).zip(tail) {
+        kern.one(row, id, queries, heaps);
+    }
+    ids.len() as u64
+}
+
+/// [`score_block`] over the `(row, id)` pairs `visible` yields: a masked
+/// scan. Visible rows are scored four at a time as they come, so the mask's
+/// gaps cost no tiles.
+pub fn score_visible<H: BorrowMut<TopK>>(
+    kern: Scorer,
+    rows: &[f32],
+    visible: impl Iterator<Item = (usize, i64)>,
+    queries: &[&[f32]],
+    heaps: &mut [H],
+) -> u64 {
+    debug_assert_eq!(queries.len(), heaps.len());
+    let Some(dim) = queries.first().map(|q| q.len()) else { return 0 };
+    let row = |r: usize| &rows[r * dim..(r + 1) * dim];
+    let (mut at, mut ids, mut n, mut scored) = ([0usize; 4], [0i64; 4], 0, 0);
+    for (r, id) in visible {
+        (at[n], ids[n]) = (r, id);
+        n += 1;
+        if n == 4 {
+            kern.four(at.map(row), ids, queries, heaps);
+            (scored, n) = (scored + 4, 0);
+        }
+    }
+    for (&r, &id) in at[..n].iter().zip(&ids) {
+        kern.one(row(r), id, queries, heaps);
+    }
+    scored + n as u64
+}
+
+/// [`score_block`] over rows `range` of a row-ordered matrix (`ids` indexed
+/// like its rows), or over those of them set in `mask`.
+pub fn score_range<H: BorrowMut<TopK>>(
+    kern: Scorer,
+    rows: &[f32],
+    ids: &[i64],
+    range: Range<usize>,
+    mask: Option<&RowMask>,
+    queries: &[&[f32]],
+    heaps: &mut [H],
+) -> u64 {
+    let dim = rows.len() / ids.len().max(1);
+    match mask {
+        None => {
+            let (rows, ids) = (&rows[range.start * dim..range.end * dim], &ids[range]);
+            score_block(kern, rows, ids, queries, heaps)
+        }
+        Some(mask) => {
+            let visible = mask.iter_range(range).map(|r| (r, ids[r]));
+            score_visible(kern, rows, visible, queries, heaps)
+        }
     }
 }
 
@@ -53,53 +229,7 @@ fn visible(range: Range<usize>, mask: Option<&RowMask>) -> impl Iterator<Item = 
     range.filter(move |&row| mask.is_none_or(|m| m.get(row)))
 }
 
-/// Score data `rows` (ascending) against the resident `queries` block,
-/// pushing into one heap per resident query. Heap `j` always sees per-pair
-/// results in row order, so the outcome is bit-identical whether the kernel
-/// is tiled or not, and whichever rows a mask left to share a tile.
-///
-/// The tiled path registers-tiles over *data rows*: four rows are scored
-/// against each resident query per kernel call, so every streamed query
-/// vector is loaded once per four rows instead of once per row — a 4×
-/// reduction of the loop's dominant memory traffic (the query block is far
-/// larger than one data vector). L2² and IP are symmetric bit-for-bit
-/// (`(a-b)² == (b-a)²`, `a·b == b·a` in IEEE), so calling the ×4 kernel
-/// with rows in the "queries" slot yields exactly the per-pair results.
-fn scan_vectors_into_heaps(
-    kern: &BlockKernel,
-    data: &VectorSet,
-    ids: &[i64],
-    rows: impl Iterator<Item = usize>,
-    queries: &VectorSet,
-    block: Range<usize>,
-    heaps: &mut [TopK],
-) {
-    // The loaded vector is reused for the entire resident query block — the
-    // cache win.
-    let one_row = |pair: &PairKernel, row: usize, heaps: &mut [TopK]| {
-        let v = data.get(row);
-        for (j, heap) in heaps.iter_mut().enumerate() {
-            heap.push(ids[row], pair(queries.get(block.start + j), v));
-        }
-    };
-    match kern {
-        BlockKernel::Tiled(tile, pair) => in_tiles(rows, |g| match *g {
-            [a, b, c, d] => {
-                let vs = [data.get(a), data.get(b), data.get(c), data.get(d)];
-                for (j, heap) in heaps.iter_mut().enumerate() {
-                    let dist = tile(vs, queries.get(block.start + j));
-                    for (&row, dist) in g.iter().zip(dist) {
-                        heap.push(ids[row], dist);
-                    }
-                }
-            }
-            _ => g.iter().for_each(|&row| one_row(pair, row, heaps)),
-        }),
-        BlockKernel::Single(pair) => rows.for_each(|row| one_row(pair, row, heaps)),
-    }
-}
-
-/// [`scan_vectors_into_heaps`] over SQ8 codes: stream the raw `dim`-byte
+/// The SQ8 row scorer: stream the raw `dim`-byte
 /// codes of `rows` in ×4-row register tiles against the block's fused
 /// per-query state, so each 4-row group's bytes are loaded once per resident
 /// query with zero per-row allocation and no decoded vector ever
@@ -232,9 +362,14 @@ pub fn cache_aware_scan(
         Rows::F32(data) => {
             assert_eq!(data.len(), ids.len(), "ids must match data rows");
             assert_eq!(data.dim(), dim, "query dimension mismatch");
-            let kern = block_kernel(opts.metric);
+            let kern = Scorer::new(opts.metric);
+            let tiled = obs::counter(obs::INDEX_BATCH_TILED_PAIRS, "");
             let scan = |block: Range<usize>, range: Range<usize>, heaps: &mut [TopK]| {
-                scan_vectors_into_heaps(&kern, data, ids, visible(range, mask), queries, block, heaps)
+                let block: Vec<&[f32]> = block.map(|j| queries.get(j)).collect();
+                let scored = score_range(kern, data.as_flat(), ids, range, mask, &block, heaps);
+                if kern.grid().is_some() {
+                    tiled.add(scored / 4 * 4 * (block.len() / 4 * 4) as u64);
+                }
             };
             blocked_scan(exec, "cache_aware_exec", ids.len(), dim, ks, opts, trace, scan)
         }

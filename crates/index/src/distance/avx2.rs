@@ -120,6 +120,45 @@ pub unsafe fn l2_sq_2x4(p: [&[f32]; 2], c: [&[f32]; 4]) -> [[f32; 4]; 2] {
     out
 }
 
+/// Register-tiled inner product of two rows against four others, the half
+/// of a 4×4 tile; see [`l2_sq_2x4`]. `out[i][j] == inner_product(p[i],
+/// c[j])` bit for bit.
+///
+/// # Safety
+/// The caller must ensure the CPU supports AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn inner_product_2x4(p: [&[f32]; 2], c: [&[f32]; 4]) -> [[f32; 4]; 2] {
+    let n = p[0].len();
+    let mut acc = [[_mm256_setzero_ps(); 4]; 2];
+    let chunks = n / 8;
+    for i in 0..chunks {
+        let at = i * 8;
+        let vc = [
+            _mm256_loadu_ps(c[0].as_ptr().add(at)),
+            _mm256_loadu_ps(c[1].as_ptr().add(at)),
+            _mm256_loadu_ps(c[2].as_ptr().add(at)),
+            _mm256_loadu_ps(c[3].as_ptr().add(at)),
+        ];
+        for (pi, acci) in p.iter().zip(acc.iter_mut()) {
+            let vp = _mm256_loadu_ps(pi.as_ptr().add(at));
+            for (vcj, a) in vc.iter().zip(acci.iter_mut()) {
+                *a = _mm256_fmadd_ps(vp, *vcj, *a);
+            }
+        }
+    }
+    let mut out = [[0.0f32; 4]; 2];
+    for ((pi, acci), oi) in p.iter().zip(&acc).zip(out.iter_mut()) {
+        for ((cj, a), o) in c.iter().zip(acci).zip(oi.iter_mut()) {
+            let mut sum = horizontal_sum(*a);
+            for k in chunks * 8..n {
+                sum += pi[k] * cj[k];
+            }
+            *o = sum;
+        }
+    }
+    out
+}
+
 /// Register-tiled inner product; see [`l2_sq_x4`].
 ///
 /// # Safety

@@ -127,9 +127,9 @@ pub type PairKernel = fn(&[f32], &[f32]) -> f32;
 /// to the [`PairKernel`] of the same metric.
 pub type Tile4Kernel = fn([&[f32]; 4], &[f32]) -> [f32; 4];
 
-/// A register-tiled kernel scoring four points against four centroids per
-/// pass: `out[i][j]` is the L2² of point `i` and centroid `j`, bit-identical
-/// to the [`PairKernel`] of [`Metric::L2`].
+/// A register-tiled kernel scoring four rows against four others per pass:
+/// `out[i][j]` is the internal distance of `p[i]` and `c[j]`, bit-identical
+/// to the [`PairKernel`] of the same metric.
 pub type Tile4x4Kernel = fn([&[f32]; 4], [&[f32]; 4]) -> [[f32; 4]; 4];
 
 fn l2_scalar_pair(a: &[f32], b: &[f32]) -> f32 {
@@ -148,8 +148,11 @@ fn ip_scalar_tile4(q: [&[f32]; 4], v: &[f32]) -> [f32; 4] {
     let s = scalar::inner_product_x4(q, v);
     [-s[0], -s[1], -s[2], -s[3]]
 }
+fn ip_scalar_tile4x4(p: [&[f32]; 4], c: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    scalar::inner_product_4x4(p, c).map(|s| s.map(|d| -d))
+}
 
-// Safety of every shim below: `pair_kernel`/`tile4_kernel`/`l2_tile4x4_kernel`
+// Safety of every shim below: `pair_kernel`/`tile4_kernel`/`tile4x4_kernel`
 // only hand one out when [`active_level`] reports the matching ISA, and
 // `force_level` refuses unsupported levels, so the target-feature
 // preconditions always hold.
@@ -225,6 +228,19 @@ mod x86_shims {
         check_tile4(&p, c[0]);
         unsafe { avx512::l2_sq_4x4(p, c) }
     }
+    pub fn ip_avx2_tile4x4(p: [&[f32]; 4], c: [&[f32]; 4]) -> [[f32; 4]; 4] {
+        check_tile4(&c, p[0]);
+        check_tile4(&p, c[0]);
+        let ([a, b], [d, e]) = unsafe {
+            (avx2::inner_product_2x4([p[0], p[1]], c), avx2::inner_product_2x4([p[2], p[3]], c))
+        };
+        [a, b, d, e].map(|s| s.map(|x| -x))
+    }
+    pub fn ip_avx512_tile4x4(p: [&[f32]; 4], c: [&[f32]; 4]) -> [[f32; 4]; 4] {
+        check_tile4(&c, p[0]);
+        check_tile4(&p, c[0]);
+        unsafe { avx512::inner_product_4x4(p, c) }.map(|s| s.map(|x| -x))
+    }
     pub fn ip_avx512_tile4(q: [&[f32]; 4], v: &[f32]) -> [f32; 4] {
         check_tile4(&q, v);
         let s = unsafe { avx512::inner_product_x4(q, v) };
@@ -295,16 +311,29 @@ pub fn tile4_kernel(metric: Metric) -> Option<Tile4Kernel> {
     }
 }
 
-/// Resolve the 4-point × 4-centroid L2 tile at the active SIMD level, if
-/// one exists. `None` (SSE) means the caller should score each point as it
-/// would alone — results are bit-identical either way.
-pub fn l2_tile4x4_kernel() -> Option<Tile4x4Kernel> {
-    match active_level() {
-        SimdLevel::Scalar => Some(scalar::l2_sq_4x4),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => Some(x86_shims::l2_avx2_tile4x4),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => Some(x86_shims::l2_avx512_tile4x4),
+/// Resolve the 4-row × 4-row tile for `metric` at the active SIMD level, if
+/// one exists. `None` (SSE level, cosine, binary metrics) means the caller
+/// should score each row as it would alone — results are bit-identical
+/// either way. It exists exactly where [`tile4_kernel`] does.
+pub fn tile4x4_kernel(metric: Metric) -> Option<Tile4x4Kernel> {
+    let level = active_level();
+    match metric {
+        Metric::L2 => match level {
+            SimdLevel::Scalar => Some(scalar::l2_sq_4x4),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => Some(x86_shims::l2_avx2_tile4x4),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => Some(x86_shims::l2_avx512_tile4x4),
+            _ => None,
+        },
+        Metric::InnerProduct => match level {
+            SimdLevel::Scalar => Some(ip_scalar_tile4x4),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => Some(x86_shims::ip_avx2_tile4x4),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => Some(x86_shims::ip_avx512_tile4x4),
+            _ => None,
+        },
         _ => None,
     }
 }

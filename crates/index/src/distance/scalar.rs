@@ -81,6 +81,14 @@ pub fn l2_sq_4x4(p: [&[f32]; 4], c: [&[f32]; 4]) -> [[f32; 4]; 4] {
     p.map(|pi| l2_sq_x4(c, pi))
 }
 
+/// Inner product of four rows against four others, `out[i][j] ==
+/// inner_product(p[i], c[j])` bit for bit, as four [`inner_product_x4`]
+/// passes (see [`l2_sq_4x4`]).
+#[inline]
+pub fn inner_product_4x4(p: [&[f32]; 4], c: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    p.map(|pi| inner_product_x4(c, pi))
+}
+
 /// Register-tiled inner product: one data vector against four queries per
 /// pass. Bit-identical per pair to [`inner_product`].
 #[inline]

@@ -4,7 +4,7 @@
 //! keeps original vector representations, §3.1). Also serves as the
 //! ground-truth oracle for recall measurements in the benchmark harness.
 
-use crate::distance;
+use crate::batch::{score_range, Scorer};
 use crate::error::{IndexError, Result};
 use crate::mask::RowMask;
 use crate::metric::Metric;
@@ -45,14 +45,26 @@ impl FlatIndex {
         &self.ids
     }
 
-    fn check_dim(&self, query: &[f32]) -> Result<()> {
+    /// The exact top-k of the rows set in `mask` (all rows without one).
+    fn search_in(
+        &self,
+        query: &[f32],
+        params: &SearchParams,
+        mask: Option<&RowMask>,
+    ) -> Result<Vec<Neighbor>> {
         if query.len() != self.vectors.dim() {
             return Err(IndexError::DimensionMismatch {
                 expected: self.vectors.dim(),
                 got: query.len(),
             });
         }
-        Ok(())
+        if let Some(mask) = mask {
+            mask.check_covers(self.len())?;
+        }
+        let (kern, mut heap) = (Scorer::new(self.metric), TopK::new(params.k.max(1)));
+        let (rows, heaps) = (self.vectors.as_flat(), std::slice::from_mut(&mut heap));
+        score_range(kern, rows, &self.ids, 0..self.len(), mask, &[query], heaps);
+        Ok(heap.into_sorted())
     }
 }
 
@@ -70,12 +82,7 @@ impl VectorIndex for FlatIndex {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<Vec<Neighbor>> {
-        self.check_dim(query)?;
-        let mut heap = TopK::new(params.k.max(1));
-        for (row, v) in self.vectors.iter().enumerate() {
-            heap.push(self.ids[row], distance::distance(self.metric, query, v));
-        }
-        Ok(heap.into_sorted())
+        self.search_in(query, params, None)
     }
 
     fn search_masked(
@@ -84,13 +91,7 @@ impl VectorIndex for FlatIndex {
         params: &SearchParams,
         mask: &RowMask,
     ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query)?;
-        mask.check_covers(self.len())?;
-        let mut heap = TopK::new(params.k.max(1));
-        for row in mask.iter() {
-            heap.push(self.ids[row], distance::distance(self.metric, query, self.vectors.get(row)));
-        }
-        Ok(heap.into_sorted())
+        self.search_in(query, params, Some(mask))
     }
 
     fn memory_bytes(&self) -> usize {

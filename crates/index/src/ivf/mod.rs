@@ -19,13 +19,14 @@ pub mod codec;
 pub mod pq;
 pub mod sq8;
 
-use std::borrow::Cow;
+use std::borrow::{BorrowMut, Cow};
 use std::ops::Range;
 use std::sync::Arc;
 
 use milvus_obs as obs;
 
-use crate::distance::{self, Tile4Kernel};
+use crate::batch::{score_block, score_visible, Scorer};
+use crate::distance;
 use crate::error::{IndexError, Result};
 use crate::kmeans::{self, KMeans};
 use crate::mask::{in_tiles, RowMask};
@@ -392,10 +393,7 @@ impl IvfIndex {
     /// perturb bits).
     fn prepare_from_inner<'a>(&'a self, q: Vec<f32>) -> PreparedQuery<'a> {
         let state = match &self.payload {
-            Payload::Flat(_) => PreparedState::Flat {
-                pair: distance::pair_kernel(self.inner_metric),
-                tile4: distance::tile4_kernel(self.inner_metric),
-            },
+            Payload::Flat(_) => PreparedState::Flat(Scorer::new(self.inner_metric)),
             Payload::Sq8 { quantizer, .. } => {
                 PreparedState::Sq8(quantizer.prepare(&q, self.inner_metric))
             }
@@ -419,13 +417,13 @@ impl IvfIndex {
 
     /// Scan one bucket with per-query state prepared up front: every member
     /// when `mask` is `None`, else the members whose build ordinal is set in
-    /// it. Either way the rows to score are handed to one loop that runs
-    /// them as register-tiled ×4 groups with **zero per-row indirect calls**
-    /// — a masked scan gathers four visible members into a tile, so a mask
-    /// costs one bit test per member and nothing per distance. PQ scans
-    /// additionally early-abandon against [`TopK::threshold`] every 8
-    /// subquantizers (exactness preserved — see
-    /// [`pq::DistanceTable::lookup_pruned`]).
+    /// it. FLAT buckets go through [`IvfIndex::score_flat`]; SQ8 and PQ
+    /// members are handed to one loop that runs them as register-tiled ×4
+    /// groups with **zero per-row indirect calls** — a masked scan gathers
+    /// four visible members into a tile, so a mask costs one bit test per
+    /// member and nothing per distance. PQ scans additionally early-abandon
+    /// against [`TopK::threshold`] every 8 subquantizers (exactness
+    /// preserved — see [`pq::DistanceTable::lookup_pruned`]).
     pub fn scan_bucket_prepared(
         &self,
         b: usize,
@@ -433,6 +431,10 @@ impl IvfIndex {
         heap: &mut TopK,
         mask: Option<&RowMask>,
     ) {
+        if let PreparedState::Flat(kern) = prepared.state {
+            self.score_flat(b, kern, &[prepared.query()], std::slice::from_mut(heap), mask);
+            return;
+        }
         let slots = self.bucket(b);
         match mask {
             None => self.scan_members(slots.clone(), prepared, heap, 0..slots.len()),
@@ -444,9 +446,37 @@ impl IvfIndex {
         }
     }
 
-    /// Score `members` (positions inside the bucket holding `slots`) into
-    /// `heap`. The bucket's vectors are one slice of the payload, read in
-    /// place.
+    /// Score IVF_FLAT bucket `b` against `queries` (prepared, in the
+    /// internal metric convention) into `heaps` through [`score_block`]:
+    /// every member, or those whose build ordinal is set in `mask`. Returns
+    /// the rows scored.
+    fn score_flat<H: BorrowMut<TopK>>(
+        &self,
+        b: usize,
+        kern: Scorer,
+        queries: &[&[f32]],
+        heaps: &mut [H],
+        mask: Option<&RowMask>,
+    ) -> u64 {
+        let Payload::Flat(vs) = &self.payload else { unreachable!("FLAT state on a FLAT index") };
+        let (slots, dim) = (self.bucket(b), self.dim);
+        let rows = &vs.as_flat()[slots.start * dim..slots.end * dim];
+        let ids = &self.ids[slots.clone()];
+        match mask {
+            None => score_block(kern, rows, ids, queries, heaps),
+            Some(mask) => {
+                let members = self.rows[slots].iter().zip(ids).enumerate();
+                let visible = members
+                    .filter(|(_, (&row, _))| mask.get(row as usize))
+                    .map(|(i, (_, &id))| (i, id));
+                score_visible(kern, rows, visible, queries, heaps)
+            }
+        }
+    }
+
+    /// Score `members` (positions inside the bucket holding `slots`) of an
+    /// SQ8 or PQ bucket into `heap`. The bucket's codes are one slice of the
+    /// payload, read in place.
     fn scan_members(
         &self,
         slots: Range<usize>,
@@ -456,28 +486,6 @@ impl IvfIndex {
     ) {
         let ids = &self.ids[slots.clone()];
         match (&self.payload, &prepared.state) {
-            (Payload::Flat(vs), PreparedState::Flat { pair, tile4 }) => {
-                let dim = self.dim;
-                let flat = &vs.as_flat()[slots.start * dim..slots.end * dim];
-                let vec = |i: usize| &flat[i * dim..(i + 1) * dim];
-                let q = prepared.query.as_slice();
-                in_tiles(members, |g| match (g, tile4) {
-                    // L2/IP are bitwise symmetric in their arguments, so the
-                    // 4 data rows ride in the kernel's query slot (same trick
-                    // as the batch engine).
-                    (&[a, b, c, d], Some(tile)) => {
-                        let dist = tile([vec(a), vec(b), vec(c), vec(d)], q);
-                        for (&i, dist) in g.iter().zip(dist) {
-                            heap.push(ids[i], dist);
-                        }
-                    }
-                    _ => {
-                        for &i in g {
-                            heap.push(ids[i], pair(q, vec(i)));
-                        }
-                    }
-                });
-            }
             (Payload::Sq8 { codes, .. }, PreparedState::Sq8(p)) => {
                 let dim = self.dim;
                 let codes = &codes[slots.start * dim..slots.end * dim];
@@ -521,39 +529,8 @@ impl IvfIndex {
                     }
                 });
             }
-            _ => unreachable!("prepared state always matches the index variant"),
+            _ => unreachable!("FLAT buckets are scored by score_flat"),
         }
-    }
-
-    /// Score bucket `b` against four prepared FLAT queries at once, pushing
-    /// into their heaps: each visible row is loaded once and scored by one
-    /// `tile` call with the queries in the kernel's query slot, so the mask
-    /// costs one bit test per row per four queries. Returns the rows scored.
-    fn scan_bucket_x4(
-        &self,
-        b: usize,
-        tile: Tile4Kernel,
-        queries: [&[f32]; 4],
-        mut heaps: [&mut TopK; 4],
-        mask: Option<&RowMask>,
-    ) -> u64 {
-        let Payload::Flat(vs) = &self.payload else {
-            unreachable!("four-query tiles are built for IVF_FLAT only")
-        };
-        let (slots, dim) = (self.bucket(b), self.dim);
-        let flat = &vs.as_flat()[slots.start * dim..slots.end * dim];
-        let members = self.ids[slots.clone()].iter().zip(&self.rows[slots]);
-        let mut scored = 0;
-        for (v, (&id, &row)) in flat.chunks_exact(dim).zip(members) {
-            if mask.is_some_and(|m| !m.get(row as usize)) {
-                continue;
-            }
-            scored += 1;
-            for (heap, dist) in heaps.iter_mut().zip(tile(queries, v)) {
-                heap.push(id, dist);
-            }
-        }
-        scored
     }
 
     fn search_impl(
@@ -589,7 +566,7 @@ pub struct PreparedQuery<'a> {
 
 enum PreparedState<'a> {
     /// Hoisted float kernels for FLAT buckets.
-    Flat { pair: distance::PairKernel, tile4: Option<distance::Tile4Kernel> },
+    Flat(Scorer),
     /// Fused direct-on-u8 state for SQ8 buckets.
     Sq8(distance::quant::PreparedSq8<'a>),
     /// Stride-256 ADC table for PQ buckets.
@@ -633,17 +610,17 @@ impl VectorIndex for IvfIndex {
     /// by inverted list): prepare every query once, invert the probe lists
     /// into bucket → queries, then sweep buckets in ascending order.
     ///
-    /// For IVF_FLAT with a ×4 kernel at the active SIMD level, a bucket's
-    /// queries are scored four at a time ([`distance::tile4_kernel`] with the
-    /// four queries in the kernel's query slot and the bucket row as the data
-    /// vector), so each row is loaded — and its mask bit tested — once per
-    /// four queries. A bucket's 1–3 leftover queries, SQ8, PQ, and levels
-    /// without a ×4 kernel take [`IvfIndex::scan_bucket_prepared`] per query.
-    /// `milvus_index_ivf_tiled_pairs_total` gets the tiled pairs once per
+    /// An IVF_FLAT bucket is scored against all of its queries in one
+    /// [`score_block`] call: each 4-row group meets every quad of the
+    /// bucket's queries in the 4×4 tile before the next group loads, and the
+    /// mask is tested once per row. SQ8 and PQ buckets take
+    /// [`IvfIndex::scan_bucket_prepared`] per query.
+    /// `milvus_index_ivf_tiled_pairs_total` gets the pairs scored in full
+    /// four-query tiles (every visible row against each full quad) once per
     /// call.
     ///
-    /// Bit-identical to the per-query loop: the ×4 kernel equals the pair
-    /// kernel per pair (the `tile4` contract), the retained top-k set of
+    /// Bit-identical to the per-query loop: every tile equals the pair
+    /// kernel per pair (DESIGN §19's contract), the retained top-k set of
     /// [`TopK`] is push-order-independent (total order on `(distance, id)`),
     /// and the PQ early-abandon check is exactness-preserving — a pruned row
     /// could never have entered the heap — so neither tiling nor reordering
@@ -675,27 +652,29 @@ impl VectorIndex for IvfIndex {
                 by_bucket.entry(b).or_default().push(qi);
             }
         }
-        let tile = match self.payload {
-            Payload::Flat(_) => distance::tile4_kernel(self.inner_metric),
-            _ => None,
-        };
-        let mut tiled_rows = 0;
+        let flat = matches!(self.payload, Payload::Flat(_)).then(|| Scorer::new(self.inner_metric));
+        let mut tiled_pairs = 0;
         for (b, qis) in by_bucket {
-            let mut leftover = qis.as_slice();
-            if let Some(tile) = tile {
-                let tiles;
-                (tiles, leftover) = qis.as_chunks::<4>();
-                for &four in tiles {
-                    let queries = four.map(|qi| prepared[qi].query());
-                    let heaps = heaps.get_disjoint_mut(four).expect("a query probes a bucket once");
-                    tiled_rows += self.scan_bucket_x4(b, tile, queries, heaps, mask);
+            let Some(kern) = flat else {
+                for &qi in &qis {
+                    self.scan_bucket_prepared(b, &prepared[qi], &mut heaps[qi], mask);
                 }
-            }
-            for &qi in leftover {
-                self.scan_bucket_prepared(b, &prepared[qi], &mut heaps[qi], mask);
+                continue;
+            };
+            let queries: Vec<&[f32]> = qis.iter().map(|&qi| prepared[qi].query()).collect();
+            // `qis` ascends (queries were inverted in order, each probing a
+            // bucket once), so one pass picks out their heaps.
+            let mut want = qis.iter().peekable();
+            let mut bucket_heaps: Vec<&mut TopK> = (0..m)
+                .zip(heaps.iter_mut())
+                .filter_map(|(qi, heap)| want.next_if_eq(&&qi).map(|_| heap))
+                .collect();
+            let scored = self.score_flat(b, kern, &queries, &mut bucket_heaps, mask);
+            if kern.grid().is_some() {
+                tiled_pairs += (qis.len() / 4 * 4) as u64 * scored;
             }
         }
-        obs::counter(obs::INDEX_IVF_TILED_PAIRS, "").add(4 * tiled_rows);
+        obs::counter(obs::INDEX_IVF_TILED_PAIRS, "").add(tiled_pairs);
         Ok(heaps.into_iter().map(TopK::into_sorted).collect())
     }
 

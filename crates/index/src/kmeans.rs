@@ -23,7 +23,8 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::distance::{self, PairKernel, Tile4Kernel, Tile4x4Kernel};
+use crate::batch::{split4, Scorer};
+use crate::distance::{PairKernel, Tile4x4Kernel};
 use crate::error::{IndexError, Result};
 use crate::metric::Metric;
 use crate::vectors::VectorSet;
@@ -54,7 +55,7 @@ impl KMeans {
     /// ties broken by index. Only the `nprobe` kept are sorted.
     pub fn assign_multi(&self, v: &[f32], nprobe: usize) -> Vec<usize> {
         let mut dists = Vec::with_capacity(self.k());
-        L2::resolve().each(self.centroids.as_flat(), self.centroids.dim(), v, |i, d| {
+        Scorer::new(Metric::L2).each(self.centroids.as_flat(), self.centroids.dim(), v, |i, d| {
             dists.push((i, d))
         });
         let order = |a: &(usize, f32), b: &(usize, f32)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
@@ -68,51 +69,8 @@ impl KMeans {
     }
 }
 
-/// The L2 kernels, resolved once per pass: the ×4 tile where the SIMD level
-/// has one, the per-pair kernel for the rest.
-#[derive(Clone, Copy)]
-struct L2 {
-    tile: Option<Tile4Kernel>,
-    pair: PairKernel,
-}
-
-impl L2 {
-    fn resolve() -> Self {
-        L2 { tile: distance::tile4_kernel(Metric::L2), pair: distance::pair_kernel(Metric::L2) }
-    }
-
-    /// `visit(i, ‖v − row i‖²)` for every row of the `dim`-strided `rows`, in
-    /// row order. Rows ride four at a time in the tile kernel's query slot:
-    /// L2² is bitwise symmetric in its arguments, so each value is exactly
-    /// the per-pair one (the trick of the batch engine and the IVF scans).
-    #[inline(always)]
-    fn each(self, rows: &[f32], dim: usize, v: &[f32], mut visit: impl FnMut(usize, f32)) {
-        let mut head = 0;
-        if let Some(tile) = self.tile {
-            for four in rows.chunks_exact(4 * dim) {
-                for (j, dist) in tile(split4(four, dim), v).into_iter().enumerate() {
-                    visit(head + j, dist);
-                }
-                head += 4;
-            }
-        }
-        for (i, row) in rows[head * dim..].chunks_exact(dim).enumerate() {
-            visit(head + i, (self.pair)(v, row));
-        }
-    }
-}
-
-/// The four `dim`-long rows of a `4 · dim` slice.
-#[inline(always)]
-fn split4(four: &[f32], dim: usize) -> [&[f32]; 4] {
-    let (a, rest) = four.split_at(dim);
-    let (b, rest) = rest.split_at(dim);
-    let (c, d) = rest.split_at(dim);
-    [a, b, c, d]
-}
-
 /// The nearest centroid to `v`: the first minimum in index order.
-fn argmin(kern: L2, centroids: &VectorSet, v: &[f32]) -> (usize, f32) {
+fn argmin(kern: Scorer, centroids: &VectorSet, v: &[f32]) -> (usize, f32) {
     let mut best = (0usize, f32::INFINITY);
     kern.each(centroids.as_flat(), centroids.dim(), v, |i, d| {
         if d < best.1 {
@@ -124,7 +82,7 @@ fn argmin(kern: L2, centroids: &VectorSet, v: &[f32]) -> (usize, f32) {
 
 /// Index and distance of the centroid nearest to `v`.
 pub fn nearest_centroid(centroids: &VectorSet, v: &[f32]) -> (usize, f32) {
-    argmin(L2::resolve(), centroids, v)
+    argmin(Scorer::new(Metric::L2), centroids, v)
 }
 
 /// Row ranges per pass: one per core the process may run on. Not
@@ -169,7 +127,8 @@ pub(crate) fn assign_rows(
     data: &VectorSet,
     ranges: usize,
 ) -> Vec<(usize, f32)> {
-    let (kern, grid, dim) = (L2::resolve(), distance::l2_tile4x4_kernel(), data.dim());
+    let (kern, dim) = (Scorer::new(Metric::L2), data.dim());
+    let grid = kern.grid();
     let mut out = vec![(0, 0.0); data.len()];
     par_chunks(&mut out, ranges, |first, chunk| {
         let rows = &data.as_flat()[first * dim..(first + chunk.len()) * dim];
@@ -339,7 +298,7 @@ fn seed_plus_plus(data: &VectorSet, k: usize, rng: &mut StdRng, ranges: usize) -
 /// Lower each `d2[i]` to point `i`'s distance from centroid `c`, over
 /// `ranges` parallel ranges: one pass of `n` distances.
 fn refresh_d2(data: &VectorSet, c: &[f32], d2: &mut [f32], ranges: usize) {
-    let (kern, dim) = (L2::resolve(), data.dim());
+    let (kern, dim) = (Scorer::new(Metric::L2), data.dim());
     par_chunks(d2, ranges, |first, chunk| {
         let rows = &data.as_flat()[first * dim..(first + chunk.len()) * dim];
         kern.each(rows, dim, c, |i, d| {
@@ -354,6 +313,7 @@ fn refresh_d2(data: &VectorSet, c: &[f32], d2: &mut [f32], ranges: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance;
 
     fn blobs(per: usize, centers: &[[f32; 2]], spread: f32, seed: u64) -> VectorSet {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -7,6 +7,8 @@
 //! test is one shift and one `and`, and two masks over the same rows combine
 //! word by word.
 
+use std::ops::Range;
+
 use crate::error::{IndexError, Result};
 
 /// A dense bitset over row positions `0..rows()` with a cached popcount.
@@ -90,7 +92,15 @@ impl RowMask {
 
     /// The set positions, ascending.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+        self.iter_range(0..self.rows)
+    }
+
+    /// The set positions in `range`, ascending; only the words it overlaps
+    /// are read.
+    pub fn iter_range(&self, range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let words = range.start >> 6..range.end.min(self.rows).div_ceil(64);
+        let words = self.words.get(words.clone()).unwrap_or_default().iter().zip(words);
+        let set = words.flat_map(|(&word, wi)| {
             let mut left = word;
             std::iter::from_fn(move || {
                 (left != 0).then(|| {
@@ -99,7 +109,8 @@ impl RowMask {
                     wi * 64 + bit
                 })
             })
-        })
+        });
+        set.filter(move |row| range.contains(row))
     }
 
     /// Heap bytes held.
@@ -181,6 +192,11 @@ mod tests {
                 let mut sorted: Vec<usize> = model.iter().copied().collect();
                 sorted.sort_unstable();
                 assert_eq!(mask.iter().collect::<Vec<_>>(), sorted, "rows = {rows}");
+                for (lo, hi) in [(0, rows), (1, rows / 2), (rows / 3, rows + 5), (64, 129), (7, 7)] {
+                    let inside: Vec<usize> =
+                        sorted.iter().copied().filter(|r| (lo..hi).contains(r)).collect();
+                    assert_eq!(mask.iter_range(lo..hi).collect::<Vec<_>>(), inside, "{lo}..{hi}");
+                }
                 assert!((0..rows).all(|row| mask.get(row) == model.contains(&row)));
                 let listed: Vec<u32> = sorted.iter().map(|&r| r as u32).collect();
                 assert_eq!(&RowMask::from_positions(rows, &listed), mask);

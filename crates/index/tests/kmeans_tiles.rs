@@ -1,5 +1,6 @@
-//! The 4-point × 4-centroid L2 tile behind every Lloyd assignment and IVF
-//! placement pass is bit-identical to `pair_kernel(L2)`, and a build through
+//! The 4 × 4 tiles are bit-identical to `pair_kernel` for L2 and inner
+//! product — L2's is behind every Lloyd assignment and IVF placement pass,
+//! both behind the batch engine's `score_block` — and a build through
 //! it puts every row in the bucket `KMeans::assign` picks, at every SIMD
 //! level the host supports. Levels are pinned process-wide with
 //! `force_level`, so this binary holds a single test.
@@ -73,21 +74,23 @@ fn four_by_four_tiles_are_bit_identical_at_every_level() {
         SimdLevel::ALL.into_iter().partition(|l| l.supported());
     for &level in &checked {
         simd::force_level(level).unwrap();
-        let pair = distance::pair_kernel(Metric::L2);
-        let grid = distance::l2_tile4x4_kernel();
-        assert_eq!(grid.is_none(), level == SimdLevel::Sse, "{level}");
-        let mut rng = StdRng::seed_from_u64(19);
-        for (dim, case) in
-            [1, 4, 7, 8, 15, 16, 17, 32, 128, 130].iter().flat_map(|&d| (0..4).map(move |c| (d, c)))
-        {
-            let Some(grid) = grid else { break };
-            let r = tile_case(case, dim, &mut rng);
-            let p = [&r[0][..], &r[1][..], &r[2][..], &r[3][..]];
-            let c = [&r[4][..], &r[5][..], &r[6][..], &r[7][..]];
-            for (i, dists) in grid(p, c).iter().enumerate() {
-                for (j, d) in dists.iter().enumerate() {
-                    let want = pair(p[i], c[j]).to_bits();
-                    assert_eq!(d.to_bits(), want, "{level} dim {dim} case {case} [{i}][{j}]");
+        let grid = distance::tile4x4_kernel(Metric::L2);
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            let (pair, tile) = (distance::pair_kernel(metric), distance::tile4x4_kernel(metric));
+            assert_eq!(tile.is_none(), level == SimdLevel::Sse, "{level} {metric}");
+            let mut rng = StdRng::seed_from_u64(19);
+            for (dim, case) in
+                [1, 4, 7, 8, 15, 16, 17, 32, 128, 130].iter().flat_map(|&d| (0..4).map(move |c| (d, c)))
+            {
+                let Some(tile) = tile else { break };
+                let r = tile_case(case, dim, &mut rng);
+                let p = [&r[0][..], &r[1][..], &r[2][..], &r[3][..]];
+                let c = [&r[4][..], &r[5][..], &r[6][..], &r[7][..]];
+                for (i, dists) in tile(p, c).iter().enumerate() {
+                    for (j, d) in dists.iter().enumerate() {
+                        let want = pair(p[i], c[j]).to_bits();
+                        assert_eq!(d.to_bits(), want, "{level} {metric} dim {dim} case {case} [{i}][{j}]");
+                    }
                 }
             }
         }

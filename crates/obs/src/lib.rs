@@ -541,6 +541,10 @@ pub const INDEX_TRAIN_DISTANCES: &str = "milvus_index_train_distances_total";
 /// (point, centroid) pairs a Lloyd assignment or IVF placement pass scored
 /// in full 4×4 tiles (process-wide); the rest go through per-point scans.
 pub const INDEX_TRAIN_TILED_PAIRS: &str = "milvus_index_train_tiled_pairs_total";
+/// (row, query) pairs the batch engine scored over float rows in full 4×4
+/// tiles (process-wide), counted once per range task; the rest of a batch's
+/// pairs went through ×4 tiles or per-pair kernels.
+pub const INDEX_BATCH_TILED_PAIRS: &str = "milvus_index_batch_tiled_pairs_total";
 /// (query, row) pairs an IVF_FLAT batch scored in full four-query tiles
 /// (process-wide); the rest of a batch's pairs go through per-query scans.
 pub const INDEX_IVF_TILED_PAIRS: &str = "milvus_index_ivf_tiled_pairs_total";
@@ -708,6 +712,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
     FamilyDesc { name: FILTER_STRATEGY_A, kind: MetricKind::Counter, help: "(segment, query) pairs answered by the exact scan of the passing rows (strategy A)." },
     FamilyDesc { name: FILTER_STRATEGY_B, kind: MetricKind::Counter, help: "(segment, query) pairs answered by the index search under the predicate's bitmap (strategy B)." },
     FamilyDesc { name: FLUSH_LATENCY, kind: MetricKind::Histogram, help: "flush() barrier latency." },
+    FamilyDesc { name: INDEX_BATCH_TILED_PAIRS, kind: MetricKind::Counter, help: "(row, query) pairs the batch engine scored over float rows in full 4x4 tiles." },
     FamilyDesc { name: INDEX_BUILD_LATENCY, kind: MetricKind::Histogram, help: "Index build latency." },
     FamilyDesc { name: INDEX_BUILDS, kind: MetricKind::Counter, help: "Index builds completed." },
     FamilyDesc { name: INDEX_IVF_TILED_PAIRS, kind: MetricKind::Counter, help: "(query, row) pairs an IVF_FLAT batch scored in full four-query tiles." },

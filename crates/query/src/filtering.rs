@@ -17,9 +17,10 @@
 //!   range overlaps, and partitions *covered* by the query range skip the
 //!   attribute check entirely, running pure vector search.
 
+use milvus_index::batch::{score_visible, Scorer};
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::{BuildParams, SearchParams};
-use milvus_index::{distance, Metric, Neighbor, TopK, VectorIndex, VectorSet};
+use milvus_index::{Metric, Neighbor, TopK, VectorIndex, VectorSet};
 use milvus_storage::attribute::AttributeColumn;
 
 use crate::error::{QueryError, Result};
@@ -223,11 +224,10 @@ impl FilterDataset {
         params: &SearchParams,
     ) -> Result<(Vec<Neighbor>, ExecTrace)> {
         let rows = self.column.range_rows(pred.lo, pred.hi);
-        let mut heap = TopK::new(params.k.max(1));
-        for &row in rows {
-            let v = self.vectors.get(row as usize);
-            heap.push(self.ids[row as usize], distance::distance(self.metric, query, v));
-        }
+        let (kern, mut heap) = (Scorer::new(self.metric), TopK::new(params.k.max(1)));
+        let visible = rows.iter().map(|&row| (row as usize, self.ids[row as usize]));
+        let (flat, heaps) = (self.vectors.as_flat(), std::slice::from_mut(&mut heap));
+        score_visible(kern, flat, visible, &[query], heaps);
         let trace = ExecTrace {
             distance_computations: rows.len(),
             resolved: Some(Strategy::A),
@@ -480,6 +480,7 @@ impl PartitionedDataset {
 mod tests {
     use super::*;
     use milvus_datagen as datagen;
+    use milvus_index::distance;
 
     struct Fixture {
         data: FilterDataset,

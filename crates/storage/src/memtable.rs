@@ -9,6 +9,7 @@
 
 use std::collections::HashSet;
 
+use milvus_index::batch::{score_block, Scorer};
 use milvus_index::VectorSet;
 
 use crate::entity::{InsertBatch, Schema};
@@ -169,10 +170,9 @@ impl MemTable {
             .vector_field_index(field)
             .ok_or_else(|| StorageError::SchemaViolation(format!("no vector field {field}")))?;
         let metric = self.schema.vector_fields[fi].metric;
+        let (kern, rows) = (Scorer::new(metric), self.vectors[fi].as_flat());
         let mut heap = milvus_index::TopK::new(k.max(1));
-        for (row, v) in self.vectors[fi].iter().enumerate() {
-            heap.push(self.ids[row], milvus_index::distance::distance(metric, query, v));
-        }
+        score_block(kern, rows, &self.ids, &[query], std::slice::from_mut(&mut heap));
         Ok(heap.into_sorted())
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use milvus_exec::{Executor, TaskTiming};
-use milvus_index::batch::{cache_aware_scan, BatchOptions, Rows};
+use milvus_index::batch::{cache_aware_scan, score_range, BatchOptions, Rows, Scorer};
 use milvus_index::ivf::IvfIndex;
 use milvus_index::traits::{BuildParams, SearchParams};
 use milvus_index::{
@@ -28,8 +28,6 @@ use crate::column::VectorColumn;
 use crate::entity::{InsertBatch, Schema};
 use crate::error::{Result, StorageError};
 
-// Re-export for segment scans.
-use milvus_index::distance;
 use milvus_index::topk;
 
 /// What one segment scan did — feeds per-segment trace spans.
@@ -410,18 +408,13 @@ impl Segment {
         }
         // A column is reordered only under its index, so this is a borrow.
         let rows = col.to_row_order();
-        let (flat, dim, ids) = (rows.as_flat(), col.dim(), &self.data.row_ids[..]);
+        let (flat, ids) = (rows.as_flat(), &self.data.row_ids[..]);
         let (n, k) = (ids.len(), params.k.max(1));
         let width = fanout.cores.min(n).max(1);
+        let kern = Scorer::new(metric);
         let range_scan = |r: usize| {
-            let (lo, hi) = (r * n / width, (r + 1) * n / width);
-            let mut heap = TopK::new(k);
-            let vectors = flat[lo * dim..hi * dim].chunks_exact(dim);
-            for ((row, v), &id) in (lo..hi).zip(vectors).zip(&ids[lo..hi]) {
-                if visible.is_none_or(|mask| mask.get(row)) {
-                    heap.push(id, distance::distance(metric, query, v));
-                }
-            }
+            let (range, mut heap) = (r * n / width..(r + 1) * n / width, TopK::new(k));
+            score_range(kern, flat, ids, range, visible, &[query], std::slice::from_mut(&mut heap));
             heap
         };
         let exec = Executor::global();
