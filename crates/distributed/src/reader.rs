@@ -12,14 +12,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use milvus_exec::coalesce::{Coalescer, Submitted};
 use milvus_index::traits::SearchParams;
 use milvus_index::Neighbor;
 use milvus_obs as obs;
 use milvus_storage::bufferpool::BufferPool;
 use milvus_storage::codec;
 use milvus_storage::object_store::ObjectStore;
-use milvus_storage::segment::{Fanout, Segment};
+use milvus_storage::pass::SharedPass;
+use milvus_storage::segment::{merge_segment_results, Segment};
 use milvus_storage::{Result as StorageResult, Schema};
 use parking_lot::RwLock;
 
@@ -40,30 +40,67 @@ pub struct ReaderNode {
     transport: Arc<dyn Transport>,
     retry: RetryPolicy,
     pool: BufferPool,
-    /// shard → loaded segments. A `BTreeMap` so iteration (and therefore
-    /// the sequence of per-link fate draws under a simulated transport) is
-    /// deterministic.
-    segments: RwLock<BTreeMap<usize, Vec<Arc<Segment>>>>,
+    /// The snapshot the last refresh installed. Searches clone the `Arc`,
+    /// so a refresh never waits for them and they finish on the snapshot
+    /// they started on.
+    view: RwLock<Arc<View>>,
     /// Highest coordinator epoch this reader has refreshed against.
     seen_epoch: AtomicU64,
     /// Accumulated search time in nanoseconds — the per-node busy clock used
     /// to model node parallelism (Figure 10b).
     busy_ns: AtomicU64,
-    /// The reader-local query scheduler: concurrent [`ReaderNode::search`]
-    /// calls (the fan-in of `Cluster::search` under client concurrency) each
-    /// take a run slot while one is free and sweep the segments themselves;
-    /// once every slot is taken the rest queue and run as one sweep per
-    /// freed slot. A lone caller always finds a slot, which keeps serially
-    /// driven transcripts (the partition-chaos tests) byte-identical.
-    coalescer: Coalescer<ReaderQuery, StorageResult<Vec<Neighbor>>>,
     /// `QUERY_TOTAL` / `QUERY_LATENCY` on the `"reader"` series, resolved
     /// once instead of per search.
     query_total: Arc<obs::Counter>,
     query_latency: Arc<obs::Histogram>,
 }
 
-/// One coalescable reader query: `(field, query, params)`, owned.
-type ReaderQuery = (String, Vec<f32>, SearchParams);
+/// A reader's snapshot: its loaded segments and, per float vector field,
+/// the shared pass over those of them the field has no index on.
+#[derive(Default)]
+struct View {
+    /// shard → loaded segments. A `BTreeMap` so iteration (and therefore
+    /// the sequence of per-link fate draws under a simulated transport) is
+    /// deterministic.
+    shards: BTreeMap<usize, Vec<Arc<Segment>>>,
+    passes: Vec<FieldPass>,
+}
+
+/// One field's shared pass and the segments it leaves to per-segment scans.
+struct FieldPass {
+    field: String,
+    pass: SharedPass,
+    /// The shard of each of `pass.segments()`.
+    shard_of: Vec<usize>,
+    /// `(shard, segment)` of the segments with an index on `field`.
+    indexed: Vec<(usize, Arc<Segment>)>,
+}
+
+impl View {
+    fn new(schema: &Schema, shards: BTreeMap<usize, Vec<Arc<Segment>>>, label: &str) -> Self {
+        let passes = schema
+            .vector_fields
+            .iter()
+            .filter_map(|f| {
+                let (indexed, unindexed): (Vec<_>, Vec<_>) = by_shard(&shards)
+                    .map(|(shard, seg)| (shard, Arc::clone(seg)))
+                    .partition(|(_, seg)| seg.index(&f.name).is_some());
+                let shard_of = unindexed.iter().map(|&(shard, _)| shard).collect();
+                let segs = unindexed.into_iter().map(|(_, seg)| seg).collect();
+                let pass = SharedPass::new(schema, &f.name, segs, label)?;
+                Some(FieldPass { field: f.name.clone(), pass, shard_of, indexed })
+            })
+            .collect();
+        Self { shards, passes }
+    }
+}
+
+/// `(shard, segment)` for every segment of `shards`, in shard order.
+fn by_shard(
+    shards: &BTreeMap<usize, Vec<Arc<Segment>>>,
+) -> impl Iterator<Item = (usize, &Arc<Segment>)> {
+    shards.iter().flat_map(|(&shard, segs)| segs.iter().map(move |seg| (shard, seg)))
+}
 
 impl ReaderNode {
     /// Register a new reader with the coordinator (direct transport).
@@ -95,10 +132,9 @@ impl ReaderNode {
             transport,
             retry: RetryPolicy::default(),
             pool: BufferPool::with_label(cache_bytes, label),
-            segments: RwLock::new(BTreeMap::new()),
+            view: RwLock::new(Arc::default()),
             seen_epoch: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
-            coalescer: Coalescer::new(milvus_exec::coalesce::CoalesceConfig::default()),
             query_total: obs::counter(obs::QUERY_TOTAL, "reader"),
             query_latency: obs::histogram(obs::QUERY_LATENCY, "reader"),
         })
@@ -119,7 +155,7 @@ impl ReaderNode {
         for shard in self.assigned_shards() {
             next.insert(shard, self.load_shard(shard)?);
         }
-        *self.segments.write() = next;
+        *self.view.write() = Arc::new(View::new(&self.schema, next, &self.trace_label));
         self.seen_epoch.fetch_max(epoch, Ordering::SeqCst);
         obs::counter(obs::READER_REFRESHES, "reader").inc();
         Ok(())
@@ -178,14 +214,15 @@ impl ReaderNode {
 
     /// Segments currently loaded (across shards).
     pub fn loaded_segments(&self) -> usize {
-        self.segments.read().values().map(Vec::len).sum()
+        self.view.read().shards.values().map(Vec::len).sum()
     }
 
     /// Loaded segments carrying at least one persisted index (the §2.3
     /// index-in-segment property observed from the read side).
     pub fn indexed_segments(&self) -> usize {
-        self.segments
+        self.view
             .read()
+            .shards
             .values()
             .flatten()
             .filter(|s| !s.indexes_snapshot().is_empty())
@@ -214,44 +251,26 @@ impl ReaderNode {
         self.busy_ns.store(0, Ordering::Relaxed);
     }
 
-    /// Search this reader's shards; results from all its segments merged.
-    ///
-    /// Routed through the reader-local scheduler: a call that finds a run
-    /// slot free sweeps the segments itself under a sampled trace; calls
-    /// arriving while every slot is taken are coalesced into one sweep whose
-    /// per-query results are bit-identical to lone calls.
+    /// Search this reader's shards; results from all its segments merged,
+    /// under a sampled trace.
     pub fn search(
         &self,
         field: &str,
         query: &[f32],
         params: &SearchParams,
     ) -> StorageResult<Vec<Neighbor>> {
-        let started = Instant::now();
-        let req = (field.to_string(), query.to_vec(), params.clone());
-        let lead = |batch: Vec<ReaderQuery>| {
-            let reqs: Vec<(&str, &[f32], &SearchParams)> =
-                batch.iter().map(|(f, q, p)| (f.as_str(), q.as_slice(), p)).collect();
-            self.sweep(&self.segments.read(), &reqs, &mut obs::Trace::disabled())
-        };
-        match self.coalescer.submit(req, lead) {
-            Submitted::Pass(guard) => {
-                let mut trace = obs::Trace::start("reader_search", &self.trace_label);
-                let result = self.search_traced(field, query, params, &mut trace);
-                trace.finish();
-                drop(guard);
-                result
-            }
-            Submitted::Coalesced { result, .. } => {
-                // Per-caller accounting; the leader ran the shared sweep
-                // uncounted.
-                self.account(started);
-                result
-            }
-        }
+        let mut trace = obs::Trace::start("reader_search", &self.trace_label);
+        let result = self.search_traced(field, query, params, &mut trace);
+        trace.finish();
+        result
     }
 
-    /// [`Self::search`] for a lone caller, recording into a caller-supplied
-    /// trace. Segment-scan spans carry the shard id and the bufferpool
+    /// [`Self::search`], recording into a caller-supplied trace.
+    ///
+    /// The segments without an index on `field` are read through the
+    /// snapshot's shared pass: concurrent callers attach to it and score
+    /// each block once for all of them. The indexed segments are searched
+    /// one by one. Segment-scan spans carry the shard id and the bufferpool
     /// outcome of the segment's most recent fetch.
     pub fn search_traced(
         &self,
@@ -262,12 +281,20 @@ impl ReaderNode {
     ) -> StorageResult<Vec<Neighbor>> {
         let started = Instant::now();
         let t = trace.begin();
-        let segments = self.segments.read();
-        let nshards = segments.len();
-        trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = nshards as u64);
-        let result = self.sweep(&segments, &[(field, query, params)], trace).pop();
+        let view = Arc::clone(&self.view.read());
+        trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = view.shards.len() as u64);
+        // A query of the wrong dimension takes the per-segment path, which
+        // reports the error.
+        let pass = view.passes.iter().find(|p| p.field == field && p.pass.dim() == query.len());
+        let result = match pass {
+            Some(fp) => {
+                let indexed = fp.indexed.iter().map(|(shard, seg)| (*shard, seg));
+                self.sweep(Some(fp), indexed, field, query, params, trace)
+            }
+            None => self.sweep(None, by_shard(&view.shards), field, query, params, trace),
+        };
         self.account(started);
-        result.expect("one result per query")
+        result
     }
 
     /// One caller's search on the `"reader"` query series.
@@ -283,6 +310,7 @@ impl ReaderNode {
     /// unreachable peer's shards is just a cache fill). On-demand shards are
     /// *not* retained in the assignment map — the orphaned coverage is
     /// transient, but the bufferpool keeps the blobs hot for repeat calls.
+    /// Every segment is searched on its own, by this caller alone.
     pub fn search_shards(
         &self,
         field: &str,
@@ -292,84 +320,93 @@ impl ReaderNode {
     ) -> StorageResult<Vec<Neighbor>> {
         let mut covered = BTreeMap::new();
         for &shard in shards {
-            let held = self.segments.read().get(&shard).cloned();
+            let held = self.view.read().shards.get(&shard).cloned();
             let segs = match held {
                 Some(segs) => segs,
                 None => self.load_shard(shard)?,
             };
             covered.insert(shard, segs);
         }
-        self.sweep(&covered, &[(field, query, params)], &mut obs::Trace::disabled())
-            .pop()
-            .expect("one result per query")
+        let off = &mut obs::Trace::disabled();
+        self.sweep(None, by_shard(&covered), field, query, params, off)
     }
 
-    /// The one segment sweep every entry point shares: partition `reqs` into
-    /// groups of identical `(field, params)`, hand each group to
-    /// [`Segment::search_batch`] segment by segment (which decides what may
-    /// batch), and merge per query — one result per request, in input order.
-    /// The sweep's wall time is the node's busy time.
-    fn sweep(
+    /// The sweep every entry point shares: `pass`'s turn for this query if
+    /// there is one, then each of `segments` on its own
+    /// ([`Segment::search_field_stats`], serial), the lists merged. The
+    /// sweep's wall time is the node's busy time.
+    fn sweep<'a>(
         &self,
-        shards: &BTreeMap<usize, Vec<Arc<Segment>>>,
-        reqs: &[(&str, &[f32], &SearchParams)],
+        pass: Option<&FieldPass>,
+        segments: impl Iterator<Item = (usize, &'a Arc<Segment>)>,
+        field: &str,
+        query: &[f32],
+        params: &SearchParams,
         trace: &mut obs::Trace,
-    ) -> Vec<StorageResult<Vec<Neighbor>>> {
+    ) -> StorageResult<Vec<Neighbor>> {
         let start = Instant::now();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, &(field, _, params)) in reqs.iter().enumerate() {
-            let same = |g: &&mut Vec<usize>| (reqs[g[0]].0, reqs[g[0]].2) == (field, params);
-            match groups.iter_mut().find(same) {
-                Some(group) => group.push(i),
-                None => groups.push(vec![i]),
-            }
-        }
-        let batches: Vec<(Vec<&[f32]>, Vec<usize>)> = groups
-            .iter()
-            .map(|g| (g.iter().map(|&qi| reqs[qi].1).collect(), vec![reqs[g[0]].2.k; g.len()]))
-            .collect();
-        let mut lists: Vec<Vec<StorageResult<Vec<Neighbor>>>> =
-            reqs.iter().map(|_| Vec::new()).collect();
-        for (&shard, segs) in shards {
-            for seg in segs {
-                for (group, (queries, ks)) in groups.iter().zip(&batches) {
-                    let (field, _, params) = reqs[group[0]];
-                    let t = trace.begin();
-                    // Serial: every reader has run slots for all the host's
-                    // cores, so one reader's idle slots are not idle cores.
-                    let (found, stats) = seg.search_batch(
-                        &self.schema,
-                        field,
-                        queries,
-                        ks,
-                        params,
-                        None,
-                        Fanout::SERIAL,
-                    );
-                    trace.record_with(obs::SpanKind::SegmentScan, t, |sp| {
-                        sp.segment_id = seg.id as i64;
-                        sp.shard = shard as i64;
-                        sp.rows_scanned = stats.rows_scanned;
-                        sp.cache = self.pool.last_outcome(seg.id);
-                    });
-                    for (&qi, list) in group.iter().zip(found) {
-                        lists[qi].push(list);
-                    }
-                }
-            }
-        }
-        let t = trace.begin();
-        let out = lists
-            .into_iter()
-            .zip(reqs)
-            .map(|(lists, (_, _, params))| {
-                let lists = lists.into_iter().collect::<StorageResult<Vec<_>>>()?;
-                Ok(milvus_storage::segment::merge_segment_results(&lists, params.k))
+        let shared = pass.map(|fp| self.turn(fp, query, params.k, trace));
+        let scanned: StorageResult<Vec<Vec<Neighbor>>> = segments
+            .map(|(shard, seg)| {
+                let t = trace.begin();
+                let (list, stats) =
+                    seg.search_field_stats(&self.schema, field, query, params, None)?;
+                trace.record_with(obs::SpanKind::SegmentScan, t, |sp| {
+                    sp.segment_id = seg.id as i64;
+                    sp.shard = shard as i64;
+                    sp.rows_scanned = stats.rows_scanned;
+                    sp.cache = self.pool.last_outcome(seg.id);
+                });
+                Ok(list)
             })
             .collect();
+        let t = trace.begin();
+        let out = scanned.map(|mut lists| {
+            lists.extend(shared);
+            merge_segment_results(&lists, params.k)
+        });
         trace.record(obs::SpanKind::HeapMerge, t);
         self.busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         out
+    }
+
+    /// One query's turn on `fp`'s shared pass. A live trace gets one
+    /// segment-scan span per segment of the pass, spanning the blocks of it
+    /// this caller scored (empty, at the end of the turn, if it scored none).
+    fn turn(
+        &self,
+        fp: &FieldPass,
+        query: &[f32],
+        k: usize,
+        trace: &mut obs::Trace,
+    ) -> Vec<Neighbor> {
+        let pass = &fp.pass;
+        let timed = trace.enabled();
+        let mut windows: Vec<Option<(Instant, Instant)>> =
+            if timed { vec![None; pass.segments().len()] } else { Vec::new() };
+        let me = pass.attach(query, k);
+        while let Some(claim) = pass.claim(&me) {
+            let s = claim.segment(pass);
+            let t0 = timed.then(Instant::now);
+            pass.score(claim);
+            if let Some(t0) = t0 {
+                windows[s].get_or_insert((t0, t0)).1 = Instant::now();
+            }
+        }
+        let list = pass.finish(me);
+        if timed {
+            let end = Instant::now();
+            for ((seg, &shard), window) in pass.segments().iter().zip(&fp.shard_of).zip(windows) {
+                let (from, to) = window.unwrap_or((end, end));
+                trace.record_window(obs::SpanKind::SegmentScan, from, to, |sp| {
+                    sp.segment_id = seg.id as i64;
+                    sp.shard = shard as i64;
+                    sp.rows_scanned = seg.live_rows() as u64;
+                    sp.cache = self.pool.last_outcome(seg.id);
+                });
+            }
+        }
+        list
     }
 }
 

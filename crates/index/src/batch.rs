@@ -29,7 +29,7 @@ use milvus_exec::Executor;
 use milvus_obs as obs;
 
 use crate::distance::quant::PreparedSq8;
-use crate::distance::{self, PairKernel, Tile4Kernel, Tile4x4Kernel};
+use crate::distance::{self, PairKernel, Tile2x4Kernel, Tile4Kernel, Tile4x4Kernel};
 use crate::ivf::sq8::ScalarQuantizer;
 use crate::mask::{in_tiles, RowMask};
 use crate::metric::Metric;
@@ -37,18 +37,21 @@ use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
 
 /// A float metric's kernels at the active SIMD level, resolved once per
-/// scan: the 4×4 and ×4 tiles where they exist, the pair kernel always.
+/// scan: the 4×4, ×4 and 2×4 tiles where they exist, the pair kernel
+/// always.
 #[derive(Clone, Copy)]
 pub struct Scorer {
     pub(crate) pair: PairKernel,
     tiles: Option<(Tile4x4Kernel, Tile4Kernel)>,
+    duo: Option<Tile2x4Kernel>,
 }
 
 impl Scorer {
     /// The kernels of `metric`. Panics for binary metrics.
     pub fn new(metric: Metric) -> Self {
         let tiles = distance::tile4x4_kernel(metric).zip(distance::tile4_kernel(metric));
-        Self { pair: distance::pair_kernel(metric), tiles }
+        let duo = distance::tile2x4_kernel(metric);
+        Self { pair: distance::pair_kernel(metric), tiles, duo }
     }
 
     /// The 4×4 tile, if there is one (not at SSE, not for cosine).
@@ -134,6 +137,17 @@ impl Scorer {
     }
 }
 
+/// Push a 2×4 tile's distances: `dist[j][i]` is row `ids[i]`'s for `heaps[j]`.
+#[inline(always)]
+fn push2<H: BorrowMut<TopK>>(dist: [[f32; 4]; 2], ids: [i64; 4], heaps: &mut [H]) {
+    for (heap, d) in heaps.iter_mut().zip(dist) {
+        let heap = heap.borrow_mut();
+        for (&id, d) in ids.iter().zip(d) {
+            heap.push(id, d);
+        }
+    }
+}
+
 /// The four `dim`-long rows of a `4 · dim` slice.
 #[inline(always)]
 pub(crate) fn split4(four: &[f32], dim: usize) -> [&[f32]; 4] {
@@ -147,8 +161,9 @@ pub(crate) fn split4(four: &[f32], dim: usize) -> [&[f32]; 4] {
 /// (`ids[i]` for row `i`) into `heaps[j]` at its distance to `queries[j]`,
 /// in one plain walk over `chunks_exact(4 · dim)`; the last `len mod 4` rows
 /// meet the query quads in the ×4 tile and the leftover queries per pair.
-/// Tiles return the pair kernel's bits and [`TopK`] keeps the same set in
-/// any push order, so the heaps end as a per-pair loop leaves them. The
+/// Exactly two resident queries take the 2×4 tile instead, chosen once per
+/// call. Tiles return the pair kernel's bits and [`TopK`] keeps the same set
+/// in any push order, so the heaps end as a per-pair loop leaves them. The
 /// heaps may be owned or borrowed (IVF's are scattered). Returns the rows
 /// scored; all but the last `rows mod 4` went four at a time.
 pub fn score_block<H: BorrowMut<TopK>>(
@@ -162,8 +177,10 @@ pub fn score_block<H: BorrowMut<TopK>>(
     let Some(dim) = queries.first().map(|q| q.len()) else { return 0 };
     debug_assert_eq!(rows.len(), ids.len() * dim);
     let (fours, tail) = ids.as_chunks::<4>();
-    for (four, &id4) in rows.chunks_exact(4 * dim).zip(fours) {
-        kern.four(split4(four, dim), id4, queries, heaps);
+    let groups = rows.chunks_exact(4 * dim).zip(fours).map(|(four, &id4)| (split4(four, dim), id4));
+    match (kern.duo, queries) {
+        (Some(duo), &[a, b]) => groups.for_each(|(four, id4)| push2(duo([a, b], four), id4, heaps)),
+        _ => groups.for_each(|(four, id4)| kern.four(four, id4, queries, heaps)),
     }
     let head = fours.len() * 4;
     for (row, &id) in rows[head * dim..].chunks_exact(dim).zip(tail) {
@@ -174,7 +191,7 @@ pub fn score_block<H: BorrowMut<TopK>>(
 
 /// [`score_block`] over the `(row, id)` pairs `visible` yields: a masked
 /// scan. Visible rows are scored four at a time as they come, so the mask's
-/// gaps cost no tiles.
+/// gaps cost no tiles; the 2×4 tile is chosen once per call, as there.
 pub fn score_visible<H: BorrowMut<TopK>>(
     kern: Scorer,
     rows: &[f32],
@@ -185,19 +202,35 @@ pub fn score_visible<H: BorrowMut<TopK>>(
     debug_assert_eq!(queries.len(), heaps.len());
     let Some(dim) = queries.first().map(|q| q.len()) else { return 0 };
     let row = |r: usize| &rows[r * dim..(r + 1) * dim];
-    let (mut at, mut ids, mut n, mut scored) = ([0usize; 4], [0i64; 4], 0, 0);
-    for (r, id) in visible {
-        (at[n], ids[n]) = (r, id);
-        n += 1;
-        if n == 4 {
-            kern.four(at.map(row), ids, queries, heaps);
-            (scored, n) = (scored + 4, 0);
+    let (scored, at, ids, n) = match (kern.duo, queries) {
+        (Some(duo), &[a, b]) => {
+            in_fours(visible, |at, ids| push2(duo([a, b], at.map(row)), ids, heaps))
         }
-    }
+        _ => in_fours(visible, |at, ids| kern.four(at.map(row), ids, queries, heaps)),
+    };
     for (&r, &id) in at[..n].iter().zip(&ids) {
         kern.one(row(r), id, queries, heaps);
     }
     scored + n as u64
+}
+
+/// Hand `visible`'s pairs to `four` four at a time. Returns the rows handed
+/// over and the last `n < 4` pairs, still pending, as `(rows, at, ids, n)`.
+#[inline(always)]
+fn in_fours(
+    visible: impl Iterator<Item = (usize, i64)>,
+    mut four: impl FnMut([usize; 4], [i64; 4]),
+) -> (u64, [usize; 4], [i64; 4], usize) {
+    let (mut at, mut ids, mut n, mut handed) = ([0usize; 4], [0i64; 4], 0, 0);
+    for (r, id) in visible {
+        (at[n], ids[n]) = (r, id);
+        n += 1;
+        if n == 4 {
+            four(at, ids);
+            (handed, n) = (handed + 4, 0);
+        }
+    }
+    (handed, at, ids, n)
 }
 
 /// [`score_block`] over rows `range` of a row-ordered matrix (`ids` indexed

@@ -163,6 +163,84 @@ pub unsafe fn inner_product_4x4(p: [&[f32]; 4], c: [&[f32]; 4]) -> [[f32; 4]; 4]
     out
 }
 
+/// Register-tiled L2² of two queries against four rows in eight
+/// accumulators: `out[i][j] == l2_sq(p[i], c[j])` bit for bit, under the
+/// contract of [`l2_sq_4x4`].
+///
+/// # Safety
+/// The caller must ensure the CPU supports AVX-512F.
+#[target_feature(enable = "avx512f")]
+pub unsafe fn l2_sq_2x4(p: [&[f32]; 2], c: [&[f32]; 4]) -> [[f32; 4]; 2] {
+    let n = p[0].len();
+    let mut acc = [[_mm512_setzero_ps(); 4]; 2];
+    let chunks = n / 16;
+    for i in 0..chunks {
+        let at = i * 16;
+        let vc = [
+            _mm512_loadu_ps(c[0].as_ptr().add(at)),
+            _mm512_loadu_ps(c[1].as_ptr().add(at)),
+            _mm512_loadu_ps(c[2].as_ptr().add(at)),
+            _mm512_loadu_ps(c[3].as_ptr().add(at)),
+        ];
+        for (pi, acci) in p.iter().zip(acc.iter_mut()) {
+            let vp = _mm512_loadu_ps(pi.as_ptr().add(at));
+            for (vcj, a) in vc.iter().zip(acci.iter_mut()) {
+                let d = _mm512_sub_ps(vp, *vcj);
+                *a = _mm512_fmadd_ps(d, d, *a);
+            }
+        }
+    }
+    let mut out = [[0.0f32; 4]; 2];
+    for ((pi, a), oi) in p.iter().zip(&acc).zip(out.iter_mut()) {
+        _mm_storeu_ps(oi.as_mut_ptr(), reduce4(a[0], a[1], a[2], a[3]));
+        for (cj, o) in c.iter().zip(oi.iter_mut()) {
+            for k in chunks * 16..n {
+                let d = pi[k] - cj[k];
+                *o += d * d;
+            }
+        }
+    }
+    out
+}
+
+/// Register-tiled inner product of two queries against four rows;
+/// `out[i][j] == inner_product(p[i], c[j])` bit for bit, under the contract
+/// of [`l2_sq_4x4`].
+///
+/// # Safety
+/// The caller must ensure the CPU supports AVX-512F.
+#[target_feature(enable = "avx512f")]
+pub unsafe fn inner_product_2x4(p: [&[f32]; 2], c: [&[f32]; 4]) -> [[f32; 4]; 2] {
+    let n = p[0].len();
+    let mut acc = [[_mm512_setzero_ps(); 4]; 2];
+    let chunks = n / 16;
+    for i in 0..chunks {
+        let at = i * 16;
+        let vc = [
+            _mm512_loadu_ps(c[0].as_ptr().add(at)),
+            _mm512_loadu_ps(c[1].as_ptr().add(at)),
+            _mm512_loadu_ps(c[2].as_ptr().add(at)),
+            _mm512_loadu_ps(c[3].as_ptr().add(at)),
+        ];
+        for (pi, acci) in p.iter().zip(acc.iter_mut()) {
+            let vp = _mm512_loadu_ps(pi.as_ptr().add(at));
+            for (vcj, a) in vc.iter().zip(acci.iter_mut()) {
+                *a = _mm512_fmadd_ps(vp, *vcj, *a);
+            }
+        }
+    }
+    let mut out = [[0.0f32; 4]; 2];
+    for ((pi, a), oi) in p.iter().zip(&acc).zip(out.iter_mut()) {
+        _mm_storeu_ps(oi.as_mut_ptr(), reduce4(a[0], a[1], a[2], a[3]));
+        for (cj, o) in c.iter().zip(oi.iter_mut()) {
+            for k in chunks * 16..n {
+                *o += pi[k] * cj[k];
+            }
+        }
+    }
+    out
+}
+
 /// Register-tiled inner product; see [`l2_sq_x4`].
 ///
 /// # Safety

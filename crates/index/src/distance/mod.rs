@@ -132,6 +132,11 @@ pub type Tile4Kernel = fn([&[f32]; 4], &[f32]) -> [f32; 4];
 /// to the [`PairKernel`] of the same metric.
 pub type Tile4x4Kernel = fn([&[f32]; 4], [&[f32]; 4]) -> [[f32; 4]; 4];
 
+/// A register-tiled kernel scoring two queries against four rows per pass:
+/// `out[i][j]` is the internal distance of `q[i]` and `rows[j]`,
+/// bit-identical to the [`PairKernel`] of the same metric.
+pub type Tile2x4Kernel = fn([&[f32]; 2], [&[f32]; 4]) -> [[f32; 4]; 2];
+
 fn l2_scalar_pair(a: &[f32], b: &[f32]) -> f32 {
     scalar::l2_sq(a, b)
 }
@@ -151,11 +156,17 @@ fn ip_scalar_tile4(q: [&[f32]; 4], v: &[f32]) -> [f32; 4] {
 fn ip_scalar_tile4x4(p: [&[f32]; 4], c: [&[f32]; 4]) -> [[f32; 4]; 4] {
     scalar::inner_product_4x4(p, c).map(|s| s.map(|d| -d))
 }
+fn l2_scalar_tile2x4(q: [&[f32]; 2], rows: [&[f32]; 4]) -> [[f32; 4]; 2] {
+    q.map(|qi| scalar::l2_sq_x4(rows, qi))
+}
+fn ip_scalar_tile2x4(q: [&[f32]; 2], rows: [&[f32]; 4]) -> [[f32; 4]; 2] {
+    q.map(|qi| scalar::inner_product_x4(rows, qi).map(|d| -d))
+}
 
-// Safety of every shim below: `pair_kernel`/`tile4_kernel`/`tile4x4_kernel`
-// only hand one out when [`active_level`] reports the matching ISA, and
-// `force_level` refuses unsupported levels, so the target-feature
-// preconditions always hold.
+// Safety of every shim below: `pair_kernel`/`tile4_kernel`/`tile4x4_kernel`/
+// `tile2x4_kernel` only hand one out when [`active_level`] reports the
+// matching ISA, and `force_level` refuses unsupported levels, so the
+// target-feature preconditions always hold.
 #[cfg(target_arch = "x86_64")]
 mod x86_shims {
     use super::{avx2, avx512, sse};
@@ -240,6 +251,26 @@ mod x86_shims {
         check_tile4(&c, p[0]);
         check_tile4(&p, c[0]);
         unsafe { avx512::inner_product_4x4(p, c) }.map(|s| s.map(|x| -x))
+    }
+    pub fn l2_avx2_tile2x4(q: [&[f32]; 2], rows: [&[f32]; 4]) -> [[f32; 4]; 2] {
+        check_tile4(&rows, q[0]);
+        check_pair(q[0], q[1]);
+        unsafe { avx2::l2_sq_2x4(q, rows) }
+    }
+    pub fn l2_avx512_tile2x4(q: [&[f32]; 2], rows: [&[f32]; 4]) -> [[f32; 4]; 2] {
+        check_tile4(&rows, q[0]);
+        check_pair(q[0], q[1]);
+        unsafe { avx512::l2_sq_2x4(q, rows) }
+    }
+    pub fn ip_avx2_tile2x4(q: [&[f32]; 2], rows: [&[f32]; 4]) -> [[f32; 4]; 2] {
+        check_tile4(&rows, q[0]);
+        check_pair(q[0], q[1]);
+        unsafe { avx2::inner_product_2x4(q, rows) }.map(|s| s.map(|x| -x))
+    }
+    pub fn ip_avx512_tile2x4(q: [&[f32]; 2], rows: [&[f32]; 4]) -> [[f32; 4]; 2] {
+        check_tile4(&rows, q[0]);
+        check_pair(q[0], q[1]);
+        unsafe { avx512::inner_product_2x4(q, rows) }.map(|s| s.map(|x| -x))
     }
     pub fn ip_avx512_tile4(q: [&[f32]; 4], v: &[f32]) -> [f32; 4] {
         check_tile4(&q, v);
@@ -332,6 +363,33 @@ pub fn tile4x4_kernel(metric: Metric) -> Option<Tile4x4Kernel> {
             SimdLevel::Avx2 => Some(x86_shims::ip_avx2_tile4x4),
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx512 => Some(x86_shims::ip_avx512_tile4x4),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Resolve the 2-query × 4-row tile for `metric` at the active SIMD level,
+/// if one exists. `None` (SSE level, cosine, binary metrics) means the
+/// caller should score as it would without it — results are bit-identical
+/// either way. It exists exactly where [`tile4x4_kernel`] does.
+pub fn tile2x4_kernel(metric: Metric) -> Option<Tile2x4Kernel> {
+    let level = active_level();
+    match metric {
+        Metric::L2 => match level {
+            SimdLevel::Scalar => Some(l2_scalar_tile2x4),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => Some(x86_shims::l2_avx2_tile2x4),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => Some(x86_shims::l2_avx512_tile2x4),
+            _ => None,
+        },
+        Metric::InnerProduct => match level {
+            SimdLevel::Scalar => Some(ip_scalar_tile2x4),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => Some(x86_shims::ip_avx2_tile2x4),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => Some(x86_shims::ip_avx512_tile2x4),
             _ => None,
         },
         _ => None,

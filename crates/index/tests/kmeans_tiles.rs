@@ -1,8 +1,8 @@
-//! The 4 × 4 tiles are bit-identical to `pair_kernel` for L2 and inner
-//! product — L2's is behind every Lloyd assignment and IVF placement pass,
-//! both behind the batch engine's `score_block` — and a build through
-//! it puts every row in the bucket `KMeans::assign` picks, at every SIMD
-//! level the host supports. Levels are pinned process-wide with
+//! The 4 × 4 and 2 × 4 tiles are bit-identical to `pair_kernel` for L2 and
+//! inner product — L2's 4 × 4 is behind every Lloyd assignment and IVF
+//! placement pass, both 4 × 4s and both 2 × 4s behind the batch engine's
+//! `score_block` — and a build through the L2 4 × 4 puts every row in the
+//! bucket `KMeans::assign` picks, at every SIMD level the host supports. Levels are pinned process-wide with
 //! `force_level`, so this binary holds a single test.
 
 use milvus_index::ivf::{codec, IvfIndex, IvfVariant};
@@ -77,7 +77,9 @@ fn four_by_four_tiles_are_bit_identical_at_every_level() {
         let grid = distance::tile4x4_kernel(Metric::L2);
         for metric in [Metric::L2, Metric::InnerProduct] {
             let (pair, tile) = (distance::pair_kernel(metric), distance::tile4x4_kernel(metric));
+            let duo = distance::tile2x4_kernel(metric);
             assert_eq!(tile.is_none(), level == SimdLevel::Sse, "{level} {metric}");
+            assert_eq!(duo.is_none(), tile.is_none(), "{level} {metric}");
             let mut rng = StdRng::seed_from_u64(19);
             for (dim, case) in
                 [1, 4, 7, 8, 15, 16, 17, 32, 128, 130].iter().flat_map(|&d| (0..4).map(move |c| (d, c)))
@@ -90,6 +92,13 @@ fn four_by_four_tiles_are_bit_identical_at_every_level() {
                     for (j, d) in dists.iter().enumerate() {
                         let want = pair(p[i], c[j]).to_bits();
                         assert_eq!(d.to_bits(), want, "{level} {metric} dim {dim} case {case} [{i}][{j}]");
+                    }
+                }
+                let duo = duo.expect("a 2x4 tile wherever there is a 4x4 one");
+                for (i, dists) in duo([p[0], p[1]], c).iter().enumerate() {
+                    for (j, d) in dists.iter().enumerate() {
+                        let want = pair(p[i], c[j]).to_bits();
+                        assert_eq!(d.to_bits(), want, "2x4 {level} {metric} dim {dim} case {case} [{i}][{j}]");
                     }
                 }
             }

@@ -16,6 +16,10 @@
 //!   pointers
 //!   ([`attribute::AttributeColumn`]).
 //! * **Bufferpool** (§2.4): an LRU cache whose unit is the segment.
+//! * **Shared scan passes** (§3.2.1 across callers): [`pass::SharedPass`]
+//!   walks a snapshot's unindexed rows in one circular pass that
+//!   concurrent queries attach to, so each loaded block is scored once for
+//!   every attached query.
 //! * **Multi-storage** (§2.4): an [`object_store::ObjectStore`] abstraction
 //!   with a local-filesystem backend and an in-memory simulated S3 backend.
 //! * **WAL** (§5.1/§5.3): operations are materialized to a log before being
@@ -31,6 +35,7 @@ pub mod lsm;
 pub mod memtable;
 pub mod merge;
 pub mod object_store;
+pub mod pass;
 pub mod segment;
 pub mod snapshot;
 pub mod wal;

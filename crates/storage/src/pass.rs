@@ -1,0 +1,233 @@
+//! One circular scan pass shared by concurrent queries over a snapshot of
+//! unindexed segments — the "clock scan" of Crescando (Unterbrunner et al.,
+//! VLDB 2009) applied to §3.2.1's rule that each loaded row is scored
+//! against every resident query.
+//!
+//! The snapshot's rows are cut into blocks of [`BLOCK_ROWS`] (a segment's
+//! last block may be shorter; no block spans two segments), laid end to end
+//! in segment order, and one cursor walks them in a circle. A query
+//! [`attach`](SharedPass::attach)es at the cursor and is owed every block
+//! once. Whoever [`claim`](SharedPass::claim)s the cursor's block takes it
+//! for every query still owed blocks, scores it against all of them in one
+//! [`score_range`] call (so two resident queries share each row load in the
+//! 2×4 tile), and merges one per-block [`TopK`] into each query's heap. A
+//! query's caller claims blocks until it is owed none, then
+//! [`finish`](SharedPass::finish) waits on a condvar — never a clock — only
+//! for its own blocks that another caller is still scoring.
+//!
+//! Each query sees each visible row exactly once, and [`TopK`] keeps the
+//! same set in any push order, so an answer is bit-identical to a
+//! per-segment sweep merged by
+//! [`merge_segment_results`](crate::segment::merge_segment_results),
+//! however the blocks were shared.
+
+use std::ops::Range;
+use std::sync::Arc;
+
+use milvus_index::batch::{score_range, Scorer};
+use milvus_index::{Metric, Neighbor, TopK};
+use milvus_obs as obs;
+use parking_lot::{Condvar, Mutex};
+
+use crate::entity::Schema;
+use crate::segment::Segment;
+
+/// Rows per block: a claim's unit of work and of sharing.
+pub const BLOCK_ROWS: usize = 1024;
+
+/// A circular pass over a fixed set of segments' rows of one vector field.
+pub struct SharedPass {
+    segments: Vec<Arc<Segment>>,
+    /// Block `b` is rows `blocks[b].1` of `segments[blocks[b].0]`.
+    blocks: Vec<(usize, Range<usize>)>,
+    field: usize,
+    metric: Metric,
+    dim: usize,
+    state: Mutex<State>,
+    /// Signalled when a merge leaves some query owed nothing and running
+    /// nothing.
+    done: Condvar,
+    blocks_total: Arc<obs::Counter>,
+    query_blocks_total: Arc<obs::Counter>,
+}
+
+#[derive(Default)]
+struct State {
+    /// The next block to claim.
+    cursor: usize,
+    next_ticket: u64,
+    attached: Vec<Attached>,
+}
+
+struct Attached {
+    ticket: u64,
+    query: Arc<[f32]>,
+    /// Blocks not yet claimed for this query.
+    owed: usize,
+    /// Blocks claimed for this query whose scores are not merged yet.
+    running: usize,
+    heap: TopK,
+}
+
+/// One attached query, from [`SharedPass::attach`] to [`SharedPass::finish`].
+#[derive(Debug)]
+pub struct Ticket(u64);
+
+/// One claimed block and the queries it was claimed for.
+#[derive(Debug)]
+pub struct Claim {
+    block: usize,
+    members: Vec<(u64, Arc<[f32]>, usize)>,
+}
+
+impl Claim {
+    /// Position of the block's segment in [`SharedPass::segments`].
+    pub fn segment(&self, pass: &SharedPass) -> usize {
+        pass.blocks[self.block].0
+    }
+}
+
+impl SharedPass {
+    /// A pass over `segments`' rows of vector field `field`, scanned through
+    /// the column whatever indexes the segments hold. Counts its work on the
+    /// `label` series. `None` if `field` is not a float vector field.
+    pub fn new(
+        schema: &Schema,
+        field: &str,
+        segments: Vec<Arc<Segment>>,
+        label: &str,
+    ) -> Option<Self> {
+        let fi = schema.vector_field_index(field)?;
+        let (metric, dim) = (schema.vector_fields[fi].metric, schema.vector_fields[fi].dim);
+        if !matches!(metric, Metric::L2 | Metric::InnerProduct | Metric::Cosine) {
+            return None;
+        }
+        let blocks = segments
+            .iter()
+            .enumerate()
+            .flat_map(|(s, seg)| {
+                let n = seg.num_rows();
+                (0..n).step_by(BLOCK_ROWS).map(move |lo| (s, lo..(lo + BLOCK_ROWS).min(n)))
+            })
+            .collect();
+        Some(Self {
+            segments,
+            blocks,
+            field: fi,
+            metric,
+            dim,
+            state: Mutex::new(State::default()),
+            done: Condvar::new(),
+            blocks_total: obs::counter(obs::SCAN_PASS_BLOCKS, label),
+            query_blocks_total: obs::counter(obs::SCAN_PASS_QUERY_BLOCKS, label),
+        })
+    }
+
+    /// The segments the pass walks, in block order.
+    pub fn segments(&self) -> &[Arc<Segment>] {
+        &self.segments
+    }
+
+    /// Blocks in one full turn.
+    pub fn blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// The field's dimension: every attached query must have it.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Attach a top-`k` query at the cursor; it is owed every block once.
+    ///
+    /// # Panics
+    /// Panics if `query` is not [`Self::dim`] long.
+    pub fn attach(&self, query: &[f32], k: usize) -> Ticket {
+        assert_eq!(query.len(), self.dim, "query dimension");
+        let mut st = self.state.lock();
+        let ticket = st.next_ticket;
+        st.next_ticket += 1;
+        st.attached.push(Attached {
+            ticket,
+            query: query.into(),
+            owed: self.blocks.len(),
+            running: 0,
+            heap: TopK::new(k.max(1)),
+        });
+        Ticket(ticket)
+    }
+
+    /// Claim the cursor's block on behalf of `me` and every other attached
+    /// query still owed blocks, and advance the cursor. `None` once `me` is
+    /// owed nothing.
+    pub fn claim(&self, me: &Ticket) -> Option<Claim> {
+        let mut st = self.state.lock();
+        let owed = st.attached.iter().find(|a| a.ticket == me.0).map_or(0, |a| a.owed);
+        if owed == 0 {
+            return None;
+        }
+        let block = st.cursor;
+        st.cursor = (block + 1) % self.blocks.len();
+        let members: Vec<_> = st
+            .attached
+            .iter_mut()
+            .filter(|a| a.owed > 0)
+            .map(|a| {
+                a.owed -= 1;
+                a.running += 1;
+                (a.ticket, Arc::clone(&a.query), a.heap.k())
+            })
+            .collect();
+        drop(st);
+        self.blocks_total.inc();
+        self.query_blocks_total.add(members.len() as u64);
+        Some(Claim { block, members })
+    }
+
+    /// Score `claim`'s block against its queries, one per-block heap each,
+    /// and merge the heaps into the queries' own.
+    pub fn score(&self, claim: Claim) {
+        let (s, range) = &self.blocks[claim.block];
+        let seg = &self.segments[*s];
+        let rows = seg.data().vectors[self.field].to_row_order();
+        let visible = seg.visible(None);
+        let queries: Vec<&[f32]> = claim.members.iter().map(|(_, q, _)| &q[..]).collect();
+        let mut heaps: Vec<TopK> = claim.members.iter().map(|&(_, _, k)| TopK::new(k)).collect();
+        let (kern, ids) = (Scorer::new(self.metric), &seg.data().row_ids[..]);
+        let mask = visible.as_deref();
+        score_range(kern, rows.as_flat(), ids, range.clone(), mask, &queries, &mut heaps);
+
+        let mut st = self.state.lock();
+        let mut wake = false;
+        for ((ticket, _, _), heap) in claim.members.iter().zip(heaps) {
+            let attached = st.attached.iter_mut().find(|a| a.ticket == *ticket);
+            let a = attached.expect("a claimed query stays attached until its finish");
+            a.heap.merge(heap);
+            a.running -= 1;
+            wake |= a.owed == 0 && a.running == 0;
+        }
+        drop(st);
+        if wake {
+            self.done.notify_all();
+        }
+    }
+
+    /// Detach `me` once it is owed nothing, waiting for its blocks that
+    /// other callers are still scoring; its answer, best first.
+    ///
+    /// # Panics
+    /// Panics if `me` is still owed blocks.
+    pub fn finish(&self, me: Ticket) -> Vec<Neighbor> {
+        let mut st = self.state.lock();
+        let at = loop {
+            let at = st.attached.iter().position(|a| a.ticket == me.0);
+            let at = at.expect("a ticket stays attached until its finish");
+            assert_eq!(st.attached[at].owed, 0, "finish before every block was claimed");
+            if st.attached[at].running == 0 {
+                break at;
+            }
+            self.done.wait(&mut st);
+        };
+        st.attached.swap_remove(at).heap.into_sorted()
+    }
+}
