@@ -21,6 +21,11 @@
 //! Float rows go through [`score_block`], the scoring primitive of every
 //! exact scan: 4 rows × 4 queries per kernel call, each 4-row group meeting
 //! every resident query before the next group loads.
+//!
+//! Every row walk asks for the rows [`PREFETCH_BYTES`] ahead of the ones it
+//! scores (DESIGN §22): the hardware prefetcher stops at each 4 KiB page and
+//! starts cold at each IVF bucket, so without it a scan waits out the latency
+//! of every new page instead of streaming.
 
 use std::borrow::BorrowMut;
 use std::ops::Range;
@@ -70,6 +75,7 @@ impl Scorer {
         let mut head = 0;
         if let Some((_, tile)) = self.tiles {
             for four in rows.chunks_exact(4 * dim) {
+                prefetch_ahead(rows, head * dim, 4 * dim);
                 for (j, dist) in tile(split4(four, dim), v).into_iter().enumerate() {
                     visit(head + j, dist);
                 }
@@ -77,6 +83,7 @@ impl Scorer {
             }
         }
         for (i, row) in rows[head * dim..].chunks_exact(dim).enumerate() {
+            prefetch_ahead(rows, (head + i) * dim, dim);
             visit(head + i, (self.pair)(v, row));
         }
     }
@@ -157,15 +164,59 @@ pub(crate) fn split4(four: &[f32], dim: usize) -> [&[f32]; 4] {
     [a, b, c, d]
 }
 
+/// How far ahead of the rows it scores a walk prefetches: 8 KiB, 16 rows at
+/// 128 dimensions. Chosen by the sweep in DESIGN §22 (4, 8 and 16 KiB).
+pub const PREFETCH_BYTES: usize = 8 << 10;
+
+/// Bytes per cache line: the stride of the prefetches.
+const LINE: usize = 64;
+
+/// Prefetch the rows a walk reaches next: `data`'s elements `at..at + len`
+/// (the ones being scored now) moved [`PREFETCH_BYTES`] on, clipped to the
+/// slice.
+#[inline(always)]
+pub(crate) fn prefetch_ahead<T>(data: &[T], at: usize, len: usize) {
+    let size = std::mem::size_of::<T>();
+    prefetch_lines(data, at * size + PREFETCH_BYTES..(at + len) * size + PREFETCH_BYTES);
+}
+
+/// Prefetch the first [`PREFETCH_BYTES`] of `data`: the head of a walk that
+/// has not started, which its own lookahead never covers (the next probed
+/// IVF bucket).
+#[inline(always)]
+pub(crate) fn prefetch_head<T>(data: &[T]) {
+    prefetch_lines(data, 0..PREFETCH_BYTES);
+}
+
+/// One T0 prefetch per cache line of `data`'s bytes `bytes`, clipped to the
+/// slice; nothing off x86_64. A prefetch changes no value a scan reads.
+#[inline(always)]
+fn prefetch_lines<T>(data: &[T], bytes: Range<usize>) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let base = data.as_ptr().cast::<i8>();
+        for at in (bytes.start..bytes.end.min(std::mem::size_of_val(data))).step_by(LINE) {
+            // SAFETY: `at` is below the slice's byte length, so `base + at`
+            // points inside `data`; a prefetch is a hint that loads no value
+            // into a register and never faults.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(at)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (data, bytes);
+}
+
 /// The scoring primitive: push every row of the `dim`-strided `rows`
 /// (`ids[i]` for row `i`) into `heaps[j]` at its distance to `queries[j]`,
 /// in one plain walk over `chunks_exact(4 · dim)`; the last `len mod 4` rows
 /// meet the query quads in the ×4 tile and the leftover queries per pair.
 /// Exactly two resident queries take the 2×4 tile instead, chosen once per
 /// call. Tiles return the pair kernel's bits and [`TopK`] keeps the same set
-/// in any push order, so the heaps end as a per-pair loop leaves them. The
-/// heaps may be owned or borrowed (IVF's are scattered). Returns the rows
-/// scored; all but the last `rows mod 4` went four at a time.
+/// in any push order, so the heaps end as a per-pair loop leaves them. Each
+/// group prefetches the group [`PREFETCH_BYTES`] ahead. The heaps may be
+/// owned or borrowed (IVF's are scattered). Returns the rows scored; all but
+/// the last `rows mod 4` went four at a time.
 pub fn score_block<H: BorrowMut<TopK>>(
     kern: Scorer,
     rows: &[f32],
@@ -177,10 +228,20 @@ pub fn score_block<H: BorrowMut<TopK>>(
     let Some(dim) = queries.first().map(|q| q.len()) else { return 0 };
     debug_assert_eq!(rows.len(), ids.len() * dim);
     let (fours, tail) = ids.as_chunks::<4>();
-    let groups = rows.chunks_exact(4 * dim).zip(fours).map(|(four, &id4)| (split4(four, dim), id4));
+    let groups = rows.chunks_exact(4 * dim).zip(fours).enumerate();
     match (kern.duo, queries) {
-        (Some(duo), &[a, b]) => groups.for_each(|(four, id4)| push2(duo([a, b], four), id4, heaps)),
-        _ => groups.for_each(|(four, id4)| kern.four(four, id4, queries, heaps)),
+        (Some(duo), &[a, b]) => {
+            for (g, (four, &id4)) in groups {
+                prefetch_ahead(rows, g * 4 * dim, 4 * dim);
+                push2(duo([a, b], split4(four, dim)), id4, heaps);
+            }
+        }
+        _ => {
+            for (g, (four, &id4)) in groups {
+                prefetch_ahead(rows, g * 4 * dim, 4 * dim);
+                kern.four(split4(four, dim), id4, queries, heaps);
+            }
+        }
     }
     let head = fours.len() * 4;
     for (row, &id) in rows[head * dim..].chunks_exact(dim).zip(tail) {
@@ -191,7 +252,9 @@ pub fn score_block<H: BorrowMut<TopK>>(
 
 /// [`score_block`] over the `(row, id)` pairs `visible` yields: a masked
 /// scan. Visible rows are scored four at a time as they come, so the mask's
-/// gaps cost no tiles; the 2×4 tile is chosen once per call, as there.
+/// gaps cost no tiles; the 2×4 tile is chosen once per call, as there. Each
+/// visible row prefetches the row [`PREFETCH_BYTES`] past its position in
+/// `rows`.
 pub fn score_visible<H: BorrowMut<TopK>>(
     kern: Scorer,
     rows: &[f32],
@@ -204,9 +267,9 @@ pub fn score_visible<H: BorrowMut<TopK>>(
     let row = |r: usize| &rows[r * dim..(r + 1) * dim];
     let (scored, at, ids, n) = match (kern.duo, queries) {
         (Some(duo), &[a, b]) => {
-            in_fours(visible, |at, ids| push2(duo([a, b], at.map(row)), ids, heaps))
+            in_fours(rows, dim, visible, |at, ids| push2(duo([a, b], at.map(row)), ids, heaps))
         }
-        _ => in_fours(visible, |at, ids| kern.four(at.map(row), ids, queries, heaps)),
+        _ => in_fours(rows, dim, visible, |at, ids| kern.four(at.map(row), ids, queries, heaps)),
     };
     for (&r, &id) in at[..n].iter().zip(&ids) {
         kern.one(row(r), id, queries, heaps);
@@ -214,15 +277,19 @@ pub fn score_visible<H: BorrowMut<TopK>>(
     scored + n as u64
 }
 
-/// Hand `visible`'s pairs to `four` four at a time. Returns the rows handed
+/// Hand `visible`'s pairs to `four` four at a time, prefetching ahead of
+/// each row of the `dim`-strided `rows` as it comes. Returns the rows handed
 /// over and the last `n < 4` pairs, still pending, as `(rows, at, ids, n)`.
 #[inline(always)]
 fn in_fours(
+    rows: &[f32],
+    dim: usize,
     visible: impl Iterator<Item = (usize, i64)>,
     mut four: impl FnMut([usize; 4], [i64; 4]),
 ) -> (u64, [usize; 4], [i64; 4], usize) {
     let (mut at, mut ids, mut n, mut handed) = ([0usize; 4], [0i64; 4], 0, 0);
     for (r, id) in visible {
+        prefetch_ahead(rows, r * dim, dim);
         (at[n], ids[n]) = (r, id);
         n += 1;
         if n == 4 {
@@ -266,7 +333,8 @@ fn visible(range: Range<usize>, mask: Option<&RowMask>) -> impl Iterator<Item = 
 /// codes of `rows` in ×4-row register tiles against the block's fused
 /// per-query state, so each 4-row group's bytes are loaded once per resident
 /// query with zero per-row allocation and no decoded vector ever
-/// materialized.
+/// materialized. Each tile prefetches as many code bytes as it reads,
+/// [`PREFETCH_BYTES`] past its first row.
 fn scan_codes_into_heaps(
     prepared: &[PreparedSq8<'_>],
     codes: &[u8],
@@ -276,19 +344,22 @@ fn scan_codes_into_heaps(
     heaps: &mut [TopK],
 ) {
     let code = |r: usize| &codes[r * dim..(r + 1) * dim];
-    in_tiles(rows, |g| match *g {
-        [a, b, c, d] => {
-            let tile = [code(a), code(b), code(c), code(d)];
-            for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
-                for (&row, dist) in g.iter().zip(p.distance_x4(tile)) {
-                    heap.push(ids[row], dist);
+    in_tiles(rows, |g| {
+        prefetch_ahead(codes, g[0] * dim, g.len() * dim);
+        match *g {
+            [a, b, c, d] => {
+                let tile = [code(a), code(b), code(c), code(d)];
+                for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
+                    for (&row, dist) in g.iter().zip(p.distance_x4(tile)) {
+                        heap.push(ids[row], dist);
+                    }
                 }
             }
-        }
-        _ => {
-            for &row in g {
-                for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
-                    heap.push(ids[row], p.distance(code(row)));
+            _ => {
+                for &row in g {
+                    for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
+                        heap.push(ids[row], p.distance(code(row)));
+                    }
                 }
             }
         }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use milvus_obs as obs;
 
-use crate::batch::{score_block, score_visible, Scorer};
+use crate::batch::{prefetch_ahead, prefetch_head, score_block, score_visible, Scorer};
 use crate::distance;
 use crate::error::{IndexError, Result};
 use crate::kmeans::{self, KMeans};
@@ -337,6 +337,22 @@ impl IvfIndex {
         }
     }
 
+    /// Prefetch the head of bucket `b`'s payload, which a walk over it only
+    /// reaches with its own lookahead after [`crate::batch::PREFETCH_BYTES`]:
+    /// issued for the next probed bucket before the current one is scored.
+    fn prefetch_bucket(&self, b: usize) {
+        let slots = self.bucket(b);
+        match &self.payload {
+            Payload::Flat(vs) => {
+                prefetch_head(&vs.as_flat()[slots.start * self.dim..slots.end * self.dim]);
+            }
+            Payload::Sq8 { codes, .. } | Payload::Pq { codes, .. } => {
+                let width = self.entry_bytes();
+                prefetch_head(&codes[slots.start * width..slots.end * width]);
+            }
+        }
+    }
+
     /// Number of vectors in bucket `b`.
     pub fn bucket_len(&self, b: usize) -> usize {
         self.bucket(b).len()
@@ -476,7 +492,8 @@ impl IvfIndex {
 
     /// Score `members` (positions inside the bucket holding `slots`) of an
     /// SQ8 or PQ bucket into `heap`. The bucket's codes are one slice of the
-    /// payload, read in place.
+    /// payload, read in place; each tile prefetches as many code bytes as it
+    /// reads, [`crate::batch::PREFETCH_BYTES`] past its first member.
     fn scan_members(
         &self,
         slots: Range<usize>,
@@ -490,16 +507,19 @@ impl IvfIndex {
                 let dim = self.dim;
                 let codes = &codes[slots.start * dim..slots.end * dim];
                 let code = |i: usize| &codes[i * dim..(i + 1) * dim];
-                in_tiles(members, |g| match *g {
-                    [a, b, c, d] => {
-                        let dist = p.distance_x4([code(a), code(b), code(c), code(d)]);
-                        for (&i, dist) in g.iter().zip(dist) {
-                            heap.push(ids[i], dist);
+                in_tiles(members, |g| {
+                    prefetch_ahead(codes, g[0] * dim, g.len() * dim);
+                    match *g {
+                        [a, b, c, d] => {
+                            let dist = p.distance_x4([code(a), code(b), code(c), code(d)]);
+                            for (&i, dist) in g.iter().zip(dist) {
+                                heap.push(ids[i], dist);
+                            }
                         }
-                    }
-                    _ => {
-                        for &i in g {
-                            heap.push(ids[i], p.distance(code(i)));
+                        _ => {
+                            for &i in g {
+                                heap.push(ids[i], p.distance(code(i)));
+                            }
                         }
                     }
                 });
@@ -510,20 +530,23 @@ impl IvfIndex {
                 let code = |i: usize| &codes[i * m..(i + 1) * m];
                 // Threshold re-read per tile: it only tightens as pushes
                 // land, so pruning stays exact.
-                in_tiles(members, |g| match *g {
-                    [a, b, c, d] => {
-                        let rows = [code(a), code(b), code(c), code(d)];
-                        let dist = table.lookup4_pruned(rows, heap.threshold());
-                        for (&i, dist) in g.iter().zip(dist) {
-                            if let Some(dist) = dist {
-                                heap.push(ids[i], dist);
+                in_tiles(members, |g| {
+                    prefetch_ahead(codes, g[0] * m, g.len() * m);
+                    match *g {
+                        [a, b, c, d] => {
+                            let rows = [code(a), code(b), code(c), code(d)];
+                            let dist = table.lookup4_pruned(rows, heap.threshold());
+                            for (&i, dist) in g.iter().zip(dist) {
+                                if let Some(dist) = dist {
+                                    heap.push(ids[i], dist);
+                                }
                             }
                         }
-                    }
-                    _ => {
-                        for &i in g {
-                            if let Some(dist) = table.lookup_pruned(code(i), heap.threshold()) {
-                                heap.push(ids[i], dist);
+                        _ => {
+                            for &i in g {
+                                if let Some(dist) = table.lookup_pruned(code(i), heap.threshold()) {
+                                    heap.push(ids[i], dist);
+                                }
                             }
                         }
                     }
@@ -548,7 +571,10 @@ impl IvfIndex {
         let prepared = self.prepare(query);
         let probes = self.probe_buckets(prepared.query(), params.nprobe);
         let mut heap = TopK::new(params.k.max(1));
-        for b in probes {
+        for (i, &b) in probes.iter().enumerate() {
+            if let Some(&next) = probes.get(i + 1) {
+                self.prefetch_bucket(next);
+            }
             self.scan_bucket_prepared(b, &prepared, &mut heap, mask);
         }
         Ok(heap.into_sorted())
@@ -614,7 +640,8 @@ impl VectorIndex for IvfIndex {
     /// [`score_block`] call: each 4-row group meets every quad of the
     /// bucket's queries in the 4×4 tile before the next group loads, and the
     /// mask is tested once per row. SQ8 and PQ buckets take
-    /// [`IvfIndex::scan_bucket_prepared`] per query.
+    /// [`IvfIndex::scan_bucket_prepared`] per query. The next bucket's head
+    /// is prefetched before each bucket is scored.
     /// `milvus_index_ivf_tiled_pairs_total` gets the pairs scored in full
     /// four-query tiles (every visible row against each full quad) once per
     /// call.
@@ -654,7 +681,11 @@ impl VectorIndex for IvfIndex {
         }
         let flat = matches!(self.payload, Payload::Flat(_)).then(|| Scorer::new(self.inner_metric));
         let mut tiled_pairs = 0;
-        for (b, qis) in by_bucket {
+        let mut buckets = by_bucket.into_iter().peekable();
+        while let Some((b, qis)) = buckets.next() {
+            if let Some(&(next, _)) = buckets.peek() {
+                self.prefetch_bucket(next);
+            }
             let Some(kern) = flat else {
                 for &qi in &qis {
                     self.scan_bucket_prepared(b, &prepared[qi], &mut heaps[qi], mask);

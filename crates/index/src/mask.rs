@@ -40,12 +40,36 @@ impl RowMask {
     /// Panics if a listed position is `>= rows`.
     pub fn from_positions(rows: usize, set: &[u32]) -> Self {
         let mut mask = Self::none(rows);
+        mask.check_positions(set);
         for &row in set {
-            assert!((row as usize) < rows, "position {row} outside a mask of {rows} rows");
             mask.words[row as usize >> 6] |= 1 << (row & 63);
         }
-        mask.ones = mask.words.iter().map(|w| w.count_ones() as usize).sum();
+        mask.recount();
         mask
+    }
+
+    /// Clear the listed positions (listed twice or already clear is fine).
+    ///
+    /// # Panics
+    /// Panics if a listed position is `>= rows()`.
+    pub fn clear_positions(&mut self, set: &[u32]) {
+        self.check_positions(set);
+        for &row in set {
+            self.words[row as usize >> 6] &= !(1 << (row & 63));
+        }
+        self.recount();
+    }
+
+    /// The one bounds check of a position list: its largest entry.
+    fn check_positions(&self, set: &[u32]) {
+        if let Some(max) = set.iter().copied().max() {
+            let rows = self.rows;
+            assert!((max as usize) < rows, "position {max} outside a mask of {rows} rows");
+        }
+    }
+
+    fn recount(&mut self) {
+        self.ones = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
 
     /// Number of row positions the mask covers (set or not).
@@ -200,11 +224,29 @@ mod tests {
                 assert!((0..rows).all(|row| mask.get(row) == model.contains(&row)));
                 let listed: Vec<u32> = sorted.iter().map(|&r| r as u32).collect();
                 assert_eq!(&RowMask::from_positions(rows, &listed), mask);
+                let unset: Vec<u32> =
+                    (0..rows as u32).filter(|&r| !model.contains(&(r as usize))).collect();
+                let mut cleared = RowMask::all(rows);
+                cleared.clear_positions(&unset);
+                cleared.clear_positions(&unset[..unset.len() / 2]);
+                assert_eq!(&cleared, mask, "rows = {rows}");
             }
             let all = RowMask::all(rows);
             assert_eq!((all.count(), all.iter().count()), (rows, rows));
             assert_eq!(all.and(&masks[0].0), masks[0].0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "position 64 outside a mask of 64 rows")]
+    fn a_position_past_the_end_panics() {
+        RowMask::from_positions(64, &[3, 64, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "position 10 outside a mask of 10 rows")]
+    fn clearing_past_the_end_panics() {
+        RowMask::all(10).clear_positions(&[10]);
     }
 
     #[test]

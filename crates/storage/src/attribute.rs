@@ -6,6 +6,8 @@
 //! Snowflake as indexing for the data pages" — enabling point and range
 //! queries such as `price < 100` to skip non-overlapping pages.
 
+use std::ops::Range;
+
 use milvus_index::RowMask;
 
 /// Entries per page for the skip pointers.
@@ -89,13 +91,22 @@ impl AttributeColumn {
         start + page.partition_point(|&row| below(self.values[row as usize]))
     }
 
+    /// The entries of `order` whose value lies in `[lo, hi]`. No NaN passes,
+    /// as under `lo <= v && v <= hi`: `total_cmp` sorts a negative NaN before
+    /// every number and a positive one after, so both boundaries count the
+    /// negative NaNs as below and neither reaches the positive ones.
+    fn span(&self, lo: f64, hi: f64) -> Range<usize> {
+        if lo.is_nan() || hi.is_nan() || lo > hi {
+            return 0..0;
+        }
+        let negative_nan = |v: f64| v.is_nan() && v.is_sign_negative();
+        self.boundary(|v| v < lo || negative_nan(v))..self.boundary(|v| v <= hi || negative_nan(v))
+    }
+
     /// Row positions whose value lies in `[lo, hi]` (inclusive range, the
     /// paper's `a >= p1 && a <= p2` form), in key order.
     pub fn range_rows(&self, lo: f64, hi: f64) -> &[u32] {
-        if lo > hi {
-            return &[];
-        }
-        &self.order[self.boundary(|v| v < lo)..self.boundary(|v| v <= hi)]
+        &self.order[self.span(lo, hi)]
     }
 
     /// Row positions with value exactly `key`.
@@ -104,9 +115,18 @@ impl AttributeColumn {
     }
 
     /// [`Self::range_rows`] as a bitmap over the column's row positions —
-    /// what a filtered scan consults (§4.1 strategy B).
+    /// what a filtered scan consults (§4.1 strategy B). Written from the
+    /// shorter side: the passing rows set, or every row set and the failing
+    /// ones cleared.
     pub fn range_mask(&self, lo: f64, hi: f64) -> RowMask {
-        RowMask::from_positions(self.len(), self.range_rows(lo, hi))
+        let (span, n) = (self.span(lo, hi), self.len());
+        if span.len() <= n / 2 {
+            return RowMask::from_positions(n, &self.order[span]);
+        }
+        let mut mask = RowMask::all(n);
+        mask.clear_positions(&self.order[..span.start]);
+        mask.clear_positions(&self.order[span.end..]);
+        mask
     }
 
     /// Count of rows in `[lo, hi]` without materializing them (selectivity
@@ -221,5 +241,66 @@ mod tests {
         assert_eq!(c.pages.len(), 3);
         assert_eq!(c.pages[0].min, 0.0);
         assert_eq!(c.pages[0].max, (PAGE_SIZE - 1) as f64);
+    }
+    /// Every bound drawn from the stored values (±0, ±∞, ±NaN, duplicates)
+    /// selects exactly the rows the scalar `lo <= v && v <= hi` passes; no
+    /// NaN of either sign ever does.
+    #[test]
+    fn ranges_match_the_scalar_predicate_around_signed_zeros_infinities_and_nans() {
+        let neg_nan = -f64::NAN;
+        assert!(neg_nan.is_sign_negative() && f64::NAN.is_sign_positive());
+        let values = vec![
+            1.0, neg_nan, 0.0, -0.0, f64::INFINITY, f64::NAN, -1.0, f64::NEG_INFINITY, 0.0, neg_nan,
+            -0.0, 1.0, f64::NAN, 2.5, f64::INFINITY, -1.0,
+        ];
+        let c = AttributeColumn::build("a", values.clone());
+        let mut bounds = values.clone();
+        bounds.extend([-1e9, 1e9, 0.5, -0.5]);
+        for &lo in &bounds {
+            for &hi in &bounds {
+                let expect: Vec<usize> =
+                    (0..values.len()).filter(|&r| lo <= values[r] && values[r] <= hi).collect();
+                let mut got: Vec<usize> =
+                    c.range_rows(lo, hi).iter().map(|&r| r as usize).collect();
+                got.sort_unstable();
+                assert_eq!(got, expect, "[{lo}, {hi}]");
+                assert_eq!(c.range_mask(lo, hi).iter().collect::<Vec<_>>(), expect, "[{lo}, {hi}]");
+                assert_eq!(c.count_range(lo, hi), expect.len());
+            }
+        }
+        // One negative NaN among `0..n`: the widest range passes `n - 1` rows.
+        let n = PAGE_SIZE * 2 + 3;
+        let mut values: Vec<f64> = (0..n).map(|v| v as f64).collect();
+        values[7] = neg_nan;
+        let c = AttributeColumn::build("a", values);
+        assert_eq!(c.count_range(-1e9, 1e9), n - 1);
+        assert!(!c.range_mask(-1e9, 1e9).get(7));
+    }
+
+    /// Built from either side, the mask is bit for bit the one the passing
+    /// positions give, at every passing share from none to all.
+    #[test]
+    fn masks_from_either_side_equal_the_mask_of_the_passing_rows() {
+        let n = PAGE_SIZE * 4 + 37;
+        // Values 0..100 evenly, zero stored as -0.0 on odd rows: `[±0, p - 1]`
+        // passes p % of the rows.
+        let values: Vec<f64> = (0..n)
+            .map(|r| match (r * 37) % 100 {
+                0 if r % 2 == 1 => -0.0,
+                v => v as f64,
+            })
+            .collect();
+        let c = AttributeColumn::build("a", values);
+        for percent in [0.0, 1.0, 10.0, 50.0, 90.0, 100.0] {
+            for lo in [-0.0, 0.0] {
+                let hi = percent - 1.0;
+                let want = RowMask::from_positions(n, c.range_rows(lo, hi));
+                assert_eq!(c.range_mask(lo, hi), want, "[{lo}, {hi}]");
+                let share = want.count() as f64 / n as f64;
+                assert!((share - percent / 100.0).abs() < 0.01, "[{lo}, {hi}] passes {share}");
+            }
+        }
+        let all = c.range_mask(-1.0, 100.0);
+        assert_eq!((all.count(), all), (n, RowMask::all(n)));
     }
 }
