@@ -321,33 +321,25 @@ impl Collection {
         let _slot = self.scheduler.admit()?;
         let started = Instant::now();
         let params = req.params().clone();
-        let alone = |req: &SearchRequest| {
-            let mut trace = obs::Trace::start(op, &self.trace_label);
-            let result = self.execute_one(req, &mut trace);
-            trace.finish();
-            result
-        };
-        let result = if !self.scheduler.coalescing() {
-            alone(&req)
-        } else {
-            let lead =
-                |batch: Vec<SearchRequest>| self.execute(&batch, &mut obs::Trace::disabled());
-            match self.scheduler.submit(req, lead) {
-                // The guard holds our run slot while we run.
-                Submitted::Pass(guard) => {
-                    self.scheduler.note_passthrough();
-                    alone(guard.query())
+        let lead = |batch: Vec<SearchRequest>| self.execute(&batch, &mut obs::Trace::disabled());
+        let result = match self.scheduler.submit(req, lead) {
+            // The guard holds our run slot while we run.
+            Submitted::Pass(guard) => {
+                self.scheduler.note_passthrough();
+                let mut trace = obs::Trace::start(op, &self.trace_label);
+                let result = self.execute_one(guard.query(), &mut trace);
+                trace.finish();
+                result
+            }
+            Submitted::Coalesced { result, batch, led, waited } => {
+                if led {
+                    self.scheduler.note_batch(batch);
                 }
-                Submitted::Coalesced { result, batch, led, waited } => {
-                    if led {
-                        self.scheduler.note_batch(batch);
-                    }
-                    let mut trace = obs::Trace::start(op, &self.trace_label);
-                    let wait_end = started + waited;
-                    trace.record_window(obs::SpanKind::CoalesceWait, started, wait_end, |_| {});
-                    trace.finish();
-                    result
-                }
+                let mut trace = obs::Trace::start(op, &self.trace_label);
+                let wait_end = started + waited;
+                trace.record_window(obs::SpanKind::CoalesceWait, started, wait_end, |_| {});
+                trace.finish();
+                result
             }
         };
         self.account(started, &params, &result);

@@ -73,9 +73,6 @@ impl CollectionConfig {
 /// queries run side by side is not a knob: one run slot per core.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Master switch for cross-query coalescing. Off, every search runs as
-    /// a batch of one (admission control still applies).
-    pub coalescing: bool,
     /// The cap on one coalesced batch's size: how many queued queries a
     /// freed run slot takes on at once.
     pub max_batch: usize,
@@ -100,7 +97,6 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
-            coalescing: true,
             max_batch: 32,
             max_inflight: 1024,
             min_inflight: 4,

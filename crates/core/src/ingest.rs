@@ -37,9 +37,10 @@ pub struct AsyncIngest {
     engine: Arc<LsmEngine>,
     tx: Sender<Op>,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Errors hit by the background thread (background work can't return
-    /// them to the caller; they surface here and on the next flush()).
-    errors: Arc<Mutex<Vec<MilvusError>>>,
+    /// The first error the background thread hit since the last flush()
+    /// (background work can't return it to the caller; the next flush()
+    /// does). Later ones are dropped, so a long outage holds one error.
+    errors: Arc<Mutex<Option<MilvusError>>>,
     /// Ids whose deletes are logged but not yet applied by the worker —
     /// re-inserting them is legal (update = delete + insert, §2.3). The
     /// foreground holds this lock from the WAL append to the enqueue, so the
@@ -52,7 +53,7 @@ impl AsyncIngest {
     /// Start the worker; `flush_interval` is the §2.3 once-a-second timer.
     pub fn start(engine: Arc<LsmEngine>, flush_interval: Duration) -> Self {
         let (tx, rx) = unbounded::<Op>();
-        let errors: Arc<Mutex<Vec<MilvusError>>> = Arc::new(Mutex::new(Vec::new()));
+        let errors: Arc<Mutex<Option<MilvusError>>> = Arc::new(Mutex::new(None));
         let worker_engine = Arc::clone(&engine);
         let worker_errors = Arc::clone(&errors);
         let unapplied_deletes: Arc<Mutex<HashSet<i64>>> = Arc::new(Mutex::new(HashSet::new()));
@@ -81,20 +82,16 @@ impl AsyncIngest {
     }
 
     /// The §5.1 `flush()` barrier: blocks until every pending operation is
-    /// applied and flushed into segments. Surfaces any background errors.
+    /// applied and flushed into segments. Returns the first error hit since
+    /// the last flush, its own or the background thread's, and clears it.
     pub fn flush(&self) -> Result<()> {
         let (ack_tx, ack_rx) = bounded(1);
         self.tx.send(Op::Barrier(ack_tx)).map_err(|_| MilvusError::IngestStopped)?;
         ack_rx.recv().map_err(|_| MilvusError::IngestStopped)?;
-        if let Some(e) = self.errors.lock().pop() {
-            return Err(e);
+        match self.errors.lock().take() {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    /// Drain background errors without flushing.
-    pub fn take_errors(&self) -> Vec<MilvusError> {
-        std::mem::take(&mut *self.errors.lock())
     }
 }
 
@@ -111,19 +108,22 @@ fn run_worker(
     engine: Arc<LsmEngine>,
     rx: Receiver<Op>,
     flush_interval: Duration,
-    errors: Arc<Mutex<Vec<MilvusError>>>,
+    errors: Arc<Mutex<Option<MilvusError>>>,
     unapplied_deletes: Arc<Mutex<HashSet<i64>>>,
 ) {
+    let note = |e: milvus_storage::StorageError| {
+        errors.lock().get_or_insert(e.into());
+    };
     loop {
         match rx.recv_timeout(flush_interval) {
             Ok(Op::Insert(batch, lsn)) => match engine.apply_insert(&batch, lsn) {
                 Ok(true) => {
                     if let Err(e) = engine.flush() {
-                        errors.lock().push(e.into());
+                        note(e);
                     }
                 }
                 Ok(false) => {}
-                Err(e) => errors.lock().push(e.into()),
+                Err(e) => note(e),
             },
             Ok(Op::Delete(ids, lsn)) => {
                 engine.apply_delete(&ids, lsn);
@@ -134,7 +134,7 @@ fn run_worker(
             }
             Ok(Op::Barrier(ack)) => {
                 if let Err(e) = engine.flush() {
-                    errors.lock().push(e.into());
+                    note(e);
                 }
                 let _ = ack.send(());
             }
@@ -143,7 +143,7 @@ fn run_worker(
                 // The once-a-second flush (§2.3).
                 if engine.pending_rows() > 0 {
                     if let Err(e) = engine.flush() {
-                        errors.lock().push(e.into());
+                        note(e);
                     }
                 }
             }

@@ -266,11 +266,6 @@ impl QueryScheduler {
         &self.cfg
     }
 
-    /// Whether cross-query coalescing is on.
-    pub fn coalescing(&self) -> bool {
-        self.cfg.coalescing
-    }
-
     /// Admit one query, or shed it with [`MilvusError::Overloaded`] when
     /// the collection's in-flight budget is exhausted. The returned guard
     /// must be held for the query's whole execution.

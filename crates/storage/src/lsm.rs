@@ -359,13 +359,48 @@ impl LsmEngine {
     /// truncate the WAL at the highest LSN the drained memtable had applied —
     /// never at a record that is logged (and acknowledged) but still waiting
     /// to be applied.
+    ///
+    /// A flush that fails before it publishes gives the drained rows and
+    /// deletes back to the memtable ([`MemTable::restore`]), so it changes
+    /// nothing: a later flush still writes them, and its checkpoint never
+    /// covers rows that no segment holds.
     pub fn flush(&self) -> Result<Arc<Snapshot>> {
         let (batch, deletes, applied_lsn) = self.memtable.lock().drain();
         let did_work = !batch.is_empty() || !deletes.is_empty();
         let span = did_work
             .then(|| obs::span(obs::MEMTABLE_FLUSH_LATENCY, &self.config.metrics_label));
-        let snap = self.snapshots.current();
-        let mut segments: Vec<Arc<Segment>> = snap.segments.clone();
+        let segments = match self.flushed_segments(&batch, &deletes) {
+            Ok(segments) => segments,
+            Err(e) => {
+                self.memtable.lock().restore(batch, deletes);
+                return Err(e);
+            }
+        };
+
+        let _published = self.snapshots.publish(segments);
+        self.record_segment_gauge();
+        if did_work {
+            obs::counter(obs::MEMTABLE_FLUSHES, &self.config.metrics_label).inc();
+        }
+        drop(span);
+
+        if let Some(wal) = &self.wal {
+            let mut wal = wal.lock();
+            wal.append_checkpoint(applied_lsn)?;
+            wal.truncate(applied_lsn)?;
+        }
+
+        if self.config.auto_merge {
+            self.maybe_merge()?;
+        }
+        Ok(self.snapshots.current())
+    }
+
+    /// The segments a flush of `batch` and `deletes` publishes: the current
+    /// ones with `deletes` tombstoned, plus `batch` as a fresh segment. Every
+    /// new segment version is in the store before this returns.
+    fn flushed_segments(&self, batch: &InsertBatch, deletes: &[i64]) -> Result<Vec<Arc<Segment>>> {
+        let mut segments: Vec<Arc<Segment>> = self.snapshots.current().segments.clone();
 
         // Tombstone flushed rows.
         if !deletes.is_empty() {
@@ -388,30 +423,13 @@ impl LsmEngine {
         // Flush inserts as a fresh segment.
         if !batch.is_empty() {
             let id = self.next_segment_id.fetch_add(1, Ordering::SeqCst);
-            let seg = Arc::new(Segment::from_batch(id, &self.schema, &batch)?);
+            let seg = Arc::new(Segment::from_batch(id, &self.schema, batch)?);
             if self.config.persist_segments {
                 self.store_put(&segment_key(seg.id, seg.version), codec::encode_segment(&seg))?;
             }
             segments.push(seg);
         }
-
-        let _published = self.snapshots.publish(segments);
-        self.record_segment_gauge();
-        if did_work {
-            obs::counter(obs::MEMTABLE_FLUSHES, &self.config.metrics_label).inc();
-        }
-        drop(span);
-
-        if let Some(wal) = &self.wal {
-            let mut wal = wal.lock();
-            wal.append_checkpoint(applied_lsn)?;
-            wal.truncate(applied_lsn)?;
-        }
-
-        if self.config.auto_merge {
-            self.maybe_merge()?;
-        }
-        Ok(self.snapshots.current())
+        Ok(segments)
     }
 
     /// Run the tiered merge planner once; returns the number of merges done.

@@ -156,6 +156,23 @@ impl MemTable {
         (batch, deletes, self.applied_lsn)
     }
 
+    /// Give back what [`MemTable::drain`] took, after the flush that drained
+    /// it failed. The drained rows go in ahead of everything applied since,
+    /// and the drained deletes rejoin the pending set, so the failed flush
+    /// changes nothing: a delete applied since still removes a drained row,
+    /// and a row inserted again since replaces its drained copy.
+    pub fn restore(&mut self, batch: InsertBatch, deletes: Vec<i64>) {
+        let (since, since_deletes, _) = self.drain();
+        self.append(&batch);
+        self.pending_deletes.extend(deletes);
+        let mut superseded = since_deletes;
+        superseded.extend(since.ids.iter().filter(|id| self.buffered.contains(id)));
+        if !superseded.is_empty() {
+            self.delete(&superseded);
+        }
+        self.append(&since);
+    }
+
     /// Search the buffered rows brute-force (reads that opt into seeing
     /// un-flushed data; the default read path sees flushed segments only,
     /// matching §5.1's asynchronous visibility).
@@ -257,6 +274,23 @@ mod tests {
         assert!(mt.is_empty());
         assert_eq!(mt.memory_bytes(), 0);
         assert!(mt.pending_deletes().is_empty());
+    }
+
+    #[test]
+    fn restore_undoes_a_drain_under_the_writes_applied_since() {
+        let mut mt = MemTable::new(schema());
+        mt.insert(&batch(vec![1, 2, 3])).unwrap();
+        mt.delete(&[99]);
+        let (b, d, _) = mt.drain();
+        // Applied while the flush of 1..3 was under way.
+        mt.insert(&batch(vec![4])).unwrap();
+        mt.delete(&[2, 50]);
+        mt.insert(&batch(vec![3])).unwrap();
+        mt.restore(b, d);
+        let (b, d, _) = mt.drain();
+        assert_eq!(b.ids, vec![1, 4, 3], "drained rows first, deleted and replaced ones dropped");
+        // 2 never reached a segment, so its delete has nothing to tombstone.
+        assert_eq!(d, vec![50, 99]);
     }
 
     #[test]

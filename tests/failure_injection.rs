@@ -70,6 +70,22 @@ fn batch(ids: std::ops::Range<i64>) -> InsertBatch {
     InsertBatch::single(id_vec, vs)
 }
 
+/// The ids below `upto` that `engine` holds live, after checking that it
+/// holds no others (and no id twice).
+fn live_ids(engine: &LsmEngine, upto: i64) -> Vec<i64> {
+    let live: Vec<i64> = (0..upto).filter(|&id| engine.contains_live(id)).collect();
+    assert_eq!(engine.snapshot().live_rows() + engine.pending_rows(), live.len());
+    live
+}
+
+/// A fresh temporary directory for one test's WAL.
+fn wal_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("milvus-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[test]
 fn flush_error_propagates_and_engine_stays_usable() {
     let store = FaultyStore::new();
@@ -97,11 +113,93 @@ fn flush_error_propagates_and_engine_stays_usable() {
         milvus_obs::OBJECT_ERRORS
     );
 
-    // Recovery: the fault clears, a later flush succeeds with all data.
+    // Recovery: the fault clears, a later flush succeeds with all data —
+    // the rows of the failed flush included.
     store.fail_puts.store(false, Ordering::SeqCst);
     engine.insert(batch(10..20)).unwrap();
     engine.flush().unwrap();
-    assert!(engine.snapshot().live_rows() >= 10);
+    assert_eq!(engine.pending_rows(), 0);
+    assert_eq!(live_ids(&engine, 40), (0..20).collect::<Vec<_>>());
+}
+
+/// The checkpoint of the flush after the heal covers the rows of the failed
+/// one, so those rows must be in its segments, not only in the log.
+#[test]
+fn a_failed_flush_keeps_its_rows_through_recovery() {
+    let dir = wal_dir("failed-flush-recover");
+    let wal = dir.join("wal.log");
+    let store = FaultyStore::new();
+    let config = || LsmConfig { auto_merge: false, ..Default::default() };
+    {
+        let engine =
+            LsmEngine::new(schema(), config(), store.clone() as Arc<dyn ObjectStore>, Some(&wal))
+                .unwrap();
+        engine.insert(batch(0..10)).unwrap();
+        store.fail_puts.store(true, Ordering::SeqCst);
+        assert!(engine.flush().is_err());
+        assert_eq!(live_ids(&engine, 40), (0..10).collect::<Vec<_>>(), "a failed flush changes nothing");
+        store.fail_puts.store(false, Ordering::SeqCst);
+        engine.insert(batch(10..20)).unwrap();
+        engine.flush().unwrap();
+    }
+    let engine = LsmEngine::recover(schema(), config(), store as Arc<dyn ObjectStore>, &wal).unwrap();
+    assert_eq!(live_ids(&engine, 40), (0..20).collect::<Vec<_>>());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Deletes applied while a failed flush's rows are out of the memtable —
+/// of one of those rows and of a flushed row — still win after the retry.
+#[test]
+fn a_delete_between_a_failed_flush_and_its_retry_wins() {
+    let dir = wal_dir("failed-flush-delete");
+    let wal = dir.join("wal.log");
+    let store = FaultyStore::new();
+    let config = || LsmConfig { auto_merge: false, ..Default::default() };
+    let expected: Vec<i64> = (0..20).filter(|&id| id != 3 && id != 15).collect();
+    {
+        let engine =
+            LsmEngine::new(schema(), config(), store.clone() as Arc<dyn ObjectStore>, Some(&wal))
+                .unwrap();
+        engine.insert(batch(0..10)).unwrap();
+        engine.flush().unwrap();
+        engine.insert(batch(10..20)).unwrap();
+        store.fail_puts.store(true, Ordering::SeqCst);
+        assert!(engine.flush().is_err());
+        engine.delete(&[3, 15]).unwrap();
+        store.fail_puts.store(false, Ordering::SeqCst);
+        engine.flush().unwrap();
+        assert_eq!(engine.pending_rows(), 0);
+        assert_eq!(live_ids(&engine, 40), expected);
+    }
+    let engine = LsmEngine::recover(schema(), config(), store as Arc<dyn ObjectStore>, &wal).unwrap();
+    assert_eq!(live_ids(&engine, 40), expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A collection whose background threshold flush fails: the next flush()
+/// reports that failure once, and after the heal a flush() succeeds with
+/// every acknowledged row searchable.
+#[test]
+fn a_healed_collection_flush_succeeds_with_every_acknowledged_row() {
+    use milvus_core::{CollectionConfig, Milvus};
+    use milvus_index::traits::SearchParams;
+
+    let store = FaultyStore::new();
+    let m = Milvus::with_store(store.clone() as Arc<dyn ObjectStore>);
+    let mut config = CollectionConfig::for_tests();
+    config.lsm.flush_threshold_bytes = 1024;
+    let col = m.create_collection("fault_flush_heal", schema(), config).unwrap();
+    store.fail_puts.store(true, Ordering::SeqCst);
+    col.insert(batch(0..200)).unwrap();
+    col.insert(batch(200..210)).unwrap();
+    assert!(col.flush().is_err(), "the failed flushes must surface");
+    store.fail_puts.store(false, Ordering::SeqCst);
+    col.flush().unwrap();
+    assert_eq!(col.num_entities(), 210);
+    for id in 0..210 {
+        let hits = col.search("v", &[id as f32, 0.0], &SearchParams::top_k(1)).unwrap();
+        assert_eq!(hits[0].id, id, "acknowledged row {id} is not searchable");
+    }
 }
 
 #[test]

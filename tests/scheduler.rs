@@ -1,8 +1,10 @@
-//! ISSUE 9 acceptance: the coalescing query scheduler.
+//! The coalescing query scheduler.
 //!
-//! Twin collections — one with coalescing on, one off — hold identical
-//! data (and identically seeded index builds), so the serial twin is the
-//! ground truth the coalesced results must match **bit-identically**:
+//! The ground truth is the same collection searched one query at a time
+//! from the test thread before any storm: with no other caller every such
+//! search finds a run slot free and passes through the coalescer, so it
+//! runs the serial single-query pipeline (asserted by counting
+//! pass-throughs). The coalesced results must match it **bit-identically**:
 //! `SearchHit` carries `f32` scores, and equality below is exact.
 //!
 //! Scan-delay injection is keyed by global segment id and the metrics
@@ -35,52 +37,54 @@ fn gen_vector(i: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Build a (coalescing-on, coalescing-off) twin pair over identical data.
-/// `index` optionally builds the same index type on both twins.
-fn twins(
-    m: &Milvus,
-    name: &str,
-    n: i64,
-    index: Option<&str>,
-) -> (Arc<Collection>, Arc<Collection>) {
+/// One flushed segment of `n` deterministic rows (with a `price`
+/// attribute equal to the id); `index` optionally builds that index type.
+fn collection(m: &Milvus, name: &str, n: i64, index: Option<&str>) -> Arc<Collection> {
     let schema = Schema::single("v", DIM, Metric::L2).with_attribute("price");
-    let mut on_cfg = CollectionConfig::for_tests();
-    on_cfg.scheduler.max_batch = 4;
-    let mut off_cfg = CollectionConfig::for_tests();
-    off_cfg.scheduler.coalescing = false;
-    let on = m.create_collection(&format!("{name}_on"), schema.clone(), on_cfg).unwrap();
-    let off = m.create_collection(&format!("{name}_off"), schema, off_cfg).unwrap();
-    for col in [&on, &off] {
-        let ids: Vec<i64> = (0..n).collect();
-        let mut vs = VectorSet::new(DIM);
-        let mut attrs = Vec::new();
-        for &id in &ids {
-            vs.push(&gen_vector(id as u64));
-            attrs.push(id as f64);
-        }
-        col.insert(InsertBatch { ids, vectors: vec![vs], attributes: vec![attrs] }).unwrap();
-        col.flush().unwrap();
-        if let Some(ty) = index {
-            assert_eq!(col.build_index("v", ty).unwrap(), 1);
-        }
+    let mut cfg = CollectionConfig::for_tests();
+    cfg.scheduler.max_batch = 4;
+    let col = m.create_collection(name, schema, cfg).unwrap();
+    let ids: Vec<i64> = (0..n).collect();
+    let mut vs = VectorSet::new(DIM);
+    let mut attrs = Vec::new();
+    for &id in &ids {
+        vs.push(&gen_vector(id as u64));
+        attrs.push(id as f64);
     }
-    (on, off)
+    col.insert(InsertBatch { ids, vectors: vec![vs], attributes: vec![attrs] }).unwrap();
+    col.flush().unwrap();
+    if let Some(ty) = index {
+        assert_eq!(col.build_index("v", ty).unwrap(), 1);
+    }
+    col
 }
 
 fn counter(name: &'static str, label: &str) -> u64 {
     milvus_obs::registry().snapshot().counter(name, label)
 }
 
-/// Run `query(0) … query(n-1)` concurrently against `on` while every run
+/// The serial reference: `query(0) … query(n-1)` one at a time from this
+/// thread. Nothing else is searching `col`, so each call must find a run
+/// slot free and pass through — the count proves that every reference
+/// answer came from the single-query path, not from a coalesced batch.
+fn serial<T>(col: &Collection, n: usize, query: impl Fn(usize) -> Result<T, MilvusError>) -> Vec<T> {
+    let before = counter(milvus_obs::SCHED_PASSTHROUGH, col.name());
+    let answers: Vec<T> = (0..n).map(|i| query(i).unwrap()).collect();
+    let passed = counter(milvus_obs::SCHED_PASSTHROUGH, col.name()) - before;
+    assert_eq!(passed, n as u64, "a reference search did not pass straight through");
+    answers
+}
+
+/// Run `query(0) … query(n-1)` concurrently against `col` while every run
 /// slot (one per core) is taken: one plain search per core is parked in the
 /// slowed first segment first, and only then is the barrier-held storm let
 /// go — so on any box all `n` queue behind the slot holders and are
 /// coalesced as the slots free. Results come back in index order.
-fn run_queued<T: Send>(on: &Arc<Collection>, n: usize, query: impl Fn(usize) -> T + Sync) -> Vec<T> {
+fn run_queued<T: Send>(col: &Arc<Collection>, n: usize, query: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let seg_id = on.snapshot().segments[0].id;
+    let seg_id = col.snapshot().segments[0].id;
     inject_scan_delay(seg_id, Duration::from_millis(40));
-    let inflight = milvus_obs::gauge(milvus_obs::SCHED_INFLIGHT, on.name());
+    let inflight = milvus_obs::gauge(milvus_obs::SCHED_INFLIGHT, col.name());
     let barrier = Barrier::new(n + 1);
     let results = std::thread::scope(|s| {
         let storm: Vec<_> = (0..n)
@@ -93,7 +97,7 @@ fn run_queued<T: Send>(on: &Arc<Collection>, n: usize, query: impl Fn(usize) -> 
             })
             .collect();
         let holders: Vec<_> = (0..cores)
-            .map(|_| s.spawn(|| on.search("v", &gen_vector(77), &SearchParams::top_k(1))))
+            .map(|_| s.spawn(|| col.search("v", &gen_vector(77), &SearchParams::top_k(1))))
             .collect();
         while (inflight.get() as usize) < cores {
             std::thread::yield_now();
@@ -110,10 +114,10 @@ fn run_queued<T: Send>(on: &Arc<Collection>, n: usize, query: impl Fn(usize) -> 
 
 /// [`run_queued`] for plain vector searches.
 fn run_concurrent(
-    on: &Arc<Collection>,
+    col: &Arc<Collection>,
     queries: &[(Vec<f32>, SearchParams)],
 ) -> Vec<Result<Vec<SearchHit>, MilvusError>> {
-    run_queued(on, queries.len(), |i| on.search("v", &queries[i].0, &queries[i].1))
+    run_queued(col, queries.len(), |i| col.search("v", &queries[i].0, &queries[i].1))
 }
 
 #[test]
@@ -122,21 +126,20 @@ fn coalesced_flat_scan_is_bit_identical_to_serial_with_mixed_k() {
     let m = Milvus::new();
     // No index: the coalesced path takes the zero-copy cache-aware batch
     // engine at max(k), truncating each query to its own k.
-    let (on, off) = twins(&m, "sched_flat", 400, None);
+    let col = collection(&m, "sched_flat", 400, None);
     let queries: Vec<(Vec<f32>, SearchParams)> = (0..12)
         .map(|i| (gen_vector(1000 + i), SearchParams::top_k([3, 7, 10][i as usize % 3])))
         .collect();
-    let expected: Vec<Vec<SearchHit>> =
-        queries.iter().map(|(q, p)| off.search("v", q, p).unwrap()).collect();
+    let expected = serial(&col, queries.len(), |i| col.search("v", &queries[i].0, &queries[i].1));
 
-    let before = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_flat_on");
-    let results = run_concurrent(&on, &queries);
+    let before = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_flat");
+    let results = run_concurrent(&col, &queries);
     for (res, exp) in results.iter().zip(&expected) {
         assert_eq!(res.as_ref().unwrap(), exp, "coalesced flat scan diverged from serial");
     }
-    let coalesced = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_flat_on") - before;
+    let coalesced = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_flat") - before;
     assert!(coalesced >= 8, "expected most of 12 queued queries to coalesce, got {coalesced}");
-    assert!(counter(milvus_obs::SCHED_COALESCED_BATCHES, "sched_flat_on") > 0);
+    assert!(counter(milvus_obs::SCHED_COALESCED_BATCHES, "sched_flat") > 0);
 }
 
 #[test]
@@ -144,7 +147,7 @@ fn coalesced_ivf_sq8_and_pq_are_bit_identical_to_serial() {
     let _g = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let m = Milvus::new();
     for (name, index) in [("sched_sq8", "IVF_SQ8"), ("sched_pq", "IVF_PQ")] {
-        let (on, off) = twins(&m, name, 600, Some(index));
+        let col = collection(&m, name, 600, Some(index));
         // Same nprobe (one group), mixed k: the IVF bucket-major batch runs
         // at max(k); the sorted prefix property keeps truncation exact even
         // through the fused SQ8 scan and the PQ ADC early-abandon pruning.
@@ -154,9 +157,9 @@ fn coalesced_ivf_sq8_and_pq_are_bit_identical_to_serial() {
                 (gen_vector(2000 + i), p)
             })
             .collect();
-        let expected: Vec<Vec<SearchHit>> =
-            queries.iter().map(|(q, p)| off.search("v", q, p).unwrap()).collect();
-        let results = run_concurrent(&on, &queries);
+        let expected =
+            serial(&col, queries.len(), |i| col.search("v", &queries[i].0, &queries[i].1));
+        let results = run_concurrent(&col, &queries);
         for (res, exp) in results.iter().zip(&expected) {
             assert_eq!(res.as_ref().unwrap(), exp, "coalesced {index} diverged from serial");
         }
@@ -167,19 +170,15 @@ fn coalesced_ivf_sq8_and_pq_are_bit_identical_to_serial() {
 fn coalesced_filtered_search_is_bit_identical_to_serial() {
     let _g = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let m = Milvus::new();
-    let (on, off) = twins(&m, "sched_filt", 300, None);
+    let col = collection(&m, "sched_filt", 300, None);
     let sp = SearchParams::top_k(5);
     let queries: Vec<Vec<f32>> = (0..6).map(|i| gen_vector(3000 + i)).collect();
-    let expected: Vec<Vec<SearchHit>> = queries
-        .iter()
-        .map(|q| off.filtered_search("v", q, "price", 50.0, 250.0, &sp).unwrap())
-        .collect();
+    let filtered = |i: usize| col.filtered_search("v", &queries[i], "price", 50.0, 250.0, &sp);
+    let expected = serial(&col, queries.len(), filtered);
 
-    let before = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_filt_on");
-    let results = run_queued(&on, queries.len(), |i| {
-        on.filtered_search("v", &queries[i], "price", 50.0, 250.0, &sp)
-    });
-    let coalesced = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_filt_on") - before;
+    let before = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_filt");
+    let results = run_queued(&col, queries.len(), filtered);
+    let coalesced = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_filt") - before;
     assert!(coalesced >= 4, "expected most of 6 queued filtered queries to coalesce, got {coalesced}");
     for (res, exp) in results.iter().zip(&expected) {
         assert_eq!(res.as_ref().unwrap(), exp, "coalesced filtered search diverged");
@@ -190,11 +189,11 @@ fn coalesced_filtered_search_is_bit_identical_to_serial() {
 fn mixed_params_split_into_groups_and_all_match_serial() {
     let _g = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let m = Milvus::new();
-    let (on, off) = twins(&m, "sched_mixed", 500, Some("IVF_FLAT"));
+    let col = collection(&m, "sched_mixed", 500, Some("IVF_FLAT"));
     // Three parameter shapes in one storm: nprobe 4 (mixed k — one group at
     // max(k)), nprobe 12 (separate group), and nprobe 4 again. The batch
     // engines assume one shared parameter set per invocation, so grouping
-    // must partition these; results must still match the serial twin.
+    // must partition these; results must still match the serial reference.
     let queries: Vec<(Vec<f32>, SearchParams)> = (0..9)
         .map(|i| {
             let p = match i % 3 {
@@ -205,9 +204,8 @@ fn mixed_params_split_into_groups_and_all_match_serial() {
             (gen_vector(4000 + i as u64), p)
         })
         .collect();
-    let expected: Vec<Vec<SearchHit>> =
-        queries.iter().map(|(q, p)| off.search("v", q, p).unwrap()).collect();
-    let results = run_concurrent(&on, &queries);
+    let expected = serial(&col, queries.len(), |i| col.search("v", &queries[i].0, &queries[i].1));
+    let results = run_concurrent(&col, &queries);
     for (res, exp) in results.iter().zip(&expected) {
         assert_eq!(res.as_ref().unwrap(), exp, "mixed-params coalescing diverged");
     }
@@ -223,32 +221,27 @@ fn two_closed_loop_clients_never_wait_for_each_other() {
     let m = Milvus::new();
     let schema = Schema::single("v", DIM, Metric::L2);
     let col = m.create_collection("sched_pass", schema, CollectionConfig::for_tests()).unwrap();
-    let reference = {
-        let mut cfg = CollectionConfig::for_tests();
-        cfg.scheduler.coalescing = false;
-        m.create_collection("sched_pass_ref", Schema::single("v", DIM, Metric::L2), cfg).unwrap()
-    };
-    for c in [&col, &reference] {
-        let ids: Vec<i64> = (0..200).collect();
-        let mut vs = VectorSet::new(DIM);
-        for &id in &ids {
-            vs.push(&gen_vector(id as u64));
-        }
-        c.insert(InsertBatch::single(ids, vs)).unwrap();
-        c.flush().unwrap();
+    let ids: Vec<i64> = (0..200).collect();
+    let mut vs = VectorSet::new(DIM);
+    for &id in &ids {
+        vs.push(&gen_vector(id as u64));
     }
+    col.insert(InsertBatch::single(ids, vs)).unwrap();
+    col.flush().unwrap();
 
     let sp = SearchParams::top_k(5);
+    let query = |client: usize, i: usize| gen_vector(9000 + 1000 * client as u64 + i as u64);
+    let expected: Vec<Vec<Vec<SearchHit>>> = (0..2)
+        .map(|client| serial(&col, 200, |i| col.search("v", &query(client, i), &sp)))
+        .collect();
     let passed_before = counter(milvus_obs::SCHED_PASSTHROUGH, "sched_pass");
     let coalesced_before = counter(milvus_obs::SCHED_COALESCED_QUERIES, "sched_pass");
     std::thread::scope(|s| {
-        for client in 0..2u64 {
-            let (col, reference, sp) = (&col, &reference, &sp);
+        for (client, expected) in expected.iter().enumerate() {
+            let (col, sp, query) = (&col, &sp, &query);
             s.spawn(move || {
-                for i in 0..200 {
-                    let q = gen_vector(9000 + client * 1000 + i);
-                    let hits = col.search("v", &q, sp).unwrap();
-                    assert_eq!(hits, reference.search("v", &q, sp).unwrap());
+                for (i, exp) in expected.iter().enumerate() {
+                    assert_eq!(&col.search("v", &query(client, i), sp).unwrap(), exp);
                 }
             });
         }
@@ -317,17 +310,17 @@ fn shed_queries_fail_typed_while_admitted_queries_stay_correct() {
 fn search_batch_matches_per_query_serial_results() {
     let _g = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let m = Milvus::new();
-    let (on, off) = twins(&m, "sched_many", 350, None);
+    let col = collection(&m, "sched_many", 350, None);
     let mut qs = VectorSet::new(DIM);
     for i in 0..10u64 {
         qs.push(&gen_vector(5000 + i));
     }
     let sp = SearchParams::top_k(6);
-    let lists = on.search_batch("v", &qs, &sp).unwrap();
+    let expected = serial(&col, qs.len(), |i| col.search("v", qs.get(i), &sp));
+    let lists = col.search_batch("v", &qs, &sp).unwrap();
     assert_eq!(lists.len(), 10);
-    for (i, list) in lists.iter().enumerate() {
-        let exp = off.search("v", qs.get(i), &sp).unwrap();
-        assert_eq!(list, &exp, "search_batch query {i} diverged from serial");
+    for (i, (list, exp)) in lists.iter().zip(&expected).enumerate() {
+        assert_eq!(list, exp, "search_batch query {i} diverged from serial");
     }
 }
 
