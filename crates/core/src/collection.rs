@@ -17,7 +17,8 @@ use milvus_index::{IndexError, Metric, Neighbor, RowMask, TopK, VectorSet};
 use milvus_obs as obs;
 use milvus_query::multivector::MultiVectorEngine;
 use milvus_storage::object_store::ObjectStore;
-use milvus_storage::segment::{merge_segment_results, Fanout, Segment};
+use milvus_storage::pass::FieldPass;
+use milvus_storage::segment::{merge_segment_results, Segment};
 use milvus_storage::snapshot::Snapshot;
 use milvus_storage::{InsertBatch, LsmEngine, Schema};
 use parking_lot::{Condvar, Mutex};
@@ -387,22 +388,20 @@ impl Collection {
 
     /// The query pipeline, for every entry point and every batch size:
     /// plan (resolve names, partition into parameter-compatible groups) →
-    /// pin a snapshot → one executor task per segment scanning every group
-    /// (or, when every run slot is taken and the cores are busy with whole
-    /// queries, the segments in order on this thread) → merge per query.
-    /// With `cores` = the idle run slots plus this thread's own, a segment
-    /// holding `rows_s` of the snapshot's `Σ rows` may split a lone
-    /// unindexed query over `⌈cores · rows_s / Σ rows⌉` row ranges
-    /// ([`Segment::search_batch`]). Failures come back as values — one
-    /// `Result` per request, in input order — so one bad request cannot fail
-    /// the batch it was coalesced into.
+    /// pin a snapshot → a group of one unfiltered query reads the segments
+    /// without an index on its field through the snapshot's shared pass,
+    /// idle run slots claiming blocks beside it → one executor task per
+    /// remaining segment scanning every group that reads it there (or, when
+    /// every run slot is taken and the cores are busy with whole queries,
+    /// those segments in order on this thread) → merge per query. Failures
+    /// come back as values — one `Result` per request, in input order — so
+    /// one bad request cannot fail the batch it was coalesced into.
     ///
-    /// `&mut Trace` stays on this thread: the timed fan-out captures per-task
-    /// executor milestones and the tasks their own filter/scan/range-wait
-    /// windows (only when the trace is live — the untraced hot path stays
-    /// clock-free), and spans are recorded after the join, in segment order —
-    /// queue wait separate from scan time, so the profiler can tell
-    /// saturation from slow scans.
+    /// `&mut Trace` stays on this thread: the timed pass and fan-out return
+    /// their windows and executor milestones (only when the trace is live —
+    /// the untraced hot path stays clock-free), and spans are recorded after
+    /// the joins — queue wait separate from scan time, so the profiler can
+    /// tell saturation from slow scans.
     fn execute(
         &self,
         reqs: &[SearchRequest],
@@ -426,29 +425,60 @@ impl Collection {
         let nsegs = snap.segments.len();
         trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = nsegs as u64);
 
-        // The cores this call may use: the idle run slots and its own. Each
-        // segment gets its share of them by rows.
-        let cores = self.scheduler.idle_slots() + 1;
-        let rows = snap.segments.iter().map(|s| s.num_rows()).sum::<usize>().max(1);
+        let idle = self.scheduler.idle_slots();
         let timed = trace.enabled();
-        let mut scans = traced_fan_out(nsegs, cores == 1, timed, |si| {
-            let seg = &snap.segments[si];
-            let fanout = Fanout { cores: (cores * seg.num_rows()).div_ceil(rows), timed };
-            groups.iter().map(|g| self.scan_group(seg, g, fanout)).collect::<Vec<_>>()
+        // A group of one unfiltered query reads the segments without an index
+        // on its field through the snapshot's pass for the field (a query of
+        // another dimension takes the per-segment path, which reports it).
+        // Idle run slots join as claimers. A pass of at most one block per
+        // executor worker gives each block a claimer: it is too short for
+        // the extra claimers to cost, and a stalled block overlaps the rest.
+        let mut shared: Vec<Option<(&FieldPass, Vec<Neighbor>)>> = groups
+            .iter()
+            .map(|g| {
+                if g.idxs.len() > 1 || g.plan.filter.is_some() {
+                    return None;
+                }
+                let (field, dim) = (g.req.field(), g.queries[0].len());
+                let mut fps = snap.passes(&self.schema, &self.trace_label).iter();
+                let fp = fps.find(|fp| fp.field == field && fp.pass.dim() == dim && fp.pass.blocks() > 0)?;
+                let blocks = fp.pass.blocks();
+                let short = blocks <= Executor::global().threads();
+                let helpers = if idle == 0 { 0 } else if short { blocks - 1 } else { idle };
+                let (list, timing) = fp.pass.search(g.queries[0], g.ks[0], helpers, timed);
+                for (seg, window) in fp.pass.segments().iter().zip(timing.windows) {
+                    let (start, end) = window.unwrap_or_else(|| (Instant::now(), Instant::now()));
+                    trace.record_window(obs::SpanKind::SegmentScan, start, end, |sp| {
+                        sp.segment_id = seg.id as i64;
+                        sp.rows_scanned = seg.live_rows() as u64;
+                    });
+                }
+                if let Some((start, end)) = timing.helper_wait {
+                    trace.record_window(obs::SpanKind::QueueWait, start, end, |_| {});
+                }
+                Some((fp, list))
+            })
+            .collect();
+
+        // The segments each group reads on their own: all but its pass's.
+        let reads = |gi: usize, si: usize| {
+            shared[gi].as_ref().is_none_or(|(fp, _)| fp.indexed.contains(&si))
+        };
+        let todo: Vec<usize> =
+            (0..nsegs).filter(|&si| (0..groups.len()).any(|gi| reads(gi, si))).collect();
+        let mut scans = traced_fan_out(todo.len(), idle == 0, timed, |ti| {
+            let (si, seg) = (todo[ti], &snap.segments[todo[ti]]);
+            let read = |(gi, g)| reads(gi, si).then(|| self.scan_group(seg, g, timed));
+            groups.iter().enumerate().map(read).collect::<Vec<_>>()
         });
-        for (seg, (scans, timing)) in snap.segments.iter().zip(&scans) {
-            let seg_id = seg.id as i64;
+        for (&si, (scans, timing)) in todo.iter().zip(&scans) {
+            let seg_id = snap.segments[si].id as i64;
             if let Some(t) = timing {
                 trace.record_window(obs::SpanKind::QueueWait, t.enqueued, t.started, |sp| {
                     sp.segment_id = seg_id;
                 });
             }
-            for scan in scans {
-                if let Some((start, end)) = scan.queue_wait {
-                    trace.record_window(obs::SpanKind::QueueWait, start, end, |sp| {
-                        sp.segment_id = seg_id;
-                    });
-                }
+            for scan in scans.iter().flatten() {
                 if let Some((start, end)) = scan.filter_window {
                     trace.record_window(obs::SpanKind::Filter, start, end, |sp| {
                         sp.segment_id = seg_id;
@@ -469,11 +499,14 @@ impl Collection {
             resolved.into_iter().map(|r| r.map(|_| Vec::new())).collect();
         for (gi, group) in groups.iter().enumerate() {
             for (j, &qi) in group.idxs.iter().enumerate() {
-                // Per query: its list from every segment, in segment order
-                // (so the first failing segment's error wins), merged.
+                // Per query: its list from every segment it read on its own,
+                // in segment order (so the first failing segment's error
+                // wins), and from its pass, merged.
                 let lists: milvus_storage::Result<Vec<Vec<Neighbor>>> = scans
                     .iter_mut()
-                    .map(|(scans, _)| std::mem::replace(&mut scans[gi].lists[j], Ok(Vec::new())))
+                    .filter_map(|(scans, _)| scans[gi].as_mut())
+                    .map(|scan| std::mem::replace(&mut scan.lists[j], Ok(Vec::new())))
+                    .chain(shared[gi].take().map(|(_, list)| Ok(list)))
                     .collect();
                 out[qi] = lists
                     .map(|lists| merge_segment_results(&lists, group.ks[j]))
@@ -491,9 +524,9 @@ impl Collection {
     /// per segment between the exact scan of the passers (strategy A, when
     /// the predicate is highly selective or the segment has no index) and the
     /// index search under the bitmap (strategy B). Windows are timed only
-    /// when `fanout.timed`.
-    fn scan_group(&self, seg: &Segment, group: &Group<'_>, fanout: Fanout) -> GroupScan {
-        let clock = || fanout.timed.then(Instant::now);
+    /// when `timed`.
+    fn scan_group(&self, seg: &Segment, group: &Group<'_>, timed: bool) -> GroupScan {
+        let clock = || timed.then(Instant::now);
         let (field, params) = (group.req.field(), group.req.params());
         let members = group.idxs.len() as u64;
         let mut out = GroupScan::default();
@@ -530,18 +563,15 @@ impl Collection {
                 if passers.is_some() {
                     self.filter_strategy_b.add(members);
                 }
-                let (lists, stats) = seg.search_batch(
+                out.rows_scanned = seg.live_rows() as u64;
+                out.lists = seg.search_batch(
                     &self.schema,
                     field,
                     &group.queries,
                     &group.ks,
                     params,
                     passers.as_ref(),
-                    fanout,
                 );
-                out.rows_scanned = stats.rows_scanned;
-                out.queue_wait = stats.queue_wait;
-                out.lists = lists;
             }
         }
         out.scan_window = s_start.zip(clock());
@@ -745,8 +775,6 @@ struct GroupScan {
     rows_scanned: u64,
     filter_window: Option<(Instant, Instant)>,
     scan_window: Option<(Instant, Instant)>,
-    /// The worst-queued row range, when the scan split its rows.
-    queue_wait: Option<(Instant, Instant)>,
 }
 
 /// Filter strategy A: exact distances to exactly the `visible` rows — the

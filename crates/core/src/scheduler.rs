@@ -299,8 +299,8 @@ impl QueryScheduler {
     }
 
     /// Run slots nobody holds (see [`Coalescer::idle_slots`]): the cores a
-    /// runner may fan its segment scans out into. At `0` the cores are busy
-    /// with whole queries and a runner scans its segments itself.
+    /// runner may spread its shared pass and segment scans over. At `0` the
+    /// cores are busy with whole queries and a runner scans by itself.
     pub fn idle_slots(&self) -> usize {
         self.coalescer.idle_slots()
     }

@@ -18,7 +18,7 @@ use milvus_obs as obs;
 use milvus_storage::bufferpool::BufferPool;
 use milvus_storage::codec;
 use milvus_storage::object_store::ObjectStore;
-use milvus_storage::pass::SharedPass;
+use milvus_storage::pass::FieldPass;
 use milvus_storage::segment::{merge_segment_results, Segment};
 use milvus_storage::{Result as StorageResult, Schema};
 use parking_lot::RwLock;
@@ -63,35 +63,17 @@ struct View {
     /// the sequence of per-link fate draws under a simulated transport) is
     /// deterministic.
     shards: BTreeMap<usize, Vec<Arc<Segment>>>,
+    /// `(shard, segment)` in [`by_shard`] order, as the passes were split.
+    flat: Vec<(usize, Arc<Segment>)>,
     passes: Vec<FieldPass>,
-}
-
-/// One field's shared pass and the segments it leaves to per-segment scans.
-struct FieldPass {
-    field: String,
-    pass: SharedPass,
-    /// The shard of each of `pass.segments()`.
-    shard_of: Vec<usize>,
-    /// `(shard, segment)` of the segments with an index on `field`.
-    indexed: Vec<(usize, Arc<Segment>)>,
 }
 
 impl View {
     fn new(schema: &Schema, shards: BTreeMap<usize, Vec<Arc<Segment>>>, label: &str) -> Self {
-        let passes = schema
-            .vector_fields
-            .iter()
-            .filter_map(|f| {
-                let (indexed, unindexed): (Vec<_>, Vec<_>) = by_shard(&shards)
-                    .map(|(shard, seg)| (shard, Arc::clone(seg)))
-                    .partition(|(_, seg)| seg.index(&f.name).is_some());
-                let shard_of = unindexed.iter().map(|&(shard, _)| shard).collect();
-                let segs = unindexed.into_iter().map(|(_, seg)| seg).collect();
-                let pass = SharedPass::new(schema, &f.name, segs, label)?;
-                Some(FieldPass { field: f.name.clone(), pass, shard_of, indexed })
-            })
-            .collect();
-        Self { shards, passes }
+        let flat: Vec<_> = by_shard(&shards).map(|(shard, seg)| (shard, Arc::clone(seg))).collect();
+        let segs: Vec<_> = flat.iter().map(|(_, seg)| Arc::clone(seg)).collect();
+        let passes = FieldPass::split(schema, &segs, label);
+        Self { shards, flat, passes }
     }
 }
 
@@ -288,8 +270,8 @@ impl ReaderNode {
         let pass = view.passes.iter().find(|p| p.field == field && p.pass.dim() == query.len());
         let result = match pass {
             Some(fp) => {
-                let indexed = fp.indexed.iter().map(|(shard, seg)| (*shard, seg));
-                self.sweep(Some(fp), indexed, field, query, params, trace)
+                let indexed = fp.indexed.iter().map(|&at| (view.flat[at].0, &view.flat[at].1));
+                self.sweep(Some((fp, &view)), indexed, field, query, params, trace)
             }
             None => self.sweep(None, by_shard(&view.shards), field, query, params, trace),
         };
@@ -333,11 +315,11 @@ impl ReaderNode {
 
     /// The sweep every entry point shares: `pass`'s turn for this query if
     /// there is one, then each of `segments` on its own
-    /// ([`Segment::search_field_stats`], serial), the lists merged. The
+    /// ([`Segment::search_field`], serial), the lists merged. The
     /// sweep's wall time is the node's busy time.
     fn sweep<'a>(
         &self,
-        pass: Option<&FieldPass>,
+        pass: Option<(&FieldPass, &View)>,
         segments: impl Iterator<Item = (usize, &'a Arc<Segment>)>,
         field: &str,
         query: &[f32],
@@ -345,16 +327,32 @@ impl ReaderNode {
         trace: &mut obs::Trace,
     ) -> StorageResult<Vec<Neighbor>> {
         let start = Instant::now();
-        let shared = pass.map(|fp| self.turn(fp, query, params.k, trace));
+        // The turn runs on this thread alone: a reader's idle run slot is not
+        // an idle core (DESIGN §16). A live trace gets one span per segment
+        // of the pass over the blocks of it this caller scored (empty, at
+        // the end of the turn, if it scored none).
+        let shared = pass.map(|(fp, view)| {
+            let (list, timing) = fp.pass.search(query, params.k, 0, trace.enabled());
+            for (&at, window) in fp.unindexed.iter().zip(timing.windows) {
+                let (from, to) = window.unwrap_or_else(|| (Instant::now(), Instant::now()));
+                let (shard, seg) = &view.flat[at];
+                trace.record_window(obs::SpanKind::SegmentScan, from, to, |sp| {
+                    sp.segment_id = seg.id as i64;
+                    sp.shard = *shard as i64;
+                    sp.rows_scanned = seg.live_rows() as u64;
+                    sp.cache = self.pool.last_outcome(seg.id);
+                });
+            }
+            list
+        });
         let scanned: StorageResult<Vec<Vec<Neighbor>>> = segments
             .map(|(shard, seg)| {
                 let t = trace.begin();
-                let (list, stats) =
-                    seg.search_field_stats(&self.schema, field, query, params, None)?;
+                let list = seg.search_field(&self.schema, field, query, params, None)?;
                 trace.record_with(obs::SpanKind::SegmentScan, t, |sp| {
                     sp.segment_id = seg.id as i64;
                     sp.shard = shard as i64;
-                    sp.rows_scanned = stats.rows_scanned;
+                    sp.rows_scanned = seg.live_rows() as u64;
                     sp.cache = self.pool.last_outcome(seg.id);
                 });
                 Ok(list)
@@ -368,45 +366,6 @@ impl ReaderNode {
         trace.record(obs::SpanKind::HeapMerge, t);
         self.busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         out
-    }
-
-    /// One query's turn on `fp`'s shared pass. A live trace gets one
-    /// segment-scan span per segment of the pass, spanning the blocks of it
-    /// this caller scored (empty, at the end of the turn, if it scored none).
-    fn turn(
-        &self,
-        fp: &FieldPass,
-        query: &[f32],
-        k: usize,
-        trace: &mut obs::Trace,
-    ) -> Vec<Neighbor> {
-        let pass = &fp.pass;
-        let timed = trace.enabled();
-        let mut windows: Vec<Option<(Instant, Instant)>> =
-            if timed { vec![None; pass.segments().len()] } else { Vec::new() };
-        let me = pass.attach(query, k);
-        while let Some(claim) = pass.claim(&me) {
-            let s = claim.segment(pass);
-            let t0 = timed.then(Instant::now);
-            pass.score(claim);
-            if let Some(t0) = t0 {
-                windows[s].get_or_insert((t0, t0)).1 = Instant::now();
-            }
-        }
-        let list = pass.finish(me);
-        if timed {
-            let end = Instant::now();
-            for ((seg, &shard), window) in pass.segments().iter().zip(&fp.shard_of).zip(windows) {
-                let (from, to) = window.unwrap_or((end, end));
-                trace.record_window(obs::SpanKind::SegmentScan, from, to, |sp| {
-                    sp.segment_id = seg.id as i64;
-                    sp.shard = shard as i64;
-                    sp.rows_scanned = seg.live_rows() as u64;
-                    sp.cache = self.pool.last_outcome(seg.id);
-                });
-            }
-        }
-        list
     }
 }
 

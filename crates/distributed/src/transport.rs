@@ -119,17 +119,6 @@ impl Default for FaultPlan {
     }
 }
 
-impl FaultPlan {
-    /// True when the plan injects no faults at all.
-    pub fn is_clean(&self) -> bool {
-        self.loss == 0.0
-            && self.duplicate == 0.0
-            && self.reorder == 0.0
-            && self.delay_us == (0, 0)
-            && !self.partitioned
-    }
-}
-
 /// The message-passing boundary every cluster interaction routes through.
 pub trait Transport: Send + Sync {
     /// True for transports with no fault injection; [`rpc`] then skips all
@@ -344,12 +333,6 @@ impl SimNet {
         let lo = lo.as_micros() as u64;
         let hi = (hi.as_micros() as u64).max(lo);
         self.with_link(from, to, |l| l.plan.delay_us = (lo, hi));
-    }
-
-    /// Restore both directions between `a` and `b` to a fault-free plan.
-    pub fn heal_link(&self, a: NodeId, b: NodeId) {
-        self.set_plan(a, b, FaultPlan::default());
-        self.set_plan(b, a, FaultPlan::default());
     }
 
     /// Restore every link to a fault-free plan. Held-back one-way messages

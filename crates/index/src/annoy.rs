@@ -15,7 +15,7 @@ use crate::error::{IndexError, Result};
 use crate::mask::RowMask;
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
-use crate::traits::{BuildParams, IndexBuilder, SearchParams, VectorIndex};
+use crate::traits::{graph_build_input, BuildParams, IndexBuilder, SearchParams, VectorIndex};
 use crate::vectors::VectorSet;
 
 const LEAF_SIZE: usize = 16;
@@ -42,34 +42,11 @@ pub struct AnnoyIndex {
 impl AnnoyIndex {
     /// Build `params.annoy_n_trees` trees over `vectors`.
     pub fn build(vectors: &VectorSet, ids: &[i64], params: &BuildParams) -> Result<Self> {
-        if params.metric.is_binary() {
-            return Err(IndexError::UnsupportedMetric {
-                metric: params.metric.name(),
-                index: "ANNOY",
-            });
-        }
-        if vectors.len() != ids.len() {
-            return Err(IndexError::invalid(
-                "ids",
-                format!("{} ids for {} vectors", ids.len(), vectors.len()),
-            ));
-        }
-        if vectors.is_empty() {
-            return Err(IndexError::InsufficientTrainingData { need: 1, got: 0 });
-        }
+        let (inner_metric, data) = graph_build_input(vectors, ids, params.metric, "ANNOY")?;
         if params.annoy_n_trees == 0 {
             return Err(IndexError::invalid("annoy_n_trees", "must be >= 1"));
         }
         let dim = vectors.dim();
-        let (inner_metric, data) = if params.metric == Metric::Cosine {
-            let mut vs = vectors.clone();
-            for i in 0..vs.len() {
-                distance::normalize(vs.get_mut(i));
-            }
-            (Metric::InnerProduct, vs)
-        } else {
-            (params.metric, vectors.clone())
-        };
 
         let mut rng = StdRng::seed_from_u64(params.seed ^ 0xA220);
         let all_rows: Vec<u32> = (0..data.len() as u32).collect();

@@ -49,8 +49,6 @@ pub enum IvfVariant {
     Pq,
 }
 
-serde::impl_serde_unit_enum!(IvfVariant { Flat, Sq8, Pq });
-
 impl IvfVariant {
     /// Registry name.
     pub fn name(self) -> &'static str {

@@ -17,8 +17,6 @@ pub struct ScalarQuantizer {
     vstep: Vec<f32>,
 }
 
-serde::impl_serde_struct!(ScalarQuantizer { vmin, vstep });
-
 impl ScalarQuantizer {
     /// Learn per-dimension ranges from `data`.
     ///

@@ -27,8 +27,6 @@ pub enum Metric {
     Tanimoto,
 }
 
-serde::impl_serde_unit_enum!(Metric { L2, InnerProduct, Cosine, Hamming, Jaccard, Tanimoto });
-
 impl Metric {
     /// True when the raw metric is a similarity (higher = better) that the
     /// crate internally negates into a distance.

@@ -18,7 +18,7 @@ use crate::mask::RowMask;
 use crate::hnsw::HnswIndex;
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
-use crate::traits::{BuildParams, IndexBuilder, SearchParams, VectorIndex};
+use crate::traits::{graph_build_input, BuildParams, IndexBuilder, SearchParams, VectorIndex};
 use crate::vectors::VectorSet;
 
 /// An NSG graph index.
@@ -35,31 +35,8 @@ pub struct NsgIndex {
 impl NsgIndex {
     /// Build the graph over `vectors` (row `i` ↔ `ids[i]`).
     pub fn build(vectors: &VectorSet, ids: &[i64], params: &BuildParams) -> Result<Self> {
-        if params.metric.is_binary() {
-            return Err(IndexError::UnsupportedMetric {
-                metric: params.metric.name(),
-                index: "NSG",
-            });
-        }
-        if vectors.len() != ids.len() {
-            return Err(IndexError::invalid(
-                "ids",
-                format!("{} ids for {} vectors", ids.len(), vectors.len()),
-            ));
-        }
-        if vectors.is_empty() {
-            return Err(IndexError::InsufficientTrainingData { need: 1, got: 0 });
-        }
+        let (inner_metric, data) = graph_build_input(vectors, ids, params.metric, "NSG")?;
         let dim = vectors.dim();
-        let (inner_metric, data) = if params.metric == Metric::Cosine {
-            let mut vs = vectors.clone();
-            for i in 0..vs.len() {
-                distance::normalize(vs.get_mut(i));
-            }
-            (Metric::InnerProduct, vs)
-        } else {
-            (params.metric, vectors.clone())
-        };
         let n = data.len();
         let r = params.nsg_out_degree.max(2);
 

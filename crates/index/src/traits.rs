@@ -6,7 +6,8 @@
 //! interface; [`crate::registry`] is the factory that resolves index names to
 //! builders.
 
-use crate::error::Result;
+use crate::distance;
+use crate::error::{IndexError, Result};
 use crate::mask::RowMask;
 use crate::metric::Metric;
 use crate::topk::Neighbor;
@@ -70,6 +71,37 @@ impl BuildParams {
         let cap = ((n as f64).sqrt().ceil() as usize).max(1);
         self.nlist.min(cap).max(1)
     }
+}
+
+/// What a graph or tree index (HNSW, NSG, ANNOY, named by `index` in the
+/// refusal) builds over: it refuses a binary metric, ids that do not match
+/// the vectors one for one, and an empty set; otherwise it returns the
+/// metric the index scores with and the index's own copy of the vectors —
+/// normalized under Cosine, which then scores as inner product.
+pub(crate) fn graph_build_input(
+    vectors: &VectorSet,
+    ids: &[i64],
+    metric: Metric,
+    index: &'static str,
+) -> Result<(Metric, VectorSet)> {
+    if metric.is_binary() {
+        return Err(IndexError::UnsupportedMetric { metric: metric.name(), index });
+    }
+    if vectors.len() != ids.len() {
+        let reason = format!("{} ids for {} vectors", ids.len(), vectors.len());
+        return Err(IndexError::invalid("ids", reason));
+    }
+    if vectors.is_empty() {
+        return Err(IndexError::InsufficientTrainingData { need: 1, got: 0 });
+    }
+    let mut data = vectors.clone();
+    if metric != Metric::Cosine {
+        return Ok((metric, data));
+    }
+    for i in 0..data.len() {
+        distance::normalize(data.get_mut(i));
+    }
+    Ok((Metric::InnerProduct, data))
 }
 
 /// Per-query search configuration.
@@ -208,6 +240,34 @@ mod tests {
         assert_eq!(p.effective_nlist(0), 1);
         // Large n keeps the configured value.
         assert_eq!(p.effective_nlist(1_000_000_000), 16384);
+    }
+
+    /// Each input the graph and tree builders refuse, fed to all three: the
+    /// same error, naming the index that refused.
+    #[test]
+    fn graph_builders_refuse_the_same_inputs_alike() {
+        use crate::{annoy::AnnoyIndex, hnsw::HnswIndex, nsg::NsgIndex};
+        type Build = fn(&VectorSet, &[i64], &BuildParams) -> Result<()>;
+        let builders: [(&str, Build); 3] = [
+            ("HNSW", |v, i, p| HnswIndex::build(v, i, p).map(drop)),
+            ("NSG", |v, i, p| NsgIndex::build(v, i, p).map(drop)),
+            ("ANNOY", |v, i, p| AnnoyIndex::build(v, i, p).map(drop)),
+        ];
+        let (two, none) = (VectorSet::from_flat(2, vec![0.0, 1.0, 2.0, 3.0]), VectorSet::new(2));
+        for (index, build) in builders {
+            let unsupported = |metric: Metric| IndexError::UnsupportedMetric { metric: metric.name(), index };
+            let refused = [
+                (&two, &[1, 2][..], Metric::Hamming, unsupported(Metric::Hamming)),
+                (&two, &[1, 2][..], Metric::Jaccard, unsupported(Metric::Jaccard)),
+                (&two, &[1, 2][..], Metric::Tanimoto, unsupported(Metric::Tanimoto)),
+                (&two, &[1][..], Metric::L2, IndexError::invalid("ids", "1 ids for 2 vectors")),
+                (&none, &[][..], Metric::Cosine, IndexError::InsufficientTrainingData { need: 1, got: 0 }),
+            ];
+            for (vectors, ids, metric, want) in refused {
+                let got = build(vectors, ids, &BuildParams::with_metric(metric)).expect_err(index);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{index} under {metric:?}");
+            }
+        }
     }
 
     #[test]

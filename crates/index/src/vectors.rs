@@ -11,8 +11,6 @@ pub struct VectorSet {
     data: Vec<f32>,
 }
 
-serde::impl_serde_struct!(VectorSet { dim, data });
-
 impl VectorSet {
     /// Create an empty set of `dim`-dimensional vectors.
     ///

@@ -568,10 +568,10 @@ pub const LOG_SHIP_RECORDS: &str = "milvus_log_ship_records_total";
 pub const LOG_APPLY_RECORDS: &str = "milvus_log_apply_records_total";
 /// Distributed reader refreshes.
 pub const READER_REFRESHES: &str = "milvus_reader_refreshes_total";
-/// Blocks a reader's shared scan pass claimed, each scored once against
+/// Blocks a shared scan pass claimed, each scored once against
 /// every query attached at claim time.
 pub const SCAN_PASS_BLOCKS: &str = "milvus_scan_pass_blocks_total";
-/// (query, block) pairs a reader's shared scan pass scored: the blocks each
+/// (query, block) pairs a shared scan pass scored: the blocks each
 /// query saw, summed over queries.
 pub const SCAN_PASS_QUERY_BLOCKS: &str = "milvus_scan_pass_query_blocks_total";
 /// Queries elected by the trace sampler (process-wide).
@@ -753,8 +753,8 @@ pub const FAMILIES: &[FamilyDesc] = &[
     FamilyDesc { name: QUERY_NPROBE_EFFECTIVE, kind: MetricKind::Counter, help: "Effective nprobe used by IVF searches." },
     FamilyDesc { name: QUERY_TOTAL, kind: MetricKind::Counter, help: "Queries served." },
     FamilyDesc { name: READER_REFRESHES, kind: MetricKind::Counter, help: "Distributed reader refreshes." },
-    FamilyDesc { name: SCAN_PASS_BLOCKS, kind: MetricKind::Counter, help: "Blocks a reader's shared scan pass claimed, each scored once for every query attached at claim time." },
-    FamilyDesc { name: SCAN_PASS_QUERY_BLOCKS, kind: MetricKind::Counter, help: "(query, block) pairs a reader's shared scan pass scored." },
+    FamilyDesc { name: SCAN_PASS_BLOCKS, kind: MetricKind::Counter, help: "Blocks a shared scan pass claimed, each scored once for every query attached at claim time." },
+    FamilyDesc { name: SCAN_PASS_QUERY_BLOCKS, kind: MetricKind::Counter, help: "(query, block) pairs a shared scan pass scored." },
     FamilyDesc { name: SCHED_BATCH_SIZE, kind: MetricKind::Histogram, help: "Queries per coalesced scheduler batch." },
     FamilyDesc { name: SCHED_COALESCED_BATCHES, kind: MetricKind::Counter, help: "Coalesced batches executed by the query scheduler." },
     FamilyDesc { name: SCHED_COALESCED_QUERIES, kind: MetricKind::Counter, help: "Queries served through a coalesced scheduler batch." },

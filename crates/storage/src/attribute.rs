@@ -22,8 +22,6 @@ pub struct PageStat {
     pub max: f64,
 }
 
-serde::impl_serde_struct!(PageStat { min, max });
-
 /// A sorted `(key, row)` attribute column over one segment's rows.
 ///
 /// Struct-of-arrays: `values` holds each row's value at its row *position*
@@ -40,8 +38,6 @@ pub struct AttributeColumn {
     /// Skip pointers, one per [`PAGE_SIZE`] entries of `order`.
     pages: Vec<PageStat>,
 }
-
-serde::impl_serde_struct!(AttributeColumn { name, values, order, pages });
 
 impl AttributeColumn {
     /// Build from `values[row]`, one per row position.

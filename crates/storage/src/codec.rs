@@ -280,7 +280,6 @@ pub fn decode_segment(id: u64, version: u64, mut buf: &[u8]) -> Result<Segment> 
 mod tests {
     use super::*;
     use crate::entity::{InsertBatch, Schema};
-    use crate::segment::Fanout;
     use milvus_index::Metric;
 
     fn sample_segment() -> (Schema, Segment) {
@@ -464,7 +463,7 @@ mod tests {
                 );
             }
             let batch = |seg: &Segment| {
-                seg.search_batch(&schema, "v", &queries, &[7, 2, 5], &sp, allow, Fanout::SERIAL).0
+                seg.search_batch(&schema, "v", &queries, &[7, 2, 5], &sp, allow)
             };
             let (got, want) = (batch(&back), batch(&indexed));
             for (got, want) in got.into_iter().zip(want) {

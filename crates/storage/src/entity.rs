@@ -20,8 +20,6 @@ pub struct VectorField {
     pub metric: Metric,
 }
 
-serde::impl_serde_struct!(VectorField { name, dim, metric });
-
 /// Collection schema: one or more vector fields plus numeric attributes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
@@ -92,8 +90,6 @@ impl Schema {
     }
 }
 
-serde::impl_serde_struct!(Schema { vector_fields, attribute_fields });
-
 /// A column-oriented batch of entities to insert.
 #[derive(Debug, Clone)]
 pub struct InsertBatch {
@@ -104,8 +100,6 @@ pub struct InsertBatch {
     /// One column per schema attribute field, each with `ids.len()` values.
     pub attributes: Vec<Vec<f64>>,
 }
-
-serde::impl_serde_struct!(InsertBatch { ids, vectors, attributes });
 
 impl InsertBatch {
     /// Convenience constructor for single-vector schemas without attributes.

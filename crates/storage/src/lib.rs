@@ -44,5 +44,5 @@ pub use column::VectorColumn;
 pub use entity::{InsertBatch, Schema, VectorField};
 pub use error::{Result, StorageError};
 pub use lsm::{LsmConfig, LsmEngine};
-pub use segment::{clear_scan_delays, inject_scan_delay, ScanStats, Segment};
+pub use segment::{clear_scan_delays, inject_scan_delay, Segment};
 pub use snapshot::Snapshot;

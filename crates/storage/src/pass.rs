@@ -14,6 +14,9 @@
 //! query's caller claims blocks until it is owed none, then
 //! [`finish`](SharedPass::finish) waits on a condvar — never a clock — only
 //! for its own blocks that another caller is still scoring.
+//! [`search`](SharedPass::search) is that whole turn, helpers from the executor
+//! claiming beside the caller. Readers and collections both build their passes
+//! with [`FieldPass::split`] and search them with `search`.
 //!
 //! Each query sees each visible row exactly once, and [`TopK`] keeps the
 //! same set in any push order, so an answer is bit-identical to a
@@ -23,14 +26,16 @@
 
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
+use milvus_exec::Executor;
 use milvus_index::batch::{score_range, Scorer};
 use milvus_index::{Metric, Neighbor, TopK};
 use milvus_obs as obs;
 use parking_lot::{Condvar, Mutex};
 
-use crate::entity::Schema;
-use crate::segment::Segment;
+use crate::entity::{Schema, VectorField};
+use crate::segment::{apply_scan_fault, Segment};
 
 /// Rows per block: a claim's unit of work and of sharing.
 pub const BLOCK_ROWS: usize = 1024;
@@ -80,10 +85,43 @@ pub struct Claim {
     members: Vec<(u64, Arc<[f32]>, usize)>,
 }
 
-impl Claim {
-    /// Position of the block's segment in [`SharedPass::segments`].
-    pub fn segment(&self, pass: &SharedPass) -> usize {
-        pass.blocks[self.block].0
+/// What a timed [`SharedPass::search`] saw; empty when untimed.
+#[derive(Debug, Default)]
+pub struct PassTiming {
+    /// Per segment of [`SharedPass::segments`]: from the start of the first
+    /// to the end of the last of its blocks that the caller or its helpers
+    /// scored, `None` if other callers scored them all.
+    pub windows: Vec<Option<(Instant, Instant)>>,
+    /// The worst-queued helper: when it was queued and when it started.
+    pub helper_wait: Option<(Instant, Instant)>,
+}
+
+/// One float vector field of a set of segments, split for search: the
+/// shared pass over the segments with no index on the field, and where in
+/// the set the others are.
+pub struct FieldPass {
+    /// The field's name.
+    pub field: String,
+    /// The pass over the unindexed segments, in set order.
+    pub pass: SharedPass,
+    /// Position in the set of each of the pass's segments.
+    pub unindexed: Vec<usize>,
+    /// Positions in the set of the segments with an index on the field.
+    pub indexed: Vec<usize>,
+}
+
+impl FieldPass {
+    /// One per float vector field of `schema` over `segments`, each counting
+    /// its work on the `label` series.
+    pub fn split(schema: &Schema, segments: &[Arc<Segment>], label: &str) -> Vec<FieldPass> {
+        let split = |f: &VectorField| {
+            let (indexed, unindexed): (Vec<usize>, Vec<usize>) =
+                (0..segments.len()).partition(|&at| segments[at].index(&f.name).is_some());
+            let segs = unindexed.iter().map(|&at| Arc::clone(&segments[at])).collect();
+            let pass = SharedPass::new(schema, &f.name, segs, label)?;
+            Some(FieldPass { field: f.name.clone(), pass, unindexed, indexed })
+        };
+        schema.vector_fields.iter().filter_map(split).collect()
     }
 }
 
@@ -185,10 +223,14 @@ impl SharedPass {
     }
 
     /// Score `claim`'s block against its queries, one per-block heap each,
-    /// and merge the heaps into the queries' own.
+    /// and merge the heaps into the queries' own. A segment's armed scan
+    /// fault delays the scoring of its first block.
     pub fn score(&self, claim: Claim) {
         let (s, range) = &self.blocks[claim.block];
         let seg = &self.segments[*s];
+        if range.start == 0 {
+            apply_scan_fault(seg.id);
+        }
         let rows = seg.data().vectors[self.field].to_row_order();
         let visible = seg.visible(None);
         let queries: Vec<&[f32]> = claim.members.iter().map(|(_, q, _)| &q[..]).collect();
@@ -229,5 +271,50 @@ impl SharedPass {
             self.done.wait(&mut st);
         };
         st.attached.swap_remove(at).heap.into_sorted()
+    }
+
+    /// One query's whole turn: attach, claim and score blocks until the
+    /// query is owed none — the caller and `min(helpers, blocks − 1)`
+    /// executor tasks side by side — then [`finish`](Self::finish). Only a
+    /// `timed` search reads the clock and fills the [`PassTiming`].
+    pub fn search(
+        &self,
+        query: &[f32],
+        k: usize,
+        helpers: usize,
+        timed: bool,
+    ) -> (Vec<Neighbor>, PassTiming) {
+        let me = self.attach(query, k);
+        let claimers = 1 + helpers.min(self.blocks.len().saturating_sub(1));
+        let turn = |_| {
+            let mut windows = vec![None; if timed { self.segments.len() } else { 0 }];
+            while let Some(claim) = self.claim(&me) {
+                let s = self.blocks[claim.block].0;
+                let t0 = timed.then(Instant::now);
+                self.score(claim);
+                if let Some(t0) = t0 {
+                    windows[s].get_or_insert((t0, t0)).1 = Instant::now();
+                }
+            }
+            windows
+        };
+        if !timed {
+            Executor::global().scoped_map(claimers, turn);
+            return (self.finish(me), PassTiming::default());
+        }
+        let turns = Executor::global().scoped_map_timed(claimers, turn);
+        // Task 0 is the caller's own turn: it never queues.
+        let waits = turns.iter().skip(1).map(|(_, t)| (t.enqueued, t.started));
+        let helper_wait = waits.max_by_key(|&(queued, started)| started - queued);
+        let mut windows: Vec<Option<(Instant, Instant)>> = vec![None; self.segments.len()];
+        for (turn, _) in turns {
+            for (into, w) in windows.iter_mut().zip(turn) {
+                *into = match (*into, w) {
+                    (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+                    (into, w) => into.or(w),
+                };
+            }
+        }
+        (self.finish(me), PassTiming { windows, helper_wait })
     }
 }

@@ -11,9 +11,8 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-use milvus_exec::{Executor, TaskTiming};
+use milvus_exec::Executor;
 use milvus_index::batch::{cache_aware_scan, score_range, BatchOptions, Rows, Scorer};
 use milvus_index::ivf::IvfIndex;
 use milvus_index::traits::{BuildParams, SearchParams};
@@ -29,36 +28,6 @@ use crate::entity::{InsertBatch, Schema};
 use crate::error::{Result, StorageError};
 
 use milvus_index::topk;
-
-/// What one segment scan did — feeds per-segment trace spans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanStats {
-    /// Candidate rows the scan considered: the full live row count for a
-    /// brute-force pass, the indexed live universe for an index probe.
-    pub rows_scanned: u64,
-    /// Whether an ANN index served the scan (vs. brute-force columnar scan).
-    pub used_index: bool,
-    /// When a [`Fanout::timed`] scan split its rows: when its worst-queued
-    /// range was queued and when a worker started it.
-    pub queue_wait: Option<(Instant, Instant)>,
-}
-
-/// How far one query's scan of an unindexed segment may spread: over up to
-/// `cores` row ranges, the caller running the first and idle executor
-/// workers the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fanout {
-    /// The cores the scan may use, the caller's included (`1`: no split).
-    pub cores: usize,
-    /// Time the ranges' queue waits into [`ScanStats::queue_wait`] — for a
-    /// traced query; an untimed split reads no clock.
-    pub timed: bool,
-}
-
-impl Fanout {
-    /// Every scan on the calling thread.
-    pub const SERIAL: Fanout = Fanout { cores: 1, timed: false };
-}
 
 // ---------------------------------------------------------------------------
 // Fault injection: deliberately slow one segment's scans, so tests (and the
@@ -89,11 +58,10 @@ pub fn clear_scan_delays() {
     SCAN_FAULTS_ARMED.store(false, std::sync::atomic::Ordering::SeqCst);
 }
 
-/// Honor any armed scan fault for `segment_id`: once per
-/// [`Segment::search_field_stats`] call, once per [`Segment::search_batch`]
-/// call.
+/// Honor any armed scan fault for `segment_id`: once per search call of the
+/// segment's, once per scoring of its first block in a shared pass.
 #[inline]
-fn apply_scan_fault(segment_id: u64) {
+pub(crate) fn apply_scan_fault(segment_id: u64) {
     if SCAN_FAULTS_ARMED.load(std::sync::atomic::Ordering::Relaxed) {
         let delay = scan_delays().lock().get(&segment_id).copied();
         if let Some(d) = delay {
@@ -351,31 +319,13 @@ impl Segment {
         params: &SearchParams,
         allow: Option<&RowMask>,
     ) -> Result<Vec<Neighbor>> {
-        self.search_field_stats(schema, field, query, params, allow).map(|(r, _)| r)
-    }
-
-    /// [`Self::search_field`] plus [`ScanStats`] describing what the scan did
-    /// — used by the tracing layer to fill per-segment spans.
-    pub fn search_field_stats(
-        &self,
-        schema: &Schema,
-        field: &str,
-        query: &[f32],
-        params: &SearchParams,
-        allow: Option<&RowMask>,
-    ) -> Result<(Vec<Neighbor>, ScanStats)> {
         apply_scan_fault(self.id);
-        self.scan_one(schema, field, query, params, self.visible(allow).as_deref(), Fanout::SERIAL)
+        self.scan_one(schema, field, query, params, self.visible(allow).as_deref())
     }
 
     /// One query over the rows set in `visible` (`None`: every row). An index
     /// ordinal is a row position ([`Self::build_index`]), so the same mask
     /// serves the index and the column scan.
-    ///
-    /// Without an index the rows split into `min(fanout.cores, rows)` equal
-    /// ranges, each scanned into its own heap, and the heaps merge. `TopK`
-    /// keeps the `k` least under the total order on `(distance, id)`, so the
-    /// answer does not depend on how the rows were split.
     fn scan_one(
         &self,
         schema: &Schema,
@@ -383,20 +333,17 @@ impl Segment {
         query: &[f32],
         params: &SearchParams,
         visible: Option<&RowMask>,
-        fanout: Fanout,
-    ) -> Result<(Vec<Neighbor>, ScanStats)> {
+    ) -> Result<Vec<Neighbor>> {
         let fi = schema
             .vector_field_index(field)
             .ok_or_else(|| StorageError::SchemaViolation(format!("no vector field {field}")))?;
         let metric = schema.vector_fields[fi].metric;
-        let stats = ScanStats { rows_scanned: self.live_rows() as u64, ..Default::default() };
 
         if let Some(index) = self.index(field) {
-            let res = match visible {
+            return Ok(match visible {
                 None => index.search(query, params)?,
                 Some(mask) => index.search_masked(query, params, mask)?,
-            };
-            return Ok((res, ScanStats { used_index: true, ..stats }));
+            });
         }
 
         let col = &self.data.vectors[fi];
@@ -408,34 +355,16 @@ impl Segment {
         }
         // A column is reordered only under its index, so this is a borrow.
         let rows = col.to_row_order();
-        let (flat, ids) = (rows.as_flat(), &self.data.row_ids[..]);
-        let (n, k) = (ids.len(), params.k.max(1));
-        let width = fanout.cores.min(n).max(1);
-        let kern = Scorer::new(metric);
-        let range_scan = |r: usize| {
-            let (range, mut heap) = (r * n / width..(r + 1) * n / width, TopK::new(k));
-            score_range(kern, flat, ids, range, visible, &[query], std::slice::from_mut(&mut heap));
-            heap
-        };
-        let exec = Executor::global();
-        let (heaps, queue_wait) = if fanout.timed && width > 1 {
-            let timed = exec.scoped_map_timed(width, range_scan);
-            let worst = timed.iter().map(|(_, t)| *t).max_by_key(TaskTiming::queue_wait);
-            let heaps = timed.into_iter().map(|(heap, _)| heap).collect();
-            (heaps, worst.map(|t| (t.enqueued, t.started)))
-        } else {
-            (exec.scoped_map(width, range_scan), None)
-        };
-        let mut heaps = heaps.into_iter();
-        let mut merged = heaps.next().expect("at least one range");
-        heaps.for_each(|heap| merged.merge(heap));
-        Ok((merged.into_sorted(), ScanStats { queue_wait, ..stats }))
+        let (ids, mut heap) = (&self.data.row_ids[..], TopK::new(params.k.max(1)));
+        let (kern, all) = (Scorer::new(metric), 0..ids.len());
+        score_range(kern, rows.as_flat(), ids, all, visible, &[query], std::slice::from_mut(&mut heap));
+        Ok(heap.into_sorted())
     }
 
     /// Search one vector field for a batch of queries that share `params`
     /// except for `k` (`ks[j]` is query `j`'s) and share `allow`. Returns one
     /// result per query in input order, each bit-identical to
-    /// [`Self::search_field_stats`] at that query's own `k`. The rows the
+    /// [`Self::search_field`] at that query's own `k`. The rows the
     /// batch may return — `live ∧ allow` — are worked out once, here.
     ///
     /// This is the only place that knows which scans may batch:
@@ -448,9 +377,8 @@ impl Segment {
     /// * unindexed, SIMD metric — the cache-aware batch engine over the
     ///   segment's own column, zero-copy, on every executor worker.
     /// * everything else (one query, binary metrics, a query of the wrong
-    ///   dimension) — one scan per query, so every query gets exactly its own
-    ///   result or error. Unindexed, each splits its rows over `fanout`.
-    #[allow(clippy::too_many_arguments)]
+    ///   dimension) — one scan per query on the calling thread, so every
+    ///   query gets exactly its own result or error.
     pub fn search_batch(
         &self,
         schema: &Schema,
@@ -459,30 +387,14 @@ impl Segment {
         ks: &[usize],
         params: &SearchParams,
         allow: Option<&RowMask>,
-        fanout: Fanout,
-    ) -> (Vec<Result<Vec<Neighbor>>>, ScanStats) {
+    ) -> Vec<Result<Vec<Neighbor>>> {
         apply_scan_fault(self.id);
         let visible = self.visible(allow);
         let visible = visible.as_deref();
         let index = self.index(field);
-        let stats = ScanStats {
-            rows_scanned: self.live_rows() as u64,
-            used_index: index.is_some(),
-            queue_wait: None,
-        };
         let per_query = || {
-            let mut stats = stats;
-            let lists = queries
-                .iter()
-                .zip(ks)
-                .map(|(q, &k)| {
-                    let own = SearchParams { k, ..params.clone() };
-                    let (list, scan) = self.scan_one(schema, field, q, &own, visible, fanout)?;
-                    stats.queue_wait = stats.queue_wait.or(scan.queue_wait);
-                    Ok(list)
-                })
-                .collect();
-            (lists, stats)
+            let own = |k| SearchParams { k, ..params.clone() };
+            queries.iter().zip(ks).map(|(q, &k)| self.scan_one(schema, field, q, &own(k), visible)).collect()
         };
         let Some(fi) = schema.vector_field_index(field) else { return per_query() };
         let col = &self.data.vectors[fi];
@@ -524,7 +436,7 @@ impl Segment {
                 cache_aware_scan(exec, Rows::F32(&rows), ids, &qs, ks, visible, &opts, off)
             }
         };
-        (lists.into_iter().map(Ok).collect(), stats)
+        lists.into_iter().map(Ok).collect()
     }
 
     /// Physically merge `segments` into one, dropping tombstoned rows

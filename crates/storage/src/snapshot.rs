@@ -13,19 +13,22 @@
 //! reports how many historical snapshots are still pinned.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::entity::Schema;
+use crate::pass::FieldPass;
 use crate::segment::Segment;
 
 /// An immutable view of the collection: a versioned set of segments.
-#[derive(Debug)]
 pub struct Snapshot {
     /// Monotonic snapshot version.
     pub version: u64,
     /// The segment versions visible to this snapshot.
     pub segments: Vec<Arc<Segment>>,
+    /// The shared scan passes over `segments`, built by the first search.
+    passes: OnceLock<Vec<FieldPass>>,
 }
 
 /// Resident bytes of a snapshot's segments by component; the parts of
@@ -48,6 +51,12 @@ impl StoredBytes {
 }
 
 impl Snapshot {
+    /// The snapshot's [`FieldPass::split`], built once per snapshot version;
+    /// the first caller's `label` names the passes' counter series.
+    pub fn passes(&self, schema: &Schema, label: &str) -> &[FieldPass] {
+        self.passes.get_or_init(|| FieldPass::split(schema, &self.segments, label))
+    }
+
     /// Total live rows across segments.
     pub fn live_rows(&self) -> usize {
         self.segments.iter().map(|s| s.live_rows()).sum()
@@ -84,7 +93,7 @@ impl Default for SnapshotManager {
 impl SnapshotManager {
     /// Start with an empty snapshot (version 0, no segments).
     pub fn new() -> Self {
-        let initial = Arc::new(Snapshot { version: 0, segments: Vec::new() });
+        let initial = Arc::new(Snapshot { version: 0, segments: Vec::new(), passes: OnceLock::new() });
         Self {
             current: RwLock::new(Arc::clone(&initial)),
             history: Mutex::new(vec![Arc::downgrade(&initial)]),
@@ -101,7 +110,7 @@ impl SnapshotManager {
     /// Publish a new segment set as the next snapshot version.
     pub fn publish(&self, segments: Vec<Arc<Segment>>) -> Arc<Snapshot> {
         let version = self.next_version.fetch_add(1, Ordering::SeqCst);
-        let snap = Arc::new(Snapshot { version, segments });
+        let snap = Arc::new(Snapshot { version, segments, passes: OnceLock::new() });
         *self.current.write() = Arc::clone(&snap);
         self.history.lock().push(Arc::downgrade(&snap));
         snap

@@ -5,9 +5,11 @@
 //! segment shorter than a block and an exact block — at mixed `k`, `k`
 //! beyond the row count included. Every answer must equal a plain per-row
 //! scan of each segment merged by `merge_segment_results`, by id and
-//! `to_bits()`, and the pass's two work counters are pinned exactly. A
-//! threaded storm then runs 8 × 64 concurrent `ReaderNode::search`es while
-//! refreshes swap the reader's snapshot, each equal to its lone answer.
+//! `to_bits()`, and the pass's two work counters are pinned exactly.
+//! `SharedPass::search` is held to the same reference with 0 to more than
+//! blocks helpers, counting the executor tasks it queues. A threaded storm
+//! then runs 8 × 64 concurrent `ReaderNode::search`es while refreshes swap
+//! the reader's snapshot, each equal to its lone answer.
 
 use std::sync::Arc;
 
@@ -126,6 +128,52 @@ fn a_second_query_attached_at_every_block_boundary_gets_the_reference_answer() {
                 let after = counters(&label);
                 let moved = (after.0 - before.0, after.1 - before.1);
                 assert_eq!(moved, ((n + j) as u64, 2 * n as u64), "{what}");
+            }
+        }
+    }
+}
+
+/// What a lone search adds to the executor is a count, not a timing: beside
+/// `h` helpers over `b` blocks it queues exactly `min(h, b − 1)` tasks (the
+/// caller claims too), whatever the segment holds — tombstones, every row
+/// tombstoned, no rows — and answers bit for bit what the per-row loop does
+/// at every `k`, `k` beyond the rows included. Alone, it claims each block
+/// once for itself; only a timed search reads the clock.
+#[test]
+fn a_lone_search_queues_one_task_per_helper_it_can_use() {
+    let mut rng = StdRng::seed_from_u64(32);
+    let tasks = || obs::counter(obs::EXEC_TASKS, "global").get();
+    for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+        let schema = Schema::single("v", DIM, metric);
+        let plain = segment(&schema, 1, 0, 3 * BLOCK_ROWS + 300, |_| false, &mut rng);
+        let tombstoned = Arc::new(plain.with_deletes((0..3000).filter(|id| id % 7 == 0)));
+        let all_dead = Arc::new(plain.with_deletes(0..4000));
+        let empty = segment(&schema, 2, 0, 0, |_| false, &mut rng);
+        let segments = [("plain", plain), ("tombstones", tombstoned), ("all dead", all_dead), ("empty", empty)];
+        for (what, seg) in segments {
+            let label = format!("lone-{metric}-{what}");
+            let pass = SharedPass::new(&schema, "v", vec![Arc::clone(&seg)], &label).unwrap();
+            let (blocks, rows) = (pass.blocks(), seg.num_rows());
+            assert_eq!(blocks, rows.div_ceil(BLOCK_ROWS));
+            for helpers in [0, 1, 2, 7, blocks + 5] {
+                for k in [1, 10, rows + 1] {
+                    let q = random_set(1, DIM, &mut rng);
+                    let want = bits(&reference(metric, std::slice::from_ref(&seg), q.get(0), k));
+                    for timed in [false, true] {
+                        let case = format!("{metric} {what}: helpers={helpers}, k={k}, timed={timed}");
+                        let (tasks_before, counted) = (tasks(), counters(&label));
+                        let (got, timing) = pass.search(q.get(0), k, helpers, timed);
+                        let claimers = helpers.min(blocks.saturating_sub(1));
+                        assert_eq!(tasks() - tasks_before, claimers as u64, "{case}");
+                        assert_eq!(bits(&got), want, "{case}");
+                        let after = counters(&label);
+                        let moved = (after.0 - counted.0, after.1 - counted.1);
+                        assert_eq!(moved, (blocks as u64, blocks as u64), "{case}");
+                        let windows: Vec<bool> = timing.windows.iter().map(Option::is_some).collect();
+                        let seen = (if timed { vec![blocks > 0] } else { vec![] }, timed && claimers > 0);
+                        assert_eq!((windows, timing.helper_wait.is_some()), seen, "{case}");
+                    }
+                }
             }
         }
     }

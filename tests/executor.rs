@@ -17,7 +17,8 @@ use milvus_index::traits::SearchParams;
 use milvus_index::{distance, Metric, Neighbor, RowMask, TopK, VectorIndex, VectorSet};
 use milvus_obs as obs;
 use milvus_storage::codec::{decode_segment, encode_segment};
-use milvus_storage::segment::{merge_segment_results, Fanout, Segment, SegmentData};
+use milvus_storage::pass::{SharedPass, BLOCK_ROWS};
+use milvus_storage::segment::{merge_segment_results, Segment};
 use milvus_storage::{InsertBatch, Schema};
 
 fn guard() -> MutexGuard<'static, ()> {
@@ -118,7 +119,7 @@ fn parallel_segment_fanout_overlaps_scan_delays() {
 ///   `k`: exact, because probed buckets are scanned exhaustively and PQ
 ///   pruning is exactness-preserving;
 /// * on HNSW (a beam search has no such closed form) the same-path check:
-///   `Segment::search_field_stats` under the predicate's mask.
+///   `Segment::search_field` under the predicate's mask.
 ///
 /// Over {no index, IVF_FLAT, IVF_SQ8, IVF_PQ, HNSW} × {no tombstones,
 /// tombstones, tombstones already there when the index was built} ×
@@ -126,10 +127,11 @@ fn parallel_segment_fanout_overlaps_scan_delays() {
 /// {a lone search, a barrier-released storm coalesced behind taken run slots
 /// with mixed `k`, `Segment::search_batch` of 32 with mixed `k` and of each
 /// query alone (`k` up to rows + 1) on each segment and on its twin reloaded
-/// through the segment codec — unindexed ones with their rows split over
-/// cores ∈ {1, 2, 3, 7, rows + 5} — `Collection::search_batch` of 1 and of
-/// 32}, every answer must equal the per-segment oracle lists merged by
-/// `merge_segment_results` — same ids, same distance bits.
+/// through the segment codec, unfiltered and unindexed a shared pass over
+/// the segments and one over their twins with helpers ∈ {0, 1, 2, 7,
+/// blocks + 5}, `Collection::search_batch` of 1 and of 32}, every answer
+/// must equal the per-segment oracle lists merged by `merge_segment_results`
+/// — same ids, same distance bits.
 #[test]
 fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
     const DIM: usize = 16;
@@ -178,7 +180,7 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
             Some(index) if !selective && index.name() == "HNSW" => {
                 let mask = RowMask::from_positions(data.row_ids.len(), &passing);
                 let allow = range.map(|_| &mask);
-                seg.search_field_stats(&schema, "v", q, &params(k), allow).unwrap().0
+                seg.search_field(&schema, "v", q, &params(k), allow).unwrap()
             }
             Some(_) if !selective => {
                 let reference = reference.expect("a reference for every IVF segment");
@@ -250,15 +252,16 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                 })
                 .collect();
             // Each segment beside its twin reloaded through the codec.
-            let twins: Vec<Segment> = snap
+            let twins: Vec<Arc<Segment>> = snap
                 .segments
                 .iter()
-                .map(|seg| decode_segment(seg.id, seg.version, &encode_segment(seg)).unwrap())
+                .map(|seg| Arc::new(decode_segment(seg.id, seg.version, &encode_segment(seg)).unwrap()))
                 .collect();
             let references = references.iter().map(Option::as_deref);
             let originals: Vec<(&Segment, Reference)> =
                 snap.segments.iter().map(Arc::as_ref).zip(references.clone()).collect();
-            let reloaded: Vec<(&Segment, Reference)> = twins.iter().zip(references).collect();
+            let reloaded: Vec<(&Segment, Reference)> =
+                twins.iter().map(Arc::as_ref).zip(references).collect();
             // Every row still reads the vector inserted under its id, by
             // point lookup and by row position, reordered column or not.
             for (seg, _) in originals.iter().chain(&reloaded) {
@@ -335,11 +338,9 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
 
                 // The per-segment dispatch itself, 32 queries with mixed `k`
                 // under the predicate's bitmap (built here, row by row), and
-                // each query alone — on an unindexed segment with its rows
-                // split over 1, 2, 3, 7 and more-than-rows cores, at every
-                // `k` of the batch and one beyond the segment's rows.
+                // each query alone, at every `k` of the batch and one beyond
+                // the segment's rows.
                 let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-                let widths = if index.is_none() { vec![1, 2, 3, 7, ROWS as usize + 5] } else { vec![1] };
                 let lone_ks = batch_ks.iter().copied().chain([ROWS as usize + 1]);
                 for &(seg, reference) in originals.iter().chain(&reloaded) {
                     let ids = &seg.data().row_ids;
@@ -348,27 +349,44 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                         .collect();
                     let mask = RowMask::from_positions(ids.len(), &passing);
                     let allow = range.map(|_| &mask);
-                    for &cores in &widths {
-                        let fanout = Fanout { cores, timed: false };
-                        let check = |what: &str, got: milvus_storage::Result<Vec<Neighbor>>, q: &[f32], k| {
-                            assert_eq!(
-                                got.unwrap(),
-                                expected((seg, reference), q, k, range, false),
-                                "{case}: Segment::search_batch diverged ({what}, segment {} v{}, k={k}, \
-                                 cores={cores}, {label})",
-                                seg.id,
-                                seg.version
-                            );
-                        };
-                        let (lists, _) =
-                            seg.search_batch(&schema, "v", &qrefs, &batch_ks, &params(1), allow, fanout);
-                        for ((got, &q), &k) in lists.into_iter().zip(&qrefs).zip(&batch_ks) {
-                            check("batch of 32", got, q, k);
-                        }
+                    let check = |what: &str, got: milvus_storage::Result<Vec<Neighbor>>, q: &[f32], k| {
+                        assert_eq!(
+                            got.unwrap(),
+                            expected((seg, reference), q, k, range, false),
+                            "{case}: Segment::search_batch diverged ({what}, segment {} v{}, k={k}, {label})",
+                            seg.id,
+                            seg.version
+                        );
+                    };
+                    let lists = seg.search_batch(&schema, "v", &qrefs, &batch_ks, &params(1), allow);
+                    for ((got, &q), &k) in lists.into_iter().zip(&qrefs).zip(&batch_ks) {
+                        check("batch of 32", got, q, k);
+                    }
+                    for (&q, k) in qrefs.iter().cycle().zip(lone_ks.clone()) {
+                        let mut lone = seg.search_batch(&schema, "v", &[q], &[k], &params(k), allow);
+                        check("lone", lone.remove(0), q, k);
+                    }
+                }
+                // Unfiltered and unindexed: a shared pass over the segments
+                // and one over their twins, each query alone with its blocks
+                // claimed beside 0, 1, 2, 7 and more-than-blocks helpers —
+                // exactly `min(helpers, blocks − 1)` executor tasks each.
+                let tasks = || obs::counter(obs::EXEC_TASKS, "global").get();
+                let passes = [("segments", &snap.segments), ("twins", &twins)];
+                for (what, segs) in passes.into_iter().filter(|_| index.is_none() && range.is_none()) {
+                    let pass = SharedPass::new(&schema, "v", segs.clone(), &name).unwrap();
+                    let blocks = pass.blocks();
+                    assert_eq!(blocks, 3, "{case}: one block per segment");
+                    for helpers in [0, 1, 2, 7, blocks + 5] {
                         for (&q, k) in qrefs.iter().cycle().zip(lone_ks.clone()) {
-                            let (mut lone, _) =
-                                seg.search_batch(&schema, "v", &[q], &[k], &params(k), allow, fanout);
-                            check("lone", lone.remove(0), q, k);
+                            let before = tasks();
+                            let (got, _) = pass.search(q, k, helpers, false);
+                            let what = format!("{case}: pass over the {what}, helpers={helpers}, k={k}");
+                            assert_eq!(tasks() - before, helpers.min(blocks - 1) as u64, "{what}");
+                            let lists: Vec<_> =
+                                originals.iter().map(|&seg| expected(seg, q, k, None, false)).collect();
+                            let all_bits = |l: &[Neighbor]| l.iter().map(|n| bits(n.id, n.dist)).collect::<Vec<_>>();
+                            assert_eq!(all_bits(&got), all_bits(&merge_segment_results(&lists, k)), "{what}");
                         }
                     }
                 }
@@ -409,73 +427,21 @@ fn search_batch_matches_individual_searches() {
     }
 }
 
-/// What a lone scan adds to the executor is a count, not a timing: over an
-/// unindexed segment of `rows` rows split for `c` cores it queues exactly
-/// `min(c, rows) − 1` range tasks (the caller runs the first); over an
-/// indexed one, none. Each split answers bit for bit what the scalar loop
-/// does — with tombstones, with every row tombstoned, with no rows, at `k`
-/// beyond the rows — and only a timed split reads the clock.
-#[test]
-fn lone_unindexed_scan_queues_one_task_per_extra_range() {
-    const DIM: usize = 16;
-    let _g = guard();
-    let schema = Schema::single("v", DIM, Metric::L2);
-    let plain = Segment::from_batch(1, &schema, &batch(0..300, DIM)).unwrap();
-    let tombstoned = plain.with_deletes((0..300).filter(|id| id % 7 == 0));
-    let all_dead = plain.with_deletes(0..300);
-    let columns = vec![VectorSet::new(DIM).into()];
-    let empty = SegmentData { row_ids: Vec::new(), vectors: columns, attributes: Vec::new() };
-    let empty = Segment::from_parts(2, 1, empty, &[]);
-    let tasks = || obs::counter(obs::EXEC_TASKS, "global").get();
-    let q = vector_of(1_000, DIM);
-    for (what, seg) in
-        [("plain", &plain), ("tombstones", &tombstoned), ("all tombstoned", &all_dead), ("empty", &empty)]
-    {
-        let rows = seg.num_rows();
-        let dead: HashSet<i64> = seg.deleted().into_iter().collect();
-        for cores in [1, 2, 3, 7, rows + 5] {
-            let width = cores.min(rows).max(1);
-            for k in [1, 10, rows + 1] {
-                let mut oracle = TopK::new(k);
-                for (row, &id) in seg.data().row_ids.iter().enumerate() {
-                    if !dead.contains(&id) {
-                        oracle.push(id, distance::distance(Metric::L2, &q, seg.data().vectors[0].get(row)));
-                    }
-                }
-                let oracle = oracle.into_sorted();
-                for timed in [false, true] {
-                    let before = tasks();
-                    let fanout = Fanout { cores, timed };
-                    let (mut got, stats) =
-                        seg.search_batch(&schema, "v", &[&q], &[k], &SearchParams::top_k(k), None, fanout);
-                    let case = format!("{what}: cores={cores}, k={k}, timed={timed}");
-                    assert_eq!(tasks() - before, width as u64 - 1, "{case}");
-                    assert_eq!(stats.queue_wait.is_some(), timed && width > 1, "{case}");
-                    assert_eq!(got.remove(0).unwrap(), oracle, "{case}");
-                }
-            }
-        }
-    }
-    let build = CollectionConfig::for_tests().build_params;
-    let indexed = plain.build_index(&schema, "v", "IVF_FLAT", &IndexRegistry::with_builtins(), &build);
-    let before = tasks();
-    let fanout = Fanout { cores: 7, timed: true };
-    let (_, stats) = indexed.unwrap().search_batch(&schema, "v", &[&q], &[5], &SearchParams::top_k(5), None, fanout);
-    assert_eq!(tasks(), before, "an indexed segment ignores the cores it is offered");
-    assert_eq!(stats.queue_wait, None);
-}
-
 /// With every run slot held a lone unindexed search has no idle core to
-/// split into and queues no task; with the slots free its one segment
-/// splits over every core. The slot holders search with a query of the
-/// wrong dimension: they park in the segment's injected scan delay holding
-/// their slots, then fail before scanning, so they queue no task either.
+/// bring to its shared pass and queues no task; with the slots free every
+/// idle slot joins the pass as a helper, one executor task each, over a
+/// segment with more blocks than executor workers. The slot holders search
+/// with a query of the wrong dimension: it takes the per-segment path, so
+/// they park in the segment's injected scan delay holding their slots, then
+/// fail before scanning, and queue no task either.
 #[test]
 fn a_lone_search_splits_only_into_idle_run_slots() {
     let _g = guard();
     let _cleanup = DelayGuard;
     let m = Milvus::new();
-    let col = segmented_collection(&m, "exec_idle_slots", 1, 400);
+    // More blocks than executor workers, so each idle slot brings one helper.
+    let blocks = milvus_exec::Executor::global().threads() + 1;
+    let col = segmented_collection(&m, "exec_idle_slots", 1, (blocks * BLOCK_ROWS) as i64);
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let tasks = || obs::counter(obs::EXEC_TASKS, "global").get();
     let passed = || obs::counter(obs::SCHED_PASSTHROUGH, "exec_idle_slots").get();
@@ -503,6 +469,131 @@ fn a_lone_search_splits_only_into_idle_run_slots() {
             assert!(holder.join().unwrap().is_err(), "a wrong-dimension query must fail");
         }
     });
+}
+
+/// A lone search over a snapshot that mixes indexed and unindexed segments,
+/// with tombstones in both: the unindexed ones go through the snapshot's
+/// shared pass, each block claimed once for the query (the pass counters
+/// move by exactly the unindexed blocks), the indexed ones through their
+/// IVF index. The oracle is a scalar loop over the live rows of each
+/// unindexed segment and, on each indexed one, that segment's own
+/// `search_field`; merged, they must equal the answer by id and
+/// distance bits.
+#[test]
+fn a_lone_search_over_mixed_segments_matches_the_oracle() {
+    const DIM: usize = 16;
+    let _g = guard();
+    let m = Milvus::new();
+    let name = "exec_mixed_pass";
+    let schema = Schema::single("v", DIM, Metric::L2);
+    let col = m.create_collection(name, schema.clone(), CollectionConfig::for_tests()).unwrap();
+    for (lo, hi) in [(0, 1500), (1500, 3000)] {
+        col.insert(batch(lo..hi, DIM)).unwrap();
+        col.flush().unwrap();
+    }
+    assert_eq!(col.build_index("v", "IVF_FLAT").unwrap(), 2);
+    for (lo, hi) in [(3000, 3000 + BLOCK_ROWS as i64 + 76), (5000, 5300)] {
+        col.insert(batch(lo..hi, DIM)).unwrap();
+        col.flush().unwrap();
+    }
+    col.delete((0..5300).filter(|id| id % 11 == 4).collect()).unwrap();
+    col.flush().unwrap();
+    let stats = col.stats();
+    assert_eq!((stats.segments, stats.indexed_segments), (4, 2));
+
+    let snap = col.snapshot();
+    let params = |k: usize| SearchParams { k, nprobe: 4, ..Default::default() };
+    let counters = || {
+        let snap = obs::registry().snapshot();
+        (snap.counter(obs::SCAN_PASS_BLOCKS, name), snap.counter(obs::SCAN_PASS_QUERY_BLOCKS, name))
+    };
+    let bits = |list: &[(i64, f32)]| list.iter().map(|&(id, d)| (id, d.to_bits())).collect::<Vec<_>>();
+    for (qi, k) in [1usize, 10, 37, 6000].into_iter().enumerate() {
+        let q = vector_of(9_000 + qi as i64, DIM);
+        let lists: Vec<Vec<Neighbor>> = snap
+            .segments
+            .iter()
+            .map(|seg| {
+                if seg.index("v").is_some() {
+                    return seg.search_field(&schema, "v", &q, &params(k), None).unwrap();
+                }
+                let mut heap = TopK::new(k);
+                for (row, &id) in seg.data().row_ids.iter().enumerate() {
+                    if !seg.is_deleted(id) {
+                        heap.push(id, distance::distance(Metric::L2, &q, seg.data().vectors[0].get(row)));
+                    }
+                }
+                heap.into_sorted()
+            })
+            .collect();
+        let want: Vec<(i64, f32)> =
+            merge_segment_results(&lists, k).iter().map(|n| (n.id, n.dist)).collect();
+        let before = counters();
+        let got: Vec<(i64, f32)> =
+            col.search("v", &q, &params(k)).unwrap().iter().map(|h| (h.id, h.distance)).collect();
+        assert_eq!(bits(&got), bits(&want), "k={k}");
+        let after = counters();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (3, 3), "k={k}: two blocks, then one");
+    }
+}
+
+/// Two lone searches that meet in the shared pass share its row loads and
+/// still each return exactly their lone answer. Every run slot is held
+/// first (as in [`a_lone_search_splits_only_into_idle_run_slots`]), so the
+/// two run with no helper: the first to claim the segment's first block
+/// sleeps in its scan delay there, and the other scores every later block
+/// for both — more (query, block) pairs than blocks.
+#[test]
+fn two_concurrent_lone_searches_share_the_pass_and_keep_their_answers() {
+    let _g = guard();
+    let _cleanup = DelayGuard;
+    let m = Milvus::new();
+    let name = "exec_shared_pass";
+    let col = segmented_collection(&m, name, 1, 4 * BLOCK_ROWS as i64);
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let passed = || obs::counter(obs::SCHED_PASSTHROUGH, name).get();
+    let counters = || {
+        let snap = obs::registry().snapshot();
+        (snap.counter(obs::SCAN_PASS_BLOCKS, name), snap.counter(obs::SCAN_PASS_QUERY_BLOCKS, name))
+    };
+    let queries = [vector_of(7_001, 8), vector_of(7_002, 8)];
+    let params = [SearchParams::top_k(3), SearchParams::top_k(40)];
+    let lone: Vec<Vec<SearchHit>> =
+        queries.iter().zip(&params).map(|(q, p)| col.search("v", q, p).unwrap()).collect();
+
+    milvus_storage::inject_scan_delay(col.snapshot().segments[0].id, Duration::from_millis(200));
+    let holding = passed() + cores as u64;
+    let (before, barrier) = (counters(), Barrier::new(2));
+    std::thread::scope(|s| {
+        let holders: Vec<_> =
+            (0..cores).map(|_| s.spawn(|| col.search("v", &[0.0; 3], &params[0]))).collect();
+        while passed() < holding {
+            std::thread::yield_now();
+        }
+        let searches: Vec<_> = queries
+            .iter()
+            .zip(&params)
+            .map(|(q, p)| {
+                let (barrier, col) = (&barrier, &col);
+                s.spawn(move || {
+                    let mut one = VectorSet::new(8);
+                    one.push(q);
+                    barrier.wait();
+                    col.search_batch("v", &one, p).unwrap().remove(0)
+                })
+            })
+            .collect();
+        for (search, want) in searches.into_iter().zip(&lone) {
+            assert_eq!(&search.join().unwrap(), want);
+        }
+        for holder in holders {
+            assert!(holder.join().unwrap().is_err(), "a wrong-dimension query must fail");
+        }
+    });
+    let after = counters();
+    let (blocks, query_blocks) = (after.0 - before.0, after.1 - before.1);
+    assert_eq!(query_blocks, 8, "each query sees each of the 4 blocks once");
+    assert!(blocks < query_blocks, "the two never shared a block ({blocks} claims)");
 }
 
 /// Filtered search fans out per segment too and must keep its results.

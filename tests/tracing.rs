@@ -180,9 +180,11 @@ fn tracing_at_zero_sampling_is_free_in_the_batch_engine_hot_loop() {
     assert_eq!(obs::registry().counter(obs::TRACE_SPANS, "").get(), spans_before);
 }
 
-/// A lone search over one unindexed segment splits its rows over every
-/// core; traced, the split adds one `QueueWait` span — its worst-queued
-/// range — beside the one of the segment's own task.
+/// A lone search over one unindexed segment reads it through the shared
+/// pass, every idle run slot joining as a helper; traced, the pass adds one
+/// `QueueWait` span — its worst-queued helper — and one `SegmentScan` span
+/// for the segment. The segment has three blocks, so a helper has blocks to
+/// claim.
 #[test]
 fn a_split_scan_records_one_queue_wait_for_its_ranges() {
     let _g = guard();
@@ -196,7 +198,7 @@ fn a_split_scan_records_one_queue_wait_for_its_ranges() {
     let col = m
         .create_collection("trace_split", Schema::single("v", 4, Metric::L2), CollectionConfig::for_tests())
         .unwrap();
-    col.insert(batch(0..400)).unwrap();
+    col.insert(batch(0..2500)).unwrap();
     col.flush().unwrap();
     let seg_id = col.snapshot().segments[0].id as i64;
     col.search("v", &[42.0, 0.0, 0.0, 0.0], &SearchParams::top_k(3)).unwrap();
@@ -207,14 +209,13 @@ fn a_split_scan_records_one_queue_wait_for_its_ranges() {
         .rev()
         .find(|t| t.collection == "trace_split")
         .expect("a sampled query lands in the ring at threshold 0");
-    let waits = trace
-        .spans
-        .iter()
-        .filter(|s| s.kind == obs::SpanKind::QueueWait && s.segment_id == seg_id)
-        .count();
-    // One core: no idle slot, the segment is scanned inline, nothing waits.
+    let count = |kind| trace.spans.iter().filter(|s| s.kind == kind).count();
+    // One core: no idle slot, the pass runs on the caller alone, nothing waits.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    assert_eq!(waits, if cores > 1 { 2 } else { 0 }, "{:?}", trace.spans);
+    assert_eq!(count(obs::SpanKind::QueueWait), usize::from(cores > 1), "{:?}", trace.spans);
+    assert_eq!(count(obs::SpanKind::SegmentScan), 1, "{:?}", trace.spans);
+    let scan = trace.spans.iter().find(|s| s.kind == obs::SpanKind::SegmentScan).unwrap();
+    assert_eq!((scan.segment_id, scan.rows_scanned), (seg_id, 2500));
 }
 
 #[test]
