@@ -430,9 +430,11 @@ impl Collection {
         // A group of one unfiltered query reads the segments without an index
         // on its field through the snapshot's pass for the field (a query of
         // another dimension takes the per-segment path, which reports it).
-        // Idle run slots join as claimers. A pass of at most one block per
-        // executor worker gives each block a claimer: it is too short for
-        // the extra claimers to cost, and a stalled block overlaps the rest.
+        // Idle run slots join as claimers. A pass of one-block segments gets
+        // a claimer per block, as each segment had a task: every block starts
+        // a segment and may stall on its load. On longer segments more
+        // claimers would only crowd the cores. The pass runs before the
+        // segments read on their own, so the two never share the idle cores.
         let mut shared: Vec<Option<(&FieldPass, Vec<Neighbor>)>> = groups
             .iter()
             .map(|g| {
@@ -442,9 +444,8 @@ impl Collection {
                 let (field, dim) = (g.req.field(), g.queries[0].len());
                 let mut fps = snap.passes(&self.schema, &self.trace_label).iter();
                 let fp = fps.find(|fp| fp.field == field && fp.pass.dim() == dim && fp.pass.blocks() > 0)?;
-                let blocks = fp.pass.blocks();
-                let short = blocks <= Executor::global().threads();
-                let helpers = if idle == 0 { 0 } else if short { blocks - 1 } else { idle };
+                let (blocks, segs) = (fp.pass.blocks(), fp.pass.segments().len());
+                let helpers = if blocks == segs && idle > 0 { idle.max(blocks - 1) } else { idle };
                 let (list, timing) = fp.pass.search(g.queries[0], g.ks[0], helpers, timed);
                 for (seg, window) in fp.pass.segments().iter().zip(timing.windows) {
                     let (start, end) = window.unwrap_or_else(|| (Instant::now(), Instant::now()));

@@ -430,7 +430,7 @@ fn search_batch_matches_individual_searches() {
 /// With every run slot held a lone unindexed search has no idle core to
 /// bring to its shared pass and queues no task; with the slots free every
 /// idle slot joins the pass as a helper, one executor task each, over a
-/// segment with more blocks than executor workers. The slot holders search
+/// segment with more blocks than run slots. The slot holders search
 /// with a query of the wrong dimension: it takes the per-segment path, so
 /// they park in the segment's injected scan delay holding their slots, then
 /// fail before scanning, and queue no task either.
@@ -439,10 +439,9 @@ fn a_lone_search_splits_only_into_idle_run_slots() {
     let _g = guard();
     let _cleanup = DelayGuard;
     let m = Milvus::new();
-    // More blocks than executor workers, so each idle slot brings one helper.
-    let blocks = milvus_exec::Executor::global().threads() + 1;
-    let col = segmented_collection(&m, "exec_idle_slots", 1, (blocks * BLOCK_ROWS) as i64);
+    // More blocks than run slots, so each idle slot brings one helper.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let col = segmented_collection(&m, "exec_idle_slots", 1, ((cores + 1) * BLOCK_ROWS) as i64);
     let tasks = || obs::counter(obs::EXEC_TASKS, "global").get();
     let passed = || obs::counter(obs::SCHED_PASSTHROUGH, "exec_idle_slots").get();
     let (q, params) = (vector_of(1_000, 8), SearchParams::top_k(5));
