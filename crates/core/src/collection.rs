@@ -10,10 +10,9 @@ use std::time::Instant;
 
 use milvus_exec::coalesce::Submitted;
 use milvus_exec::Executor;
-use milvus_index::batch::{score_visible, Scorer};
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::SearchParams;
-use milvus_index::{IndexError, Metric, Neighbor, RowMask, TopK, VectorSet};
+use milvus_index::{Metric, Neighbor, RowMask, VectorSet};
 use milvus_obs as obs;
 use milvus_query::multivector::MultiVectorEngine;
 use milvus_storage::object_store::ObjectStore;
@@ -267,9 +266,12 @@ impl Collection {
     /// Attribute filtering (§2.1, §4.1): top-k under `attr ∈ [lo, hi]`.
     ///
     /// Per segment this picks between the attribute-first exact scan
-    /// (strategy A) and the bitmap-filtered index search (strategy B) with a
-    /// simple cost rule; the full strategy suite incl. partition-based E
-    /// lives in `milvus-query` and is exercised by the benchmarks.
+    /// (strategy A, [`Segment::scan_visible`]) and the bitmap-filtered index
+    /// search (strategy B) with a simple rule: A when at most `8·k` rows pass
+    /// or the segment has no index. The full strategy suite, with the
+    /// cost-based planner D and partition-based E, lives in `milvus-query`;
+    /// its A and B call the same two segment methods, and it is exercised
+    /// by the benchmarks.
     #[allow(clippy::too_many_arguments)]
     pub fn filtered_search(
         &self,
@@ -378,7 +380,7 @@ impl Collection {
                 Some((ai, *lo, *hi))
             }
         };
-        Ok(Resolved { fi, metric: self.schema.vector_fields[fi].metric, filter })
+        Ok(Resolved { metric: self.schema.vector_fields[fi].metric, filter })
     }
 
     /// [`Self::execute`] for a batch of one.
@@ -522,10 +524,10 @@ impl Collection {
     /// One segment's answers for one group. Vector groups go straight to
     /// [`Segment::search_batch`]. Filtered groups evaluate the predicate once
     /// for the whole group, into a bitmap over the segment's rows, then pick
-    /// per segment between the exact scan of the passers (strategy A, when
-    /// the predicate is highly selective or the segment has no index) and the
-    /// index search under the bitmap (strategy B). Windows are timed only
-    /// when `timed`.
+    /// per segment between the exact scan of the passers
+    /// ([`Segment::scan_visible`], strategy A, when the predicate is highly
+    /// selective or the segment has no index) and the index search under the
+    /// bitmap (strategy B). Windows are timed only when `timed`.
     fn scan_group(&self, seg: &Segment, group: &Group<'_>, timed: bool) -> GroupScan {
         let clock = || timed.then(Instant::now);
         let (field, params) = (group.req.field(), group.req.params());
@@ -557,7 +559,7 @@ impl Collection {
                 out.lists = group
                     .queries
                     .iter()
-                    .map(|q| scan_passers(seg, &group.plan, q, visible, params.k))
+                    .map(|q| seg.scan_visible(&self.schema, field, q, params.k, visible))
                     .collect();
             }
             _ => {
@@ -741,8 +743,6 @@ fn traced_fan_out<R: Send>(
 /// What a request's names resolve to in the schema.
 #[derive(Clone, Copy)]
 struct Resolved {
-    /// Index of the vector field's column.
-    fi: usize,
     /// The field's metric.
     metric: Metric,
     /// Filtered requests: the attribute's column and the range `[lo, hi]`.
@@ -776,26 +776,6 @@ struct GroupScan {
     rows_scanned: u64,
     filter_window: Option<(Instant, Instant)>,
     scan_window: Option<(Instant, Instant)>,
-}
-
-/// Filter strategy A: exact distances to exactly the `visible` rows — the
-/// live ones that pass the predicate.
-fn scan_passers(
-    seg: &Segment,
-    plan: &Resolved,
-    query: &[f32],
-    visible: &RowMask,
-    k: usize,
-) -> milvus_storage::Result<Vec<Neighbor>> {
-    let col = &seg.data().vectors[plan.fi];
-    if query.len() != col.dim() {
-        return Err(IndexError::DimensionMismatch { expected: col.dim(), got: query.len() }.into());
-    }
-    let (mut heap, ids) = (TopK::new(k.max(1)), &seg.data().row_ids);
-    let visible = visible.iter().map(|row| (col.slot(row), ids[row]));
-    let (kern, rows) = (Scorer::new(plan.metric), col.buffer().as_flat());
-    score_visible(kern, rows, visible, &[query], std::slice::from_mut(&mut heap));
-    Ok(heap.into_sorted())
 }
 
 #[cfg(test)]

@@ -13,17 +13,28 @@
 //! * **D — cost-based**: estimate the cost of A/B/C and run the cheapest
 //!   (AnalyticDB-V's approach).
 //! * **E — partition-based (Milvus)**: pre-partition the data on the
-//!   frequently-filtered attribute; a query only touches partitions whose
-//!   range overlaps, and partitions *covered* by the query range skip the
-//!   attribute check entirely, running pure vector search.
+//!   frequently-filtered attribute; a query only touches partitions holding
+//!   a passing row, and partitions *covered* by the query range (every row
+//!   passes) skip the attribute check entirely, running pure vector search.
+//!
+//! Every strategy runs over one storage [`Segment`] per dataset: A is
+//! [`Segment::scan_visible`] and B is [`Segment::search_field`] under the
+//! predicate's bitmap, the code `Collection` runs for its segments.
 
-use milvus_index::batch::{score_visible, Scorer};
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::{BuildParams, SearchParams};
-use milvus_index::{Metric, Neighbor, TopK, VectorIndex, VectorSet};
+use milvus_index::{Metric, Neighbor, RowMask, VectorSet};
 use milvus_storage::attribute::AttributeColumn;
+use milvus_storage::segment::{Segment, SegmentData};
+use milvus_storage::Schema;
 
 use crate::error::{QueryError, Result};
+
+/// The one vector field of a dataset's segment.
+const FIELD: &str = "v";
+
+/// Over-fetch factor θ for strategy C (§7.5 uses θ = 1.1).
+const THETA: f64 = 1.1;
 
 /// The inclusive range constraint `Cα`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,18 +55,6 @@ impl RangePredicate {
     #[inline]
     pub fn matches(self, v: f64) -> bool {
         v >= self.lo && v <= self.hi
-    }
-
-    /// Whether this predicate fully covers `[min, max]`.
-    #[inline]
-    pub fn covers(self, min: f64, max: f64) -> bool {
-        self.lo <= min && self.hi >= max
-    }
-
-    /// Whether this predicate overlaps `[min, max]`.
-    #[inline]
-    pub fn overlaps(self, min: f64, max: f64) -> bool {
-        self.lo <= max && self.hi >= min
     }
 }
 
@@ -87,17 +86,12 @@ pub struct ExecTrace {
     pub partitions_covered: usize,
 }
 
-/// One searchable slice of data: vectors + ids + attribute column + index.
+/// One searchable slice of data: a storage [`Segment`] holding one vector
+/// field, one attribute column and an index on the field, searched the way
+/// a collection searches its segments.
 pub struct FilterDataset {
-    metric: Metric,
-    vectors: VectorSet,
-    /// Sorted ascending (the columnar layout of §2.4).
-    ids: Vec<i64>,
-    /// Attribute values by row position, key-sorted for range queries.
-    column: AttributeColumn,
-    index: Box<dyn VectorIndex>,
-    /// Over-fetch factor θ for strategy C (§7.5 uses θ = 1.1).
-    pub theta: f64,
+    schema: Schema,
+    segment: Segment,
 }
 
 impl FilterDataset {
@@ -125,40 +119,42 @@ impl FilterDataset {
         if ids.windows(2).any(|w| w[0] >= w[1]) {
             return Err(QueryError::InvalidQuery("ids must be sorted ascending".into()));
         }
-        let column = AttributeColumn::build(attr_name, values);
-        let mut build = params.clone();
-        build.metric = metric;
-        let index = registry.build(index_type, &vectors, &ids, &build)?;
-        Ok(Self { metric, vectors, ids, column, index, theta: 1.1 })
+        let schema = Schema::single(FIELD, vectors.dim(), metric).with_attribute(attr_name);
+        let attributes = vec![AttributeColumn::build(attr_name, values)];
+        let data = SegmentData { row_ids: ids, vectors: vec![vectors.into()], attributes };
+        // The ids are sorted, so the segment takes the arrays as its columns;
+        // an IVF_FLAT index then becomes the vector column (one copy).
+        let plain = Segment::from_parts(0, 1, data, &[]);
+        let segment = plain.build_index(&schema, FIELD, index_type, registry, params)?;
+        Ok(Self { schema, segment })
     }
 
     /// Number of entities.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.segment.num_rows()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Attribute min/max.
-    pub fn attr_min_max(&self) -> Option<(f64, f64)> {
-        self.column.min_max()
+        self.len() == 0
     }
 
     /// Fraction of rows *failing* the predicate (the paper's definition of
     /// query selectivity in §7.5: higher = fewer rows pass).
     pub fn selectivity(&self, pred: RangePredicate) -> f64 {
-        if self.ids.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        1.0 - self.column.count_range(pred.lo, pred.hi) as f64 / self.ids.len() as f64
+        1.0 - self.passing(pred) as f64 / self.len() as f64
     }
 
-    #[inline]
-    fn row_of(&self, id: i64) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
+    fn column(&self) -> &AttributeColumn {
+        &self.segment.data().attributes[0]
+    }
+
+    /// Rows satisfying `pred` (never a NaN).
+    fn passing(&self, pred: RangePredicate) -> usize {
+        self.column().count_range(pred.lo, pred.hi)
     }
 
     /// Execute under `strategy` (E is invalid here; use
@@ -170,89 +166,61 @@ impl FilterDataset {
         params: &SearchParams,
         strategy: Strategy,
     ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        match strategy {
-            Strategy::A => self.strategy_a(query, pred, params),
-            Strategy::B => self.strategy_b(query, pred, params),
-            Strategy::C => self.strategy_c(query, pred, params),
-            Strategy::D => self.strategy_d(query, pred, params),
-            Strategy::E => Err(QueryError::InvalidQuery(
-                "strategy E requires a PartitionedDataset".into(),
-            )),
-        }
-    }
-
-    /// [`Self::search`] recording a [`milvus_obs::SpanKind::Filter`] span
-    /// (rows = actual distance computations) into a per-query trace.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        pred: RangePredicate,
-        params: &SearchParams,
-        strategy: Strategy,
-        qtrace: &mut milvus_obs::Trace,
-    ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        let t = qtrace.begin();
-        let result = self.search(query, pred, params, strategy);
-        if let Ok((_, exec)) = &result {
-            let rows = exec.distance_computations as u64;
-            qtrace.record_with(milvus_obs::SpanKind::Filter, t, |sp| sp.rows_scanned = rows);
-        }
-        result
-    }
-
-    /// Pure vector search, no attribute check (used by strategy E on covered
-    /// partitions).
-    pub fn vector_only(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        let res = self.index.search(query, params)?;
+        let (res, computations) = match strategy {
+            Strategy::A => self.strategy_a(query, pred, params)?,
+            Strategy::B => self.strategy_b(query, pred, params)?,
+            Strategy::C => self.strategy_c(query, pred, params)?,
+            Strategy::D => return self.search(query, pred, params, self.plan(pred, params)),
+            Strategy::E => {
+                return Err(QueryError::InvalidQuery(
+                    "strategy E requires a PartitionedDataset".into(),
+                ))
+            }
+        };
         let trace = ExecTrace {
-            distance_computations: self.estimated_index_probes(params),
-            resolved: Some(Strategy::C),
+            distance_computations: computations,
+            resolved: Some(strategy),
             ..Default::default()
         };
         Ok((res, trace))
     }
 
-    /// Strategy A: binary-search the attribute column, then exact scan.
+    /// The segment's index search among the rows `allow` sets (`None`: all).
+    fn index_search(
+        &self,
+        query: &[f32],
+        params: &SearchParams,
+        allow: Option<&RowMask>,
+    ) -> Result<Vec<Neighbor>> {
+        Ok(self.segment.search_field(&self.schema, FIELD, query, params, allow)?)
+    }
+
+    /// Strategy A: the predicate's bitmap from the sorted attribute column
+    /// (binary search), then the segment's exact scan of those rows.
     fn strategy_a(
         &self,
         query: &[f32],
         pred: RangePredicate,
         params: &SearchParams,
-    ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        let rows = self.column.range_rows(pred.lo, pred.hi);
-        let (kern, mut heap) = (Scorer::new(self.metric), TopK::new(params.k.max(1)));
-        let visible = rows.iter().map(|&row| (row as usize, self.ids[row as usize]));
-        let (flat, heaps) = (self.vectors.as_flat(), std::slice::from_mut(&mut heap));
-        score_visible(kern, flat, visible, &[query], heaps);
-        let trace = ExecTrace {
-            distance_computations: rows.len(),
-            resolved: Some(Strategy::A),
-            ..Default::default()
-        };
-        Ok((heap.into_sorted(), trace))
+    ) -> Result<(Vec<Neighbor>, usize)> {
+        let mask = self.column().range_mask(pred.lo, pred.hi);
+        let visible = self.segment.visible(Some(&mask));
+        let visible = visible.as_deref().unwrap_or(&mask);
+        let res = self.segment.scan_visible(&self.schema, FIELD, query, params.k, visible)?;
+        Ok((res, visible.count()))
     }
 
-    /// Strategy B: bitmap from the attribute, consulted by the ANN search (the
-    /// index was built over the rows in order, so its ordinals are the
-    /// column's row positions).
+    /// Strategy B: bitmap from the attribute, consulted by the ANN search (an
+    /// index ordinal is a row position, so the bitmap serves the index).
     fn strategy_b(
         &self,
         query: &[f32],
         pred: RangePredicate,
         params: &SearchParams,
-    ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        let bitmap = self.column.range_mask(pred.lo, pred.hi);
-        let res = self.index.search_masked(query, params, &bitmap)?;
-        let trace = ExecTrace {
-            distance_computations: self.estimated_index_probes(params),
-            resolved: Some(Strategy::B),
-            ..Default::default()
-        };
-        Ok((res, trace))
+    ) -> Result<(Vec<Neighbor>, usize)> {
+        let bitmap = self.column().range_mask(pred.lo, pred.hi);
+        let res = self.index_search(query, params, Some(&bitmap))?;
+        Ok((res, self.estimated_index_probes(params)))
     }
 
     /// Strategy C: ANN search for θ·k, post-filter on the attribute; retries
@@ -262,52 +230,31 @@ impl FilterDataset {
         query: &[f32],
         pred: RangePredicate,
         params: &SearchParams,
-    ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        let mut fetch = ((params.k as f64 * self.theta).ceil() as usize).max(params.k + 1);
+    ) -> Result<(Vec<Neighbor>, usize)> {
+        let (ids, column) = (&self.segment.data().row_ids, self.column());
+        let passes = |n: &&Neighbor| {
+            ids.binary_search(&n.id).is_ok_and(|row| pred.matches(column.value_at(row)))
+        };
+        let mut fetch = ((params.k as f64 * THETA).ceil() as usize).max(params.k + 1);
         let mut computations = 0usize;
         loop {
             let mut sp = params.clone();
             sp.k = fetch.min(self.len().max(1));
-            let cands = self.index.search(query, &sp)?;
+            let cands = self.index_search(query, &sp, None)?;
             computations += self.estimated_index_probes(&sp);
-            let kept: Vec<Neighbor> = cands
-                .iter()
-                .filter(|n| {
-                    self.row_of(n.id)
-                        .is_some_and(|row| pred.matches(self.column.value_at(row)))
-                })
-                .copied()
-                .take(params.k)
-                .collect();
-            let exhausted = sp.k >= self.len();
-            if kept.len() >= params.k || exhausted {
-                let trace = ExecTrace {
-                    distance_computations: computations,
-                    resolved: Some(Strategy::C),
-                    ..Default::default()
-                };
-                return Ok((kept, trace));
+            let kept: Vec<Neighbor> = cands.iter().filter(passes).copied().take(params.k).collect();
+            if kept.len() >= params.k || sp.k >= self.len() {
+                return Ok((kept, computations));
             }
             fetch *= 4;
         }
     }
 
-    /// Strategy D: pick A, B or C by estimated cost (§4.1, following
-    /// AnalyticDB-V).
-    fn strategy_d(
-        &self,
-        query: &[f32],
-        pred: RangePredicate,
-        params: &SearchParams,
-    ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        let choice = self.plan(pred, params);
-        self.search(query, pred, params, choice)
-    }
-
-    /// The cost model behind strategy D; exposed for tests and EXPERIMENTS.md.
+    /// The cost model behind strategy D (§4.1, following AnalyticDB-V);
+    /// exposed for tests and EXPERIMENTS.md.
     pub fn plan(&self, pred: RangePredicate, params: &SearchParams) -> Strategy {
         let n = self.len().max(1) as f64;
-        let passing = self.column.count_range(pred.lo, pred.hi) as f64;
+        let passing = self.passing(pred) as f64;
         // Cost A: one exact distance per passing row.
         let cost_a = passing;
         // Cost B/C: the ANN index examines roughly nprobe/nlist of the data
@@ -318,7 +265,7 @@ impl FilterDataset {
         // Cost C: may re-fetch when the filter is selective; expected fetch
         // inflation is 1/pass_rate.
         let pass_rate = (passing / n).max(1e-9);
-        let needed = params.k as f64 * self.theta / pass_rate;
+        let needed = params.k as f64 * THETA / pass_rate;
         let cost_c = if needed > n { f64::INFINITY } else { index_cost * (1.0 + needed / n) };
         if cost_a <= cost_b && cost_a <= cost_c {
             Strategy::A
@@ -332,9 +279,9 @@ impl FilterDataset {
     /// Rough count of distance computations one index search performs.
     fn estimated_index_probes(&self, params: &SearchParams) -> usize {
         let n = self.len();
-        match self.index.name() {
-            "FLAT" => n,
-            "IVF_FLAT" | "IVF_SQ8" | "IVF_PQ" => {
+        match self.segment.index(FIELD).map(|index| index.name()) {
+            Some("FLAT") => n,
+            Some("IVF_FLAT" | "IVF_SQ8" | "IVF_PQ") => {
                 let nlist = (n as f64).sqrt().ceil().max(1.0) as usize;
                 (n * params.nprobe.min(nlist)) / nlist.max(1)
             }
@@ -344,38 +291,9 @@ impl FilterDataset {
     }
 }
 
-/// Query-frequency tracking (§4.1: "we maintain the frequency of each
-/// searched attribute in a hash table").
-#[derive(Debug, Default)]
-pub struct AttributeFrequency {
-    counts: std::collections::HashMap<String, u64>,
-}
-
-impl AttributeFrequency {
-    /// Record that a query filtered on `attr`.
-    pub fn record(&mut self, attr: &str) {
-        *self.counts.entry(attr.to_string()).or_insert(0) += 1;
-    }
-
-    /// The most frequently filtered attribute, if any.
-    pub fn hottest(&self) -> Option<&str> {
-        self.counts
-            .iter()
-            .max_by_key(|(name, c)| (**c, std::cmp::Reverse(name.as_str())))
-            .map(|(name, _)| name.as_str())
-    }
-
-    /// Times `attr` was filtered on.
-    pub fn count(&self, attr: &str) -> u64 {
-        self.counts.get(attr).copied().unwrap_or(0)
-    }
-}
-
 /// Strategy E: the dataset pre-partitioned on the hot attribute (§4.1).
 pub struct PartitionedDataset {
     partitions: Vec<FilterDataset>,
-    /// `[min, max]` attribute range per partition.
-    ranges: Vec<(f64, f64)>,
 }
 
 impl PartitionedDataset {
@@ -405,7 +323,6 @@ impl PartitionedDataset {
         order.sort_by(|&a, &b| values[a].total_cmp(&values[b]).then(ids[a].cmp(&ids[b])));
         let chunk = ids.len().div_ceil(rho).max(1);
         let mut partitions = Vec::new();
-        let mut ranges = Vec::new();
         for part in order.chunks(chunk) {
             // Re-sort the partition's rows by id (columnar layout contract).
             let mut rows: Vec<usize> = part.to_vec();
@@ -413,14 +330,11 @@ impl PartitionedDataset {
             let pvec = vectors.gather(&rows);
             let pids: Vec<i64> = rows.iter().map(|&r| ids[r]).collect();
             let pvals: Vec<f64> = rows.iter().map(|&r| values[r]).collect();
-            let lo = pvals.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = pvals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             partitions.push(FilterDataset::build(
                 metric, pvec, pids, pvals, attr_name, index_type, registry, params,
             )?);
-            ranges.push((lo, hi));
         }
-        Ok(Self { partitions, ranges })
+        Ok(Self { partitions })
     }
 
     /// Number of partitions (ρ).
@@ -428,9 +342,9 @@ impl PartitionedDataset {
         self.partitions.len()
     }
 
-    /// Strategy E execution: prune non-overlapping partitions; covered
-    /// partitions run pure vector search; boundary partitions run the
-    /// cost-based strategy D.
+    /// Strategy E execution, decided per partition by how many of its rows
+    /// pass: none — pruned; all — covered, pure vector search without the
+    /// attribute check; some — the cost-based strategy D.
     pub fn search(
         &self,
         query: &[f32],
@@ -439,40 +353,23 @@ impl PartitionedDataset {
     ) -> Result<(Vec<Neighbor>, ExecTrace)> {
         let mut lists: Vec<Vec<Neighbor>> = Vec::new();
         let mut trace = ExecTrace { resolved: Some(Strategy::E), ..Default::default() };
-        for (p, &(lo, hi)) in self.partitions.iter().zip(&self.ranges) {
-            if !pred.overlaps(lo, hi) {
+        for p in &self.partitions {
+            let passing = p.passing(pred);
+            if passing == 0 {
                 continue;
             }
             trace.partitions_scanned += 1;
-            let (res, t) = if pred.covers(lo, hi) {
+            if passing == p.len() {
                 trace.partitions_covered += 1;
-                p.vector_only(query, params)?
+                lists.push(p.index_search(query, params, None)?);
+                trace.distance_computations += p.estimated_index_probes(params);
             } else {
-                p.search(query, pred, params, Strategy::D)?
-            };
-            trace.distance_computations += t.distance_computations;
-            lists.push(res);
+                let (res, t) = p.search(query, pred, params, Strategy::D)?;
+                trace.distance_computations += t.distance_computations;
+                lists.push(res);
+            }
         }
         Ok((milvus_index::topk::merge_sorted(&lists, params.k), trace))
-    }
-
-    /// [`Self::search`] recording one [`milvus_obs::SpanKind::Filter`] span
-    /// (rows = distance computations across touched partitions) into a
-    /// per-query trace.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        pred: RangePredicate,
-        params: &SearchParams,
-        qtrace: &mut milvus_obs::Trace,
-    ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        let t = qtrace.begin();
-        let result = self.search(query, pred, params);
-        if let Ok((_, exec)) = &result {
-            let rows = exec.distance_computations as u64;
-            qtrace.record_with(milvus_obs::SpanKind::Filter, t, |sp| sp.rows_scanned = rows);
-        }
-        result
     }
 }
 
@@ -642,15 +539,25 @@ mod tests {
         assert_eq!(trace.partitions_scanned, 1);
     }
 
+    /// A NaN attribute fails every predicate, so a partition holding one is
+    /// never covered, however wide the range around its numbers.
     #[test]
-    fn frequency_tracking() {
-        let mut freq = AttributeFrequency::default();
-        freq.record("price");
-        freq.record("price");
-        freq.record("size");
-        assert_eq!(freq.hottest(), Some("price"));
-        assert_eq!(freq.count("price"), 2);
-        assert_eq!(freq.count("missing"), 0);
+    fn nan_rows_never_pass_a_partitioned_search() {
+        let mut f = fixture(200, "FLAT");
+        for r in [5, 77, 150] {
+            f.values[r] = f64::NAN;
+        }
+        let registry = IndexRegistry::with_builtins();
+        let part = PartitionedDataset::build(
+            Metric::L2, &f.vectors, &f.ids, &f.values, "price", 4, "FLAT", &registry,
+            &BuildParams::default(),
+        )
+        .unwrap();
+        let pred = RangePredicate::new(f64::NEG_INFINITY, f64::INFINITY);
+        let (res, trace) = part.search(f.vectors.get(5), pred, &SearchParams::top_k(200)).unwrap();
+        assert_eq!(res.len(), 197);
+        assert!(res.iter().all(|n| !f.values[n.id as usize].is_nan()));
+        assert_eq!((trace.partitions_scanned, trace.partitions_covered), (4, 3));
     }
 
     #[test]

@@ -13,7 +13,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use milvus_exec::Executor;
-use milvus_index::batch::{cache_aware_scan, score_range, BatchOptions, Rows, Scorer};
+use milvus_index::batch::{
+    cache_aware_scan, score_range, score_visible, BatchOptions, Rows, Scorer,
+};
 use milvus_index::ivf::IvfIndex;
 use milvus_index::traits::{BuildParams, SearchParams};
 use milvus_index::{
@@ -244,9 +246,7 @@ impl Segment {
         registry: &IndexRegistry,
         params: &BuildParams,
     ) -> Result<Segment> {
-        let fi = schema
-            .vector_field_index(field)
-            .ok_or_else(|| StorageError::SchemaViolation(format!("no vector field {field}")))?;
+        let fi = field_index(schema, field)?;
         let mut build = params.clone();
         build.metric = schema.vector_fields[fi].metric;
         let row_order = self.data.vectors[fi].to_row_order();
@@ -323,6 +323,36 @@ impl Segment {
         self.scan_one(schema, field, query, params, self.visible(allow).as_deref())
     }
 
+    /// Exact distances from `query` to exactly the rows set in `visible`
+    /// (see [`Self::visible`]), walked in row order; the index is not used.
+    /// This is filter strategy A: the caller picks it when few rows pass.
+    pub fn scan_visible(
+        &self,
+        schema: &Schema,
+        field: &str,
+        query: &[f32],
+        k: usize,
+        visible: &RowMask,
+    ) -> Result<Vec<Neighbor>> {
+        let fi = field_index(schema, field)?;
+        let col = self.checked_column(fi, query)?;
+        let (mut heap, ids) = (TopK::new(k.max(1)), &self.data.row_ids);
+        let visible = visible.iter().map(|row| (col.slot(row), ids[row]));
+        let (kern, rows) = (Scorer::new(schema.vector_fields[fi].metric), col.buffer().as_flat());
+        score_visible(kern, rows, visible, &[query], std::slice::from_mut(&mut heap));
+        Ok(heap.into_sorted())
+    }
+
+    /// Column `fi`, if `query` has its dimension.
+    fn checked_column(&self, fi: usize, query: &[f32]) -> Result<&VectorColumn> {
+        let col = &self.data.vectors[fi];
+        if query.len() != col.dim() {
+            let (expected, got) = (col.dim(), query.len());
+            return Err(milvus_index::IndexError::DimensionMismatch { expected, got }.into());
+        }
+        Ok(col)
+    }
+
     /// One query over the rows set in `visible` (`None`: every row). An index
     /// ordinal is a row position ([`Self::build_index`]), so the same mask
     /// serves the index and the column scan.
@@ -334,9 +364,7 @@ impl Segment {
         params: &SearchParams,
         visible: Option<&RowMask>,
     ) -> Result<Vec<Neighbor>> {
-        let fi = schema
-            .vector_field_index(field)
-            .ok_or_else(|| StorageError::SchemaViolation(format!("no vector field {field}")))?;
+        let fi = field_index(schema, field)?;
         let metric = schema.vector_fields[fi].metric;
 
         if let Some(index) = self.index(field) {
@@ -346,13 +374,7 @@ impl Segment {
             });
         }
 
-        let col = &self.data.vectors[fi];
-        if query.len() != col.dim() {
-            return Err(StorageError::Index(milvus_index::IndexError::DimensionMismatch {
-                expected: col.dim(),
-                got: query.len(),
-            }));
-        }
+        let col = self.checked_column(fi, query)?;
         // A column is reordered only under its index, so this is a borrow.
         let rows = col.to_row_order();
         let (ids, mut heap) = (&self.data.row_ids[..], TopK::new(params.k.max(1)));
@@ -491,6 +513,12 @@ impl std::fmt::Debug for Segment {
             .field("indexes", &self.indexes.read().keys().collect::<Vec<_>>())
             .finish()
     }
+}
+
+/// The position of vector field `field` in `schema`.
+fn field_index(schema: &Schema, field: &str) -> Result<usize> {
+    let missing = || StorageError::SchemaViolation(format!("no vector field {field}"));
+    schema.vector_field_index(field).ok_or_else(missing)
 }
 
 /// `live` (`None`: every row) with the rows holding `ids` cleared; ids stored

@@ -5,7 +5,7 @@ use milvus_core::{CollectionConfig, Milvus};
 use milvus_datagen as datagen;
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::{BuildParams, SearchParams};
-use milvus_index::{distance, Metric, VectorSet};
+use milvus_index::{distance, Metric, Neighbor, VectorSet};
 use milvus_query::filtering::{FilterDataset, PartitionedDataset, RangePredicate, Strategy};
 use milvus_storage::{InsertBatch, Schema};
 
@@ -23,61 +23,75 @@ fn fixture(n: usize) -> Fixture {
     }
 }
 
-fn reference(f: &Fixture, q: &[f32], pred: RangePredicate, k: usize) -> Vec<i64> {
+/// The exact filtered top-k under `metric`: `(id, distance bits)`, nearest
+/// first, ties by id.
+fn reference_under(
+    f: &Fixture,
+    metric: Metric,
+    q: &[f32],
+    pred: RangePredicate,
+    k: usize,
+) -> Vec<(i64, u32)> {
     let mut all: Vec<(i64, f32)> = (0..f.ids.len())
         .filter(|&r| pred.matches(f.values[r]))
-        .map(|r| (f.ids[r], distance::l2_sq(q, f.data.get(r))))
+        .map(|r| (f.ids[r], distance::distance(metric, q, f.data.get(r))))
         .collect();
     all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     all.truncate(k);
-    all.into_iter().map(|(id, _)| id).collect()
+    all.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
 }
 
+fn reference(f: &Fixture, q: &[f32], pred: RangePredicate, k: usize) -> Vec<i64> {
+    reference_under(f, Metric::L2, q, pred, k).into_iter().map(|(id, _)| id).collect()
+}
+
+fn bits(res: &[Neighbor]) -> Vec<(i64, u32)> {
+    res.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+}
+
+/// Every strategy on an exact index returns the exact answer, distances
+/// to the bit, under each float metric.
 #[test]
 fn all_strategies_and_partitioning_agree_exactly_on_flat() {
     let f = fixture(2_000);
     let registry = IndexRegistry::with_builtins();
     let params = BuildParams::default();
-    let flat = FilterDataset::build(
-        Metric::L2,
-        f.data.clone(),
-        f.ids.clone(),
-        f.values.clone(),
-        "a",
-        "FLAT",
-        &registry,
-        &params,
-    )
-    .unwrap();
-    let part = PartitionedDataset::build(
-        Metric::L2, &f.data, &f.ids, &f.values, "a", 8, "FLAT", &registry, &params,
-    )
-    .unwrap();
-
     let queries = datagen::queries_from(&f.data, 5, 2.0, 73);
-    for (lo, hi) in [(0.0, 10_000.0), (2_000.0, 3_000.0), (9_900.0, 10_000.0), (0.0, 100.0)] {
-        let pred = RangePredicate::new(lo, hi);
-        for qi in 0..queries.len() {
-            let q = queries.get(qi);
-            let expect = reference(&f, q, pred, 10);
-            for strat in [Strategy::A, Strategy::B, Strategy::C, Strategy::D] {
-                let (res, _) = flat.search(q, pred, &SearchParams::top_k(10), strat).unwrap();
-                assert_eq!(
-                    res.iter().map(|n| n.id).collect::<Vec<_>>(),
-                    expect,
-                    "{strat:?} range [{lo},{hi}] q{qi}"
-                );
+    for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+        let flat = FilterDataset::build(
+            metric,
+            f.data.clone(),
+            f.ids.clone(),
+            f.values.clone(),
+            "a",
+            "FLAT",
+            &registry,
+            &params,
+        )
+        .unwrap();
+        let part = PartitionedDataset::build(
+            metric, &f.data, &f.ids, &f.values, "a", 8, "FLAT", &registry, &params,
+        )
+        .unwrap();
+        for (lo, hi) in [(0.0, 10_000.0), (2_000.0, 3_000.0), (9_900.0, 10_000.0), (0.0, 100.0)] {
+            let pred = RangePredicate::new(lo, hi);
+            for qi in 0..queries.len() {
+                let q = queries.get(qi);
+                let expect = reference_under(&f, metric, q, pred, 10);
+                let sp = SearchParams::top_k(10);
+                for strat in [Strategy::A, Strategy::B, Strategy::C, Strategy::D] {
+                    let (res, _) = flat.search(q, pred, &sp, strat).unwrap();
+                    assert_eq!(bits(&res), expect, "{metric:?} {strat:?} [{lo},{hi}] q{qi}");
+                }
+                let (res, _) = part.search(q, pred, &sp).unwrap();
+                assert_eq!(bits(&res), expect, "{metric:?} E [{lo},{hi}] q{qi}");
             }
-            let (res, _) = part.search(q, pred, &SearchParams::top_k(10)).unwrap();
-            assert_eq!(
-                res.iter().map(|n| n.id).collect::<Vec<_>>(),
-                expect,
-                "partitioned range [{lo},{hi}] q{qi}"
-            );
         }
     }
 }
 
+/// On IVF_FLAT the cost-based plan keeps high recall, and the exact scan
+/// (strategy A) returns exactly the reference.
 #[test]
 fn filtering_with_ivf_keeps_high_recall() {
     let f = fixture(4_000);
@@ -104,6 +118,10 @@ fn filtering_with_ivf_keeps_high_recall() {
             reference(&f, q, pred, 10).into_iter().collect();
         let (res, _) = ds.search(q, pred, &sp, Strategy::D).unwrap();
         hit += res.iter().filter(|n| expect.contains(&n.id)).count();
+        // Strategy A reads the index's bucket-ordered vectors by row and
+        // stays exact.
+        let (res, _) = ds.search(q, pred, &sp, Strategy::A).unwrap();
+        assert_eq!(bits(&res), reference_under(&f, Metric::L2, q, pred, 10), "A q{qi}");
     }
     assert!(hit as f32 / 100.0 >= 0.9, "filtered recall {hit}/100");
 }

@@ -13,7 +13,8 @@
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use milvus_core::scheduler::{group_batch, SearchRequest};
+use milvus_core::config::SchedulerConfig;
+use milvus_core::scheduler::{group_batch, QueryScheduler, SearchRequest};
 use milvus_core::{Collection, CollectionConfig, Milvus, MilvusError, SearchHit};
 use milvus_index::traits::SearchParams;
 use milvus_index::{Metric, VectorSet};
@@ -304,6 +305,29 @@ fn shed_queries_fail_typed_while_admitted_queries_stay_correct() {
     assert_eq!(hits, expected, "admitted query degraded under shedding");
     // The freed slot readmits immediately.
     assert_eq!(col.search("v", &q, &sp).unwrap(), expected);
+}
+
+/// A shed marks the process's `/health` degraded, so this test runs here,
+/// not in the library's own test process beside the REST endpoint tests.
+#[test]
+fn shed_over_budget_then_release_readmits() {
+    let _g = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let sched = QueryScheduler::new(
+        "sched_unit",
+        SchedulerConfig { adaptive: false, max_inflight: 2, ..Default::default() },
+    );
+    let g1 = sched.admit().unwrap();
+    let _g2 = sched.admit().unwrap();
+    let err = sched.admit().expect_err("third query must shed");
+    match err {
+        MilvusError::Overloaded { inflight, budget, .. } => {
+            assert_eq!((inflight, budget), (2, 2));
+        }
+        other => panic!("wrong error: {other}"),
+    }
+    drop(g1);
+    let _g3 = sched.admit().expect("slot freed");
+    assert_eq!(sched.inflight(), 2);
 }
 
 #[test]
