@@ -1,5 +1,5 @@
 //! Attribute-filtering strategy benchmarks (ablation #3: partition-based E
-//! vs cost-based D, plus the fixed strategies).
+//! vs planned D, plus the fixed strategies).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use milvus_datagen as datagen;

@@ -12,8 +12,9 @@ use milvus_exec::coalesce::Submitted;
 use milvus_exec::Executor;
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::SearchParams;
-use milvus_index::{Metric, Neighbor, RowMask, VectorSet};
+use milvus_index::{Metric, Neighbor, VectorSet};
 use milvus_obs as obs;
+use milvus_query::filtering::{self, Strategy};
 use milvus_query::multivector::MultiVectorEngine;
 use milvus_storage::object_store::ObjectStore;
 use milvus_storage::pass::FieldPass;
@@ -265,13 +266,13 @@ impl Collection {
 
     /// Attribute filtering (§2.1, §4.1): top-k under `attr ∈ [lo, hi]`.
     ///
-    /// Per segment this picks between the attribute-first exact scan
-    /// (strategy A, [`Segment::scan_visible`]) and the bitmap-filtered index
-    /// search (strategy B) with a simple rule: A when at most `8·k` rows pass
-    /// or the segment has no index. The full strategy suite, with the
-    /// cost-based planner D and partition-based E, lives in `milvus-query`;
-    /// its A and B call the same two segment methods, and it is exercised
-    /// by the benchmarks.
+    /// Every segment runs strategy D: [`filtering::plan`] picks the
+    /// attribute-first exact scan (A) when at most
+    /// [`filtering::PREFILTER_ROWS_PER_K`]`·k` rows pass or the segment has
+    /// no index, else the bitmap-filtered index search (B), and
+    /// [`filtering::scan_segment`] runs it. The rest of the strategy suite
+    /// (C, and partition-based E) lives beside them in `milvus-query` and is
+    /// exercised by the benchmarks.
     #[allow(clippy::too_many_arguments)]
     pub fn filtered_search(
         &self,
@@ -523,60 +524,43 @@ impl Collection {
 
     /// One segment's answers for one group. Vector groups go straight to
     /// [`Segment::search_batch`]. Filtered groups evaluate the predicate once
-    /// for the whole group, into a bitmap over the segment's rows, then pick
-    /// per segment between the exact scan of the passers
-    /// ([`Segment::scan_visible`], strategy A, when the predicate is highly
-    /// selective or the segment has no index) and the index search under the
-    /// bitmap (strategy B). Windows are timed only when `timed`.
+    /// for the whole group, into a bitmap over the segment's rows, and run
+    /// the strategy [`filtering::plan`] picks for its count through
+    /// [`filtering::scan_segment`]. Windows are timed only when `timed`.
     fn scan_group(&self, seg: &Segment, group: &Group<'_>, timed: bool) -> GroupScan {
         let clock = || timed.then(Instant::now);
         let (field, params) = (group.req.field(), group.req.params());
         let members = group.idxs.len() as u64;
         let mut out = GroupScan::default();
 
-        let mut passers: Option<RowMask> = None;
-        if let Some((ai, lo, hi)) = group.plan.filter {
-            let f_start = clock();
-            let mask = seg.data().attributes[ai].range_mask(lo, hi);
-            out.passing = mask.count();
-            out.filter_window = f_start.zip(clock());
-            self.filter_rows_passing.add(out.passing as u64 * members);
-            if out.passing == 0 {
-                // Nothing passes: this segment contributes an empty list.
-                out.lists = group.idxs.iter().map(|_| Ok(Vec::new())).collect();
-                return out;
-            }
-            passers = Some(mask);
+        let Some((ai, lo, hi)) = group.plan.filter else {
+            let s_start = clock();
+            out.rows_scanned = seg.live_rows() as u64;
+            out.lists = seg.search_batch(&self.schema, field, &group.queries, &group.ks, params, None);
+            out.scan_window = s_start.zip(clock());
+            return out;
+        };
+        let f_start = clock();
+        let mask = seg.data().attributes[ai].range_mask(lo, hi);
+        out.passing = mask.count();
+        out.filter_window = f_start.zip(clock());
+        self.filter_rows_passing.add(out.passing as u64 * members);
+        if out.passing == 0 {
+            // Nothing passes: this segment contributes an empty list.
+            out.lists = group.idxs.iter().map(|_| Ok(Vec::new())).collect();
+            return out;
         }
 
         let s_start = clock();
-        match &passers {
-            Some(mask) if out.passing <= params.k * 8 || seg.index(field).is_none() => {
-                self.filter_strategy_a.add(members);
-                out.rows_scanned = out.passing as u64;
-                let visible = seg.visible(Some(mask));
-                let visible = visible.as_deref().unwrap_or(mask);
-                out.lists = group
-                    .queries
-                    .iter()
-                    .map(|q| seg.scan_visible(&self.schema, field, q, params.k, visible))
-                    .collect();
-            }
-            _ => {
-                if passers.is_some() {
-                    self.filter_strategy_b.add(members);
-                }
-                out.rows_scanned = seg.live_rows() as u64;
-                out.lists = seg.search_batch(
-                    &self.schema,
-                    field,
-                    &group.queries,
-                    &group.ks,
-                    params,
-                    passers.as_ref(),
-                );
-            }
-        }
+        let strategy = filtering::plan(seg, field, out.passing, params.k);
+        let (count, rows) = match strategy {
+            Strategy::A => (&self.filter_strategy_a, out.passing),
+            _ => (&self.filter_strategy_b, seg.live_rows()),
+        };
+        count.add(members);
+        out.rows_scanned = rows as u64;
+        let queries = &group.queries;
+        out.lists = filtering::scan_segment(seg, &self.schema, field, strategy, queries, params, &mask);
         out.scan_window = s_start.zip(clock());
         out
     }

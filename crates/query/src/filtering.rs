@@ -10,16 +10,16 @@
 //!   run the ANN index checking the bitmap per candidate.
 //! * **C — vector-first-attribute-full-scan**: ANN search for `θ·k`
 //!   candidates, then post-filter on the attribute.
-//! * **D — cost-based**: estimate the cost of A/B/C and run the cheapest
-//!   (AnalyticDB-V's approach).
+//! * **D — planned**: the paper prices A, B and C (AnalyticDB-V's way);
+//!   here it is one rule, [`plan`], that picks A or B. No planner picks C:
+//!   a masked index scan scores only the passing rows it reaches.
 //! * **E — partition-based (Milvus)**: pre-partition the data on the
 //!   frequently-filtered attribute; a query only touches partitions holding
 //!   a passing row, and partitions *covered* by the query range (every row
 //!   passes) skip the attribute check entirely, running pure vector search.
 //!
-//! Every strategy runs over one storage [`Segment`] per dataset: A is
-//! [`Segment::scan_visible`] and B is [`Segment::search_field`] under the
-//! predicate's bitmap, the code `Collection` runs for its segments.
+//! [`plan`] and [`scan_segment`] decide and run A or B per segment, for
+//! `Collection`'s segments and for a [`FilterDataset`] (one [`Segment`]).
 
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::{BuildParams, SearchParams};
@@ -35,6 +35,10 @@ const FIELD: &str = "v";
 
 /// Over-fetch factor θ for strategy C (§7.5 uses θ = 1.1).
 const THETA: f64 = 1.1;
+
+/// Strategy A's reach: [`plan`] picks the exact scan of the passing rows
+/// while at most this many pass per result the query asks for.
+pub const PREFILTER_ROWS_PER_K: usize = 8;
 
 /// The inclusive range constraint `Cα`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,23 +71,64 @@ pub enum Strategy {
     B,
     /// Vector-first, attribute post-filter.
     C,
-    /// Cost-based choice among A/B/C.
+    /// The planner's choice between A and B ([`plan`]).
     D,
     /// Partition-based (only valid on a [`PartitionedDataset`]).
     E,
 }
 
-/// What a strategy execution did (assertions + cost-model validation).
+/// What a strategy execution did (work counts for tests and benchmarks).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecTrace {
     /// Vectors whose distance was actually computed.
     pub distance_computations: usize,
-    /// The concrete strategy that ran (D resolves to A/B/C).
+    /// The concrete strategy that ran (D resolves to A or B).
     pub resolved: Option<Strategy>,
     /// Partitions touched (strategy E).
     pub partitions_scanned: usize,
     /// Partitions where the attribute check was skipped (covered ranges).
     pub partitions_covered: usize,
+}
+
+/// Strategy D for one segment in which `passing` rows satisfy the
+/// predicate: the exact scan of the passers (A) when at most
+/// [`PREFILTER_ROWS_PER_K`]`·k` pass or `field` has no index there, else the
+/// index search under the predicate's bitmap (B).
+pub fn plan(seg: &Segment, field: &str, passing: usize, k: usize) -> Strategy {
+    if passing <= PREFILTER_ROWS_PER_K * k || seg.index(field).is_none() {
+        Strategy::A
+    } else {
+        Strategy::B
+    }
+}
+
+/// Run strategy A or B on one segment for `queries`, which share `params`
+/// and the predicate's bitmap `mask` over the segment's rows. A scans
+/// exactly the live rows `mask` sets, per query ([`Segment::visible`], then
+/// [`Segment::scan_visible`]); B is the segment's batched search under
+/// `mask` ([`Segment::search_batch`]). One result per query, in input order;
+/// any other strategy panics.
+pub fn scan_segment(
+    seg: &Segment,
+    schema: &Schema,
+    field: &str,
+    strategy: Strategy,
+    queries: &[&[f32]],
+    params: &SearchParams,
+    mask: &RowMask,
+) -> Vec<milvus_storage::Result<Vec<Neighbor>>> {
+    match strategy {
+        Strategy::A => {
+            let visible = seg.visible(Some(mask));
+            let visible = visible.as_deref().unwrap_or(mask);
+            queries.iter().map(|q| seg.scan_visible(schema, field, q, params.k, visible)).collect()
+        }
+        Strategy::B => {
+            let ks = vec![params.k; queries.len()];
+            seg.search_batch(schema, field, queries, &ks, params, Some(mask))
+        }
+        other => panic!("a segment runs strategy A or B, not {other:?}"),
+    }
 }
 
 /// One searchable slice of data: a storage [`Segment`] holding one vector
@@ -158,7 +203,8 @@ impl FilterDataset {
     }
 
     /// Execute under `strategy` (E is invalid here; use
-    /// [`PartitionedDataset`]).
+    /// [`PartitionedDataset`]). A, B and D build the predicate's bitmap once
+    /// and run [`scan_segment`], D with the strategy [`plan`] picks.
     pub fn search(
         &self,
         query: &[f32],
@@ -166,61 +212,31 @@ impl FilterDataset {
         params: &SearchParams,
         strategy: Strategy,
     ) -> Result<(Vec<Neighbor>, ExecTrace)> {
-        let (res, computations) = match strategy {
-            Strategy::A => self.strategy_a(query, pred, params)?,
-            Strategy::B => self.strategy_b(query, pred, params)?,
-            Strategy::C => self.strategy_c(query, pred, params)?,
-            Strategy::D => return self.search(query, pred, params, self.plan(pred, params)),
+        let (res, distance_computations, resolved) = match strategy {
+            Strategy::C => {
+                let (res, computations) = self.strategy_c(query, pred, params)?;
+                (res, computations, strategy)
+            }
             Strategy::E => {
-                return Err(QueryError::InvalidQuery(
-                    "strategy E requires a PartitionedDataset".into(),
-                ))
+                return Err(QueryError::InvalidQuery("strategy E requires a PartitionedDataset".into()))
+            }
+            _ => {
+                let mask = self.column().range_mask(pred.lo, pred.hi);
+                let (seg, passing) = (&self.segment, mask.count());
+                let resolved = match strategy {
+                    Strategy::D => plan(seg, FIELD, passing, params.k),
+                    chosen => chosen,
+                };
+                let mut lists = scan_segment(seg, &self.schema, FIELD, resolved, &[query], params, &mask);
+                let res = lists.remove(0)?;
+                let computations = match resolved {
+                    Strategy::A => passing,
+                    _ => self.index_distances(query, params, Some(&mask)),
+                };
+                (res, computations, resolved)
             }
         };
-        let trace = ExecTrace {
-            distance_computations: computations,
-            resolved: Some(strategy),
-            ..Default::default()
-        };
-        Ok((res, trace))
-    }
-
-    /// The segment's index search among the rows `allow` sets (`None`: all).
-    fn index_search(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-        allow: Option<&RowMask>,
-    ) -> Result<Vec<Neighbor>> {
-        Ok(self.segment.search_field(&self.schema, FIELD, query, params, allow)?)
-    }
-
-    /// Strategy A: the predicate's bitmap from the sorted attribute column
-    /// (binary search), then the segment's exact scan of those rows.
-    fn strategy_a(
-        &self,
-        query: &[f32],
-        pred: RangePredicate,
-        params: &SearchParams,
-    ) -> Result<(Vec<Neighbor>, usize)> {
-        let mask = self.column().range_mask(pred.lo, pred.hi);
-        let visible = self.segment.visible(Some(&mask));
-        let visible = visible.as_deref().unwrap_or(&mask);
-        let res = self.segment.scan_visible(&self.schema, FIELD, query, params.k, visible)?;
-        Ok((res, visible.count()))
-    }
-
-    /// Strategy B: bitmap from the attribute, consulted by the ANN search (an
-    /// index ordinal is a row position, so the bitmap serves the index).
-    fn strategy_b(
-        &self,
-        query: &[f32],
-        pred: RangePredicate,
-        params: &SearchParams,
-    ) -> Result<(Vec<Neighbor>, usize)> {
-        let bitmap = self.column().range_mask(pred.lo, pred.hi);
-        let res = self.index_search(query, params, Some(&bitmap))?;
-        Ok((res, self.estimated_index_probes(params)))
+        Ok((res, ExecTrace { distance_computations, resolved: Some(resolved), ..Default::default() }))
     }
 
     /// Strategy C: ANN search for θ·k, post-filter on the attribute; retries
@@ -240,8 +256,8 @@ impl FilterDataset {
         loop {
             let mut sp = params.clone();
             sp.k = fetch.min(self.len().max(1));
-            let cands = self.index_search(query, &sp, None)?;
-            computations += self.estimated_index_probes(&sp);
+            let cands = self.segment.search_field(&self.schema, FIELD, query, &sp, None)?;
+            computations += self.index_distances(query, &sp, None);
             let kept: Vec<Neighbor> = cands.iter().filter(passes).copied().take(params.k).collect();
             if kept.len() >= params.k || sp.k >= self.len() {
                 return Ok((kept, computations));
@@ -250,43 +266,26 @@ impl FilterDataset {
         }
     }
 
-    /// The cost model behind strategy D (§4.1, following AnalyticDB-V);
-    /// exposed for tests and EXPERIMENTS.md.
+    /// Strategy D's choice for `pred`: [`plan`] over the dataset's segment.
     pub fn plan(&self, pred: RangePredicate, params: &SearchParams) -> Strategy {
-        let n = self.len().max(1) as f64;
-        let passing = self.passing(pred) as f64;
-        // Cost A: one exact distance per passing row.
-        let cost_a = passing;
-        // Cost B/C: the ANN index examines roughly nprobe/nlist of the data
-        // (IVF) — use the index-probe estimate; B additionally builds the
-        // bitmap (one cheap op per passing row).
-        let index_cost = self.estimated_index_probes(params) as f64;
-        let cost_b = index_cost + passing * 0.1;
-        // Cost C: may re-fetch when the filter is selective; expected fetch
-        // inflation is 1/pass_rate.
-        let pass_rate = (passing / n).max(1e-9);
-        let needed = params.k as f64 * THETA / pass_rate;
-        let cost_c = if needed > n { f64::INFINITY } else { index_cost * (1.0 + needed / n) };
-        if cost_a <= cost_b && cost_a <= cost_c {
-            Strategy::A
-        } else if cost_c <= cost_b {
-            Strategy::C
-        } else {
-            Strategy::B
-        }
+        plan(&self.segment, FIELD, self.passing(pred), params.k)
     }
 
-    /// Rough count of distance computations one index search performs.
-    fn estimated_index_probes(&self, params: &SearchParams) -> usize {
-        let n = self.len();
-        match self.segment.index(FIELD).map(|index| index.name()) {
-            Some("FLAT") => n,
-            Some("IVF_FLAT" | "IVF_SQ8" | "IVF_PQ") => {
-                let nlist = (n as f64).sqrt().ceil().max(1.0) as usize;
-                (n * params.nprobe.min(nlist)) / nlist.max(1)
+    /// Distances one index search for `query` scores among the rows `mask`
+    /// sets (`None`: all): an IVF index its `nlist` centroids and those rows
+    /// of the buckets it probes, a flat index or a column scan those rows, a
+    /// graph or tree index roughly `ef·log n` candidates.
+    fn index_distances(&self, query: &[f32], params: &SearchParams, mask: Option<&RowMask>) -> usize {
+        let (n, index) = (self.len(), self.segment.index(FIELD));
+        match index.as_deref().map(|index| (index.name(), index.as_ivf())) {
+            Some((_, Some(ivf))) => {
+                let visible = |row: &&u32| mask.is_none_or(|mask| mask.get(**row as usize));
+                let rows = |b| ivf.bucket_rows(b).iter().filter(visible).count();
+                let probed = ivf.probe_buckets(ivf.prepare(query).query(), params.nprobe);
+                ivf.nlist() + probed.into_iter().map(rows).sum::<usize>()
             }
-            // Graph/tree indexes: ~ef·log n candidate evaluations.
-            _ => params.ef.max(params.k) * ((n.max(2) as f64).log2() as usize),
+            Some(("FLAT", _)) | None => mask.map_or(n, RowMask::count),
+            Some(_) => params.ef.max(params.k) * ((n.max(2) as f64).log2() as usize),
         }
     }
 }
@@ -344,7 +343,7 @@ impl PartitionedDataset {
 
     /// Strategy E execution, decided per partition by how many of its rows
     /// pass: none — pruned; all — covered, pure vector search without the
-    /// attribute check; some — the cost-based strategy D.
+    /// attribute check; some — strategy D.
     pub fn search(
         &self,
         query: &[f32],
@@ -361,8 +360,8 @@ impl PartitionedDataset {
             trace.partitions_scanned += 1;
             if passing == p.len() {
                 trace.partitions_covered += 1;
-                lists.push(p.index_search(query, params, None)?);
-                trace.distance_computations += p.estimated_index_probes(params);
+                lists.push(p.segment.search_field(&p.schema, FIELD, query, params, None)?);
+                trace.distance_computations += p.index_distances(query, params, None);
             } else {
                 let (res, t) = p.search(query, pred, params, Strategy::D)?;
                 trace.distance_computations += t.distance_computations;
@@ -387,19 +386,18 @@ mod tests {
     }
 
     fn fixture(n: usize, index_type: &str) -> Fixture {
+        fixture_of(datagen::attributes_uniform(n, 0.0, 10_000.0, 7), index_type)
+    }
+
+    /// One row per attribute value in `values`.
+    fn fixture_of(values: Vec<f64>, index_type: &str) -> Fixture {
+        let n = values.len();
         let vectors = datagen::clustered(n, 8, 10, -5.0, 5.0, 0.3, 42);
         let ids: Vec<i64> = (0..n as i64).collect();
-        let values = datagen::attributes_uniform(n, 0.0, 10_000.0, 7);
         let registry = IndexRegistry::with_builtins();
         let params = BuildParams { nlist: 32, kmeans_iters: 5, ..Default::default() };
         let data = FilterDataset::build(
-            Metric::L2,
-            vectors.clone(),
-            ids.clone(),
-            values.clone(),
-            "price",
-            index_type,
-            &registry,
+            Metric::L2, vectors.clone(), ids.clone(), values.clone(), "price", index_type, &registry,
             &params,
         )
         .unwrap();
@@ -438,11 +436,17 @@ mod tests {
         let query = f.vectors.get(7).to_vec();
         let pred = RangePredicate::new(0.0, 3000.0);
         let sp = SearchParams { k: 10, nprobe: 32, ..Default::default() };
+        let passing = f.values.iter().filter(|&&v| pred.matches(v)).count();
         for strat in [Strategy::A, Strategy::B, Strategy::C, Strategy::D] {
-            let (res, _) = f.data.search(&query, pred, &sp, strat).unwrap();
+            let (res, trace) = f.data.search(&query, pred, &sp, strat).unwrap();
             for n in &res {
                 let row = f.ids.binary_search(&n.id).unwrap();
                 assert!(pred.matches(f.values[row]), "strategy {strat:?} leaked id {}", n.id);
+            }
+            // nprobe 32 probes all ⌈√500⌉ = 23 buckets, so B scores the
+            // centroids and every passing row, nothing else.
+            if strat == Strategy::B {
+                assert_eq!(trace.distance_computations, 23 + passing);
             }
         }
     }
@@ -466,6 +470,17 @@ mod tests {
         assert_eq!(f.data.plan(RangePredicate::new(0.0, 50.0), &sp), Strategy::A);
         // Everything passes → a vector-index strategy, not A.
         assert_ne!(f.data.plan(RangePredicate::new(0.0, 10_000.0), &sp), Strategy::A);
+
+        // An attribute equal to the row: `[0, m - 1]` passes exactly m rows,
+        // so the rule's edge sits at m = 8·k, and D runs what `plan` picks.
+        let f = fixture_of((0..1000).map(f64::from).collect(), "IVF_FLAT");
+        let edge = PREFILTER_ROWS_PER_K * sp.k;
+        for (passing, want) in [(edge, Strategy::A), (edge + 1, Strategy::B)] {
+            let pred = RangePredicate::new(0.0, passing as f64 - 1.0);
+            assert_eq!(f.data.plan(pred, &sp), want, "{passing} rows pass");
+            let (_, trace) = f.data.search(f.vectors.get(0), pred, &sp, Strategy::D).unwrap();
+            assert_eq!(trace.resolved, Some(want), "{passing} rows pass");
+        }
     }
 
     #[test]

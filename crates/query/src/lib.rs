@@ -2,7 +2,7 @@
 //!
 //! * [`filtering`] — attribute filtering: the four strategies studied in
 //!   AnalyticDB-V (A: attribute-first full scan, B: attribute-first vector
-//!   search, C: vector-first post-filter, D: cost-based) plus Milvus's
+//!   search, C: vector-first post-filter, D: planned) plus Milvus's
 //!   partition-based strategy E (§4.1, Figures 4/14/15).
 //! * [`multivector`] — multi-vector queries: the naive per-field approach,
 //!   Fagin's NRA, **vector fusion** for decomposable similarity functions,

@@ -125,8 +125,8 @@ impl AttributeColumn {
         mask
     }
 
-    /// Count of rows in `[lo, hi]` without materializing them (selectivity
-    /// estimation for the cost-based filtering strategy, §4.1 D).
+    /// Count of rows in `[lo, hi]` without materializing them (selectivity,
+    /// and which partitions filtering strategy E prunes or covers, §4.1).
     pub fn count_range(&self, lo: f64, hi: f64) -> usize {
         self.range_rows(lo, hi).len()
     }

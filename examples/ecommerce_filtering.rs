@@ -1,6 +1,6 @@
 //! E-commerce attribute filtering (paper §1/§4.1): "finding the T-shirts
 //! similar to a given image vector that also cost less than $100".
-//! Demonstrates all five filtering strategies, the cost-based planner's
+//! Demonstrates all five filtering strategies, the planner's (A or B)
 //! choices across selectivities, and the partition-based speedup.
 //!
 //! Run with: `cargo run --release -p milvus-examples --bin ecommerce_filtering`
@@ -45,7 +45,7 @@ fn main() {
 
     // "Similar shirts under $100".
     let under_100 = RangePredicate::new(0.0, 100.0);
-    println!("similar items priced under $100 (strategy D, cost-based):");
+    println!("similar items priced under $100 (strategy D, planned):");
     let (hits, trace) = catalog.search(query, under_100, &sp, Strategy::D).expect("search");
     println!("  planner chose {:?}", trace.resolved);
     for h in hits.iter().take(5) {

@@ -90,8 +90,9 @@ fn all_strategies_and_partitioning_agree_exactly_on_flat() {
     }
 }
 
-/// On IVF_FLAT the cost-based plan keeps high recall, and the exact scan
-/// (strategy A) returns exactly the reference.
+/// On IVF_FLAT the planned strategy D (B here: half the rows pass) keeps
+/// high recall, and the exact scan (strategy A) returns exactly the
+/// reference.
 #[test]
 fn filtering_with_ivf_keeps_high_recall() {
     let f = fixture(4_000);
