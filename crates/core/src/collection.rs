@@ -9,7 +9,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use milvus_exec::coalesce::Submitted;
-use milvus_exec::Executor;
 use milvus_index::registry::IndexRegistry;
 use milvus_index::traits::SearchParams;
 use milvus_index::{Metric, Neighbor, VectorSet};
@@ -17,7 +16,7 @@ use milvus_obs as obs;
 use milvus_query::filtering::{self, Strategy};
 use milvus_query::multivector::MultiVectorEngine;
 use milvus_storage::object_store::ObjectStore;
-use milvus_storage::pass::FieldPass;
+use milvus_storage::pass;
 use milvus_storage::segment::{merge_segment_results, Segment};
 use milvus_storage::snapshot::Snapshot;
 use milvus_storage::{InsertBatch, LsmEngine, Schema};
@@ -391,20 +390,21 @@ impl Collection {
 
     /// The query pipeline, for every entry point and every batch size:
     /// plan (resolve names, partition into parameter-compatible groups) →
-    /// pin a snapshot → a group of one unfiltered query reads the segments
-    /// without an index on its field through the snapshot's shared pass,
-    /// idle run slots claiming blocks beside it → one executor task per
-    /// remaining segment scanning every group that reads it there (or, when
-    /// every run slot is taken and the cores are busy with whole queries,
-    /// those segments in order on this thread) → merge per query. Failures
-    /// come back as values — one `Result` per request, in input order — so
-    /// one bad request cannot fail the batch it was coalesced into.
+    /// pin a snapshot → per group, one [`pass::read`]: a group of one
+    /// unfiltered query claims its blocks of the snapshot's shared pass over
+    /// the segments without an index on its field, then every group claims
+    /// the segments it reads on its own ([`Self::scan_group`]), this thread
+    /// and one helper per idle run slot claiming side by side (none when
+    /// every slot is taken and the cores are busy with whole queries) →
+    /// merge per query. Failures come back as values — one `Result` per
+    /// request, in input order — so one bad request cannot fail the batch it
+    /// was coalesced into.
     ///
-    /// `&mut Trace` stays on this thread: the timed pass and fan-out return
-    /// their windows and executor milestones (only when the trace is live —
-    /// the untraced hot path stays clock-free), and spans are recorded after
-    /// the joins — queue wait separate from scan time, so the profiler can
-    /// tell saturation from slow scans.
+    /// `&mut Trace` stays on this thread: each read returns its windows and
+    /// its worst-queued helper (only when the trace is live — the untraced
+    /// hot path stays clock-free), and spans are recorded after the joins —
+    /// queue wait separate from scan time, so the profiler can tell
+    /// saturation from slow scans.
     fn execute(
         &self,
         reqs: &[SearchRequest],
@@ -430,87 +430,66 @@ impl Collection {
 
         let idle = self.scheduler.idle_slots();
         let timed = trace.enabled();
-        // A group of one unfiltered query reads the segments without an index
-        // on its field through the snapshot's pass for the field (a query of
-        // another dimension takes the per-segment path, which reports it).
-        // Idle run slots join as claimers. A pass of one-block segments gets
-        // a claimer per block, as each segment had a task: every block starts
-        // a segment and may stall on its load. On longer segments more
-        // claimers would only crowd the cores. The pass runs before the
-        // segments read on their own, so the two never share the idle cores.
-        let mut shared: Vec<Option<(&FieldPass, Vec<Neighbor>)>> = groups
+        let every: Vec<usize> = (0..nsegs).collect();
+        let reads: Vec<_> = groups
             .iter()
             .map(|g| {
-                if g.idxs.len() > 1 || g.plan.filter.is_some() {
-                    return None;
-                }
+                // A group of one unfiltered query reads the segments without an
+                // index on its field through the snapshot's pass for the field
+                // (a query of another dimension reads them on its own, which
+                // reports it), and the others on their own.
+                let lone = g.idxs.len() == 1 && g.plan.filter.is_none();
                 let (field, dim) = (g.req.field(), g.queries[0].len());
-                let mut fps = snap.passes(&self.schema, &self.trace_label).iter();
-                let fp = fps.find(|fp| fp.field == field && fp.pass.dim() == dim && fp.pass.blocks() > 0)?;
-                let (blocks, segs) = (fp.pass.blocks(), fp.pass.segments().len());
-                let helpers = if blocks == segs && idle > 0 { idle.max(blocks - 1) } else { idle };
-                let (list, timing) = fp.pass.search(g.queries[0], g.ks[0], helpers, timed);
-                for (seg, window) in fp.pass.segments().iter().zip(timing.windows) {
+                let fps = if lone { snap.passes(&self.schema, &self.trace_label) } else { &[] };
+                let fp = fps.iter().find(|fp| fp.field == field && fp.pass.dim() == dim && fp.pass.blocks() > 0);
+                let own = fp.map_or(&every[..], |fp| &fp.indexed[..]);
+                let pass = fp.map(|fp| (&fp.pass, g.queries[0], g.ks[0]));
+                let read = pass::read(pass, own.len(), idle, timed, |i| {
+                    self.scan_group(&snap.segments[own[i]], g, timed)
+                });
+                let windows = fp.iter().flat_map(|fp| fp.pass.segments().iter().zip(&read.timing.windows));
+                for (seg, window) in windows {
                     let (start, end) = window.unwrap_or_else(|| (Instant::now(), Instant::now()));
                     trace.record_window(obs::SpanKind::SegmentScan, start, end, |sp| {
                         sp.segment_id = seg.id as i64;
                         sp.rows_scanned = seg.live_rows() as u64;
                     });
                 }
-                if let Some((start, end)) = timing.helper_wait {
+                if let Some((start, end)) = read.timing.helper_wait {
                     trace.record_window(obs::SpanKind::QueueWait, start, end, |_| {});
                 }
-                Some((fp, list))
+                for (&si, scan) in own.iter().zip(&read.segments) {
+                    let seg_id = snap.segments[si].id as i64;
+                    if let Some((start, end)) = scan.filter_window {
+                        trace.record_window(obs::SpanKind::Filter, start, end, |sp| {
+                            sp.segment_id = seg_id;
+                            sp.rows_scanned = scan.passing as u64;
+                        });
+                    }
+                    if let Some((start, end)) = scan.scan_window {
+                        trace.record_window(obs::SpanKind::SegmentScan, start, end, |sp| {
+                            sp.segment_id = seg_id;
+                            sp.rows_scanned = scan.rows_scanned;
+                        });
+                    }
+                }
+                read
             })
             .collect();
-
-        // The segments each group reads on their own: all but its pass's.
-        let reads = |gi: usize, si: usize| {
-            shared[gi].as_ref().is_none_or(|(fp, _)| fp.indexed.contains(&si))
-        };
-        let todo: Vec<usize> =
-            (0..nsegs).filter(|&si| (0..groups.len()).any(|gi| reads(gi, si))).collect();
-        let mut scans = traced_fan_out(todo.len(), idle == 0, timed, |ti| {
-            let (si, seg) = (todo[ti], &snap.segments[todo[ti]]);
-            let read = |(gi, g)| reads(gi, si).then(|| self.scan_group(seg, g, timed));
-            groups.iter().enumerate().map(read).collect::<Vec<_>>()
-        });
-        for (&si, (scans, timing)) in todo.iter().zip(&scans) {
-            let seg_id = snap.segments[si].id as i64;
-            if let Some(t) = timing {
-                trace.record_window(obs::SpanKind::QueueWait, t.enqueued, t.started, |sp| {
-                    sp.segment_id = seg_id;
-                });
-            }
-            for scan in scans.iter().flatten() {
-                if let Some((start, end)) = scan.filter_window {
-                    trace.record_window(obs::SpanKind::Filter, start, end, |sp| {
-                        sp.segment_id = seg_id;
-                        sp.rows_scanned = scan.passing as u64;
-                    });
-                }
-                if let Some((start, end)) = scan.scan_window {
-                    trace.record_window(obs::SpanKind::SegmentScan, start, end, |sp| {
-                        sp.segment_id = seg_id;
-                        sp.rows_scanned = scan.rows_scanned;
-                    });
-                }
-            }
-        }
 
         let t = trace.begin();
         let mut out: Vec<Result<Vec<SearchHit>>> =
             resolved.into_iter().map(|r| r.map(|_| Vec::new())).collect();
-        for (gi, group) in groups.iter().enumerate() {
+        for (group, mut read) in groups.iter().zip(reads) {
             for (j, &qi) in group.idxs.iter().enumerate() {
                 // Per query: its list from every segment it read on its own,
                 // in segment order (so the first failing segment's error
                 // wins), and from its pass, merged.
-                let lists: milvus_storage::Result<Vec<Vec<Neighbor>>> = scans
+                let lists: milvus_storage::Result<Vec<Vec<Neighbor>>> = read
+                    .segments
                     .iter_mut()
-                    .filter_map(|(scans, _)| scans[gi].as_mut())
                     .map(|scan| std::mem::replace(&mut scan.lists[j], Ok(Vec::new())))
-                    .chain(shared[gi].take().map(|(_, list)| Ok(list)))
+                    .chain([Ok(std::mem::take(&mut read.pass))])
                     .collect();
                 out[qi] = lists
                     .map(|lists| merge_segment_results(&lists, group.ks[j]))
@@ -699,28 +678,6 @@ impl Collection {
             &self.config.build_params,
             with_fusion,
         )?)
-    }
-}
-
-/// Fan `f` out on the global executor — or run it in order on this thread
-/// when `inline` — returning per-task timings only when a fanned-out query is
-/// traced: the untraced hot path stays clock-free.
-fn traced_fan_out<R: Send>(
-    n: usize,
-    inline: bool,
-    trace_on: bool,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<(R, Option<milvus_exec::TaskTiming>)> {
-    if inline {
-        (0..n).map(|i| (f(i), None)).collect()
-    } else if trace_on {
-        Executor::global()
-            .scoped_map_timed(n, f)
-            .into_iter()
-            .map(|(r, t)| (r, Some(t)))
-            .collect()
-    } else {
-        Executor::global().scoped_map(n, f).into_iter().map(|r| (r, None)).collect()
     }
 }
 

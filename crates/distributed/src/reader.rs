@@ -18,7 +18,7 @@ use milvus_obs as obs;
 use milvus_storage::bufferpool::BufferPool;
 use milvus_storage::codec;
 use milvus_storage::object_store::ObjectStore;
-use milvus_storage::pass::FieldPass;
+use milvus_storage::pass::{self, FieldPass};
 use milvus_storage::segment::{merge_segment_results, Segment};
 use milvus_storage::{Result as StorageResult, Schema};
 use parking_lot::RwLock;
@@ -252,8 +252,8 @@ impl ReaderNode {
     /// The segments without an index on `field` are read through the
     /// snapshot's shared pass: concurrent callers attach to it and score
     /// each block once for all of them. The indexed segments are searched
-    /// one by one. Segment-scan spans carry the shard id and the bufferpool
-    /// outcome of the segment's most recent fetch.
+    /// each on its own. Segment-scan spans carry the shard id and the
+    /// bufferpool outcome of the segment's most recent fetch.
     pub fn search_traced(
         &self,
         field: &str,
@@ -265,16 +265,14 @@ impl ReaderNode {
         let t = trace.begin();
         let view = Arc::clone(&self.view.read());
         trace.record_with(obs::SpanKind::Route, t, |sp| sp.rows_scanned = view.shards.len() as u64);
-        // A query of the wrong dimension takes the per-segment path, which
-        // reports the error.
+        // A query of the wrong dimension reads every segment on its own,
+        // which reports the error.
         let pass = view.passes.iter().find(|p| p.field == field && p.pass.dim() == query.len());
-        let result = match pass {
-            Some(fp) => {
-                let indexed = fp.indexed.iter().map(|&at| (view.flat[at].0, &view.flat[at].1));
-                self.sweep(Some((fp, &view)), indexed, field, query, params, trace)
-            }
-            None => self.sweep(None, by_shard(&view.shards), field, query, params, trace),
+        let own: Vec<_> = match pass {
+            Some(fp) => fp.indexed.iter().map(|&at| (view.flat[at].0, &view.flat[at].1)).collect(),
+            None => by_shard(&view.shards).collect(),
         };
+        let result = self.read(pass.map(|fp| (fp, &*view)), &own, field, query, params, trace);
         self.account(started);
         result
     }
@@ -309,60 +307,63 @@ impl ReaderNode {
             };
             covered.insert(shard, segs);
         }
-        let off = &mut obs::Trace::disabled();
-        self.sweep(None, by_shard(&covered), field, query, params, off)
+        let own: Vec<_> = by_shard(&covered).collect();
+        self.read(None, &own, field, query, params, &mut obs::Trace::disabled())
     }
 
-    /// The sweep every entry point shares: `pass`'s turn for this query if
-    /// there is one, then each of `segments` on its own
-    /// ([`Segment::search_field`], serial), the lists merged. The
-    /// sweep's wall time is the node's busy time.
-    fn sweep<'a>(
+    /// One [`pass::read`] on this thread alone — a reader's idle run slot is
+    /// not an idle core (DESIGN §16): the query's turn of `pass` (over the
+    /// view's segments at `unindexed`) if there is one, then each `own`
+    /// `(shard, segment)` through [`Segment::search_field`]; the lists
+    /// merged. A live trace gets one span per segment of the pass over the
+    /// blocks of it this caller scored (empty, at the end of the turn, if it
+    /// scored none) and one per segment read on its own. The read's wall
+    /// time is the node's busy time.
+    fn read(
         &self,
         pass: Option<(&FieldPass, &View)>,
-        segments: impl Iterator<Item = (usize, &'a Arc<Segment>)>,
+        own: &[(usize, &Arc<Segment>)],
         field: &str,
         query: &[f32],
         params: &SearchParams,
         trace: &mut obs::Trace,
     ) -> StorageResult<Vec<Neighbor>> {
         let start = Instant::now();
-        // The turn runs on this thread alone: a reader's idle run slot is not
-        // an idle core (DESIGN §16). A live trace gets one span per segment
-        // of the pass over the blocks of it this caller scored (empty, at
-        // the end of the turn, if it scored none).
-        let shared = pass.map(|(fp, view)| {
-            let (list, timing) = fp.pass.search(query, params.k, 0, trace.enabled());
-            for (&at, window) in fp.unindexed.iter().zip(timing.windows) {
-                let (from, to) = window.unwrap_or_else(|| (Instant::now(), Instant::now()));
+        let timed = trace.enabled();
+        let attach = pass.map(|(fp, _)| (&fp.pass, query, params.k));
+        let read = pass::read(attach, own.len(), 0, timed, |i| {
+            let t0 = timed.then(Instant::now);
+            let list = own[i].1.search_field(&self.schema, field, query, params, None);
+            (list, t0.map(|t0| (t0, Instant::now())))
+        });
+        let span = |trace: &mut obs::Trace, shard: usize, seg: &Segment, (from, to)| {
+            trace.record_window(obs::SpanKind::SegmentScan, from, to, |sp| {
+                sp.segment_id = seg.id as i64;
+                sp.shard = shard as i64;
+                sp.rows_scanned = seg.live_rows() as u64;
+                sp.cache = self.pool.last_outcome(seg.id);
+            });
+        };
+        if let Some((fp, view)) = pass {
+            for (&at, window) in fp.unindexed.iter().zip(&read.timing.windows) {
+                let window = window.unwrap_or_else(|| (Instant::now(), Instant::now()));
                 let (shard, seg) = &view.flat[at];
-                trace.record_window(obs::SpanKind::SegmentScan, from, to, |sp| {
-                    sp.segment_id = seg.id as i64;
-                    sp.shard = *shard as i64;
-                    sp.rows_scanned = seg.live_rows() as u64;
-                    sp.cache = self.pool.last_outcome(seg.id);
-                });
+                span(trace, *shard, seg, window);
             }
-            list
-        });
-        let scanned: StorageResult<Vec<Vec<Neighbor>>> = segments
-            .map(|(shard, seg)| {
-                let t = trace.begin();
-                let list = seg.search_field(&self.schema, field, query, params, None)?;
-                trace.record_with(obs::SpanKind::SegmentScan, t, |sp| {
-                    sp.segment_id = seg.id as i64;
-                    sp.shard = shard as i64;
-                    sp.rows_scanned = seg.live_rows() as u64;
-                    sp.cache = self.pool.last_outcome(seg.id);
-                });
-                Ok(list)
-            })
-            .collect();
+        }
+        for (&(shard, seg), (_, window)) in own.iter().zip(&read.segments) {
+            if let Some(window) = *window {
+                span(trace, shard, seg, window);
+            }
+        }
         let t = trace.begin();
-        let out = scanned.map(|mut lists| {
-            lists.extend(shared);
-            merge_segment_results(&lists, params.k)
-        });
+        let lists: StorageResult<Vec<Vec<Neighbor>>> = read
+            .segments
+            .into_iter()
+            .map(|(list, _)| list)
+            .chain([Ok(read.pass)])
+            .collect();
+        let out = lists.map(|lists| merge_segment_results(&lists, params.k));
         trace.record(obs::SpanKind::HeapMerge, t);
         self.busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         out

@@ -13,10 +13,8 @@
 //!
 //! There is one engine, [`cache_aware_scan`]: scheduled on a persistent
 //! [`milvus_exec::Executor`], with one `k` per query and a trace argument.
-//! What a row *is* — an `f32` vector or an SQ8 code — is the [`Rows`]
-//! argument; the metric's kernels (or the per-query fused SQ8 state) are
-//! resolved once per call, so the hot loop never re-matches the `Metric`
-//! enum or re-reads the SIMD level.
+//! The metric's kernels are resolved once per call, so the hot loop never
+//! re-matches the `Metric` enum or re-reads the SIMD level.
 //!
 //! Float rows go through [`score_block`], the scoring primitive of every
 //! exact scan: 4 rows × 4 queries per kernel call, each 4-row group meeting
@@ -33,10 +31,8 @@ use std::ops::Range;
 use milvus_exec::Executor;
 use milvus_obs as obs;
 
-use crate::distance::quant::PreparedSq8;
 use crate::distance::{self, PairKernel, Tile2x4Kernel, Tile4Kernel, Tile4x4Kernel};
-use crate::ivf::sq8::ScalarQuantizer;
-use crate::mask::{in_tiles, RowMask};
+use crate::mask::RowMask;
 use crate::metric::Metric;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
@@ -324,48 +320,6 @@ pub fn score_range<H: BorrowMut<TopK>>(
     }
 }
 
-/// The rows of `range` a scan may score: all of them, or those set in `mask`.
-fn visible(range: Range<usize>, mask: Option<&RowMask>) -> impl Iterator<Item = usize> + '_ {
-    range.filter(move |&row| mask.is_none_or(|m| m.get(row)))
-}
-
-/// The SQ8 row scorer: stream the raw `dim`-byte
-/// codes of `rows` in ×4-row register tiles against the block's fused
-/// per-query state, so each 4-row group's bytes are loaded once per resident
-/// query with zero per-row allocation and no decoded vector ever
-/// materialized. Each tile prefetches as many code bytes as it reads,
-/// [`PREFETCH_BYTES`] past its first row.
-fn scan_codes_into_heaps(
-    prepared: &[PreparedSq8<'_>],
-    codes: &[u8],
-    dim: usize,
-    ids: &[i64],
-    rows: impl Iterator<Item = usize>,
-    heaps: &mut [TopK],
-) {
-    let code = |r: usize| &codes[r * dim..(r + 1) * dim];
-    in_tiles(rows, |g| {
-        prefetch_ahead(codes, g[0] * dim, g.len() * dim);
-        match *g {
-            [a, b, c, d] => {
-                let tile = [code(a), code(b), code(c), code(d)];
-                for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
-                    for (&row, dist) in g.iter().zip(p.distance_x4(tile)) {
-                        heap.push(ids[row], dist);
-                    }
-                }
-            }
-            _ => {
-                for &row in g {
-                    for (p, heap) in prepared.iter().zip(heaps.iter_mut()) {
-                        heap.push(ids[row], p.distance(code(row)));
-                    }
-                }
-            }
-        }
-    });
-}
-
 /// Tuning knobs for the batch engine.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
@@ -401,23 +355,6 @@ pub fn query_block_size(l3_bytes: usize, dim: usize, threads: usize, k: usize) -
     (l3_bytes / per_query.max(1)).max(1)
 }
 
-/// The row matrix a batch is scored against: what the engine's scorer reads.
-#[derive(Clone, Copy)]
-pub enum Rows<'a> {
-    /// `n × dim` float vectors, scored with the metric's (×4 tiled) kernel.
-    F32(&'a VectorSet),
-    /// A flat `n × dim` u8 SQ8 code matrix, scored through per-query fused
-    /// state ([`PreparedSq8`]). Supports L2 and inner product (the metrics
-    /// the SQ8 folding exists for); cosine callers normalize and pass IP, as
-    /// the IVF layer does.
-    Sq8 {
-        /// Row-major codes, `dim` bytes per row.
-        codes: &'a [u8],
-        /// The quantizer the codes were encoded with.
-        sq: &'a ScalarQuantizer,
-    },
-}
-
 /// The cache-aware engine (§3.2.1, Figure 3) at one uniform `opts.k`, no
 /// trace: [`cache_aware_scan`] over float rows.
 pub fn cache_aware_search_exec(
@@ -429,12 +366,12 @@ pub fn cache_aware_search_exec(
 ) -> Vec<Vec<Neighbor>> {
     let ks = vec![opts.k; queries.len()];
     let off = &mut obs::Trace::disabled();
-    cache_aware_scan(exec, Rows::F32(data), ids, queries, &ks, None, opts, off)
+    cache_aware_scan(exec, data, ids, queries, &ks, None, opts, off)
 }
 
-/// The cache-aware batch engine: top-`ks[j]` of `rows` — of those set in
-/// `mask`, when there is one — for every query `j`, one sorted list per query
-/// in input order.
+/// The cache-aware batch engine: top-`ks[j]` of `data`'s rows — of those set
+/// in `mask`, when there is one — for every query `j`, one sorted list per
+/// query in input order.
 ///
 /// The whole batch runs once at `max(ks)` and each query's sorted list is
 /// truncated to its own `k` (`opts.k` is ignored). Exact, because the scan is
@@ -442,16 +379,17 @@ pub fn cache_aware_search_exec(
 /// `j <= k` (same total order on `(distance, id)`, same candidate set), so
 /// every truncated list is bit-identical to a run at that query's own `k`.
 ///
-/// Block sizing follows Eq. (1); SQ8's prepared state is one `dim`-float
-/// vector per query, the same footprint the formula already charges. A live
-/// `trace` gets one [`obs::SpanKind::BatchScan`] span per query block, one
-/// `QueueWait` span for the block's worst-queued range task, and one
-/// `HeapMerge` span per block merge, recorded on the calling thread after
-/// the join; a disabled trace records nothing and never reads the clock.
+/// Queries are processed in blocks sized by Eq. (1); task `r` of
+/// `opts.threads` scores the block against its own data range into its own
+/// heaps, scored by [`score_range`]. A live `trace` gets one
+/// [`obs::SpanKind::BatchScan`] span per query block, one `QueueWait` span
+/// for the block's worst-queued range task, and one `HeapMerge` span per
+/// block merge, recorded on the calling thread after the join; a disabled
+/// trace records nothing and never reads the clock.
 #[allow(clippy::too_many_arguments)]
 pub fn cache_aware_scan(
     exec: &Executor,
-    rows: Rows<'_>,
+    data: &VectorSet,
     ids: &[i64],
     queries: &VectorSet,
     ks: &[usize],
@@ -461,61 +399,20 @@ pub fn cache_aware_scan(
 ) -> Vec<Vec<Neighbor>> {
     assert_eq!(queries.len(), ks.len(), "one k per query");
     assert!(mask.is_none_or(|m| m.rows() == ids.len()), "mask must cover the data rows");
-    let dim = queries.dim();
-    match rows {
-        Rows::F32(data) => {
-            assert_eq!(data.len(), ids.len(), "ids must match data rows");
-            assert_eq!(data.dim(), dim, "query dimension mismatch");
-            let kern = Scorer::new(opts.metric);
-            let tiled = obs::counter(obs::INDEX_BATCH_TILED_PAIRS, "");
-            let scan = |block: Range<usize>, range: Range<usize>, heaps: &mut [TopK]| {
-                let block: Vec<&[f32]> = block.map(|j| queries.get(j)).collect();
-                let scored = score_range(kern, data.as_flat(), ids, range, mask, &block, heaps);
-                if kern.grid().is_some() {
-                    tiled.add(scored / 4 * 4 * (block.len() / 4 * 4) as u64);
-                }
-            };
-            blocked_scan(exec, "cache_aware_exec", ids.len(), dim, ks, opts, trace, scan)
-        }
-        Rows::Sq8 { codes, sq } => {
-            assert_eq!(codes.len(), ids.len() * sq.dim(), "codes must be n×dim bytes");
-            assert_eq!(sq.dim(), dim, "query dimension mismatch");
-            // Every query is folded once into its fused state; a block's
-            // slice of it is what stays cache-resident.
-            let prepared: Vec<PreparedSq8<'_>> =
-                queries.iter().map(|q| sq.prepare(q, opts.metric)).collect();
-            let scan = |block: Range<usize>, range: Range<usize>, heaps: &mut [TopK]| {
-                scan_codes_into_heaps(&prepared[block], codes, dim, ids, visible(range, mask), heaps)
-            };
-            blocked_scan(exec, "sq8_cache_aware_exec", ids.len(), dim, ks, opts, trace, scan)
-        }
-    }
-}
-
-/// The engine's blocking/fan-out/merge skeleton, generic over the row
-/// scorer: `scan(block, range, heaps)` scores data rows `range` against the
-/// resident query block `block`, pushing into `heaps[j]` for query
-/// `block.start + j`.
-#[allow(clippy::too_many_arguments)]
-fn blocked_scan(
-    exec: &Executor,
-    label: &'static str,
-    n: usize,
-    dim: usize,
-    ks: &[usize],
-    opts: &BatchOptions,
-    trace: &mut obs::Trace,
-    scan: impl Fn(Range<usize>, Range<usize>, &mut [TopK]) + Sync,
-) -> Vec<Vec<Neighbor>> {
-    let m = ks.len();
+    assert_eq!(data.len(), ids.len(), "ids must match data rows");
+    assert_eq!(data.dim(), queries.dim(), "query dimension mismatch");
+    let (m, n) = (ks.len(), ids.len());
     if m == 0 || n == 0 {
         return vec![Vec::new(); m];
     }
+    let label = "cache_aware_exec";
     obs::counter(obs::BATCH_QUERIES, label).add(m as u64);
     let _span = obs::span(obs::BATCH_LATENCY, label);
+    let kern = Scorer::new(opts.metric);
+    let tiled = obs::counter(obs::INDEX_BATCH_TILED_PAIRS, "");
     let k = ks.iter().copied().max().unwrap_or(1).max(1);
     let t = opts.threads.max(1).min(n);
-    let s = query_block_size(opts.l3_cache_bytes, dim, t, k).min(m);
+    let s = query_block_size(opts.l3_cache_bytes, queries.dim(), t, k).min(m);
 
     // Task r owns data rows [bounds[r], bounds[r+1]).
     let chunk = n.div_ceil(t);
@@ -529,7 +426,12 @@ fn blocked_scan(
         // One heap per (range task, query-in-block): H[r][j] in Figure 3.
         let range_scan = |r: usize| {
             let mut heaps: Vec<TopK> = block.clone().map(|_| TopK::new(k)).collect();
-            scan(block.clone(), bounds[r]..bounds[r + 1], &mut heaps);
+            let resident: Vec<&[f32]> = block.clone().map(|j| queries.get(j)).collect();
+            let range = bounds[r]..bounds[r + 1];
+            let scored = score_range(kern, data.as_flat(), ids, range, mask, &resident, &mut heaps);
+            if kern.grid().is_some() {
+                tiled.add(scored / 4 * 4 * (resident.len() / 4 * 4) as u64);
+            }
             heaps
         };
         // When traced, the timed fan-out exposes how long the block's range
@@ -583,15 +485,6 @@ mod tests {
             vs.push(&v);
         }
         vs
-    }
-
-    fn sq8_codes(data: &VectorSet) -> (ScalarQuantizer, Vec<u8>) {
-        let sq = ScalarQuantizer::train(data);
-        let mut codes = Vec::with_capacity(data.len() * data.dim());
-        for row in data.iter() {
-            sq.encode_into(row, &mut codes);
-        }
-        (sq, codes)
     }
 
     #[test]
@@ -682,40 +575,13 @@ mod tests {
         assert!(res.iter().all(Vec::is_empty));
     }
 
-    #[test]
-    fn sq8_rows_match_serial_fused_reference() {
-        let pool = Executor::new("t_sq8_batch", 3);
-        let data = random_set(257, 24, 31);
-        let (sq, codes) = sq8_codes(&data);
-        let ids: Vec<i64> = (0..257).map(|i| i * 2 + 5).collect();
-        let queries = random_set(23, 24, 32);
-        for metric in [Metric::L2, Metric::InnerProduct] {
-            // Tiny cache forces multiple query blocks; 3 threads force range
-            // splits and heap merges.
-            let opts = BatchOptions { k: 9, metric, threads: 3, l3_cache_bytes: 4096 };
-            let rows = Rows::Sq8 { codes: &codes, sq: &sq };
-            let off = &mut obs::Trace::disabled();
-            let got = cache_aware_scan(&pool, rows, &ids, &queries, &[9; 23], None, &opts, off);
-            assert_eq!(got.len(), 23);
-            for (qi, res) in got.iter().enumerate() {
-                let p = sq.prepare(queries.get(qi), metric);
-                let mut heap = TopK::new(9);
-                for (row, &id) in ids.iter().enumerate() {
-                    heap.push(id, p.distance(&codes[row * 24..(row + 1) * 24]));
-                }
-                assert_eq!(*res, heap.into_sorted(), "sq8 batch diverged {metric} q={qi}");
-            }
-        }
-    }
-
     /// Under a mask the engine returns exactly the scalar scan of the visible
     /// rows, whatever tiles the gaps leave (every row, every second, every
-    /// fifth, a single one; float rows and SQ8 codes).
+    /// fifth, a single one).
     #[test]
     fn masked_rows_match_the_serial_scan_of_the_visible_rows() {
         let pool = Executor::new("t_masked_batch", 3);
         let data = random_set(257, 24, 51);
-        let (sq, codes) = sq8_codes(&data);
         let ids: Vec<i64> = (0..257).map(|i| i * 3 + 1).collect();
         let queries = random_set(7, 24, 52);
         let off = &mut obs::Trace::disabled();
@@ -724,8 +590,7 @@ mod tests {
             let mask = RowMask::from_positions(257, &allowed);
             for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
                 let opts = BatchOptions { k: 9, metric, threads: 3, l3_cache_bytes: 4096 };
-                let got =
-                    cache_aware_scan(&pool, Rows::F32(&data), &ids, &queries, &[9; 7], Some(&mask), &opts, off);
+                let got = cache_aware_scan(&pool, &data, &ids, &queries, &[9; 7], Some(&mask), &opts, off);
                 let kern = distance::pair_kernel(metric);
                 for (q, got) in queries.iter().zip(&got) {
                     let mut heap = TopK::new(9);
@@ -734,39 +599,8 @@ mod tests {
                     });
                     assert_eq!(*got, heap.into_sorted(), "f32 {metric} keep 1/{keep}");
                 }
-                if metric == Metric::Cosine {
-                    continue;
-                }
-                let rows = Rows::Sq8 { codes: &codes, sq: &sq };
-                let got = cache_aware_scan(&pool, rows, &ids, &queries, &[9; 7], Some(&mask), &opts, off);
-                for (q, got) in queries.iter().zip(&got) {
-                    let p = sq.prepare(q, metric);
-                    let mut heap = TopK::new(9);
-                    mask.iter().for_each(|r| {
-                        heap.push(ids[r], p.distance(&codes[r * 24..(r + 1) * 24]));
-                    });
-                    assert_eq!(*got, heap.into_sorted(), "sq8 {metric} keep 1/{keep}");
-                }
             }
         }
-    }
-
-    #[test]
-    fn sq8_rows_empty_inputs() {
-        let pool = Executor::new("t_sq8_empty", 2);
-        let data = random_set(10, 4, 33);
-        let (sq, codes) = sq8_codes(&data);
-        let ids: Vec<i64> = (0..10).collect();
-        let opts = BatchOptions::default();
-        let off = &mut obs::Trace::disabled();
-        let rows = Rows::Sq8 { codes: &codes, sq: &sq };
-        let no_queries = VectorSet::new(4);
-        assert!(cache_aware_scan(&pool, rows, &ids, &no_queries, &[], None, &opts, off).is_empty());
-        let q = random_set(3, 4, 34);
-        let rows = Rows::Sq8 { codes: &[], sq: &sq };
-        let res = cache_aware_scan(&pool, rows, &[], &q, &[50; 3], None, &opts, off);
-        assert_eq!(res.len(), 3);
-        assert!(res.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -776,19 +610,14 @@ mod tests {
         let ids: Vec<i64> = (0..157).map(|i| i * 7 + 2).collect();
         let queries = random_set(6, 24, 42);
         let ks = [1usize, 3, 9, 2, 9, 5];
-        let (sq, codes) = sq8_codes(&data);
         let off = &mut obs::Trace::disabled();
         for metric in [Metric::L2, Metric::InnerProduct] {
             let opts = BatchOptions { k: 999, metric, threads: 3, l3_cache_bytes: 4096 };
-            for (name, rows) in
-                [("flat", Rows::F32(&data)), ("sq8", Rows::Sq8 { codes: &codes, sq: &sq })]
-            {
-                let got = cache_aware_scan(&pool, rows, &ids, &queries, &ks, None, &opts, off);
-                for (qi, &k) in ks.iter().enumerate() {
-                    let one = queries.gather(&[qi]);
-                    let solo = cache_aware_scan(&pool, rows, &ids, &one, &[k], None, &opts, off);
-                    assert_eq!(got[qi], solo[0], "{name} het-k diverged {metric} q={qi} k={k}");
-                }
+            let got = cache_aware_scan(&pool, &data, &ids, &queries, &ks, None, &opts, off);
+            for (qi, &k) in ks.iter().enumerate() {
+                let one = queries.gather(&[qi]);
+                let solo = cache_aware_scan(&pool, &data, &ids, &one, &[k], None, &opts, off);
+                assert_eq!(got[qi], solo[0], "het-k diverged {metric} q={qi} k={k}");
             }
         }
     }

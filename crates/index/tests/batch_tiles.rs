@@ -8,7 +8,7 @@
 //! binary holds a single test.
 
 use milvus_exec::Executor;
-use milvus_index::batch::{cache_aware_scan, query_block_size, BatchOptions, Rows};
+use milvus_index::batch::{cache_aware_scan, query_block_size, BatchOptions};
 use milvus_index::simd::{self, SimdLevel};
 use milvus_index::{distance, Metric, Neighbor, RowMask, TopK, VectorSet};
 use milvus_obs as obs;
@@ -122,7 +122,7 @@ fn four_by_four_batches_equal_the_per_pair_loop_at_every_level() {
                             let before = tiled_pairs();
                             let got = cache_aware_scan(
                                 &pool,
-                                Rows::F32(&data),
+                                &data,
                                 &ids,
                                 &queries,
                                 &ks,
@@ -171,7 +171,7 @@ fn four_by_four_batches_equal_the_per_pair_loop_at_every_level() {
             let before = tiled_pairs();
             cache_aware_scan(
                 &pool,
-                Rows::F32(&data),
+                &data,
                 &ids,
                 &queries,
                 &[10; 32],

@@ -7,11 +7,7 @@
 //! are pinned process-wide with `force_level`, so this binary holds a single
 //! test.
 
-use milvus_exec::Executor;
-use milvus_index::batch::{
-    cache_aware_scan, score_block, score_range, score_visible, BatchOptions, Rows, Scorer,
-    PREFETCH_BYTES,
-};
+use milvus_index::batch::{score_block, score_range, score_visible, Scorer, PREFETCH_BYTES};
 use milvus_index::ivf::sq8::ScalarQuantizer;
 use milvus_index::ivf::{IvfIndex, IvfVariant};
 use milvus_index::kmeans::{self, KMeans};
@@ -19,7 +15,6 @@ use milvus_index::simd::{self, SimdLevel};
 use milvus_index::{
     distance, BuildParams, Metric, Neighbor, RowMask, SearchParams, TopK, VectorIndex, VectorSet,
 };
-use milvus_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -148,40 +143,6 @@ fn centroid_walks(level: SimdLevel) {
     }
 }
 
-/// The batch engine's SQ8 rows, whole and under end masks, on one range.
-fn sq8_walks(level: SimdLevel, pool: &Executor) {
-    let off = &mut obs::Trace::disabled();
-    for dim in DIMS {
-        for n in lengths(dim) {
-            let data = random_set(n.max(1), dim, (3 * n + dim) as u64);
-            let sq = ScalarQuantizer::train(&data);
-            let mut codes = Vec::with_capacity(n * dim);
-            data.iter().take(n).for_each(|v| sq.encode_into(v, &mut codes));
-            let ids: Vec<i64> = (0..n as i64).map(|i| i * 7 + 2).collect();
-            let queries = random_set(3, dim, 77);
-            let k = n.max(1);
-            let mut masks: Vec<Option<RowMask>> = end_masks(n).into_iter().map(Some).collect();
-            masks.push(None);
-            for metric in [Metric::L2, Metric::InnerProduct] {
-                let opts = BatchOptions { k, metric, threads: 1, ..Default::default() };
-                for mask in &masks {
-                    let rows = Rows::Sq8 { codes: &codes, sq: &sq };
-                    let mask = mask.as_ref();
-                    let got = cache_aware_scan(pool, rows, &ids, &queries, &[k; 3], mask, &opts, off);
-                    for (q, got) in queries.iter().zip(&got) {
-                        let p = sq.prepare(q, metric);
-                        let pairs = (0..n)
-                            .filter(|&r| mask.is_none_or(|m| m.get(r)))
-                            .map(|r| (ids[r], p.distance(&codes[r * dim..(r + 1) * dim])));
-                        let what = format!("{level} sq8 {metric} dim {dim} n {n}");
-                        assert_eq!(bits(got), reference(k, pairs), "{what}");
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Rows at four far-apart points, 1, 2, 3 and 19 copies: with the five
 /// buckets a 25-row index gets, k-means leaves buckets of 0, 1, 2 and 3
 /// members beside the big one.
@@ -280,14 +241,12 @@ fn ivf_walks(level: SimdLevel) {
 #[test]
 fn prefetching_walks_equal_the_per_pair_reference_at_every_level() {
     let _guard = LevelGuard;
-    let pool = Executor::new("t_prefetch_walks", 2);
     let (checked, skipped): (Vec<_>, Vec<_>) =
         SimdLevel::ALL.into_iter().partition(|l| l.supported());
     for &level in &checked {
         simd::force_level(level).unwrap();
         float_walks(level);
         centroid_walks(level);
-        sq8_walks(level, &pool);
         ivf_walks(level);
     }
     println!(

@@ -390,13 +390,6 @@ pub struct SpanTimer {
     start: Instant,
 }
 
-impl SpanTimer {
-    /// Elapsed time so far, without ending the span.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-}
-
 impl Drop for SpanTimer {
     fn drop(&mut self) {
         self.histogram.observe_us(self.start.elapsed().as_micros() as u64);

@@ -240,11 +240,6 @@ impl TimeSeriesReport {
         self.counter_delta(name, label, lookback) as f64 / (dt_us as f64 / 1e6)
     }
 
-    /// Gauge value in the newest frame (0 when no frame exists).
-    pub fn gauge_last(&self, name: &str, label: &str) -> i64 {
-        self.frames.last().map_or(0, |f| f.snapshot.gauge(name, label))
-    }
-
     /// The histogram of exactly the observations recorded inside the
     /// window: newest frame's buckets minus the older frame's, per bucket.
     /// Empty (count 0) with fewer than two frames.

@@ -128,11 +128,6 @@ impl MultiVectorEngine {
         Ok(registry.build(index_type, &concat, ids, params)?)
     }
 
-    /// Number of vector fields μ.
-    pub fn num_fields(&self) -> usize {
-        self.fields.len()
-    }
-
     /// Number of entities.
     pub fn len(&self) -> usize {
         self.ids.len()

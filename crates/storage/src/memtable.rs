@@ -9,7 +9,6 @@
 
 use std::collections::HashSet;
 
-use milvus_index::batch::{score_block, Scorer};
 use milvus_index::VectorSet;
 
 use crate::entity::{InsertBatch, Schema};
@@ -172,26 +171,6 @@ impl MemTable {
         }
         self.append(&since);
     }
-
-    /// Search the buffered rows brute-force (reads that opt into seeing
-    /// un-flushed data; the default read path sees flushed segments only,
-    /// matching §5.1's asynchronous visibility).
-    pub fn scan_field(
-        &self,
-        field: &str,
-        query: &[f32],
-        k: usize,
-    ) -> Result<Vec<milvus_index::Neighbor>> {
-        let fi = self
-            .schema
-            .vector_field_index(field)
-            .ok_or_else(|| StorageError::SchemaViolation(format!("no vector field {field}")))?;
-        let metric = self.schema.vector_fields[fi].metric;
-        let (kern, rows) = (Scorer::new(metric), self.vectors[fi].as_flat());
-        let mut heap = milvus_index::TopK::new(k.max(1));
-        score_block(kern, rows, &self.ids, &[query], std::slice::from_mut(&mut heap));
-        Ok(heap.into_sorted())
-    }
 }
 
 #[cfg(test)]
@@ -294,20 +273,18 @@ mod tests {
     }
 
     #[test]
-    fn scan_finds_buffered_rows() {
-        let mut mt = MemTable::new(schema());
-        mt.insert(&batch(vec![10, 20])).unwrap();
-        let res = mt.scan_field("v", &[10.1, 0.0], 1).unwrap();
-        assert_eq!(res[0].id, 10);
-    }
-
-    #[test]
     fn vectors_stay_aligned_after_partial_delete() {
         let mut mt = MemTable::new(schema());
         mt.insert(&batch(vec![1, 2, 3, 4])).unwrap();
         mt.delete(&[1, 3]);
-        let res = mt.scan_field("v", &[4.0, 0.0], 1).unwrap();
-        assert_eq!(res[0].id, 4);
-        assert_eq!(res[0].dist, 0.0);
+        let (b, _, _) = mt.drain();
+        let mut ids = b.ids.clone();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![2, 4]);
+        // Every drained row still holds its own id's vector, `[id, 0]`.
+        for (row, &id) in b.ids.iter().enumerate() {
+            assert_eq!(b.vectors[0].get(row), &[id as f32, 0.0], "row {row}");
+        }
+        assert_eq!(b.attributes[0].len(), b.ids.len());
     }
 }

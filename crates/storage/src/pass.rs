@@ -14,9 +14,10 @@
 //! query's caller claims blocks until it is owed none, then
 //! [`finish`](SharedPass::finish) waits on a condvar — never a clock — only
 //! for its own blocks that another caller is still scoring.
-//! [`search`](SharedPass::search) is that whole turn, helpers from the executor
-//! claiming beside the caller. Readers and collections both build their passes
-//! with [`FieldPass::split`] and search them with `search`.
+//! [`read`] is a query's whole turn: its pass blocks, then the segments it
+//! reads on its own, claimed by the caller and by helpers from the executor.
+//! Readers and collections both build their passes with [`FieldPass::split`]
+//! and read every query's segments with `read`.
 //!
 //! Each query sees each visible row exactly once, and [`TopK`] keeps the
 //! same set in any push order, so an answer is bit-identical to a
@@ -25,6 +26,7 @@
 //! however the blocks were shared.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -85,12 +87,12 @@ pub struct Claim {
     members: Vec<(u64, Arc<[f32]>, usize)>,
 }
 
-/// What a timed [`SharedPass::search`] saw; empty when untimed.
+/// What a timed [`read`] saw; empty when untimed.
 #[derive(Debug, Default)]
 pub struct PassTiming {
-    /// Per segment of [`SharedPass::segments`]: from the start of the first
-    /// to the end of the last of its blocks that the caller or its helpers
-    /// scored, `None` if other callers scored them all.
+    /// Per segment of the pass's [`SharedPass::segments`]: from the start of
+    /// the first to the end of the last of its blocks that the caller or its
+    /// helpers scored, `None` if other callers scored them all.
     pub windows: Vec<Option<(Instant, Instant)>>,
     /// The worst-queued helper: when it was queued and when it started.
     pub helper_wait: Option<(Instant, Instant)>,
@@ -272,49 +274,89 @@ impl SharedPass {
         };
         st.attached.swap_remove(at).heap.into_sorted()
     }
+}
 
-    /// One query's whole turn: attach, claim and score blocks until the
-    /// query is owed none — the caller and `min(helpers, blocks − 1)`
-    /// executor tasks side by side — then [`finish`](Self::finish). Only a
-    /// `timed` search reads the clock and fills the [`PassTiming`].
-    pub fn search(
-        &self,
-        query: &[f32],
-        k: usize,
-        helpers: usize,
-        timed: bool,
-    ) -> (Vec<Neighbor>, PassTiming) {
-        let me = self.attach(query, k);
-        let claimers = 1 + helpers.min(self.blocks.len().saturating_sub(1));
-        let turn = |_| {
-            let mut windows = vec![None; if timed { self.segments.len() } else { 0 }];
-            while let Some(claim) = self.claim(&me) {
-                let s = self.blocks[claim.block].0;
+/// What one [`read`] returned.
+#[derive(Debug)]
+pub struct Read<R> {
+    /// The query's answer from its pass, best first; empty without one.
+    pub pass: Vec<Neighbor>,
+    /// `each(s)` for every segment position `s`, in position order.
+    pub segments: Vec<R>,
+    /// Filled only when the read was timed.
+    pub timing: PassTiming,
+}
+
+/// One query's reads of a snapshot in one turn — §3.2.1's data ranges, each
+/// claimer with its own heaps, merged once. The caller and
+/// `min(helpers, units − 1)` executor tasks, `units` being the blocks of
+/// `pass` plus `segments`, side by side: each first claims and scores the
+/// blocks the query (attached as `(pass, query, k)`) is owed until it is
+/// owed none, then takes segment positions `0..segments` from one shared
+/// cursor and runs `each` on them. Results come back by position, so how
+/// the positions were spread changes no answer and no merge order. Only a
+/// `timed` read reads the clock and fills the [`PassTiming`].
+pub fn read<R: Send>(
+    pass: Option<(&SharedPass, &[f32], usize)>,
+    segments: usize,
+    helpers: usize,
+    timed: bool,
+    each: impl Fn(usize) -> R + Sync,
+) -> Read<R> {
+    let attached = pass.map(|(pass, query, k)| (pass, pass.attach(query, k)));
+    let blocks = attached.as_ref().map_or(0, |(pass, _)| pass.blocks());
+    let pass_segments = attached.as_ref().map_or(0, |(pass, _)| pass.segments.len());
+    let claimers = 1 + helpers.min((blocks + segments).saturating_sub(1));
+    let cursor = AtomicUsize::new(0);
+    let turn = |_| {
+        let mut windows = vec![None; if timed { pass_segments } else { 0 }];
+        if let Some((pass, me)) = &attached {
+            while let Some(claim) = pass.claim(me) {
+                let s = pass.blocks[claim.block].0;
                 let t0 = timed.then(Instant::now);
-                self.score(claim);
+                pass.score(claim);
                 if let Some(t0) = t0 {
                     windows[s].get_or_insert((t0, t0)).1 = Instant::now();
                 }
             }
-            windows
-        };
-        if !timed {
-            Executor::global().scoped_map(claimers, turn);
-            return (self.finish(me), PassTiming::default());
         }
+        let mut done = Vec::new();
+        loop {
+            // The cursor only hands out positions; the results reach the
+            // caller through the executor's join.
+            let s = cursor.fetch_add(1, Ordering::Relaxed);
+            if s >= segments {
+                break (windows, done);
+            }
+            done.push((s, each(s)));
+        }
+    };
+    let mut timing = PassTiming::default();
+    let turns = if timed {
         let turns = Executor::global().scoped_map_timed(claimers, turn);
         // Task 0 is the caller's own turn: it never queues.
         let waits = turns.iter().skip(1).map(|(_, t)| (t.enqueued, t.started));
-        let helper_wait = waits.max_by_key(|&(queued, started)| started - queued);
-        let mut windows: Vec<Option<(Instant, Instant)>> = vec![None; self.segments.len()];
-        for (turn, _) in turns {
-            for (into, w) in windows.iter_mut().zip(turn) {
-                *into = match (*into, w) {
-                    (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
-                    (into, w) => into.or(w),
-                };
-            }
+        timing.helper_wait = waits.max_by_key(|&(queued, started)| started - queued);
+        timing.windows = vec![None; pass_segments];
+        turns.into_iter().map(|(turn, _)| turn).collect()
+    } else {
+        Executor::global().scoped_map(claimers, turn)
+    };
+    let mut slots: Vec<Option<R>> = (0..segments).map(|_| None).collect();
+    for (windows, done) in turns {
+        for (into, w) in timing.windows.iter_mut().zip(windows) {
+            *into = match (*into, w) {
+                (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+                (into, w) => into.or(w),
+            };
         }
-        (self.finish(me), PassTiming { windows, helper_wait })
+        for (s, r) in done {
+            slots[s] = Some(r);
+        }
+    }
+    Read {
+        pass: attached.map_or_else(Vec::new, |(pass, me)| pass.finish(me)),
+        segments: slots.into_iter().map(|r| r.expect("every position is claimed once")).collect(),
+        timing,
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use milvus_exec::Executor;
 use milvus_index::batch::{
-    cache_aware_scan, score_range, score_visible, BatchOptions, Rows, Scorer,
+    cache_aware_scan, score_range, score_visible, BatchOptions, Scorer,
 };
 use milvus_index::ivf::IvfIndex;
 use milvus_index::traits::{BuildParams, SearchParams};
@@ -455,7 +455,7 @@ impl Segment {
                 let opts = BatchOptions { metric, threads: exec.threads(), ..Default::default() };
                 let (ids, off) = (&self.data.row_ids, &mut obs::Trace::disabled());
                 let rows = col.to_row_order();
-                cache_aware_scan(exec, Rows::F32(&rows), ids, &qs, ks, visible, &opts, off)
+                cache_aware_scan(exec, &rows, ids, &qs, ks, visible, &opts, off)
             }
         };
         lists.into_iter().map(Ok).collect()

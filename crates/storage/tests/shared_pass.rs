@@ -6,8 +6,8 @@
 //! beyond the row count included. Every answer must equal a plain per-row
 //! scan of each segment merged by `merge_segment_results`, by id and
 //! `to_bits()`, and the pass's two work counters are pinned exactly.
-//! `SharedPass::search` is held to the same reference with 0 to more than
-//! blocks helpers, counting the executor tasks it queues. A threaded storm
+//! `pass::read` of a pass alone is held to the same reference with 0 to
+//! more than blocks helpers, counting the executor tasks it queues. A threaded storm
 //! then runs 8 × 64 concurrent `ReaderNode::search`es while refreshes swap
 //! the reader's snapshot, each equal to its lone answer.
 
@@ -19,7 +19,7 @@ use milvus_distributed::Coordinator;
 use milvus_index::{distance, Metric, Neighbor, SearchParams, TopK, VectorSet};
 use milvus_obs as obs;
 use milvus_storage::object_store::{MemoryStore, ObjectStore};
-use milvus_storage::pass::{SharedPass, BLOCK_ROWS};
+use milvus_storage::pass::{self, SharedPass, BLOCK_ROWS};
 use milvus_storage::segment::merge_segment_results;
 use milvus_storage::{InsertBatch, LsmConfig, Schema, Segment};
 use rand::rngs::StdRng;
@@ -162,7 +162,8 @@ fn a_lone_search_queues_one_task_per_helper_it_can_use() {
                     for timed in [false, true] {
                         let case = format!("{metric} {what}: helpers={helpers}, k={k}, timed={timed}");
                         let (tasks_before, counted) = (tasks(), counters(&label));
-                        let (got, timing) = pass.search(q.get(0), k, helpers, timed);
+                        let read = pass::read(Some((&pass, q.get(0), k)), 0, helpers, timed, |_| ());
+                        let (got, timing) = (read.pass, read.timing);
                         let claimers = helpers.min(blocks.saturating_sub(1));
                         assert_eq!(tasks() - tasks_before, claimers as u64, "{case}");
                         assert_eq!(bits(&got), want, "{case}");

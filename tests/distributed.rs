@@ -260,3 +260,76 @@ fn empty_cluster_and_no_readers_edge_cases() {
     c.flush().unwrap();
     assert_eq!(c.search("v", data.get(0), &SearchParams::top_k(1)).unwrap()[0].id, 0);
 }
+
+/// One reader over a shard holding indexed and unindexed segments, with
+/// tombstones in both. `search` reads the unindexed ones through the shared
+/// pass and the indexed ones each on its own; `search_shards` reads every
+/// segment on its own. Both answer exactly what the writer's own segments
+/// do searched one by one — an indexed one through its index, an unindexed
+/// one by a scalar loop over its live rows — and merged, by id and distance
+/// bits, at `k` up to beyond the live rows.
+#[test]
+fn a_reader_over_indexed_and_unindexed_segments_matches_the_per_segment_reference() {
+    use milvus_distributed::reader::ReaderNode;
+    use milvus_distributed::writer::WriterNode;
+    use milvus_distributed::Coordinator;
+    use milvus_index::distance::distance;
+    use milvus_index::registry::IndexRegistry;
+    use milvus_index::traits::BuildParams;
+    use milvus_index::Neighbor;
+    use milvus_storage::object_store::ObjectStore;
+    use milvus_storage::segment::merge_segment_results;
+
+    const DIM: usize = 16;
+    let coordinator = Coordinator::new(1);
+    let shared: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+    let schema = Schema::single("v", DIM, Metric::L2);
+    let cfg = LsmConfig { auto_merge: false, ..Default::default() };
+    let writer =
+        WriterNode::new(schema.clone(), cfg, Arc::clone(&shared), Arc::clone(&coordinator)).unwrap();
+    let data = datagen::clustered(4_400, DIM, 8, -1.0, 1.0, 0.2, 35);
+    let insert = |ids: std::ops::Range<usize>| {
+        let rows: Vec<usize> = ids.clone().collect();
+        let ids = ids.map(|id| id as i64).collect();
+        writer.insert(InsertBatch::single(ids, data.gather(&rows))).unwrap();
+        writer.flush().unwrap();
+    };
+    insert(0..1_500);
+    insert(1_500..3_000);
+    let params = BuildParams { nlist: 8, kmeans_iters: 4, ..Default::default() };
+    let built = writer.build_indexes("v", "IVF_FLAT", &IndexRegistry::with_builtins(), &params);
+    assert_eq!(built.unwrap(), 2);
+    insert(3_000..4_100);
+    insert(4_100..4_400);
+    writer.delete(&(0..4_400).filter(|id| id % 9 == 2).collect::<Vec<i64>>()).unwrap();
+    writer.flush().unwrap();
+
+    let reader = ReaderNode::register(schema.clone(), coordinator, shared, 64 << 20);
+    reader.refresh().unwrap();
+    assert_eq!((reader.loaded_segments(), reader.indexed_segments()), (4, 2));
+
+    let segments = writer.engine(0).snapshot().segments.clone();
+    let bits = |list: &[Neighbor]| list.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>();
+    for (probe, k) in [(7usize, 1usize), (1_600, 10), (3_333, 37), (4_399, 5_000)] {
+        let (q, sp) = (data.get(probe), SearchParams { k, nprobe: 3, ..Default::default() });
+        let lists: Vec<_> = segments
+            .iter()
+            .map(|seg| {
+                if seg.index("v").is_some() {
+                    return seg.search_field(&schema, "v", q, &sp, None).unwrap();
+                }
+                let mut heap = TopK::new(k);
+                for (row, &id) in seg.data().row_ids.iter().enumerate() {
+                    if !seg.is_deleted(id) {
+                        heap.push(id, distance(Metric::L2, q, seg.data().vectors[0].get(row)));
+                    }
+                }
+                heap.into_sorted()
+            })
+            .collect();
+        let want = bits(&merge_segment_results(&lists, k));
+        assert_eq!(bits(&reader.search("v", q, &sp).unwrap()), want, "search, probe {probe}, k={k}");
+        let covered = reader.search_shards("v", q, &sp, &[0]).unwrap();
+        assert_eq!(bits(&covered), want, "search_shards, probe {probe}, k={k}");
+    }
+}

@@ -17,7 +17,7 @@ use milvus_index::traits::SearchParams;
 use milvus_index::{distance, Metric, Neighbor, RowMask, TopK, VectorIndex, VectorSet};
 use milvus_obs as obs;
 use milvus_storage::codec::{decode_segment, encode_segment};
-use milvus_storage::pass::{SharedPass, BLOCK_ROWS};
+use milvus_storage::pass::{self, SharedPass, BLOCK_ROWS};
 use milvus_storage::segment::{merge_segment_results, Segment};
 use milvus_storage::{InsertBatch, Schema};
 
@@ -68,8 +68,9 @@ fn segmented_collection(
 /// The tentpole latency claim, asserted without timing-flaky thresholds on
 /// real work: each of 4 segments gets a 50 ms injected scan-delay *floor*
 /// (a sleep, so it needs no CPU to elapse). A serial scan cannot finish in
-/// under 200 ms; the pooled fan-out overlaps the four sleeps and must come
-/// in well under that.
+/// under 200 ms; the caller and one helper per idle run slot claim the
+/// four segments' blocks side by side, overlap the sleeps and must come in
+/// well under that.
 #[test]
 fn parallel_segment_fanout_overlaps_scan_delays() {
     let _g = guard();
@@ -98,11 +99,14 @@ fn parallel_segment_fanout_overlaps_scan_delays() {
         elapsed < Duration::from_millis(200),
         "4 x 50 ms segment scans ran serially (took {elapsed:?})"
     );
+    // The search holds one run slot; each other one is idle and brings a
+    // helper, up to one per unit (block) beyond the caller's own.
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let tasks_after = obs::counter(obs::EXEC_TASKS, "global").get();
-    assert!(
-        tasks_after >= tasks_before + 3,
-        "segment fan-out must schedule one pool task per segment beyond the \
-         caller's own ({tasks_before} -> {tasks_after})"
+    assert_eq!(
+        tasks_after - tasks_before,
+        (cores as u64 - 1).min(4 - 1),
+        "one pool task per idle run slot, at most one per block beyond the caller's own"
     );
 }
 
@@ -380,7 +384,7 @@ fn every_entry_point_is_bit_identical_to_the_serial_segment_reference() {
                     for helpers in [0, 1, 2, 7, blocks + 5] {
                         for (&q, k) in qrefs.iter().cycle().zip(lone_ks.clone()) {
                             let before = tasks();
-                            let (got, _) = pass.search(q, k, helpers, false);
+                            let got = pass::read(Some((&pass, q, k)), 0, helpers, false, |_| ()).pass;
                             let what = format!("{case}: pass over the {what}, helpers={helpers}, k={k}");
                             assert_eq!(tasks() - before, helpers.min(blocks - 1) as u64, "{what}");
                             let lists: Vec<_> =
@@ -533,6 +537,156 @@ fn a_lone_search_over_mixed_segments_matches_the_oracle() {
         assert_eq!(bits(&got), bits(&want), "k={k}");
         let after = counters();
         assert_eq!((after.0 - before.0, after.1 - before.1), (3, 3), "k={k}: two blocks, then one");
+    }
+}
+
+/// A mixed snapshot — two IVF_FLAT segments and three unindexed ones, one
+/// of them with tombstones — read through `search`, `filtered_search` and
+/// `search_batch` (of one query and of four) while 0 to all of the
+/// collection's run slots are held. Each read is one claim loop over its
+/// units: the pass blocks of a lone unfiltered query (2 + 1 + 1) plus the
+/// segments it reads on its own (the 2 indexed ones; all 5 for the others).
+/// It queues exactly `min(idle run slots, units − 1)` executor tasks (a
+/// batch of four adds the batch engine's own row ranges), and
+/// every answer equals the oracle: a scalar loop over the live (and passing)
+/// rows of each segment scanned exactly — every unindexed one, and an
+/// indexed one under a predicate passing at most `8·k` of its rows — and an
+/// indexed segment's own `search_field` otherwise, merged by
+/// `merge_segment_results`, by id and distance bits.
+///
+/// The slots are held as in [`a_lone_search_splits_only_into_idle_run_slots`],
+/// one holder at a time, each parked in an injected scan delay: a
+/// wrong-dimension search reads all five segments on its own, so holder `i`
+/// queues `min(cores − i, 4)` tasks of its own, and the next starts only
+/// once those have run.
+#[test]
+fn a_mixed_snapshot_queues_one_task_per_idle_slot_it_can_use() {
+    const DIM: usize = 16;
+    const K: usize = 10;
+    let _g = guard();
+    let _cleanup = DelayGuard;
+    let m = Milvus::new();
+    let name = "exec_mixed_units";
+    let schema = Schema::single("v", DIM, Metric::L2).with_attribute("price");
+    let col = m.create_collection(name, schema.clone(), CollectionConfig::for_tests()).unwrap();
+    let price = |id: i64| (id % 100) as f64;
+    let insert = |ids: std::ops::Range<i64>| {
+        let InsertBatch { ids, vectors, .. } = batch(ids, DIM);
+        let attributes = vec![ids.iter().map(|&id| price(id)).collect()];
+        col.insert(InsertBatch { ids, vectors, attributes }).unwrap();
+        col.flush().unwrap();
+    };
+    insert(0..1500);
+    insert(1500..3000);
+    assert_eq!(col.build_index("v", "IVF_FLAT").unwrap(), 2);
+    insert(3000..3000 + BLOCK_ROWS as i64 + 76);
+    insert(5000..5300);
+    insert(6000..6700);
+    col.delete((5000..5300).filter(|id| id % 7 == 3).collect()).unwrap();
+    col.flush().unwrap();
+    let stats = col.stats();
+    assert_eq!((stats.segments, stats.indexed_segments), (5, 2));
+    let (lone_units, own_units) = (4 + 2, 5);
+
+    let snap = col.snapshot();
+    let params = SearchParams { k: K, nprobe: 4, ..Default::default() };
+    let (lo, hi) = (0.0, 2.0);
+    let oracle = |q: &[f32], filtered: bool| -> Vec<(i64, u32)> {
+        let lists: Vec<Vec<Neighbor>> = snap
+            .segments
+            .iter()
+            .map(|seg| {
+                let indexed = seg.index("v").is_some();
+                if indexed && !filtered {
+                    return seg.search_field(&schema, "v", q, &params, None).unwrap();
+                }
+                let ids = &seg.data().row_ids;
+                let keep = |&row: &usize| {
+                    !seg.is_deleted(ids[row]) && (!filtered || (lo..=hi).contains(&price(ids[row])))
+                };
+                let rows: Vec<usize> = (0..ids.len()).filter(keep).collect();
+                assert!(!indexed || rows.len() <= 8 * K, "the predicate must resolve to an exact scan");
+                let mut heap = TopK::new(K);
+                for row in rows {
+                    heap.push(ids[row], distance::distance(Metric::L2, q, seg.data().vectors[0].get(row)));
+                }
+                heap.into_sorted()
+            })
+            .collect();
+        merge_segment_results(&lists, K).iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    };
+    let bits = |hits: &[SearchHit]| hits.iter().map(|h| (h.id, h.distance.to_bits())).collect::<Vec<_>>();
+
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let tasks = || obs::counter(obs::EXEC_TASKS, "global").get();
+    let passed = || obs::counter(obs::SCHED_PASSTHROUGH, name).get();
+    // `f`'s result and the executor tasks it queued, run while `held` run
+    // slots are taken.
+    let holding = |held: usize, f: &dyn Fn() -> Vec<Vec<SearchHit>>| {
+        if held > 0 {
+            milvus_storage::inject_scan_delay(snap.segments[4].id, Duration::from_millis(300));
+        }
+        let out = std::thread::scope(|s| {
+            let mut holders = Vec::new();
+            let mut queued = tasks();
+            for i in 1..=held {
+                let before = passed();
+                holders.push(s.spawn(|| col.search("v", &[0.0; 3], &params)));
+                queued += (cores - i).min(own_units - 1) as u64;
+                while passed() == before || tasks() < queued {
+                    std::thread::yield_now();
+                }
+            }
+            assert_eq!(tasks(), queued, "the holders queued more tasks than their idle slots");
+            let before = tasks();
+            let got = f();
+            let queued = tasks() - before;
+            for holder in holders {
+                assert!(holder.join().unwrap().is_err(), "a wrong-dimension query must fail");
+            }
+            (got, queued)
+        });
+        milvus_storage::clear_scan_delays();
+        out
+    };
+
+    let queries: Vec<Vec<f32>> = (0..4).map(|i| vector_of(9_100 + i, DIM)).collect();
+    let mut four = VectorSet::new(DIM);
+    queries.iter().for_each(|q| four.push(q));
+    let mut one = VectorSet::new(DIM);
+    one.push(&queries[0]);
+    for held in 0..=cores {
+        let idle = cores - held;
+        // `search` and `filtered_search` take a run slot of their own, so
+        // they run only while one is free; `search_batch` takes none.
+        if idle > 0 {
+            let what = format!("search, {held} of {cores} run slots held");
+            let (got, queued) = holding(held, &|| vec![col.search("v", &queries[0], &params).unwrap()]);
+            assert_eq!(bits(&got[0]), oracle(&queries[0], false), "{what}");
+            assert_eq!(queued, (idle - 1).min(lone_units - 1) as u64, "{what}");
+
+            let what = format!("filtered_search, {held} of {cores} run slots held");
+            let filtered = || vec![col.filtered_search("v", &queries[1], "price", lo, hi, &params).unwrap()];
+            let (got, queued) = holding(held, &filtered);
+            assert!(!got[0].is_empty(), "{what}");
+            assert_eq!(bits(&got[0]), oracle(&queries[1], true), "{what}");
+            assert_eq!(queued, (idle - 1).min(own_units - 1) as u64, "{what}");
+        }
+        let what = format!("search_batch of one, {held} of {cores} run slots held");
+        let (got, queued) = holding(held, &|| col.search_batch("v", &one, &params).unwrap());
+        assert_eq!(bits(&got[0]), oracle(&queries[0], false), "{what}");
+        assert_eq!(queued, idle.min(lone_units - 1) as u64, "{what}");
+
+        // Four queries score each unindexed segment in the batch engine,
+        // which splits the segment's rows over every executor worker on its
+        // own (§3.2.1's data ranges): `workers − 1` more tasks per segment.
+        let what = format!("search_batch of four, {held} of {cores} run slots held");
+        let (got, queued) = holding(held, &|| col.search_batch("v", &four, &params).unwrap());
+        for (hits, q) in got.iter().zip(&queries) {
+            assert_eq!(bits(hits), oracle(q, false), "{what}");
+        }
+        let ranges = 3 * (milvus_exec::Executor::global().threads() - 1);
+        assert_eq!(queued, (idle.min(own_units - 1) + ranges) as u64, "{what}");
     }
 }
 

@@ -161,41 +161,6 @@ fn fused_sq8_search_recall_sanity() {
     assert!(recall >= 0.75, "fused SQ8 recall {recall} fell below the seed floor");
 }
 
-/// The SQ8 batch engine agrees with per-query index scans over whole-bucket
-/// code matrices (cross-crate twin of the unit test, on datagen data).
-#[test]
-fn sq8_batch_engine_consistent_with_prepared_scans() {
-    use milvus_index::batch::{cache_aware_scan, BatchOptions, Rows};
-    let dim = 24;
-    let n = 500;
-    let data = milvus_datagen::clustered(n, dim, 6, -1.0, 1.0, 0.2, 51);
-    let sq = milvus_index::ivf::sq8::ScalarQuantizer::train(&data);
-    let mut codes = Vec::with_capacity(n * dim);
-    for row in data.iter() {
-        sq.encode_into(row, &mut codes);
-    }
-    let ids: Vec<i64> = (0..n as i64).collect();
-    let queries = milvus_datagen::queries_from(&data, 9, 0.05, 52);
-    let pool = milvus_exec::Executor::new("t_qscan", 2);
-    let opts = BatchOptions { k: 7, metric: Metric::L2, threads: 2, l3_cache_bytes: 1 << 14 };
-    let rows = Rows::Sq8 { codes: &codes, sq: &sq };
-    let off = &mut milvus_obs::Trace::disabled();
-    let ks = vec![opts.k; queries.len()];
-    let got = cache_aware_scan(&pool, rows, &ids, &queries, &ks, None, &opts, off);
-    for (qi, res) in got.iter().enumerate() {
-        let p = sq.prepare(queries.get(qi), Metric::L2);
-        let mut heap = TopK::new(7);
-        for (row, &id) in ids.iter().enumerate() {
-            heap.push(id, p.distance(&codes[row * dim..(row + 1) * dim]));
-        }
-        let want = heap.into_sorted();
-        assert_eq!(res.len(), want.len());
-        for (g, w) in res.iter().zip(&want) {
-            assert_eq!((g.id, g.dist.to_bits()), (w.id, w.dist.to_bits()), "q={qi}");
-        }
-    }
-}
-
 /// SQ8H consistency: the GPU-simulated index's CPU scans go through the same
 /// prepared path; hybrid/CPU/GPU modes must all return the exact same lists.
 #[test]
